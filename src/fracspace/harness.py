@@ -12,6 +12,7 @@ serially and is deterministic given (config, seed, floating-point env).
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -225,15 +226,17 @@ class SuiteReport:
         out.mkdir(parents=True, exist_ok=True)
         with open(out / f"{self.suite}.json", "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
-        with open(out / f"{self.suite}.csv", "w") as fh:
-            fh.write("params,value,reference,tol,pass\n")
+        with open(out / f"{self.suite}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["params", "value", "reference", "tol", "pass"])
             for c in self.cases:
-                fh.write(f"\"{json.dumps(c['params'])}\",{c['value']},"
-                         f"{c['reference']},{c['tol']},{c['pass']}\n")
-        with open(out / f"{self.suite}_refinement.csv", "w") as fh:
-            fh.write("N,value,stability_ratio\n")
+                writer.writerow([json.dumps(c["params"]), c["value"],
+                                 c["reference"], c["tol"], c["pass"]])
+        with open(out / f"{self.suite}_refinement.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["N", "value", "stability_ratio"])
             for r in self.refinement:
-                fh.write(f"{r['N']},{r['value']},{r['stability_ratio']}\n")
+                writer.writerow([r["N"], r["value"], r["stability_ratio"]])
 
 
 def _jsonable(v):
@@ -246,7 +249,12 @@ def _jsonable(v):
 
 
 def _band_constant(ratios) -> float:
-    """Two-sided equivalence constant of a set of ratios: sqrt(max/min)."""
+    """Two-sided equivalence constant of a set of ratios: sqrt(max/min).
+
+    Infinite when any ratio is not finite or not positive.
+    """
+    if not all(math.isfinite(r) for r in ratios):
+        return math.inf
     rmax, rmin = max(ratios), min(ratios)
     if rmin <= 0:
         return math.inf
@@ -254,8 +262,11 @@ def _band_constant(ratios) -> float:
 
 
 def _stable(values, rtol: float) -> bool:
+    """All values finite and within rtol of the smallest."""
+    if not all(math.isfinite(v) for v in values):
+        return False
     top, bot = max(values), min(values)
-    return math.isfinite(top) and (top - bot) <= rtol * bot
+    return (top - bot) <= rtol * bot
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,18 @@ sectoriality probes, fractional powers by the real-axis (Balakrishnan)
 integral, the causal fractional-derivative oracle, and the domain-norm
 comparison behind the fractional-domain characterization.
 
-Resolvent and fractional-power evaluations are pure and allocate per call;
-sector probes parallelize naturally over the probed points.
+The Balakrishnan quadrature is a fixed sum of one-cell resolvent recursions,
+hence one linear time-invariant filter on the grid: ``fractional_power``
+builds its impulse response once per (variant, h, N, theta), keeps it in a
+small bounded cache of read-only arrays, and applies it by FFT convolution.
+Everything else evaluates per call.  ``riemann_liouville`` shares no code
+with that kernel, so the two stay independent representations.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -88,14 +93,29 @@ def _cell_coefficients(lam: complex, h: float):
     return E, em1, alpha, beta
 
 
+def _minus_cell_coefficients(lam: complex, h: float):
+    """(E, alpha', beta') of the mirrored one-cell step of the minus variant.
+
+    u_i = E u_{i+1} + alpha' f_i + beta' f_{i+1} with
+    alpha' = int e^{-lam tau}(1 - tau/h), beta' = int e^{-lam tau} tau/h.
+    """
+    E, em1, _, _ = _cell_coefficients(lam, h)
+    lam2h = lam * lam * h
+    beta_p = -(lam * h + em1 * (1.0 + lam * h)) / lam2h
+    alpha_p = -em1 / lam - beta_p
+    return E, alpha_p, beta_p
+
+
 def _dirichlet_resolvent_values(lam: complex, values: np.ndarray, h: float) -> np.ndarray:
     """u(t) = integral_0^t e^{-lam (t-s)} f(s) ds, column-wise, u(0) = 0."""
     E, _, alpha, beta = _cell_coefficients(lam, h)
-    y = signal.lfilter([beta, alpha], [1.0, -E], values, axis=0)
-    # lfilter seeds y_0 = beta f_0; the true initial value is 0
-    n = values.shape[0]
-    decay = np.power(E, np.arange(n))[:, None]
-    return y - beta * values[0][None, :] * decay
+    # the initial state cancels the beta f_0 that lfilter would put in y_0;
+    # row 0 is then pinned, since a fused multiply-add in the filter can
+    # leave a last-bit residue of that cancellation
+    y, _ = signal.lfilter([beta, alpha], [1.0, -E], values, axis=0,
+                          zi=(-beta * values[0])[None, :])
+    y[0] = 0.0
+    return y
 
 
 def _dirichlet_resolvent_adjoint(lam: complex, values: np.ndarray, h: float) -> np.ndarray:
@@ -112,22 +132,15 @@ def _dirichlet_resolvent_adjoint(lam: complex, values: np.ndarray, h: float) -> 
 
 def _minus_resolvent_values(lam: complex, values: np.ndarray, h: float) -> np.ndarray:
     """u(t) = integral_t^inf e^{-lam (s-t)} f(s) ds (zero data past the grid)."""
-    E, em1, _, _ = _cell_coefficients(lam, h)
-    # mirrored recursion: u_i = E u_{i+1} + alpha' f_i + beta' f_{i+1} with
-    # alpha' = int e^{-lam tau}(1 - tau/h), beta' = int e^{-lam tau} tau/h
-    lam2h = lam * lam * h
-    beta_p = -(lam * h + em1 * (1.0 + lam * h)) / lam2h
-    alpha_p = -em1 / lam - beta_p
+    E, alpha_p, beta_p = _minus_cell_coefficients(lam, h)
     rev = values[::-1]
     y = signal.lfilter([alpha_p, beta_p], [1.0, -E], rev, axis=0)
     return y[::-1]
 
 
 def _minus_resolvent_adjoint(lam: complex, values: np.ndarray, h: float) -> np.ndarray:
-    E, em1, _, _ = _cell_coefficients(lam, h)
-    lam2h = lam * lam * h
-    beta_p = -(lam * h + em1 * (1.0 + lam * h)) / lam2h
-    alpha_p = -em1 / lam - beta_p
+    """Conjugate-transpose of the minus-variant map above."""
+    E, alpha_p, beta_p = _minus_cell_coefficients(lam, h)
     y = signal.lfilter([np.conj(alpha_p), np.conj(beta_p)], [1.0, -np.conj(E)],
                        values, axis=0)
     return y
@@ -264,15 +277,82 @@ def sectoriality_probe(op: HalfLineOperator, grid, angles, radii) -> list[Sector
     return probes
 
 
-def fractional_power(op: HalfLineOperator, theta: float, f: GridFunction,
-                     u_range: float = 30.0, u_step: float = 0.05) -> GridFunction:
+# log-lambda trapezoid of the Balakrishnan integral: lam = e^u, |u| <= _U_RANGE
+_U_RANGE = 30.0
+_U_STEP = 0.05
+# e^{-lam h k} below e^-700 is dropped from the kernel (subnormal slow paths)
+_DECAY_CUTOFF = 700.0
+# elements of the exponential buffer the kernel build fills per chunk of lambdas
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _exponential_sums(first: np.ndarray, rate: np.ndarray, log_e: np.ndarray,
+                      n: int) -> np.ndarray:
+    """Rows out[r, k] = sum_i first[r, i] (k = 0), sum_i rate[r, i] E_i^(k-1) (k >= 1).
+
+    E_i = exp(log_e[i]) with log_e non-increasing (lambdas ascending); each
+    chunk of lambdas is cut where its slowest decay passes e^-_DECAY_CUTOFF.
+    """
+    out = np.zeros((first.shape[0], n))
+    out[:, 0] = first.sum(axis=1)
+    out[:, 1] = rate.sum(axis=1)  # E^0 = 1, also where E = 0
+    powers = np.arange(1.0, n - 1)  # exponents of E for k = 2 .. n-1
+    rows = max(1, _CHUNK_ELEMENTS // n)
+    buf = np.empty((rows, n - 2))
+    for start in range(0, log_e.size, rows):
+        sl = slice(start, min(start + rows, log_e.size))
+        slowest = -log_e[start]
+        width = (n - 2 if slowest * (n - 2) <= _DECAY_CUTOFF
+                 else int(_DECAY_CUTOFF / slowest))
+        block = buf[:sl.stop - sl.start, :width]
+        np.multiply(log_e[sl, None], powers[:width], out=block)
+        block[block < -_DECAY_CUTOFF] = -np.inf
+        np.exp(block, out=block)
+        out[:, 2:2 + width] += rate[:, sl] @ block
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _balakrishnan_kernel(variant: str, h: float, n: int, theta: float) -> np.ndarray:
+    """Impulse response of the log-lambda trapezoid sum of resolvents (read-only).
+
+    With c_lam the trapezoid weight times lam^theta, row 0 is
+    sum_lam c_lam g_lam, where g_lam is the impulse response of one
+    recursion: g[0] = beta, g[k] = (E beta + alpha) E^(k-1) for the Dirichlet
+    variant (causal) and g[0] = alpha', g[k] = (E alpha' + beta') E^(k-1) for
+    the minus variant (applied to reversed data).  The Dirichlet variant adds
+    row 1, sum_lam c_lam beta E^k: the response to f_0 that the zero initial
+    value removes.
+    """
+    us = np.arange(-_U_RANGE, _U_RANGE + 1e-12, _U_STEP)
+    table = []
+    for i, u in enumerate(us):
+        lam = math.exp(u)
+        c = (_U_STEP if 0 < i < len(us) - 1 else 0.5 * _U_STEP) * lam ** theta
+        if variant == DIRICHLET:
+            E, _, alpha, beta = _cell_coefficients(lam, h)
+            table.append((E, c * beta, c * (E * beta + alpha), c * beta, c * beta * E))
+        else:
+            E, alpha_p, beta_p = _minus_cell_coefficients(lam, h)
+            table.append((E, c * alpha_p, c * (E * alpha_p + beta_p)))
+    table = np.array(table).real  # lam is real, so every coefficient is
+    with np.errstate(divide="ignore"):  # E = 0 once lam h passes ~37
+        log_e = np.log(table[:, 0])
+    kernel = _exponential_sums(table[:, 1::2].T, table[:, 2::2].T, log_e, n)
+    kernel.flags.writeable = False
+    return kernel
+
+
+def fractional_power(op: HalfLineOperator, theta: float, f: GridFunction) -> GridFunction:
     """A^theta f by the real-axis integral
 
         (sin(pi theta)/pi) * integral_0^inf lam^(theta-1) (lam+A)^{-1} A f dlam,
 
     computed on lam = e^u with trapezoid steps plus closed-form corrections for
     both truncated ends (from (lam+A)^{-1}Af = f - lam (lam+A)^{-1} f at the
-    small end and = Af/lam - (lam+A)^{-1} A^2 f / lam at the large end).
+    small end and = Af/lam - (lam+A)^{-1} A^2 f / lam at the large end).  The
+    trapezoid sum of discrete resolvents is applied as one cached convolution
+    kernel (see ``_balakrishnan_kernel``).
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
@@ -284,17 +364,15 @@ def fractional_power(op: HalfLineOperator, theta: float, f: GridFunction,
         if float(np.max(np.abs(tr.entries))) > 1e-8 * scale:
             raise ValueError("input violates the zero boundary value of the domain")
     af = op.apply(f)
-    h = f.grid.h
-    us = np.arange(-u_range, u_range + 1e-12, u_step)
-    apply_res = (_dirichlet_resolvent_values if op.variant == DIRICHLET
-                 else _minus_resolvent_values)
-    acc = np.zeros_like(f.values)
-    for i, u in enumerate(us):
-        lam = math.exp(u)
-        wt = u_step if 0 < i < len(us) - 1 else 0.5 * u_step
-        acc += wt * lam ** theta * apply_res(lam, af.values, h)
-    eps_end = math.exp(-u_range)
-    big_end = math.exp(u_range)
+    n = f.grid.n_points
+    kernel = _balakrishnan_kernel(op.variant, f.grid.h, n, theta)
+    if op.variant == DIRICHLET:
+        acc = signal.fftconvolve(kernel[0][:, None], af.values, axes=0)[:n]
+        acc -= kernel[1][:, None] * af.values[0][None, :]
+    else:
+        acc = signal.fftconvolve(kernel[0][:, None], af.values[::-1], axes=0)[:n][::-1]
+    eps_end = math.exp(-_U_RANGE)
+    big_end = math.exp(_U_RANGE)
     acc += (eps_end ** theta / theta) * f.values
     acc += (big_end ** (theta - 1.0) / (1.0 - theta)) * af.values
     return GridFunction(f.grid, (math.sin(math.pi * theta) / math.pi) * acc)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -12,6 +13,8 @@ from fracspace.harness import (
     SUITES,
     SuiteConfig,
     SuiteReport,
+    _band_constant,
+    _stable,
     generate_test_family,
     run_suite,
 )
@@ -122,6 +125,26 @@ class TestReports:
         assert len(lines) >= 4  # header + three refinement levels
         assert (tmp_path / "c-sigma.csv").exists()
 
+    def test_csv_rows_parse_back(self, tmp_path):
+        report = SuiteReport("demo", "0" * 16)
+        params = {"what": "a, \"quoted\" case", "values": [1.0, 2.5], "p": 2.0}
+        report.add_case(params, 1.0, 1.0, 1e-3)
+        report.add_case({"theta": 0.5}, 2.0, 1.0, 1e-3)
+        for n, v in ((1024, 1.0), (2048, 0.5), (4096, 0.25)):
+            report.add_refinement(n, v)
+        report.write(tmp_path)
+        with open(tmp_path / "demo.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["params", "value", "reference", "tol", "pass"]
+        assert [len(r) for r in rows] == [5, 5, 5]
+        assert json.loads(rows[1][0]) == params
+        assert rows[1][4] == "True" and rows[2][4] == "False"
+        with open(tmp_path / "demo_refinement.csv", newline="") as fh:
+            ref_rows = list(csv.reader(fh))
+        assert ref_rows[0] == ["N", "value", "stability_ratio"]
+        assert [len(r) for r in ref_rows] == [3, 3, 3, 3]
+        assert float(ref_rows[-1][2]) == 0.5
+
     def test_every_registered_suite_exists(self):
         assert len(SUITES) == 11
 
@@ -169,3 +192,17 @@ class TestCli:
                        "--out", str(tmp_path / "o.csv"),
                        "--params", json.dumps({"theta": 0.5})])
         assert rc == 2  # full-line input is invalid for this operator
+
+
+class TestStabilityHelpers:
+    def test_stable_rejects_nan(self):
+        # max and min skip a NaN in the middle, so the spread alone looked fine
+        assert not _stable([1.0, math.nan, 1.05], 0.1)
+        assert not _stable([math.nan, 1.0, 1.05], 0.1)
+        assert not _stable([1.0, math.inf], 0.1)
+        assert _stable([1.0, 1.05], 0.1)
+
+    def test_band_constant_infinite_on_non_finite_ratio(self):
+        assert _band_constant([1.0, math.nan, 4.0]) == math.inf
+        assert _band_constant([1.0, math.inf]) == math.inf
+        assert _band_constant([1.0, 4.0]) == pytest.approx(2.0)

@@ -25,6 +25,11 @@ from fracspace.opcalc import (
     riemann_liouville,
     domain_norm_ratio,
     sectoriality_probe,
+    _balakrishnan_kernel,
+    _dirichlet_resolvent_adjoint,
+    _dirichlet_resolvent_values,
+    _minus_resolvent_adjoint,
+    _minus_resolvent_values,
     _op_norm_singular_value,
 )
 from fracspace.harness import generate_test_family
@@ -69,6 +74,32 @@ class TestResolvent:
         f = generate_test_family(g, 50, 1)[0]
         u = resolvent(OP_D, complex(2.0, 1.0), f)
         assert u.values[0, 0] == 0.0
+
+    @pytest.mark.parametrize("lam", [1e-6, 0.3, complex(1.3, 0.7),
+                                     complex(1e3, -40.0), 1e4])
+    def test_dirichlet_initial_value_exactly_zero(self, lam):
+        # complex data with f(0) != 0: the cancellation of beta f_0 in the
+        # filter's first step is not exact in floating point on its own
+        rng = np.random.default_rng(66)
+        values = rng.standard_normal((1024, 2)) + 1j * rng.standard_normal((1024, 2))
+        u = _dirichlet_resolvent_values(lam, values, 40.0 / 1024)
+        assert np.all(u[0] == 0.0)
+
+    @pytest.mark.parametrize("fwd, adj", [
+        (_dirichlet_resolvent_values, _dirichlet_resolvent_adjoint),
+        (_minus_resolvent_values, _minus_resolvent_adjoint),
+    ])
+    @pytest.mark.parametrize("lam", [0.05, complex(1.3, 0.7), complex(40.0, -25.0)])
+    def test_adjoint_dot_product(self, fwd, adj, lam):
+        # <M x, y> = <x, M^H y> for the discrete maps, on unstructured vectors
+        n, h = 2048, 40.0 / 2048
+        rng = np.random.default_rng(67)
+        x = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        y = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        lhs = np.vdot(y, fwd(lam, x, h))
+        rhs = np.vdot(adj(lam, y, h), x)
+        scale = np.linalg.norm(fwd(lam, x, h)) * np.linalg.norm(y)
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
     def test_rejects_left_half_plane(self):
         g = Grid(40.0, 1024, HALF_LINE)
@@ -228,6 +259,64 @@ class TestFractionalPower:
         a = fractional_power(OP_M, 0.5, f)
         b = fractional_power(OP_M, 0.5, a)
         assert _relative(b, OP_M.apply(f)) < 5e-3
+
+
+def _reference_fractional_power(op, theta, f):
+    """The Balakrishnan trapezoid as a per-lambda sum of resolvent applies."""
+    u_range, u_step = 30.0, 0.05
+    af = op.apply(f)
+    res = (_dirichlet_resolvent_values if op.variant == DIRICHLET
+           else _minus_resolvent_values)
+    us = np.arange(-u_range, u_range + 1e-12, u_step)
+    acc = np.zeros_like(f.values)
+    for i, u in enumerate(us):
+        lam = math.exp(u)
+        wt = u_step if 0 < i < len(us) - 1 else 0.5 * u_step
+        acc += wt * lam ** theta * res(lam, af.values, f.grid.h)
+    acc += (math.exp(-u_range) ** theta / theta) * f.values
+    acc += (math.exp(u_range) ** (theta - 1.0) / (1.0 - theta)) * af.values
+    return (math.sin(math.pi * theta) / math.pi) * acc
+
+
+class TestFractionalPowerKernel:
+    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("op", [OP_D, OP_M], ids=["dirichlet", "minus"])
+    @pytest.mark.parametrize("theta", [0.25, 0.75])
+    def test_matches_per_lambda_sum(self, n, op, theta):
+        # f(0) = 0 with A f(0) != 0 exercises the Dirichlet column-0 term
+        g = Grid(40.0, n, HALF_LINE)
+        t = g.points
+        slope = t * np.exp(-t ** 2 / 8.0)
+        family = generate_test_family(g, 68, 1, support=(0.1, 0.5), fiber_dim=2)[0]
+        f = GridFunction(g, family.values + np.stack([slope, (1 + 2j) * slope], axis=1))
+        ref = _reference_fractional_power(op, theta, f)
+        out = fractional_power(op, theta, f).values
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_grids_differing_in_h_do_not_share_a_kernel(self):
+        _balakrishnan_kernel.cache_clear()
+        for half_width in (40.0, 30.0):
+            g = Grid(half_width, 1024, HALF_LINE)
+            f = generate_test_family(g, 69, 1, support=(0.1, 0.5))[0]
+            ref = _reference_fractional_power(OP_D, 0.5, f)
+            out = fractional_power(OP_D, 0.5, f).values
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+        info = _balakrishnan_kernel.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
+    def test_repeated_calls_identical_and_cache_read_only(self):
+        g = Grid(40.0, 1024, HALF_LINE)
+        f = generate_test_family(g, 70, 1, support=(0.1, 0.5))[0]
+        for op in (OP_D, OP_M):
+            first = fractional_power(op, 0.5, f)
+            kept = first.values.copy()
+            first.values[:] = 1e6  # the caller's array, not the cache
+            again = fractional_power(op, 0.5, f)
+            assert np.array_equal(again.values, kept)
+            kernel = _balakrishnan_kernel(op.variant, g.h, g.n_points, 0.5)
+            assert not kernel.flags.writeable
+            with pytest.raises(ValueError):
+                kernel[0, 0] = 0.0
 
 
 class TestRiemannLiouville:
