@@ -5,9 +5,6 @@ Convention, fixed once for the whole package: the transform is
 fhat(xi) = integral f(x) exp(-i xi x) dx with inverse carrying 1/(2 pi).
 On a full-line grid the discrete frequencies are xi_k = pi k / L,
 k = -N/2 .. N/2 - 1, and a multiplier acts as ifft(m(xi) * fft(f)).
-
-Everything here is a pure function; the only shared state is numpy's
-internal FFT plan cache, whose concurrent use is safe and idempotent.
 """
 
 from __future__ import annotations

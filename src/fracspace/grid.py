@@ -5,9 +5,6 @@ in C^n, measured in L^p against the weight |x|^gamma.  Everything here is the
 discrete stand-in: a uniform grid, complex samples on it, and quadrature rules
 whose weight factors are integrated in closed form over grid cells so that the
 singularity of |x|^gamma at the origin never has to be sampled.
-
-All values are immutable after construction and all operations are pure
-functions, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
@@ -341,6 +338,16 @@ def _bump_profile(u: np.ndarray) -> np.ndarray:
     out = np.zeros_like(u, dtype=float)
     inside = np.abs(u) < 1.0
     out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+    return out
+
+
+def plateau(x: np.ndarray, center: float, inner: float, outer: float) -> np.ndarray:
+    """C^inf window: 1 on |x-c| <= inner, 0 on |x-c| >= outer."""
+    z = (np.abs(x - center) - inner) / (outer - inner)
+    out = np.ones_like(x, dtype=float)
+    ramp = (z > 0.0) & (z < 1.0)
+    out[ramp] = np.exp(1.0 - 1.0 / (1.0 - z[ramp] ** 2))
+    out[z >= 1.0] = 0.0
     return out
 
 

@@ -6,9 +6,7 @@ The reflection extension uses scaling factors lambda_j = j (j = 1..2m+2).
 With integer factors every reflected sample f(-lambda_j x) lands exactly on a
 grid node, so the forward extension and the support projection are pure index
 gathers with no interpolation error; interpolation only enters the dual
-operator, which samples at -x/lambda_j.
-
-Pure functions over immutable inputs; safe for concurrent use.
+operator, which samples at -x/lambda_j.  Non-integer factors are rejected.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ from .grid import (
     PowerWeight,
     ResolutionError,
     boundary_decay_ok,
+    plateau,
     warn_if_boundary_heavy,
     weighted_lp_norm,
 )
@@ -40,8 +39,9 @@ from .fourier import hsp_norm, spectral_derivative, wkp_norm, wkp_seminorm
 class ReflectionCoefficients:
     """Data (lambda_j, b_j) of the order-m reflection extension.
 
-    The b_j solve sum_j b_j (-lambda_j)^n = 1 for n = 0..2m+1, which matches
-    one-sided derivatives up to order 2m+1 across the reflection point.
+    The lambda_j must be integers, so that every reflected sample is a grid
+    node.  The b_j solve sum_j b_j (-lambda_j)^n = 1 for n = 0..2m+1, which
+    matches one-sided derivatives up to order 2m+1 across the reflection point.
     """
 
     order: int
@@ -54,6 +54,8 @@ class ReflectionCoefficients:
         if any(l2 <= l1 for l1, l2 in zip(self.lambdas, self.lambdas[1:])) \
                 or self.lambdas[0] <= 0:
             raise ValueError("scaling factors must be positive and increasing")
+        if not all(float(lam).is_integer() for lam in self.lambdas):
+            raise ValueError(f"scaling factors must be integers, got {self.lambdas}")
         res = self.matching_residual()
         if res > 1e-10:
             raise ValueError(f"derivative-matching residual {res:.3e} exceeds 1e-10")
@@ -141,7 +143,7 @@ def _gathered_reflection(values: np.ndarray, coeffs: ReflectionCoefficients,
     n = values.shape[0]
     out = np.zeros((len(m_index), values.shape[1]), dtype=np.complex128)
     for lam, b in zip(coeffs.lambdas, coeffs.bs):
-        src = (m_index * int(round(lam)))
+        src = m_index * int(lam)
         valid = src < n
         out[valid] += b * values[src[valid]]
     return out
@@ -164,19 +166,6 @@ def reflect_extend(f: GridFunction, coeffs: ReflectionCoefficients) -> GridFunct
     m_index = np.arange(1, zero + 1)  # x = -m h
     out[zero - 1:: -1, :] = _gathered_reflection(f.values, coeffs, m_index)
     return GridFunction(full, out)
-
-
-def _band_limited_sample(F: GridFunction, points: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of a full-line function off-grid."""
-    grid = F.grid
-    xi = grid.frequencies()
-    spec = np.fft.fft(F.values, axis=0) / grid.n_points
-    # interpolant: sum_k spec_k exp(i xi_k (x - x_0)); honor the real Nyquist mode
-    rel = points - grid.points[0]
-    phases = np.exp(1j * np.outer(rel, xi))
-    nyq = grid.n_points // 2
-    phases[:, nyq] = np.cos(xi[nyq] * rel)
-    return phases @ spec
 
 
 def _upsampled_values(F: GridFunction, factor: int) -> np.ndarray:
@@ -218,6 +207,8 @@ def reflect_extend_dual(g: GridFunction, coeffs: ReflectionCoefficients,
 
     Off-grid values of g are interpolated; ``interpolation`` selects "cubic"
     (local, default) or "bandlimited" (trigonometric, for acceptance runs).
+    The points -x/lambda_j live on the lambda_j-fold refined lattice, where
+    the trigonometric interpolant is an exact FFT upsampling.
     """
     if g.grid.kind != FULL_LINE:
         raise ValueError("reflect_extend_dual needs a full-line input")
@@ -229,17 +220,13 @@ def reflect_extend_dual(g: GridFunction, coeffs: ReflectionCoefficients,
     x_plus = grid.points[zero:]
     acc = g.values[zero:, :].copy()
     for lam, b in zip(coeffs.lambdas, coeffs.bs):
-        j = int(round(lam))
-        if interpolation == "bandlimited" and abs(lam - j) < 1e-12:
-            # the points -x/j live on the j-fold refined lattice, where the
-            # trigonometric interpolant is an exact FFT upsampling
+        if interpolation == "bandlimited":
+            j = int(lam)
             up = _upsampled_values(g, j) if j > 1 else g.values
             samples = up[j * zero - np.arange(n - zero)]
-            acc += (b / lam) * samples
-        elif interpolation == "bandlimited":
-            acc += (b / lam) * _band_limited_sample(g, -x_plus / lam)
         else:
-            acc += (b / lam) * _cubic_sample(g, -x_plus / lam)
+            samples = _cubic_sample(g, -x_plus / lam)
+        acc += (b / lam) * samples
     out = np.zeros_like(g.values)
     out[zero:, :] = acc
     return GridFunction(grid, out)
@@ -294,21 +281,12 @@ def trace(f: GridFunction, k: int) -> TraceVector:
     return TraceVector(k, entries)
 
 
-def _plateau_bump(x: np.ndarray) -> np.ndarray:
-    """C^inf cutoff equal to 1 on [-1, 1], supported in [-2, 2]."""
-    u = np.maximum(np.abs(x) - 1.0, 0.0)
-    out = np.zeros_like(x, dtype=float)
-    inner = u < 1.0
-    out[inner] = np.exp(1.0 - 1.0 / (1.0 - u[inner] ** 2))
-    return out
-
-
 def coextend(t: TraceVector, grid: Grid) -> GridFunction:
     """sum_j (x^j / j!) chi(x) t_j: a compactly supported function with trace t."""
     if t.order > 6:
         raise ValueError("coextension implemented for k <= 6")
     x = grid.points
-    chi = _plateau_bump(x)
+    chi = plateau(x, 0.0, 1.0, 2.0)  # 1 on [-1, 1], supported in [-2, 2]
     vals = np.zeros((grid.n_points, t.entries.shape[1]), dtype=np.complex128)
     for j in range(t.order + 1):
         vals += (x ** j / math.factorial(j) * chi)[:, None] * t.entries[j][None, :]

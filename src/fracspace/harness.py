@@ -4,10 +4,8 @@ and machine-readable reports.
 Each suite exercises one package-level guarantee (operator identities,
 inequality constants, convergence under grid refinement) and emits a
 :class:`SuiteReport` holding per-case pass/fail records, a refinement table
-with at least three resolution levels, and wall-clock time.
-
-Suites are independent and may run in parallel; each report is assembled
-serially and is deterministic given (config, seed, floating-point env).
+with at least three resolution levels, and wall-clock time.  A report is
+deterministic given (config, seed, floating-point environment).
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from .grid import (
     dual_exponent,
     dual_pairing,
     mollify,
+    plateau,
     weighted_lp_norm,
 )
 from . import fourier, halfline, kernels, opcalc, singular
@@ -45,16 +44,6 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # test families
-
-
-def _plateau(x: np.ndarray, center: float, inner: float, outer: float) -> np.ndarray:
-    """C^inf window: 1 on |x-c| <= inner, 0 on |x-c| >= outer."""
-    z = (np.abs(x - center) - inner) / (outer - inner)
-    out = np.ones_like(x, dtype=float)
-    ramp = (z > 0.0) & (z < 1.0)
-    out[ramp] = np.exp(1.0 - 1.0 / (1.0 - z[ramp] ** 2))
-    out[z >= 1.0] = 0.0
-    return out
 
 
 def _support_window(grid: Grid, support: tuple[float, float] | None) -> tuple[float, float]:
@@ -105,9 +94,9 @@ def generate_test_family(grid: Grid, seed: int, count: int,
             if kind == "zero-trace-k":
                 damp = (x / (1.0 + x ** 2 / half_len ** 2) ** 0.5) ** (trace_order + 6)
                 profile = profile * damp
-            master = _plateau(x, mid, 0.8 * half_len, half_len)
+            master = plateau(x, mid, 0.8 * half_len, half_len)
             if kind == "boundary-touching":
-                master = _plateau(x, 0.0, 0.3 * grid.half_width, 0.6 * grid.half_width)
+                master = plateau(x, 0.0, 0.3 * grid.half_width, 0.6 * grid.half_width)
             profile *= master
             peak = np.max(np.abs(profile))
             vals[:, c] = profile / peak if peak > 0 else profile
@@ -413,7 +402,7 @@ def _suite_reflection(cfg: SuiteConfig, report: SuiteReport) -> None:
     for m in (0, 1, 2):
         cm = halfline.solve_reflection_coefficients(m)
         plateau_top = 2 * m + 3.0
-        win = _plateau(t, 0.0, plateau_top, 3 * plateau_top)
+        win = plateau(t, 0.0, plateau_top, 3 * plateau_top)
         worst = 0.0
         for n_deg in range(2 * m + 2):
             f = GridFunction(grid, t ** n_deg * win)
@@ -459,13 +448,13 @@ def _suite_traces(cfg: SuiteConfig, report: SuiteReport) -> None:
     tol = cfg.tolerances.get("trace", 1e-8)
     grid = Grid(cfg.half_width, 4096, FULL_LINE)
     x = grid.points
-    win = _plateau(x, 0.0, 3.0, 9.0)
+    win = plateau(x, 0.0, 3.0, 9.0)
     f2 = GridFunction(grid, x ** 2 * win)
     tr = halfline.trace(f2, 2)
     report.add_case({"what": "trace of x^2, k=2"},
                     float(np.max(np.abs(tr.entries[:, 0] - np.array([0, 0, 2.0])))),
                     0.0, tol)
-    fe = GridFunction(grid, np.exp(x) * _plateau(x, 0.0, 2.0, 6.0))
+    fe = GridFunction(grid, np.exp(x) * plateau(x, 0.0, 2.0, 6.0))
     report.add_case({"what": "trace of exp, k=1"},
                     float(np.max(np.abs(halfline.trace(fe, 1).entries[:, 0] - 1.0))),
                     0.0, tol)
@@ -638,7 +627,7 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
     # sits below the tolerance
     g = Grid(cfg.half_width, 4096, HALF_LINE)
     t = g.points
-    f1 = GridFunction(g, _plateau(t, 0.0, 20.0, 35.0))
+    f1 = GridFunction(g, plateau(t, 0.0, 20.0, 35.0))
     u = opcalc.resolvent(op, 1.0, f1)
     mask = t <= 18.0
     report.add_case({"what": "dirichlet lam=1 f=1 -> 1-exp(-t)"},

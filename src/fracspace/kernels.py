@@ -1,9 +1,6 @@
 """The convolution kernel of (1 - Laplacian)^(-s/2), its envelope bounds, the
 half-line kernel operator with kernel 1/(x + y), and the associated sharp
 constants from the Schur test.
-
-Pure functions; kernel evaluations vectorize and parallelize freely over
-mesh points.
 """
 
 from __future__ import annotations
@@ -146,6 +143,16 @@ def kernel_weighted_tail_integrals(s: float, p: float, gamma: float,
     return np.asarray(out)
 
 
+def _split_power_quadrature(e: float) -> float:
+    """Adaptive quadrature of integral_0^inf z^e / (1 + z) dz for -1 < e < 0.
+
+    Split at 1 and map [1, inf) back to (0, 1] by z -> 1/z.
+    """
+    head, _ = integrate.quad(lambda z: z ** e / (1.0 + z), 0.0, 1.0, limit=200)
+    tail, _ = integrate.quad(lambda t: t ** (-e - 1.0) / (1.0 + t), 0.0, 1.0, limit=200)
+    return head + tail
+
+
 def schur_constant(p: float, beta: float) -> float:
     """Adaptive quadrature of integral_0^inf z^(beta - 1/p) / (1 + z) dz.
 
@@ -161,10 +168,7 @@ def schur_constant(p: float, beta: float) -> float:
     if not (-1.0 < e < 0.0):
         raise AdmissibilityError(
             f"beta={beta} makes the exponent {e} non-integrable for p={p}")
-    # split at 1 and map [1, inf) back to (0, 1] by z -> 1/z
-    head, _ = integrate.quad(lambda z: z ** e / (1.0 + z), 0.0, 1.0, limit=200)
-    tail, _ = integrate.quad(lambda t: t ** (-e - 1.0) / (1.0 + t), 0.0, 1.0, limit=200)
-    return head + tail
+    return _split_power_quadrature(e)
 
 
 def schur_closed_form(p: float, beta: float) -> float:
@@ -179,9 +183,7 @@ def schur_companion_constant(p: float, beta: float) -> float:
     if not (-1.0 < e < 0.0):
         raise AdmissibilityError(
             f"beta={beta} makes the exponent {e} non-integrable for p={p}")
-    head, _ = integrate.quad(lambda z: z ** e / (1.0 + z), 0.0, 1.0, limit=200)
-    tail, _ = integrate.quad(lambda t: t ** (-e - 1.0) / (1.0 + t), 0.0, 1.0, limit=200)
-    return head + tail
+    return _split_power_quadrature(e)
 
 
 def hardy_hilbert_apply(h: GridFunction, p: float, w: PowerWeight,

@@ -123,10 +123,9 @@ def _dirichlet_resolvent_adjoint(lam: complex, values: np.ndarray, h: float) -> 
     E, _, alpha, beta = _cell_coefficients(lam, h)
     rev = values[::-1]
     y = signal.lfilter([np.conj(beta), np.conj(alpha)], [1.0, -np.conj(E)], rev, axis=0)[::-1]
-    n = values.shape[0]
-    decay = np.power(np.conj(E), np.arange(n))[:, None]
-    correction = np.conj(beta) * np.sum(decay * values, axis=0)
-    y[0] -= correction
+    # the zero initial value: y[0] loses conj(beta) sum_k conj(E)^k values[k],
+    # which is the last output of the one-pole filter run over the reversed data
+    y[0] -= np.conj(beta) * signal.lfilter([1.0], [1.0, -np.conj(E)], rev, axis=0)[-1]
     return y
 
 

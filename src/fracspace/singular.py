@@ -10,8 +10,12 @@ spectral operator as r -> 0 and R -> inf.  This module computes c_sigma by
 split quadrature, the truncated operator by exact integer-offset shifts, and
 the extrapolated limit.
 
-Pure functions throughout; the per-node quadrature is embarrassingly
-parallel over nodes if a caller wants to shard it.
+A sum of weighted symmetric differences f(x+mh) + f(x-mh) - 2 f(x) over
+integer offsets m is a circular convolution with an even kernel.  Both
+operators therefore assemble one length-N kernel from the difference-quotient
+weights (and, for the limit, the Richardson mixture of its levels and the
+periodic far-field image sum) and apply it with one FFT pair.  The kernels
+never use |xi|^sigma, so the two representations stay independent.
 """
 
 from __future__ import annotations
@@ -134,6 +138,24 @@ def _offset_mesh(grid: Grid, params: TruncationParams) -> tuple[np.ndarray, np.n
     return ms, w
 
 
+def _pair_kernel(n: int, ms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Length-n circular kernel of sum_m coeffs_m (f(x+mh) + f(x-mh) - 2 f(x)).
+
+    The offsets satisfy m <= n/4, so +m and -m never share an index.
+    """
+    kernel = np.zeros(n)
+    kernel[ms] = coeffs
+    kernel[-ms] = coeffs
+    kernel[0] = -2.0 * np.sum(coeffs)
+    return kernel
+
+
+def _circular_apply(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Circular convolution of each column of ``values`` with ``kernel``."""
+    spectrum = np.fft.fft(kernel)
+    return np.fft.ifft(np.fft.fft(values, axis=0) * spectrum[:, None], axis=0)
+
+
 def truncated_difference_operator(f: GridFunction, sigma: float,
                                   params: TruncationParams) -> GridFunction:
     """integral over the annulus of (f(x+h) - f(x)) / |h|^(1+sigma) dh.
@@ -147,27 +169,22 @@ def truncated_difference_operator(f: GridFunction, sigma: float,
         raise ValueError("the difference operator needs a full-line grid")
     warn_if_boundary_heavy(f, "truncated_difference_operator")
     ms, weights = _offset_mesh(f.grid, params)
-    hs = ms * f.grid.h
-    vals = f.values
-    acc = np.zeros_like(vals)
-    for m, h_abs, w in zip(ms, hs, weights):
-        pair = np.roll(vals, -m, axis=0) + np.roll(vals, m, axis=0) - 2.0 * vals
-        acc += (w / h_abs ** (1.0 + sigma)) * pair
-    return GridFunction(f.grid, acc)
+    coeffs = weights / (ms * f.grid.h) ** (1.0 + sigma)
+    kernel = _pair_kernel(f.grid.n_points, ms, coeffs)
+    return GridFunction(f.grid, _circular_apply(f.values, kernel))
 
 
-def _far_field_completion(f: GridFunction, sigma: float, R: float,
-                          n_images: int = 64) -> np.ndarray:
-    """integral over |h| > R of (f(x+h) - f(x)) / |h|^(1+sigma) dh, with f
-    understood as 2L-periodic (the package-wide truncation convention, and
-    what the spectral representation acts on).
+def _far_field_kernel(grid: Grid, sigma: float, R: float,
+                      n_images: int = 64) -> np.ndarray:
+    """Circular kernel of the far field, integral over |h| > R of
+    (f(x+h) - f(x)) / |h|^(1+sigma) dh, with f understood as 2L-periodic (the
+    package-wide truncation convention, and what the spectral representation
+    acts on).
 
-    The -f(x) part is closed form.  The f(x+h) part is a circular convolution
-    whose kernel sums the cut power kernel over periodic images; the image sum
-    is explicit up to ``n_images`` copies and closed-form (midpoint-corrected
-    integral) beyond.
+    The f(x+h) part sums the cut power kernel over periodic images, explicitly
+    up to ``n_images`` copies and closed-form (midpoint-corrected integral)
+    beyond; the -f(x) part is the closed-form weight at index 0.
     """
-    grid = f.grid
     h = grid.h
     n = grid.n_points
     m = np.arange(n, dtype=float)
@@ -182,9 +199,9 @@ def _far_field_completion(f: GridFunction, sigma: float, R: float,
     jn = (n_images + 0.5) * n
     kernel += ((m + jn) * h) ** (-sigma) / (sigma * n * h)
     kernel += ((jn - m) * h) ** (-sigma) / (sigma * n * h)
-    spectrum = np.fft.fft(h * kernel)
-    out = np.fft.ifft(np.fft.fft(f.values, axis=0) * spectrum[:, None], axis=0)
-    return out - (2.0 / sigma) * R ** (-sigma) * f.values
+    kernel *= h
+    kernel[0] -= (2.0 / sigma) * R ** (-sigma)
+    return kernel
 
 
 def fractional_laplacian_singular(f: GridFunction, sigma: float) -> GridFunction:
@@ -192,9 +209,11 @@ def fractional_laplacian_singular(f: GridFunction, sigma: float) -> GridFunction
 
     The annulus integral runs over every integer offset in [r, L/2] (exact
     translations, trapezoid weights whose uniformity lets the oscillatory
-    error telescope), the region |h| > L/2 is completed in closed/convolution
-    form, the whole is scaled by c_sigma, and the O(r^(2-sigma)) inner
+    error telescope), the region |h| > L/2 is completed by its periodic image
+    kernel, the whole is scaled by c_sigma, and the O(r^(2-sigma)) inner
     truncation error is removed by two Richardson stages over r in {h, 2h, 4h}.
+    Every level and the Richardson mixture are linear, so the result is one
+    circular kernel applied once.
     """
     grid = f.grid
     if grid.kind != FULL_LINE:
@@ -203,41 +222,20 @@ def fractional_laplacian_singular(f: GridFunction, sigma: float) -> GridFunction
     h = grid.h
     n = grid.n_points
     m_top = n // 4  # R = L/2 exactly
-    R = m_top * h
-    c = c_sigma(1, sigma)
-
-    vals = f.values
-    kern = (np.arange(1, m_top + 1) * h) ** (-1.0 - sigma)
-    pairs_low = {}
-    acc = np.zeros_like(vals)
-    top_pair = None
-    for m in range(1, m_top + 1):
-        pair = np.roll(vals, -m, axis=0) + np.roll(vals, m, axis=0) - 2.0 * vals
-        if m <= 4:
-            pairs_low[m] = pair
-        if m == m_top:
-            top_pair = pair
-        if m >= 4:
-            acc += (h * kern[m - 1]) * pair
-
-    far = _far_field_completion(f, sigma, R)
-
-    def level(k: int) -> np.ndarray:
-        total = acc.copy()
-        for m in range(k, 4):
-            total += (h * kern[m - 1]) * pairs_low[m]
-        total -= 0.5 * h * kern[k - 1] * pairs_low[k]
-        total -= 0.5 * h * kern[m_top - 1] * top_pair
-        return c * (total + far)
-
-    t1, t2, t4 = level(1), level(2), level(4)
-    # two Richardson stages with the known leading exponents 2-sigma, 4-sigma
-    q2 = 2.0 ** (2.0 - sigma)
-    s1 = t1 + (t1 - t2) / (q2 - 1.0)
-    s2 = t2 + (t2 - t4) / (q2 - 1.0)
-    q4 = 2.0 ** (4.0 - sigma)
-    out = s1 + (s1 - s2) / (q4 - 1.0)
-    return GridFunction(grid, out)
+    ms = np.arange(1, m_top + 1)
+    # trapezoid levels over m = k..m_top (inner radius r = k h), ends halved
+    starts = np.array([1, 2, 4])
+    levels = np.where(ms >= starts[:, None], h * (ms * h) ** (-1.0 - sigma), 0.0)
+    levels[np.arange(len(starts)), starts - 1] *= 0.5
+    levels[:, -1] *= 0.5
+    # two Richardson stages with the known leading exponents 2-sigma, 4-sigma;
+    # the mixing weights sum to one, so the far field enters exactly once
+    a = 1.0 / (2.0 ** (2.0 - sigma) - 1.0)
+    b = 1.0 / (2.0 ** (4.0 - sigma) - 1.0)
+    mix = np.array([(1.0 + a) * (1.0 + b), -(1.0 + b) * a - b * (1.0 + a), a * b])
+    kernel = _pair_kernel(n, ms, mix @ levels)
+    kernel += _far_field_kernel(grid, sigma, m_top * h)
+    return GridFunction(grid, c_sigma(1, sigma) * _circular_apply(f.values, kernel))
 
 
 def difference_l1_bound(f: GridFunction, sigma: float,

@@ -1,20 +1,8 @@
-"""Shared fixtures for the test modules: plateau windows and default grids."""
+"""Shared fixtures for the test modules: the package plateau window and default grids."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from fracspace.grid import FULL_LINE, HALF_LINE, Grid, GridFunction
-
-
-def plateau(x: np.ndarray, center: float, inner: float, outer: float) -> np.ndarray:
-    """C-infinity window equal to 1 on |x-c| <= inner, 0 beyond outer."""
-    z = (np.abs(x - center) - inner) / (outer - inner)
-    out = np.ones_like(x, dtype=float)
-    ramp = (z > 0.0) & (z < 1.0)
-    out[ramp] = np.exp(1.0 - 1.0 / (1.0 - z[ramp] ** 2))
-    out[z >= 1.0] = 0.0
-    return out
+from fracspace.grid import FULL_LINE, HALF_LINE, Grid, GridFunction, plateau
 
 
 def desk_grid(n: int = 4096, kind: str = FULL_LINE, half_width: float = 40.0) -> Grid:

@@ -8,6 +8,7 @@ from fracspace.grid import FULL_LINE, Grid, GridFunction, PowerWeight, weighted_
 from fracspace import fourier
 from fracspace.singular import (
     TruncationParams,
+    _offset_mesh,
     c_sigma,
     difference_l1_bound,
     fractional_laplacian_singular,
@@ -39,6 +40,63 @@ def _oracle_c_sigma(sigma: float) -> float:
     j1, j2 = j_to(t1), j_to(t2)
     q = 2.0 ** (2.0 + sigma)
     return 1.0 / (j2 + (j2 - j1) / (q - 1.0))
+
+
+def _complex_input(grid, seed):
+    re, im = generate_test_family(grid, seed, 2, fiber_dim=2)
+    return GridFunction(grid, re.values + 1j * im.values)
+
+
+def _pair(vals, m):
+    return np.roll(vals, -m, axis=0) + np.roll(vals, m, axis=0) - 2.0 * vals
+
+
+def _roll_truncated(f, sigma, params):
+    """Reference: the annulus sum as one np.roll pass per offset."""
+    ms, weights = _offset_mesh(f.grid, params)
+    acc = np.zeros_like(f.values)
+    for m, w in zip(ms, weights):
+        acc += (w / (m * f.grid.h) ** (1.0 + sigma)) * _pair(f.values, m)
+    return acc
+
+
+def _roll_far_field(f, sigma, big_r, n_images=64):
+    """Reference: the |h| > R completion applied as its own FFT convolution."""
+    h, n = f.grid.h, f.grid.n_points
+    m = np.arange(n, dtype=float)
+    kernel = np.zeros(n)
+    for j in range(-n_images, n_images + 1):
+        d = np.abs(m + j * n) * h
+        term = np.where(d > big_r + 0.25 * h, np.where(d > 0, d, 1.0) ** (-1.0 - sigma), 0.0)
+        term = np.where(np.abs(d - big_r) < 0.25 * h, 0.5 * big_r ** (-1.0 - sigma), term)
+        kernel += term
+    jn = (n_images + 0.5) * n
+    kernel += ((m + jn) * h) ** (-sigma) / (sigma * n * h)
+    kernel += ((jn - m) * h) ** (-sigma) / (sigma * n * h)
+    out = np.fft.ifft(np.fft.fft(f.values, axis=0) * np.fft.fft(h * kernel)[:, None], axis=0)
+    return out - (2.0 / sigma) * big_r ** (-sigma) * f.values
+
+
+def _roll_singular(f, sigma):
+    """Reference: every Richardson level r in {h, 2h, 4h} as its own roll sum."""
+    h, n = f.grid.h, f.grid.n_points
+    m_top = n // 4
+    far = _roll_far_field(f, sigma, m_top * h)
+
+    def level(k):
+        total = np.zeros_like(f.values)
+        for m in range(k, m_top + 1):
+            w = h * (m * h) ** (-1.0 - sigma)
+            if m in (k, m_top):
+                w *= 0.5
+            total += w * _pair(f.values, m)
+        return c_sigma(1, sigma) * (total + far)
+
+    t1, t2, t4 = level(1), level(2), level(4)
+    q2, q4 = 2.0 ** (2.0 - sigma), 2.0 ** (4.0 - sigma)
+    s1 = t1 + (t1 - t2) / (q2 - 1.0)
+    s2 = t2 + (t2 - t4) / (q2 - 1.0)
+    return s1 + (s1 - s2) / (q4 - 1.0)
 
 
 class TestCSigma:
@@ -98,6 +156,17 @@ class TestTruncatedDifferenceOperator:
         mask = np.abs(np.cos(omega * g.points)) > 0.5
         assert np.max(np.abs(ratio[mask] - j_trunc)) < 1e-4 * abs(j_trunc)
 
+    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("sigma", [0.3, 0.7])
+    def test_kernel_matches_roll_loop(self, n, sigma):
+        g = Grid(40.0, n, FULL_LINE)
+        f = _complex_input(g, 26)
+        params = TruncationParams(g.h, 10.0, 40)  # dense near r, geometric beyond
+        assert len(_offset_mesh(g, params)[0]) < int(10.0 / g.h)
+        ref = _roll_truncated(f, sigma, params)
+        out = truncated_difference_operator(f, sigma, params).values
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_truncation_validation(self):
         g = Grid(40.0, 1024, FULL_LINE)
         f = GridFunction(g, np.exp(-g.points ** 2))
@@ -140,6 +209,15 @@ class TestFractionalLaplacianSingular:
         ref = fourier.fractional_laplacian_spectral(f, 1.0)
         rel = weighted_lp_norm(twice - ref, 2.0, W0) / weighted_lp_norm(ref, 2.0, W0)
         assert rel < 5e-3
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("sigma", [0.3, 0.7])
+    def test_kernel_matches_roll_loop(self, n, sigma):
+        g = Grid(40.0, n, FULL_LINE)
+        f = _complex_input(g, 27)
+        ref = _roll_singular(f, sigma)
+        out = fractional_laplacian_singular(f, sigma).values
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_zero_input(self):
         g = Grid(40.0, 1024, FULL_LINE)
