@@ -134,14 +134,40 @@ def _make_config(name: str, args) -> SuiteConfig:
     else:
         cfg = SuiteConfig(suite=name)
     if args.n:
-        cfg.n_list = tuple(int(s) for s in args.n.split(","))
+        try:
+            cfg.n_list = tuple(int(s) for s in args.n.split(","))
+        except ValueError:
+            raise ConfigError(f"--n needs comma-separated integers, got {args.n!r}") from None
     if args.seed is not None:
         cfg.seed = args.seed
     if args.half_width is not None:
         cfg.half_width = args.half_width
     if args.out:
         cfg.out_dir = args.out
+    cfg.validate()
     return cfg
+
+
+def _run(configs) -> int:
+    any_fail = False
+    for cfg in configs:
+        report = run_suite(cfg)
+        n_pass = sum(c["pass"] for c in report.cases)
+        status = "PASS" if report.passed else "FAIL"
+        print(f"[{status}] {cfg.suite}: {n_pass}/{len(report.cases)} cases, "
+              f"{report.runtime_s:.1f}s")
+        any_fail |= not report.passed
+    return 1 if any_fail else 0
+
+
+def _apply(args) -> int:
+    try:
+        params = json.loads(args.params)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad --params JSON: {exc}") from None
+    f = GridFunction.from_csv(args.inp)
+    APPLY_OPS[args.op](f, params).to_csv(args.outp)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -151,42 +177,22 @@ def main(argv=None) -> int:
         for name in SUITES:
             print(name)
         return 0
-    if args.command == "run":
+    if args.command is None:
+        parser.print_help()
+        return 2
+    # the one error boundary for bad input: unreadable files, malformed JSON
+    # or CSV, invalid configurations and operator parameters exit 2 with one
+    # line; suites run outside it, so a failure inside one keeps its traceback
+    try:
+        if args.command == "apply":
+            return _apply(args)
         names = list(SUITES) if args.suite == "all" else [args.suite]
-        if args.suite != "all" and args.suite not in SUITES:
-            print(f"unknown suite {args.suite!r}; try 'fracspace list'",
-                  file=sys.stderr)
-            return 2
-        any_fail = False
-        try:
-            for name in names:
-                cfg = _make_config(name, args)
-                report = run_suite(cfg)
-                n_pass = sum(c["pass"] for c in report.cases)
-                status = "PASS" if report.passed else "FAIL"
-                print(f"[{status}] {name}: {n_pass}/{len(report.cases)} cases, "
-                      f"{report.runtime_s:.1f}s")
-                any_fail |= not report.passed
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        return 1 if any_fail else 0
-    if args.command == "apply":
-        try:
-            params = json.loads(args.params)
-        except json.JSONDecodeError as exc:
-            print(f"bad --params JSON: {exc}", file=sys.stderr)
-            return 2
-        f = GridFunction.from_csv(args.inp)
-        try:
-            g = APPLY_OPS[args.op](f, params)
-        except (KeyError, ValueError) as exc:
-            print(f"apply failed: {exc}", file=sys.stderr)
-            return 2
-        g.to_csv(args.outp)
-        return 0
-    parser.print_help()
-    return 2
+        configs = [_make_config(name, args) for name in names]
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        detail = f"missing parameter {exc}" if isinstance(exc, KeyError) else exc
+        print(f"fracspace {args.command}: {detail}", file=sys.stderr)
+        return 2
+    return _run(configs)
 
 
 if __name__ == "__main__":

@@ -239,6 +239,8 @@ class GridFunction:
             rows = [[float(entry) for entry in row] for row in reader if row]
         if not header or header[0] != "x" or (len(header) - 1) % 2 != 0:
             raise ValueError(f"malformed grid-function CSV header: {header}")
+        if len(rows) < 2:
+            raise ValueError(f"grid-function CSV needs at least two rows, got {len(rows)}")
         data = np.asarray(rows)
         x = data[:, 0]
         n_points = len(x)

@@ -671,7 +671,7 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
                     worst_m, 0.0, tol_res)
     # contraction bound on the positive axis
     g2 = Grid(cfg.half_width, 2048, HALF_LINE)
-    top = max(opcalc._op_norm_singular_value(op, complex(r), g2)
+    top = max(opcalc._op_norm_singular_value(op, complex(r), g2)[0]
               for r in (1e-3, 1e-1, 1.0, 1e1, 1e3))
     report.add_case({"what": "real-lambda norm <= 1 (p=2, gamma=0)"},
                     top, 1.0, 1e-6, passed=top <= 1.0 + 1e-6)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy import integrate, special
 
+from ._conv import full_convolve
 from .grid import (
     AdmissibilityError,
     GridFunction,
@@ -220,8 +221,8 @@ def hardy_hilbert_apply(h: GridFunction, p: float, w: PowerWeight,
             coef[sing] = 1.0
         return ratio @ left + coef @ slope
 
-    out = np.zeros_like(h.values)
     if nodes is not None:
+        out = np.zeros_like(h.values)
         for i in np.asarray(nodes, dtype=int):
             x = 0.5 * hh if (i == 0 and singular_origin) else y[i]
             out[i, :] = row(x)
@@ -229,18 +230,14 @@ def hardy_hilbert_apply(h: GridFunction, p: float, w: PowerWeight,
 
     # dense evaluation: the cell weights depend on x_i + y_j = (i + j) h only,
     # so both sums are Hankel products, i.e. FFT correlations
-    from scipy.signal import fftconvolve
-
     m = np.arange(2 * n - 1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         kap = np.log1p(1.0 / m)
         mu = 1.0 - m * kap
     kap[0] = 0.0
     mu[0] = 1.0
-    for c in range(h.fiber_dim):
-        conv_l = fftconvolve(kap, left[::-1, c])
-        conv_s = fftconvolve(mu, slope[::-1, c])
-        out[:, c] = conv_l[n - 2: 2 * n - 2] + conv_s[n - 2: 2 * n - 2]
+    out = (full_convolve(kap[:, None], left[::-1])[n - 2: 2 * n - 2]
+           + full_convolve(mu[:, None], slope[::-1])[n - 2: 2 * n - 2])
     if singular_origin:
         out[0, :] = row(0.5 * hh)
     return GridFunction(grid, out)

@@ -3,10 +3,15 @@ sectoriality probes, fractional powers by the real-axis (Balakrishnan)
 integral, the causal fractional-derivative oracle, and the domain-norm
 comparison behind the fractional-domain characterization.
 
-The Balakrishnan quadrature is a fixed sum of one-cell resolvent recursions,
-hence one linear time-invariant filter on the grid: ``fractional_power``
-builds its impulse response once per (variant, h, N, theta), keeps it in a
-small bounded cache of read-only arrays, and applies it by FFT convolution.
+Every discrete resolvent is a one-pole recursion over the grid, i.e. a
+unit lower-bidiagonal system (I - E S) u = r with a two-tap right-hand side
+r; ``_recursion`` forms r and solves the system with one LAPACK banded
+triangular solve, and serves both variants and both adjoints (the adjoint
+solves with the conjugate-transposed band).  The Balakrishnan quadrature is
+a fixed sum of such recursions, hence one linear time-invariant filter on
+the grid: ``fractional_power`` builds its impulse response once per
+(variant, h, N, theta), keeps it in a small bounded cache of read-only
+arrays, and applies it by FFT convolution (``_conv.full_convolve``).
 Everything else evaluates per call.  ``riemann_liouville`` shares no code
 with that kernel, so the two stay independent representations.
 """
@@ -20,9 +25,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal, special
+from scipy import special
+from scipy.linalg import lapack
 
 from . import _fd
+from ._conv import full_convolve
 from .grid import (
     GridFunction,
     HALF_LINE,
@@ -106,43 +113,60 @@ def _minus_cell_coefficients(lam: complex, h: float):
     return E, alpha_p, beta_p
 
 
+def _recursion(E: complex, b0: complex, b1: complex, values: np.ndarray,
+               zero_start: bool, adjoint: bool = False) -> np.ndarray:
+    """Column-wise y = L^{-1} P R x, or its conjugate transpose R^H P L^{-H} x.
+
+    L = I - E S and R = b0 I + b1 S with S the down-shift, so the forward map
+    is the one-pole recursion y_k = E y_{k-1} + b0 x_k + b1 x_{k-1} from
+    y_{-1} = x_{-1} = 0; P zeroes row 0 when ``zero_start``, which makes
+    y_0 = 0 exactly.  L is unit lower bidiagonal, solved by one LAPACK banded
+    triangular solve (the adjoint solves with L^H on the same band).
+    """
+    n = values.shape[0]
+    band = np.empty((2, n), dtype=np.complex128)
+    band[0] = 1.0  # unit diagonal, not read (diag="U")
+    band[1] = -E   # subdiagonal; the last entry lies outside the matrix
+    if adjoint:
+        z, _ = lapack.ztbtrs(band, values, uplo="L", trans="C", diag="U")
+        if zero_start:
+            z[0] = 0.0
+        y = np.conj(b0) * z
+        y[:-1] += np.conj(b1) * z[1:]
+        return y
+    # the right-hand side is built transposed so that LAPACK reads it in place
+    r = np.empty((values.shape[1], n), dtype=np.complex128).T
+    np.multiply(b0, values, out=r)
+    r[1:] += b1 * values[:-1]
+    if zero_start:
+        r[0] = 0.0
+    y, _ = lapack.ztbtrs(band, r, uplo="L", diag="U", overwrite_b=1)
+    return y
+
+
 def _dirichlet_resolvent_values(lam: complex, values: np.ndarray, h: float) -> np.ndarray:
     """u(t) = integral_0^t e^{-lam (t-s)} f(s) ds, column-wise, u(0) = 0."""
     E, _, alpha, beta = _cell_coefficients(lam, h)
-    # the initial state cancels the beta f_0 that lfilter would put in y_0;
-    # row 0 is then pinned, since a fused multiply-add in the filter can
-    # leave a last-bit residue of that cancellation
-    y, _ = signal.lfilter([beta, alpha], [1.0, -E], values, axis=0,
-                          zi=(-beta * values[0])[None, :])
-    y[0] = 0.0
-    return y
+    return _recursion(E, beta, alpha, values, zero_start=True)
 
 
 def _dirichlet_resolvent_adjoint(lam: complex, values: np.ndarray, h: float) -> np.ndarray:
     """Conjugate-transpose of the discrete map above (exact, for probes)."""
     E, _, alpha, beta = _cell_coefficients(lam, h)
-    rev = values[::-1]
-    y = signal.lfilter([np.conj(beta), np.conj(alpha)], [1.0, -np.conj(E)], rev, axis=0)[::-1]
-    # the zero initial value: y[0] loses conj(beta) sum_k conj(E)^k values[k],
-    # which is the last output of the one-pole filter run over the reversed data
-    y[0] -= np.conj(beta) * signal.lfilter([1.0], [1.0, -np.conj(E)], rev, axis=0)[-1]
-    return y
+    return _recursion(E, beta, alpha, values, zero_start=True, adjoint=True)
 
 
 def _minus_resolvent_values(lam: complex, values: np.ndarray, h: float) -> np.ndarray:
     """u(t) = integral_t^inf e^{-lam (s-t)} f(s) ds (zero data past the grid)."""
     E, alpha_p, beta_p = _minus_cell_coefficients(lam, h)
-    rev = values[::-1]
-    y = signal.lfilter([alpha_p, beta_p], [1.0, -E], rev, axis=0)
-    return y[::-1]
+    return _recursion(E, alpha_p, beta_p, values[::-1], zero_start=False)[::-1]
 
 
 def _minus_resolvent_adjoint(lam: complex, values: np.ndarray, h: float) -> np.ndarray:
     """Conjugate-transpose of the minus-variant map above."""
     E, alpha_p, beta_p = _minus_cell_coefficients(lam, h)
-    y = signal.lfilter([np.conj(alpha_p), np.conj(beta_p)], [1.0, -np.conj(E)],
-                       values, axis=0)
-    return y
+    return _recursion(E, alpha_p, beta_p, values[::-1], zero_start=False,
+                      adjoint=True)[::-1]
 
 
 def resolvent(op: HalfLineOperator, lam: complex, f: GridFunction) -> GridFunction:
@@ -169,6 +193,10 @@ class SectorProbe:
     ``angle`` is the sectoriality type being probed: lambda ranges over the
     sector |arg lambda| <= pi - angle.  Entries whose lambda leaves the open
     right half plane (the actual resolvent set) are reported as infinite.
+    Each entry also records ``iterations`` and ``converged``: for the
+    singular-value method the power-iteration steps taken and whether its
+    relative-change stop fired (False: the estimate is the one at the
+    iteration cap); None for the methods without a stopping test.
     """
 
     variant: str
@@ -188,12 +216,15 @@ class SectorProbe:
 
 
 def _op_norm_singular_value(op: HalfLineOperator, lam: complex, grid,
-                            tol: float = 1e-8, max_iter: int = 400) -> float:
-    """Largest singular value of lam (lam+A)^{-1} on L^2(w_gamma).
+                            tol: float = 1e-8,
+                            max_iter: int = 400) -> tuple[float, int, bool]:
+    """Largest singular value of lam (lam+A)^{-1} on L^2(w_gamma), as
+    (estimate, iterations, converged).
 
     Power iteration on the weight-conjugated discrete map; conjugating by the
     square root of the cell weights makes the L^2(w) norm Euclidean, so the
-    estimate is exact up to iteration tolerance.
+    estimate is exact up to iteration tolerance.  ``converged`` is False when
+    the relative change never fell below ``tol`` within ``max_iter`` steps.
     """
     h = grid.h
     cw = grid.cell_weights(op.gamma)
@@ -211,18 +242,18 @@ def _op_norm_singular_value(op: HalfLineOperator, lam: complex, grid,
     v = rng.standard_normal((grid.n_points, 1)) + 1j * rng.standard_normal((grid.n_points, 1))
     v /= np.linalg.norm(v)
     est, prev = 0.0, -1.0
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         w_ = m_apply(v)
         est = float(np.linalg.norm(w_))
         v_new = mh_apply(w_)
         nrm = np.linalg.norm(v_new)
         if nrm == 0.0:
-            return 0.0
+            return 0.0, it, True
         v = v_new / nrm
         if abs(est - prev) <= tol * max(est, 1e-300):
-            break
+            return est, it, True
         prev = est
-    return est
+    return est, max_iter, False
 
 
 def _op_norm_random_probe(op: HalfLineOperator, lam: complex, grid,
@@ -259,19 +290,18 @@ def sectoriality_probe(op: HalfLineOperator, grid, angles, radii) -> list[Sector
             for r in radii:
                 for sign in ((1.0,) if phi == 0.0 else (1.0, -1.0)):
                     lam = r * cmath.exp(1j * sign * phi)
+                    iterations = converged = None
                     if lam.real <= 0.0:
-                        entries.append({"re_lambda": lam.real, "im_lambda": lam.imag,
-                                        "norm_estimate": math.inf,
-                                        "method": "outside-resolvent-set"})
-                        continue
-                    if op.p == 2.0:
-                        est = _op_norm_singular_value(op, lam, grid)
+                        est, method = math.inf, "outside-resolvent-set"
+                    elif op.p == 2.0:
+                        est, iterations, converged = _op_norm_singular_value(op, lam, grid)
                         method = "singular-value"
                     else:
                         est = _op_norm_random_probe(op, lam, grid)
                         method = "random-probe"
                     entries.append({"re_lambda": lam.real, "im_lambda": lam.imag,
-                                    "norm_estimate": est, "method": method})
+                                    "norm_estimate": est, "method": method,
+                                    "iterations": iterations, "converged": converged})
         probes.append(SectorProbe(op.variant, op.p, op.gamma, a, tuple(entries)))
     return probes
 
@@ -366,10 +396,10 @@ def fractional_power(op: HalfLineOperator, theta: float, f: GridFunction) -> Gri
     n = f.grid.n_points
     kernel = _balakrishnan_kernel(op.variant, f.grid.h, n, theta)
     if op.variant == DIRICHLET:
-        acc = signal.fftconvolve(kernel[0][:, None], af.values, axes=0)[:n]
+        acc = full_convolve(kernel[0][:, None], af.values)[:n]
         acc -= kernel[1][:, None] * af.values[0][None, :]
     else:
-        acc = signal.fftconvolve(kernel[0][:, None], af.values[::-1], axes=0)[:n][::-1]
+        acc = full_convolve(kernel[0][:, None], af.values[::-1])[:n][::-1]
     eps_end = math.exp(-_U_RANGE)
     big_end = math.exp(_U_RANGE)
     acc += (eps_end ** theta / theta) * f.values
@@ -410,11 +440,8 @@ def riemann_liouville(f: GridFunction, theta: float) -> GridFunction:
     B_shift[-1] = 0.0
     df_b = df.copy()
     df_b[0] = 0.0  # f'(0) feeds only the left endpoint of the first cell
-    out = np.empty_like(f.values)
-    for c in range(f.fiber_dim):
-        conv_a = signal.fftconvolve(A, df[:, c])[:n]
-        conv_b = signal.fftconvolve(B_shift, df_b[:, c])[:n]
-        out[:, c] = conv_a + conv_b
+    out = (full_convolve(A[:, None], df)[:n]
+           + full_convolve(B_shift[:, None], df_b)[:n])
     return GridFunction(grid, out / special.gamma(one))
 
 

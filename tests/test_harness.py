@@ -194,6 +194,46 @@ class TestCli:
         assert rc == 2  # full-line input is invalid for this operator
 
 
+def _csv_rows(tmp_path, n_rows):
+    path = tmp_path / "f.csv"
+    rows = ["x,re_0,im_0"] + [f"{0.04 * i!r},1.0,0.0" for i in range(n_rows)]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def _half_line_csv(tmp_path):
+    path = tmp_path / "h.csv"
+    g = Grid(20.0, 256, HALF_LINE)
+    GridFunction(g, g.points * np.exp(-g.points)).to_csv(path)
+    return str(path)
+
+
+BAD_INPUTS = {
+    "n-not-integer": lambda tmp: ["run", "c-sigma", "--n", "1024,abc"],
+    "config-missing": lambda tmp: ["run", "c-sigma", "--config", str(tmp / "none.json")],
+    "in-missing": lambda tmp: ["apply", "bessel-potential", "--in", str(tmp / "none.csv"),
+                               "--out", str(tmp / "o.csv"), "--params", '{"s": 1}'],
+    "csv-one-row": lambda tmp: ["apply", "bessel-potential", "--in", _csv_rows(tmp, 1),
+                                "--out", str(tmp / "o.csv"), "--params", '{"s": 1}'],
+    "csv-not-power-of-two": lambda tmp: ["apply", "bessel-potential",
+                                         "--in", _csv_rows(tmp, 1000),
+                                         "--out", str(tmp / "o.csv"), "--params", '{"s": 1}'],
+    "param-null": lambda tmp: ["apply", "riemann-liouville", "--in", _half_line_csv(tmp),
+                               "--out", str(tmp / "o.csv"), "--params", '{"theta": null}'],
+}
+
+
+@pytest.mark.parametrize("make_argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2_with_one_line(make_argv, tmp_path, capsys):
+    # exit 1 means "a tolerance failed", so no bad input may end there
+    assert cli.main(make_argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fracspace ")
+    assert not (tmp_path / "o.csv").exists()
+
+
 class TestStabilityHelpers:
     def test_stable_rejects_nan(self):
         # max and min skip a NaN in the middle, so the spread alone looked fine

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import signal
 
 from fracspace.grid import (
     FULL_LINE,
@@ -26,8 +28,10 @@ from fracspace.opcalc import (
     domain_norm_ratio,
     sectoriality_probe,
     _balakrishnan_kernel,
+    _cell_coefficients,
     _dirichlet_resolvent_adjoint,
     _dirichlet_resolvent_values,
+    _minus_cell_coefficients,
     _minus_resolvent_adjoint,
     _minus_resolvent_values,
     _op_norm_singular_value,
@@ -169,18 +173,76 @@ class TestResolvent:
             assert abs(lhs - rhs) <= 1e-8 * scale
 
 
+# independent references: the four recursions as scipy.signal.lfilter
+# filters (tests may import scipy.signal; the package must not)
+def _lfilter_dirichlet(lam, x, h):
+    E, _, alpha, beta = _cell_coefficients(lam, h)
+    y, _ = signal.lfilter([beta, alpha], [1.0, -E], x, axis=0, zi=(-beta * x[0])[None, :])
+    y[0] = 0.0
+    return y
+
+
+def _lfilter_dirichlet_adjoint(lam, x, h):
+    E, _, alpha, beta = _cell_coefficients(lam, h)
+    E, alpha, beta = np.conj(E), np.conj(alpha), np.conj(beta)
+    rev = x[::-1]
+    y = signal.lfilter([beta, alpha], [1.0, -E], rev, axis=0)[::-1]
+    y[0] -= beta * signal.lfilter([1.0], [1.0, -E], rev, axis=0)[-1]
+    return y
+
+
+def _lfilter_minus(lam, x, h):
+    E, alpha_p, beta_p = _minus_cell_coefficients(lam, h)
+    return signal.lfilter([alpha_p, beta_p], [1.0, -E], x[::-1], axis=0)[::-1]
+
+
+def _lfilter_minus_adjoint(lam, x, h):
+    E, alpha_p, beta_p = _minus_cell_coefficients(lam, h)
+    return signal.lfilter([np.conj(alpha_p), np.conj(beta_p)], [1.0, -np.conj(E)], x, axis=0)
+
+
+# the sector that resolvent-sectoriality probes: |arg lambda| <= pi - angle
+_PROBED_ARG = math.pi / 4 + 0.1
+
+
+class TestResolventRecursionOracle:
+    """The banded-solve recursions against an independent ``lfilter`` form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_lam_h=st.floats(-5.0, 2.0), arg=st.floats(-_PROBED_ARG, _PROBED_ARG),
+           n=st.sampled_from([64, 256, 1024]), fiber_dim=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_maps_match_lfilter(self, log_lam_h, arg, n, fiber_dim, seed):
+        h = 40.0 / n
+        lam = 10.0 ** log_lam_h / h * cmath.exp(1j * arg)
+        rng = np.random.default_rng(seed)
+        x, y = (rng.standard_normal((n, fiber_dim)) + 1j * rng.standard_normal((n, fiber_dim))
+                for _ in range(2))
+        for fwd, adj, ref_fwd, ref_adj in (
+                (_dirichlet_resolvent_values, _dirichlet_resolvent_adjoint,
+                 _lfilter_dirichlet, _lfilter_dirichlet_adjoint),
+                (_minus_resolvent_values, _minus_resolvent_adjoint,
+                 _lfilter_minus, _lfilter_minus_adjoint)):
+            mx, mhy = fwd(lam, x, h), adj(lam, y, h)
+            for got, ref in ((mx, ref_fwd(lam, x, h)), (mhy, ref_adj(lam, y, h))):
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            gap = abs(np.vdot(y, mx) - np.vdot(mhy, x))
+            assert gap <= 1e-12 * np.linalg.norm(mx) * np.linalg.norm(y)
+        assert np.all(_dirichlet_resolvent_values(lam, x, h)[0] == 0.0)
+
+
 class TestSectorialityProbe:
     def test_real_axis_contraction(self):
         g = Grid(40.0, 2048, HALF_LINE)
         for r in (1e-3, 1e-1, 1.0, 1e1, 1e3):
-            est = _op_norm_singular_value(OP_D, complex(r), g)
+            est = _op_norm_singular_value(OP_D, complex(r), g)[0]
             assert est <= 1.0 + 1e-6
 
     def test_dilation_covariance_unweighted(self):
         g = Grid(40.0, 2048, HALF_LINE)
         for phi in (0.0, 0.6):
-            a = _op_norm_singular_value(OP_D, 2.0 * cmath.exp(1j * phi), g)
-            b = _op_norm_singular_value(OP_D, 4.0 * cmath.exp(1j * phi), g)
+            a = _op_norm_singular_value(OP_D, 2.0 * cmath.exp(1j * phi), g)[0]
+            b = _op_norm_singular_value(OP_D, 4.0 * cmath.exp(1j * phi), g)[0]
             assert abs(a - b) <= 0.05 * a
 
     def test_probe_structure_and_methods(self):
@@ -195,6 +257,26 @@ class TestSectorialityProbe:
         wide = sectoriality_probe(OP_D, g, [math.pi / 4], [1.0])[0]
         assert wide.supremum == math.inf
         assert any(e["method"] == "outside-resolvent-set" for e in wide.entries)
+
+    def test_entries_report_power_iteration_convergence(self):
+        g = Grid(40.0, 1024, HALF_LINE)
+        _, iterations, converged = _op_norm_singular_value(OP_D, 0.25, g)
+        assert converged and 1 < iterations < 400
+        assert _op_norm_singular_value(OP_D, 0.25, g, max_iter=3)[1:] == (3, False)
+        # at |lambda| = 4 the relative-change stop does not fire within the cap
+        probe = sectoriality_probe(OP_D, g, [3 * math.pi / 4], [0.25, 4.0])[0]
+        assert {e["converged"] for e in probe.entries} == {True, False}
+        for e in probe.entries:
+            lam_e = complex(e["re_lambda"], e["im_lambda"])
+            est, iterations, converged = _op_norm_singular_value(OP_D, lam_e, g)
+            assert e["norm_estimate"] == pytest.approx(est, rel=1e-12)
+            assert (e["iterations"], e["converged"]) == (iterations, converged)
+            assert e["converged"] or e["iterations"] == 400
+        wide = sectoriality_probe(OP_D, g, [math.pi / 4], [1.0])[0]
+        outside = [e for e in wide.entries if e["method"] == "outside-resolvent-set"]
+        assert outside and all(e["iterations"] is None and e["converged"] is None
+                               for e in outside)
+        assert json.loads(wide.to_json())["entries"][0]["converged"] in (True, False)
 
     def test_random_probe_label_for_general_p(self):
         g = Grid(40.0, 1024, HALF_LINE)
