@@ -5,8 +5,9 @@
                   [--n 1024,2048,4096] [--seed 42] [--half-width 40]
     fracspace apply <op> --in f.csv --out g.csv [--params '{...}']
 
-Exit codes: 0 all checks passed, 1 a tolerance failed, 2 configuration or
-usage error.
+Exit codes: 0 all checks passed, 1 a tolerance failed, 2 bad input (usage,
+configuration, operator parameters, or a missing or malformed input file),
+reported as one line on stderr.
 """
 
 from __future__ import annotations
