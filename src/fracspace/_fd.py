@@ -45,6 +45,8 @@ def derivative_at(values: np.ndarray, h: float, index: int, order: int,
     """
     n_pts = order + accuracy
     n = values.shape[0]
+    if n < n_pts:
+        raise ValueError(f"the stencil needs {n_pts} nodes, got {n}")
     if one_sided == "right":
         lo = index
     elif one_sided == "left":
@@ -52,8 +54,6 @@ def derivative_at(values: np.ndarray, h: float, index: int, order: int,
     else:
         lo = index - n_pts // 2
     lo = max(0, min(lo, n - n_pts))
-    if lo < 0:
-        raise ValueError("not enough nodes for the requested stencil")
     offsets = np.arange(lo, lo + n_pts)
     w = fd_weights(0.0, (offsets - index) * h, order)[order]
     return np.tensordot(w, values[offsets], axes=(0, 0))

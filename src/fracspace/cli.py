@@ -50,8 +50,7 @@ def _op_reflect_extend(f, params):
 
 def _op_reflect_extend_dual(f, params):
     coeffs = halfline.solve_reflection_coefficients(int(params.get("m", 1)))
-    return halfline.reflect_extend_dual(f, coeffs,
-                                        params.get("interpolation", "cubic"))
+    return halfline.reflect_extend_dual(f, coeffs)
 
 
 def _op_support_projection(f, params):
@@ -88,24 +87,25 @@ def _op_riemann_liouville(f, params):
     return opcalc.riemann_liouville(f, float(params["theta"]))
 
 
+# operator -> (function, the --params keys it reads)
 APPLY_OPS = {
-    "bessel-potential": _op_bessel,
-    "frac-laplacian-spectral": _op_frac_spectral,
-    "frac-laplacian-singular": _op_frac_singular,
-    "mollify": _op_mollify,
-    "derivative": _op_multiplier_derivative,
-    "zero-extend": lambda f, p: halfline.zero_extend(f),
-    "restrict-plus": lambda f, p: halfline.restrict_plus(f),
-    "restrict-minus": lambda f, p: halfline.restrict_minus(f),
-    "indicator-multiply": lambda f, p: halfline.indicator_multiply(f),
-    "reflect-extend": _op_reflect_extend,
-    "reflect-extend-dual": _op_reflect_extend_dual,
-    "support-projection": _op_support_projection,
-    "project-h0": _op_project_h0,
-    "hardy-hilbert": _op_hardy_hilbert,
-    "resolvent": _op_resolvent,
-    "fractional-power": _op_fractional_power,
-    "riemann-liouville": _op_riemann_liouville,
+    "bessel-potential": (_op_bessel, ("s",)),
+    "frac-laplacian-spectral": (_op_frac_spectral, ("sigma",)),
+    "frac-laplacian-singular": (_op_frac_singular, ("sigma",)),
+    "mollify": (_op_mollify, ("scale", "profile")),
+    "derivative": (_op_multiplier_derivative, ("order",)),
+    "zero-extend": (lambda f, p: halfline.zero_extend(f), ()),
+    "restrict-plus": (lambda f, p: halfline.restrict_plus(f), ()),
+    "restrict-minus": (lambda f, p: halfline.restrict_minus(f), ()),
+    "indicator-multiply": (lambda f, p: halfline.indicator_multiply(f), ()),
+    "reflect-extend": (_op_reflect_extend, ("m",)),
+    "reflect-extend-dual": (_op_reflect_extend_dual, ("m",)),
+    "support-projection": (_op_support_projection, ("m",)),
+    "project-h0": (_op_project_h0, ("k",)),
+    "hardy-hilbert": (_op_hardy_hilbert, ("p", "gamma")),
+    "resolvent": (_op_resolvent, ("variant", "p", "gamma", "re_lambda", "im_lambda")),
+    "fractional-power": (_op_fractional_power, ("variant", "p", "gamma", "theta")),
+    "riemann-liouville": (_op_riemann_liouville, ("theta",)),
 }
 
 
@@ -145,6 +145,8 @@ def _make_config(name: str, args) -> SuiteConfig:
         cfg.half_width = args.half_width
     if args.out:
         cfg.out_dir = args.out
+    if args.suite == "all":
+        cfg = cfg.shared()
     cfg.validate()
     return cfg
 
@@ -166,8 +168,14 @@ def _apply(args) -> int:
         params = json.loads(args.params)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad --params JSON: {exc}") from None
+    func, keys = APPLY_OPS[args.op]
+    if not isinstance(params, dict):
+        raise ValueError(f"--params must be a JSON object, got {args.params!r}")
+    unread = sorted(set(params) - set(keys))
+    if unread:
+        raise ValueError(f"{args.op} reads no parameters {unread}; it reads {sorted(keys)}")
     f = GridFunction.from_csv(args.inp)
-    APPLY_OPS[args.op](f, params).to_csv(args.outp)
+    func(f, params).to_csv(args.outp)
     return 0
 
 

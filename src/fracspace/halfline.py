@@ -181,52 +181,23 @@ def _upsampled_values(F: GridFunction, factor: int) -> np.ndarray:
     return np.fft.ifft(padded, axis=0) * factor
 
 
-def _cubic_sample(F: GridFunction, points: np.ndarray) -> np.ndarray:
-    """Four-point cubic (Lagrange) interpolation, zero outside the grid."""
-    grid = F.grid
-    x0 = grid.points[0]
-    h = grid.h
-    n = grid.n_points
-    s = (points - x0) / h
-    base = np.clip(np.floor(s).astype(int) - 1, 0, n - 4)
-    frac = s - (base + 1)
-    w0 = -frac * (frac - 1.0) * (frac - 2.0) / 6.0
-    w1 = (frac + 1.0) * (frac - 1.0) * (frac - 2.0) / 2.0
-    w2 = -(frac + 1.0) * frac * (frac - 2.0) / 2.0
-    w3 = (frac + 1.0) * frac * (frac - 1.0) / 6.0
-    vals = (w0[:, None] * F.values[base] + w1[:, None] * F.values[base + 1]
-            + w2[:, None] * F.values[base + 2] + w3[:, None] * F.values[base + 3])
-    inside = (points >= x0) & (points <= grid.points[-1])
-    vals[~inside] = 0.0
-    return vals
-
-
-def reflect_extend_dual(g: GridFunction, coeffs: ReflectionCoefficients,
-                        interpolation: str = "cubic") -> GridFunction:
+def reflect_extend_dual(g: GridFunction, coeffs: ReflectionCoefficients) -> GridFunction:
     """Adjoint-type operator: 1_{x>=0} (g + sum_j b_j lambda_j^{-1} g(-x/lambda_j)).
 
-    Off-grid values of g are interpolated; ``interpolation`` selects "cubic"
-    (local, default) or "bandlimited" (trigonometric, for acceptance runs).
-    The points -x/lambda_j live on the lambda_j-fold refined lattice, where
-    the trigonometric interpolant is an exact FFT upsampling.
+    Off-grid values of g come from its trigonometric interpolant: the points
+    -x/lambda_j live on the lambda_j-fold refined lattice, where that
+    interpolant is an exact FFT upsampling.
     """
     if g.grid.kind != FULL_LINE:
         raise ValueError("reflect_extend_dual needs a full-line input")
-    if interpolation not in ("cubic", "bandlimited"):
-        raise ValueError(f"unknown interpolation {interpolation!r}")
     grid = g.grid
     n = grid.n_points
     zero = grid.zero_index
-    x_plus = grid.points[zero:]
     acc = g.values[zero:, :].copy()
     for lam, b in zip(coeffs.lambdas, coeffs.bs):
-        if interpolation == "bandlimited":
-            j = int(lam)
-            up = _upsampled_values(g, j) if j > 1 else g.values
-            samples = up[j * zero - np.arange(n - zero)]
-        else:
-            samples = _cubic_sample(g, -x_plus / lam)
-        acc += (b / lam) * samples
+        j = int(lam)
+        up = _upsampled_values(g, j) if j > 1 else g.values
+        acc += (b / lam) * up[j * zero - np.arange(n - zero)]
     out = np.zeros_like(g.values)
     out[zero:, :] = acc
     return GridFunction(grid, out)
@@ -320,24 +291,14 @@ def support_projection(F: GridFunction, coeffs: ReflectionCoefficients) -> GridF
 
 
 def factor_norm_upper(f: GridFunction, s: float, p: float, gamma: float,
-                      coeffs: ReflectionCoefficients | None = None,
-                      extension: str = "reflect") -> float:
-    """Upper bound for the restricted-space norm: the norm of one extension.
-
-    ``extension`` chooses the reflection extension (default) or extension by
-    zero (the minimizer at s = 0, and legitimate for zero-trace data).
-    """
+                      coeffs: ReflectionCoefficients | None = None) -> float:
+    """Upper bound for the restricted-space norm: the norm of the reflection
+    extension (order max(1, ceil|s|) unless ``coeffs`` is given)."""
     if f.grid.kind != HALF_LINE:
         raise ValueError("factor_norm_upper needs a half-line input")
-    if extension == "reflect":
-        if coeffs is None:
-            coeffs = solve_reflection_coefficients(max(1, int(math.ceil(abs(s)))))
-        ext = reflect_extend(f, coeffs)
-    elif extension == "zero":
-        ext = zero_extend(f)
-    else:
-        raise ValueError(f"unknown extension {extension!r}")
-    return hsp_norm(ext, s, p, PowerWeight(gamma))
+    if coeffs is None:
+        coeffs = solve_reflection_coefficients(max(1, int(math.ceil(abs(s)))))
+    return hsp_norm(reflect_extend(f, coeffs), s, p, PowerWeight(gamma))
 
 
 def factor_norm_lower(f: GridFunction, p: float, gamma: float) -> float:

@@ -16,7 +16,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -149,14 +149,31 @@ class SuiteConfig:
         for n in self.n_list:
             if n < 16 or (n & (n - 1)):
                 raise ConfigError(f"grid size {n} is not a power of two >= 16")
-        for key, values in self.sweeps.items():
-            if key in ("p",):
-                for p in values:
-                    if not p > 1:
-                        raise ConfigError(f"p={p} must exceed 1")
-            if key in ("spg", "pgt"):
-                for entry in values:
-                    self._check_triple(key, entry)
+        sweep_keys, tolerance_keys = SUITE_KEYS[self.suite]
+        for kind, given, read in (("sweep", self.sweeps, sweep_keys),
+                                  ("tolerance", self.tolerances, tolerance_keys)):
+            unread = sorted(set(given) - set(read))
+            if unread:
+                raise ConfigError(f"suite {self.suite} reads no {kind} keys {unread}; "
+                                  f"it reads {sorted(read)}")
+        for key in ("spg", "pgt"):
+            for entry in self.sweeps.get(key, ()):
+                self._check_triple(key, entry)
+
+    def shared(self) -> "SuiteConfig":
+        """This configuration as one of several suites that share it (``run all``).
+
+        Drops the sweep and tolerance keys that only other suites read; keys
+        that no suite reads stay, so ``validate`` still rejects them.
+        """
+        def narrow(given: dict, column: int) -> dict:
+            read_here = SUITE_KEYS[self.suite][column]
+            read_anywhere = {k for keys in SUITE_KEYS.values() for k in keys[column]}
+            return {k: v for k, v in given.items()
+                    if k in read_here or k not in read_anywhere}
+
+        return replace(self, sweeps=narrow(self.sweeps, 0),
+                       tolerances=narrow(self.tolerances, 1))
 
     @staticmethod
     def _check_triple(key, entry) -> None:
@@ -296,7 +313,7 @@ def _suite_c_sigma(cfg: SuiteConfig, report: SuiteReport) -> None:
     tol_h = cfg.tolerances.get("homogeneity", 1e-6)
     tol_o = cfg.tolerances.get("oracle", 1e-8)
     for sigma in sigmas:
-        c = singular.c_sigma(1, sigma)
+        c = singular.c_sigma(sigma)
         report.add_case({"sigma": sigma, "what": "c < 0"}, c, 0.0, 0.0,
                         passed=c < 0.0)
         # closed-form oracle: J = -pi / (Gamma(1+sigma) sin(pi sigma / 2))
@@ -324,7 +341,7 @@ def _suite_bessel_kernel(cfg: SuiteConfig, report: SuiteReport) -> None:
         tail = integrate.quad(lambda t: kernels.bessel_kernel(s, 1, t), 2.0, np.inf,
                               limit=200)[0]
         report.add_case({"s": s, "what": "unit mass"}, 2.0 * (head + tail), 1.0, tol)
-        for rep in kernels.kernel_bound_check(s, 1):
+        for rep in kernels.kernel_bound_check(s):
             report.add_case({"s": s, "regime": rep.regime,
                              "sup_ratio": rep.sup_ratio},
                             1.0 if rep.pass_flag else 0.0, 1.0, 0.0,
@@ -436,7 +453,7 @@ def _suite_reflection(cfg: SuiteConfig, report: SuiteReport) -> None:
         for fh, gg in zip(fam_h, fam_g):
             lhs = dual_pairing(halfline.reflect_extend(fh, cm), gg)
             rhs = dual_pairing(halfline.zero_extend(fh),
-                               halfline.reflect_extend_dual(gg, cm, "bandlimited"))
+                               halfline.reflect_extend_dual(gg, cm))
             errs.append(abs(lhs - rhs))
         errs_by_n.append(max(errs))
         report.add_refinement(n, max(errs))
@@ -777,6 +794,22 @@ SUITES = {
     "resolvent-sectoriality": _suite_resolvent,
     "fractional-domains": _suite_fractional_domains,
     "integration-by-parts": _suite_integration_by_parts,
+}
+
+# (sweep keys, tolerance keys) that each suite reads through cfg.sweeps.get
+# and cfg.tolerances.get; SuiteConfig.validate rejects every other key
+SUITE_KEYS = {
+    "frac-laplacian-xcheck": (("sigma",), ("rel_l2",)),
+    "c-sigma": (("sigma",), ("homogeneity", "oracle")),
+    "bessel-kernel": ((), ("kernel",)),
+    "schur-constants": (("p_beta",), ("closed_form",)),
+    "reflection-extension": ((), ("poly", "duality")),
+    "traces": ((), ("trace",)),
+    "pointwise-multiplier": (("spg",), ("stability", "commutation")),
+    "hardy-gn": ((), ("stability", "scale_invariance")),
+    "resolvent-sectoriality": ((), ("ode", "residual")),
+    "fractional-domains": (("pgt",), ("rl_match", "stability")),
+    "integration-by-parts": ((), ("closed_form", "random")),
 }
 
 

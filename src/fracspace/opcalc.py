@@ -5,9 +5,11 @@ comparison behind the fractional-domain characterization.
 
 Every discrete resolvent is a one-pole recursion over the grid, i.e. a
 unit lower-bidiagonal system (I - E S) u = r with a two-tap right-hand side
-r; ``_recursion`` forms r and solves the system with one LAPACK banded
-triangular solve, and serves both variants and both adjoints (the adjoint
-solves with the conjugate-transposed band).  The Balakrishnan quadrature is
+r whose taps come from ``_taps``.  ``_resolvent_map`` is the one resolvent
+map: it alone decides, per variant, the data reversal and the zero start,
+forms r and solves the system with one LAPACK banded triangular solve, and
+serves both variants and both adjoints (the adjoint solves with the
+conjugate-transposed band).  The Balakrishnan quadrature is
 a fixed sum of such recursions, hence one linear time-invariant filter on
 the grid: ``fractional_power`` builds its impulse response once per
 (variant, h, N, theta), keeps it in a small bounded cache of read-only
@@ -83,46 +85,45 @@ def _expm1c(z: complex) -> complex:
     return total
 
 
-def _cell_coefficients(lam: complex, h: float):
-    """(E, em1, alpha, beta) of the one-cell Duhamel step, exact for linear data.
+def _taps(variant: str, lam: complex, h: float) -> tuple[complex, complex, complex]:
+    """(E, b0, b1) of the one-cell Duhamel step, exact for linear data.
 
-    u(t+h) = E u(t) + alpha f(t) + beta f(t+h) solves u' + lam u = f when f is
-    linear on the cell; grouped expm1 forms keep all regimes of |lam h| stable
-    (em1 = E - 1 is returned separately because recovering it from E by
-    subtraction loses everything when |lam h| is tiny).
+    Dirichlet: u(t+h) = E u(t) + alpha f(t) + beta f(t+h) solves u' + lam u = f
+    when f is linear on the cell, and (b0, b1) = (beta, alpha).  Minus: the
+    mirrored step u_i = E u_{i+1} + alpha' f_i + beta' f_{i+1} with
+    alpha' = int e^{-lam tau}(1 - tau/h), beta' = int e^{-lam tau} tau/h, and
+    (b0, b1) = (alpha', beta') on reversed data.  Grouped expm1 forms keep all
+    regimes of |lam h| stable (E - 1 is never recovered from E by subtraction,
+    which loses everything when |lam h| is tiny).
     """
-    z = -lam * h
-    em1 = _expm1c(z)  # E - 1
+    em1 = _expm1c(-lam * h)  # E - 1
     E = 1.0 + em1
     lam2h = lam * lam * h
-    beta = (lam * h + em1) / lam2h
-    alpha = -em1 / lam - beta
-    return E, em1, alpha, beta
-
-
-def _minus_cell_coefficients(lam: complex, h: float):
-    """(E, alpha', beta') of the mirrored one-cell step of the minus variant.
-
-    u_i = E u_{i+1} + alpha' f_i + beta' f_{i+1} with
-    alpha' = int e^{-lam tau}(1 - tau/h), beta' = int e^{-lam tau} tau/h.
-    """
-    E, em1, _, _ = _cell_coefficients(lam, h)
-    lam2h = lam * lam * h
+    if variant == DIRICHLET:
+        beta = (lam * h + em1) / lam2h
+        return E, beta, -em1 / lam - beta
     beta_p = -(lam * h + em1 * (1.0 + lam * h)) / lam2h
-    alpha_p = -em1 / lam - beta_p
-    return E, alpha_p, beta_p
+    return E, -em1 / lam - beta_p, beta_p
 
 
-def _recursion(E: complex, b0: complex, b1: complex, values: np.ndarray,
-               zero_start: bool, adjoint: bool = False) -> np.ndarray:
-    """Column-wise y = L^{-1} P R x, or its conjugate transpose R^H P L^{-H} x.
+def _resolvent_map(variant: str, lam: complex, values: np.ndarray, h: float,
+                   adjoint: bool = False) -> np.ndarray:
+    """Column-wise discrete (lam + A)^{-1}, or its conjugate transpose.
 
-    L = I - E S and R = b0 I + b1 S with S the down-shift, so the forward map
-    is the one-pole recursion y_k = E y_{k-1} + b0 x_k + b1 x_{k-1} from
-    y_{-1} = x_{-1} = 0; P zeroes row 0 when ``zero_start``, which makes
+    Dirichlet: u(t) = integral_0^t e^{-lam (t-s)} f(s) ds with u(0) = 0.
+    Minus: u(t) = integral_t^inf e^{-lam (s-t)} f(s) ds (zero data past the
+    grid), the same recursion run on reversed data.  With L = I - E S,
+    R = b0 I + b1 S and S the down-shift, the forward map is y = L^{-1} P R x,
+    the one-pole recursion y_k = E y_{k-1} + b0 x_k + b1 x_{k-1} from
+    y_{-1} = x_{-1} = 0; P zeroes row 0 for the Dirichlet variant, which makes
     y_0 = 0 exactly.  L is unit lower bidiagonal, solved by one LAPACK banded
-    triangular solve (the adjoint solves with L^H on the same band).
+    triangular solve; the adjoint R^H P L^{-H} x solves with L^H on the same
+    band.
     """
+    E, b0, b1 = _taps(variant, lam, h)
+    zero_start = variant == DIRICHLET
+    if not zero_start:
+        values = values[::-1]
     n = values.shape[0]
     band = np.empty((2, n), dtype=np.complex128)
     band[0] = 1.0  # unit diagonal, not read (diag="U")
@@ -133,40 +134,15 @@ def _recursion(E: complex, b0: complex, b1: complex, values: np.ndarray,
             z[0] = 0.0
         y = np.conj(b0) * z
         y[:-1] += np.conj(b1) * z[1:]
-        return y
-    # the right-hand side is built transposed so that LAPACK reads it in place
-    r = np.empty((values.shape[1], n), dtype=np.complex128).T
-    np.multiply(b0, values, out=r)
-    r[1:] += b1 * values[:-1]
-    if zero_start:
-        r[0] = 0.0
-    y, _ = lapack.ztbtrs(band, r, uplo="L", diag="U", overwrite_b=1)
-    return y
-
-
-def _dirichlet_resolvent_values(lam: complex, values: np.ndarray, h: float) -> np.ndarray:
-    """u(t) = integral_0^t e^{-lam (t-s)} f(s) ds, column-wise, u(0) = 0."""
-    E, _, alpha, beta = _cell_coefficients(lam, h)
-    return _recursion(E, beta, alpha, values, zero_start=True)
-
-
-def _dirichlet_resolvent_adjoint(lam: complex, values: np.ndarray, h: float) -> np.ndarray:
-    """Conjugate-transpose of the discrete map above (exact, for probes)."""
-    E, _, alpha, beta = _cell_coefficients(lam, h)
-    return _recursion(E, beta, alpha, values, zero_start=True, adjoint=True)
-
-
-def _minus_resolvent_values(lam: complex, values: np.ndarray, h: float) -> np.ndarray:
-    """u(t) = integral_t^inf e^{-lam (s-t)} f(s) ds (zero data past the grid)."""
-    E, alpha_p, beta_p = _minus_cell_coefficients(lam, h)
-    return _recursion(E, alpha_p, beta_p, values[::-1], zero_start=False)[::-1]
-
-
-def _minus_resolvent_adjoint(lam: complex, values: np.ndarray, h: float) -> np.ndarray:
-    """Conjugate-transpose of the minus-variant map above."""
-    E, alpha_p, beta_p = _minus_cell_coefficients(lam, h)
-    return _recursion(E, alpha_p, beta_p, values[::-1], zero_start=False,
-                      adjoint=True)[::-1]
+    else:
+        # the right-hand side is built transposed so that LAPACK reads it in place
+        r = np.empty((values.shape[1], n), dtype=np.complex128).T
+        np.multiply(b0, values, out=r)
+        r[1:] += b1 * values[:-1]
+        if zero_start:
+            r[0] = 0.0
+        y, _ = lapack.ztbtrs(band, r, uplo="L", diag="U", overwrite_b=1)
+    return y if zero_start else y[::-1]
 
 
 def resolvent(op: HalfLineOperator, lam: complex, f: GridFunction) -> GridFunction:
@@ -179,11 +155,7 @@ def resolvent(op: HalfLineOperator, lam: complex, f: GridFunction) -> GridFuncti
         raise ValueError("resolvent needs a half-line grid function")
     if lam.real <= 0:
         raise ValueError(f"need Re(lambda) > 0, got {lam}")
-    if op.variant == DIRICHLET:
-        u = _dirichlet_resolvent_values(lam, f.values, f.grid.h)
-    else:
-        u = _minus_resolvent_values(lam, f.values, f.grid.h)
-    return GridFunction(f.grid, u)
+    return GridFunction(f.grid, _resolvent_map(op.variant, lam, f.values, f.grid.h))
 
 
 @dataclass(frozen=True)
@@ -229,14 +201,12 @@ def _op_norm_singular_value(op: HalfLineOperator, lam: complex, grid,
     h = grid.h
     cw = grid.cell_weights(op.gamma)
     sq = np.sqrt(cw)[:, None]
-    fwd = _dirichlet_resolvent_values if op.variant == DIRICHLET else _minus_resolvent_values
-    adj = _dirichlet_resolvent_adjoint if op.variant == DIRICHLET else _minus_resolvent_adjoint
 
     def m_apply(x):
-        return lam * (sq * fwd(lam, x / sq, h))
+        return lam * (sq * _resolvent_map(op.variant, lam, x / sq, h))
 
     def mh_apply(x):
-        return np.conj(lam) * (adj(lam, sq * x, h) / sq)
+        return np.conj(lam) * (_resolvent_map(op.variant, lam, sq * x, h, adjoint=True) / sq)
 
     rng = np.random.default_rng(1234)
     v = rng.standard_normal((grid.n_points, 1)) + 1j * rng.standard_normal((grid.n_points, 1))
@@ -347,23 +317,20 @@ def _balakrishnan_kernel(variant: str, h: float, n: int, theta: float) -> np.nda
 
     With c_lam the trapezoid weight times lam^theta, row 0 is
     sum_lam c_lam g_lam, where g_lam is the impulse response of one
-    recursion: g[0] = beta, g[k] = (E beta + alpha) E^(k-1) for the Dirichlet
-    variant (causal) and g[0] = alpha', g[k] = (E alpha' + beta') E^(k-1) for
-    the minus variant (applied to reversed data).  The Dirichlet variant adds
-    row 1, sum_lam c_lam beta E^k: the response to f_0 that the zero initial
-    value removes.
+    recursion with the taps (E, b0, b1) of ``_taps``: g[0] = b0,
+    g[k] = (E b0 + b1) E^(k-1), causal for the Dirichlet variant and applied
+    to reversed data for the minus variant.  The Dirichlet variant adds row 1,
+    sum_lam c_lam b0 E^k: the response to f_0 that the zero initial value
+    removes.  The minus kernel has no such row.
     """
     us = np.arange(-_U_RANGE, _U_RANGE + 1e-12, _U_STEP)
     table = []
     for i, u in enumerate(us):
         lam = math.exp(u)
         c = (_U_STEP if 0 < i < len(us) - 1 else 0.5 * _U_STEP) * lam ** theta
-        if variant == DIRICHLET:
-            E, _, alpha, beta = _cell_coefficients(lam, h)
-            table.append((E, c * beta, c * (E * beta + alpha), c * beta, c * beta * E))
-        else:
-            E, alpha_p, beta_p = _minus_cell_coefficients(lam, h)
-            table.append((E, c * alpha_p, c * (E * alpha_p + beta_p)))
+        E, b0, b1 = _taps(variant, lam, h)
+        row = (E, c * b0, c * (E * b0 + b1))
+        table.append(row + (c * b0, c * b0 * E) if variant == DIRICHLET else row)
     table = np.array(table).real  # lam is real, so every coefficient is
     with np.errstate(divide="ignore"):  # E = 0 once lam h passes ~37
         log_e = np.log(table[:, 0])

@@ -88,13 +88,12 @@ def symbol_integral(xi: float, sigma: float, split: float = 1.0) -> float:
     return 2.0 * (near + far)
 
 
-def c_sigma(d: int, sigma: float) -> float:
-    """The negative constant with |xi|^sigma = c * integral (e^{i h xi} - 1)/|h|^{1+sigma} dh.
+def c_sigma(sigma: float) -> float:
+    """The negative constant with |xi|^sigma = c * integral (e^{i h xi} - 1)/|h|^{1+sigma} dh
+    on the line (d = 1).
 
     Computed as 1/J with J the integral at |xi| = 1; J < 0, hence c < 0.
     """
-    if d != 1:
-        raise ValueError("only d = 1 is implemented")
     return 1.0 / symbol_integral(1.0, sigma)
 
 
@@ -235,7 +234,7 @@ def fractional_laplacian_singular(f: GridFunction, sigma: float) -> GridFunction
     mix = np.array([(1.0 + a) * (1.0 + b), -(1.0 + b) * a - b * (1.0 + a), a * b])
     kernel = _pair_kernel(n, ms, mix @ levels)
     kernel += _far_field_kernel(grid, sigma, m_top * h)
-    return GridFunction(grid, c_sigma(1, sigma) * _circular_apply(f.values, kernel))
+    return GridFunction(grid, c_sigma(sigma) * _circular_apply(f.values, kernel))
 
 
 def difference_l1_bound(f: GridFunction, sigma: float,

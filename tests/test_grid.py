@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import integrate
 
 from fracspace.grid import (
@@ -19,7 +20,7 @@ from fracspace.grid import (
     weighted_lp_norm,
 )
 
-from helpers import plateau
+from helpers import fiber_dims, grid_sizes, half_widths, plateau, random_function, seeds
 
 
 class TestGrid:
@@ -199,22 +200,22 @@ class TestMollify:
 
 
 class TestCsvRoundTrip:
-    def test_full_line_round_trip(self, tmp_path):
-        g = Grid(12.0, 256, FULL_LINE)
-        rng = np.random.default_rng(3)
-        f = GridFunction(g, rng.standard_normal((256, 2))
-                         + 1j * rng.standard_normal((256, 2)))
-        path = tmp_path / "f.csv"
+    @settings(max_examples=25, deadline=None)
+    @given(half_width=half_widths, n=grid_sizes, fiber_dim=fiber_dims, seed=seeds)
+    def test_full_line_round_trip(self, tmp_path_factory, half_width, n, fiber_dim, seed):
+        f = random_function(Grid(half_width, n, FULL_LINE), fiber_dim, seed)
+        path = tmp_path_factory.mktemp("csv") / "f.csv"
         f.to_csv(path)
         back = GridFunction.from_csv(path)
-        assert back.grid == g
-        np.testing.assert_allclose(back.values, f.values, rtol=0, atol=1e-15)
+        assert back.grid == f.grid
+        assert np.array_equal(back.values, f.values)
 
-    def test_half_line_round_trip(self, tmp_path):
-        g = Grid(12.0, 128, HALF_LINE)
-        f = GridFunction(g, np.exp(-g.points))
-        path = tmp_path / "h.csv"
+    @settings(max_examples=25, deadline=None)
+    @given(half_width=half_widths, n=grid_sizes, fiber_dim=fiber_dims, seed=seeds)
+    def test_half_line_round_trip(self, tmp_path_factory, half_width, n, fiber_dim, seed):
+        f = random_function(Grid(half_width, n, HALF_LINE), fiber_dim, seed)
+        path = tmp_path_factory.mktemp("csv") / "h.csv"
         f.to_csv(path)
         back = GridFunction.from_csv(path)
-        assert back.grid == g
-        np.testing.assert_allclose(back.values, f.values, rtol=0, atol=1e-15)
+        assert back.grid == f.grid
+        assert np.array_equal(back.values, f.values)

@@ -1,6 +1,8 @@
 import csv
+import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from fracspace import cli
 from fracspace.halfline import trace
 from fracspace.harness import (
     ConfigError,
+    SUITE_KEYS,
     SUITES,
     SuiteConfig,
     SuiteReport,
@@ -87,6 +90,29 @@ class TestConfig:
                           sweeps={"spg": [(0.5, 2.0, 0.0)]})
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    def test_unread_sweep_and_tolerance_keys_rejected(self):
+        for sweeps, tolerances in (({}, {"oracel": 1e-6}), ({"p": (2.0,)}, {}),
+                                   ({"spg": [(0.3, 2.0, 0.0)]}, {})):
+            cfg = SuiteConfig(suite="c-sigma", sweeps=sweeps, tolerances=tolerances)
+            with pytest.raises(ConfigError, match="reads no"):
+                cfg.validate()
+        SuiteConfig(suite="c-sigma", sweeps={"sigma": (0.5,)},
+                    tolerances={"oracle": 1e-6}).validate()
+
+    def test_suite_keys_are_the_keys_each_suite_reads(self):
+        for name, suite in SUITES.items():
+            source = inspect.getsource(suite)
+            read = tuple(set(re.findall(rf'cfg\.{kind}\.get\("(\w+)"', source))
+                         for kind in ("sweeps", "tolerances"))
+            assert tuple(set(keys) for keys in SUITE_KEYS[name]) == read, name
+
+    def test_shared_config_keeps_the_keys_each_suite_reads(self):
+        cfg = SuiteConfig(suite="traces", tolerances={"stability": 0.2, "trace": 1e-7,
+                                                      "oracel": 1.0})
+        assert cfg.shared().tolerances == {"trace": 1e-7, "oracel": 1.0}
+        assert SuiteConfig(suite="hardy-gn", tolerances={"stability": 0.2}).shared() \
+            .tolerances == {"stability": 0.2}
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -181,6 +207,11 @@ class TestCli:
         # smoothing shrinks the L^inf peak
         assert np.max(np.abs(out.values)) < np.max(np.abs(f.values))
 
+    def test_apply_keys_are_the_keys_each_operator_reads(self):
+        for name, (func, keys) in cli.APPLY_OPS.items():
+            read = re.findall(r'params(?:\.get\(|\[)"(\w+)"', inspect.getsource(func))
+            assert set(read) == set(keys), name
+
     def test_apply_bad_params_exit_code(self, tmp_path, capsys):
         g = Grid(20.0, 256, FULL_LINE)
         src = tmp_path / "f.csv"
@@ -208,6 +239,12 @@ def _half_line_csv(tmp_path):
     return str(path)
 
 
+def _config(tmp_path, record):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(record))
+    return str(path)
+
+
 BAD_INPUTS = {
     "n-not-integer": lambda tmp: ["run", "c-sigma", "--n", "1024,abc"],
     "config-missing": lambda tmp: ["run", "c-sigma", "--config", str(tmp / "none.json")],
@@ -220,6 +257,14 @@ BAD_INPUTS = {
                                          "--out", str(tmp / "o.csv"), "--params", '{"s": 1}'],
     "param-null": lambda tmp: ["apply", "riemann-liouville", "--in", _half_line_csv(tmp),
                                "--out", str(tmp / "o.csv"), "--params", '{"theta": null}'],
+    "config-unknown-tolerance": lambda tmp: [
+        "run", "c-sigma", "--config", _config(tmp, {"tolerances": {"oracel": 1e-6}})],
+    "config-unknown-tolerance-all": lambda tmp: [
+        "run", "all", "--config", _config(tmp, {"tolerances": {"oracel": 1e-6}})],
+    "param-unknown": lambda tmp: ["apply", "reflect-extend", "--in", _half_line_csv(tmp),
+                                  "--out", str(tmp / "o.csv"), "--params", '{"mm": 3}'],
+    "params-not-object": lambda tmp: ["apply", "reflect-extend", "--in", _half_line_csv(tmp),
+                                      "--out", str(tmp / "o.csv"), "--params", '"m"'],
 }
 
 

@@ -68,18 +68,18 @@ class TestKernelBounds:
         (2.0, "constant"),      # above: bounded kernel
     ])
     def test_near_origin_regimes(self, s, regime_frag):
-        reports = kernel_bound_check(s, 1)
+        reports = kernel_bound_check(s)
         near = [r for r in reports if "near" in r.regime][0]
         assert regime_frag in near.regime
         assert near.pass_flag and math.isfinite(near.sup_ratio)
 
     def test_exponential_tail(self):
         for s in (0.5, 1.0, 2.0):
-            tail = [r for r in kernel_bound_check(s, 1) if "tail" in r.regime][0]
+            tail = [r for r in kernel_bound_check(s) if "tail" in r.regime][0]
             assert tail.pass_flag and math.isfinite(tail.sup_ratio)
 
     def test_report_serialization(self):
-        rep = kernel_bound_check(0.5, 1)[0]
+        rep = kernel_bound_check(0.5)[0]
         rec = json.loads(rep.to_json())
         assert set(rec) == {"s", "d", "regime", "sup_ratio", "mesh_points", "pass"}
 

@@ -28,13 +28,9 @@ from fracspace.opcalc import (
     domain_norm_ratio,
     sectoriality_probe,
     _balakrishnan_kernel,
-    _cell_coefficients,
-    _dirichlet_resolvent_adjoint,
-    _dirichlet_resolvent_values,
-    _minus_cell_coefficients,
-    _minus_resolvent_adjoint,
-    _minus_resolvent_values,
     _op_norm_singular_value,
+    _resolvent_map,
+    _taps,
 )
 from fracspace.harness import generate_test_family
 
@@ -86,23 +82,20 @@ class TestResolvent:
         # filter's first step is not exact in floating point on its own
         rng = np.random.default_rng(66)
         values = rng.standard_normal((1024, 2)) + 1j * rng.standard_normal((1024, 2))
-        u = _dirichlet_resolvent_values(lam, values, 40.0 / 1024)
+        u = _resolvent_map(DIRICHLET, lam, values, 40.0 / 1024)
         assert np.all(u[0] == 0.0)
 
-    @pytest.mark.parametrize("fwd, adj", [
-        (_dirichlet_resolvent_values, _dirichlet_resolvent_adjoint),
-        (_minus_resolvent_values, _minus_resolvent_adjoint),
-    ])
+    @pytest.mark.parametrize("variant", [DIRICHLET, MINUS])
     @pytest.mark.parametrize("lam", [0.05, complex(1.3, 0.7), complex(40.0, -25.0)])
-    def test_adjoint_dot_product(self, fwd, adj, lam):
+    def test_adjoint_dot_product(self, variant, lam):
         # <M x, y> = <x, M^H y> for the discrete maps, on unstructured vectors
         n, h = 2048, 40.0 / 2048
         rng = np.random.default_rng(67)
         x = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
         y = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-        lhs = np.vdot(y, fwd(lam, x, h))
-        rhs = np.vdot(adj(lam, y, h), x)
-        scale = np.linalg.norm(fwd(lam, x, h)) * np.linalg.norm(y)
+        lhs = np.vdot(y, _resolvent_map(variant, lam, x, h))
+        rhs = np.vdot(_resolvent_map(variant, lam, y, h, adjoint=True), x)
+        scale = np.linalg.norm(_resolvent_map(variant, lam, x, h)) * np.linalg.norm(y)
         assert abs(lhs - rhs) <= 1e-12 * scale
 
     def test_rejects_left_half_plane(self):
@@ -176,14 +169,14 @@ class TestResolvent:
 # independent references: the four recursions as scipy.signal.lfilter
 # filters (tests may import scipy.signal; the package must not)
 def _lfilter_dirichlet(lam, x, h):
-    E, _, alpha, beta = _cell_coefficients(lam, h)
+    E, beta, alpha = _taps(DIRICHLET, lam, h)
     y, _ = signal.lfilter([beta, alpha], [1.0, -E], x, axis=0, zi=(-beta * x[0])[None, :])
     y[0] = 0.0
     return y
 
 
 def _lfilter_dirichlet_adjoint(lam, x, h):
-    E, _, alpha, beta = _cell_coefficients(lam, h)
+    E, beta, alpha = _taps(DIRICHLET, lam, h)
     E, alpha, beta = np.conj(E), np.conj(alpha), np.conj(beta)
     rev = x[::-1]
     y = signal.lfilter([beta, alpha], [1.0, -E], rev, axis=0)[::-1]
@@ -192,12 +185,12 @@ def _lfilter_dirichlet_adjoint(lam, x, h):
 
 
 def _lfilter_minus(lam, x, h):
-    E, alpha_p, beta_p = _minus_cell_coefficients(lam, h)
+    E, alpha_p, beta_p = _taps(MINUS, lam, h)
     return signal.lfilter([alpha_p, beta_p], [1.0, -E], x[::-1], axis=0)[::-1]
 
 
 def _lfilter_minus_adjoint(lam, x, h):
-    E, alpha_p, beta_p = _minus_cell_coefficients(lam, h)
+    E, alpha_p, beta_p = _taps(MINUS, lam, h)
     return signal.lfilter([np.conj(alpha_p), np.conj(beta_p)], [1.0, -np.conj(E)], x, axis=0)
 
 
@@ -218,17 +211,16 @@ class TestResolventRecursionOracle:
         rng = np.random.default_rng(seed)
         x, y = (rng.standard_normal((n, fiber_dim)) + 1j * rng.standard_normal((n, fiber_dim))
                 for _ in range(2))
-        for fwd, adj, ref_fwd, ref_adj in (
-                (_dirichlet_resolvent_values, _dirichlet_resolvent_adjoint,
-                 _lfilter_dirichlet, _lfilter_dirichlet_adjoint),
-                (_minus_resolvent_values, _minus_resolvent_adjoint,
-                 _lfilter_minus, _lfilter_minus_adjoint)):
-            mx, mhy = fwd(lam, x, h), adj(lam, y, h)
+        for variant, ref_fwd, ref_adj in (
+                (DIRICHLET, _lfilter_dirichlet, _lfilter_dirichlet_adjoint),
+                (MINUS, _lfilter_minus, _lfilter_minus_adjoint)):
+            mx = _resolvent_map(variant, lam, x, h)
+            mhy = _resolvent_map(variant, lam, y, h, adjoint=True)
             for got, ref in ((mx, ref_fwd(lam, x, h)), (mhy, ref_adj(lam, y, h))):
                 assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
             gap = abs(np.vdot(y, mx) - np.vdot(mhy, x))
             assert gap <= 1e-12 * np.linalg.norm(mx) * np.linalg.norm(y)
-        assert np.all(_dirichlet_resolvent_values(lam, x, h)[0] == 0.0)
+        assert np.all(_resolvent_map(DIRICHLET, lam, x, h)[0] == 0.0)
 
 
 class TestSectorialityProbe:
@@ -347,14 +339,12 @@ def _reference_fractional_power(op, theta, f):
     """The Balakrishnan trapezoid as a per-lambda sum of resolvent applies."""
     u_range, u_step = 30.0, 0.05
     af = op.apply(f)
-    res = (_dirichlet_resolvent_values if op.variant == DIRICHLET
-           else _minus_resolvent_values)
     us = np.arange(-u_range, u_range + 1e-12, u_step)
     acc = np.zeros_like(f.values)
     for i, u in enumerate(us):
         lam = math.exp(u)
         wt = u_step if 0 < i < len(us) - 1 else 0.5 * u_step
-        acc += wt * lam ** theta * res(lam, af.values, f.grid.h)
+        acc += wt * lam ** theta * _resolvent_map(op.variant, lam, af.values, f.grid.h)
     acc += (math.exp(-u_range) ** theta / theta) * f.values
     acc += (math.exp(u_range) ** (theta - 1.0) / (1.0 - theta)) * af.values
     return (math.sin(math.pi * theta) / math.pi) * acc

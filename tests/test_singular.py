@@ -90,7 +90,7 @@ def _roll_singular(f, sigma):
             if m in (k, m_top):
                 w *= 0.5
             total += w * _pair(f.values, m)
-        return c_sigma(1, sigma) * (total + far)
+        return c_sigma(sigma) * (total + far)
 
     t1, t2, t4 = level(1), level(2), level(4)
     q2, q4 = 2.0 ** (2.0 - sigma), 2.0 ** (4.0 - sigma)
@@ -102,21 +102,21 @@ def _roll_singular(f, sigma):
 class TestCSigma:
     @pytest.mark.parametrize("sigma", [round(0.1 * k, 1) for k in range(1, 10)])
     def test_negative(self, sigma):
-        assert c_sigma(1, sigma) < 0.0
+        assert c_sigma(sigma) < 0.0
 
     @pytest.mark.parametrize("sigma", [0.25, 0.5, 0.75])
     def test_against_independent_quadrature(self, sigma):
-        assert c_sigma(1, sigma) == pytest.approx(_oracle_c_sigma(sigma), abs=1e-8)
+        assert c_sigma(sigma) == pytest.approx(_oracle_c_sigma(sigma), abs=1e-8)
 
     @pytest.mark.parametrize("xi", [0.5, 2.0, 8.0])
     def test_homogeneity(self, xi):
         sigma = 0.5
-        c = c_sigma(1, sigma)
+        c = c_sigma(sigma)
         assert c * symbol_integral(xi, sigma) == pytest.approx(xi ** sigma, abs=1e-6)
 
     def test_rejects_order_outside_unit_interval(self):
         with pytest.raises(ValueError):
-            c_sigma(1, 1.2)
+            c_sigma(1.2)
         with pytest.raises(ValueError):
             symbol_integral(1.0, 0.0)
 
@@ -230,7 +230,7 @@ class TestFractionalLaplacianSingular:
         f = generate_test_family(g, 23, 1)[0]
         sigma = 0.5
         ref = fourier.fractional_laplacian_spectral(f, sigma)
-        c = c_sigma(1, sigma)
+        c = c_sigma(sigma)
         errs = []
         for r_mult, big_r in ((16, 2.5), (8, 5.0), (4, 10.0), (2, 20.0)):
             params = TruncationParams(r_mult * g.h, big_r, 200)
