@@ -41,7 +41,8 @@ def derivative_at(values: np.ndarray, h: float, index: int, order: int,
     """f^(order) at node ``index`` from samples, to the given accuracy order.
 
     values has shape (N,) or (N, n); one_sided forces a stencil entirely to the
-    'right' or 'left' of the node.
+    'right' or 'left' of the node and raises ValueError when that stencil
+    runs past the ends.  A centered stencil is shifted inward near the ends.
     """
     n_pts = order + accuracy
     n = values.shape[0]
@@ -52,8 +53,10 @@ def derivative_at(values: np.ndarray, h: float, index: int, order: int,
     elif one_sided == "left":
         lo = index - n_pts + 1
     else:
-        lo = index - n_pts // 2
-    lo = max(0, min(lo, n - n_pts))
+        lo = max(0, min(index - n_pts // 2, n - n_pts))
+    if lo < 0 or lo + n_pts > n:
+        raise ValueError(f"the {one_sided}-sided stencil of {n_pts} nodes at "
+                         f"index {index} does not fit in {n} samples")
     offsets = np.arange(lo, lo + n_pts)
     w = fd_weights(0.0, (offsets - index) * h, order)[order]
     return np.tensordot(w, values[offsets], axes=(0, 0))

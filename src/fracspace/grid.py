@@ -13,7 +13,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
 
 import numpy as np
 
@@ -150,9 +149,6 @@ class PowerWeight:
                 f"need gamma in (-1, {p - 1.0})"
             )
 
-    def is_admissible(self, p: float) -> bool:
-        return p > 1.0 and -1.0 < self.gamma < p - 1.0
-
     def dual(self, p: float) -> "PowerWeight":
         self.check_admissible(p)
         return PowerWeight(-self.gamma / (p - 1.0))
@@ -191,16 +187,9 @@ class GridFunction:
     def fiber_dim(self) -> int:
         return self.values.shape[1]
 
-    @classmethod
-    def from_callable(cls, grid: Grid, func: Callable) -> "GridFunction":
-        return cls(grid, np.asarray(func(grid.points)))
-
     def fiber_norms(self) -> np.ndarray:
         """Pointwise C^n norms, shape (N,)."""
         return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=1))
-
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.grid, values)
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         check_compatible(self, other)

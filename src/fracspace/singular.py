@@ -13,13 +13,16 @@ the extrapolated limit.
 A sum of weighted symmetric differences f(x+mh) + f(x-mh) - 2 f(x) over
 integer offsets m is a circular convolution with an even kernel.  Both
 operators therefore assemble one length-N kernel from the difference-quotient
-weights (and, for the limit, the Richardson mixture of its levels and the
-periodic far-field image sum) and apply it with one FFT pair.  The kernels
-never use |xi|^sigma, so the two representations stay independent.
+weights and apply it with one FFT pair.  The limit's kernel (the Richardson
+mixture of its levels and the periodic far-field image sum) depends only on
+(N, h, sigma), so it is built once per key and kept, read-only, in a small
+bounded in-process cache.  The kernels never use |xi|^sigma, so the two
+representations stay independent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -173,33 +176,62 @@ def truncated_difference_operator(f: GridFunction, sigma: float,
     return GridFunction(f.grid, _circular_apply(f.values, kernel))
 
 
-def _far_field_kernel(grid: Grid, sigma: float, R: float,
-                      n_images: int = 64) -> np.ndarray:
+def _far_field_kernel(n: int, h: float, sigma: float) -> np.ndarray:
     """Circular kernel of the far field, integral over |h| > R of
-    (f(x+h) - f(x)) / |h|^(1+sigma) dh, with f understood as 2L-periodic (the
-    package-wide truncation convention, and what the spectral representation
-    acts on).
+    (f(x+h) - f(x)) / |h|^(1+sigma) dh with R = (n // 4) h = L/2, f understood
+    as 2L-periodic (the package-wide truncation convention, and what the
+    spectral representation acts on).
 
     The f(x+h) part sums the cut power kernel over periodic images, explicitly
-    up to ``n_images`` copies and closed-form (midpoint-corrected integral)
+    up to 64 copies on each side and closed-form (midpoint-corrected integral)
     beyond; the -f(x) part is the closed-form weight at index 0.
     """
-    h = grid.h
-    n = grid.n_points
+    n_images = 64
+    big_r = (n // 4) * h
     m = np.arange(n, dtype=float)
     expo = -1.0 - sigma
     kernel = np.zeros(n)
     for j in range(-n_images, n_images + 1):
         d = np.abs(m + j * n) * h
-        term = np.where(d > R + 0.25 * h, np.where(d > 0, d, 1.0) ** expo, 0.0)
-        term = np.where(np.abs(d - R) < 0.25 * h, 0.5 * R ** expo, term)
+        if j in (-1, 0):
+            # 0 <= m < n, so only these two images reach within R + h/4
+            term = np.where(d > big_r + 0.25 * h, np.where(d > 0, d, 1.0) ** expo, 0.0)
+            term = np.where(np.abs(d - big_r) < 0.25 * h, 0.5 * big_r ** expo, term)
+        else:
+            term = d ** expo
         kernel += term
     # analytic tails of the image sum (both signs of j)
     jn = (n_images + 0.5) * n
     kernel += ((m + jn) * h) ** (-sigma) / (sigma * n * h)
     kernel += ((jn - m) * h) ** (-sigma) / (sigma * n * h)
     kernel *= h
-    kernel[0] -= (2.0 / sigma) * R ** (-sigma)
+    kernel[0] -= (2.0 / sigma) * big_r ** (-sigma)
+    return kernel
+
+
+@functools.lru_cache(maxsize=32)
+def _singular_kernel(n: int, h: float, sigma: float) -> np.ndarray:
+    """Circular kernel of the extrapolated annulus integral, without c_sigma
+    (read-only).
+
+    The trapezoid levels over m = k..n/4 (inner radius r = k h, k = 1, 2, 4,
+    both ends halved) are mixed by two Richardson stages, and the far-field
+    image kernel of ``_far_field_kernel`` is added once.
+    """
+    m_top = n // 4  # R = L/2 exactly
+    ms = np.arange(1, m_top + 1)
+    starts = np.array([1, 2, 4])
+    levels = np.where(ms >= starts[:, None], h * (ms * h) ** (-1.0 - sigma), 0.0)
+    levels[np.arange(len(starts)), starts - 1] *= 0.5
+    levels[:, -1] *= 0.5
+    # two Richardson stages with the known leading exponents 2-sigma, 4-sigma;
+    # the mixing weights sum to one, so the far field enters exactly once
+    a = 1.0 / (2.0 ** (2.0 - sigma) - 1.0)
+    b = 1.0 / (2.0 ** (4.0 - sigma) - 1.0)
+    mix = np.array([(1.0 + a) * (1.0 + b), -(1.0 + b) * a - b * (1.0 + a), a * b])
+    kernel = _pair_kernel(n, ms, mix @ levels)
+    kernel += _far_field_kernel(n, h, sigma)
+    kernel.flags.writeable = False
     return kernel
 
 
@@ -212,28 +244,15 @@ def fractional_laplacian_singular(f: GridFunction, sigma: float) -> GridFunction
     kernel, the whole is scaled by c_sigma, and the O(r^(2-sigma)) inner
     truncation error is removed by two Richardson stages over r in {h, 2h, 4h}.
     Every level and the Richardson mixture are linear, so the result is one
-    circular kernel applied once.
+    circular kernel, built once per (N, h, sigma) by ``_singular_kernel``.
     """
+    if not 0.0 < sigma < 1.0:
+        raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
     grid = f.grid
     if grid.kind != FULL_LINE:
         raise ValueError("needs a full-line grid")
     warn_if_boundary_heavy(f, "fractional_laplacian_singular")
-    h = grid.h
-    n = grid.n_points
-    m_top = n // 4  # R = L/2 exactly
-    ms = np.arange(1, m_top + 1)
-    # trapezoid levels over m = k..m_top (inner radius r = k h), ends halved
-    starts = np.array([1, 2, 4])
-    levels = np.where(ms >= starts[:, None], h * (ms * h) ** (-1.0 - sigma), 0.0)
-    levels[np.arange(len(starts)), starts - 1] *= 0.5
-    levels[:, -1] *= 0.5
-    # two Richardson stages with the known leading exponents 2-sigma, 4-sigma;
-    # the mixing weights sum to one, so the far field enters exactly once
-    a = 1.0 / (2.0 ** (2.0 - sigma) - 1.0)
-    b = 1.0 / (2.0 ** (4.0 - sigma) - 1.0)
-    mix = np.array([(1.0 + a) * (1.0 + b), -(1.0 + b) * a - b * (1.0 + a), a * b])
-    kernel = _pair_kernel(n, ms, mix @ levels)
-    kernel += _far_field_kernel(grid, sigma, m_top * h)
+    kernel = _singular_kernel(grid.n_points, grid.h, sigma)
     return GridFunction(grid, c_sigma(sigma) * _circular_apply(f.values, kernel))
 
 

@@ -333,12 +333,25 @@ class TestDerivativeStencil:
     def test_input_shorter_than_stencil_rejected(self):
         # order 1 at accuracy 8 needs 9 nodes; 9 suffice, 5 raise ValueError
         # (not an IndexError from reading past the end)
-        for one_sided in (None, "right", "left"):
-            d = _fd.derivative_at(np.arange(9.0), 0.1, 4, 1, accuracy=8,
+        for one_sided, index in ((None, 4), ("right", 0), ("left", 8)):
+            d = _fd.derivative_at(np.arange(9.0), 0.1, index, 1, accuracy=8,
                                   one_sided=one_sided)
             assert d == pytest.approx(10.0, rel=1e-10)
+        for one_sided in (None, "right", "left"):
             with pytest.raises(ValueError, match="9 nodes"):
                 _fd.derivative_at(np.ones(5), 0.1, 0, 1, accuracy=8, one_sided=one_sided)
+
+    def test_one_sided_stencil_past_the_end_rejected(self):
+        # not shifted into the array: a shifted "left" stencil at node 4 of a
+        # function that is 0 on nodes 0-4 used nodes 0-8 and returned 0.0286
+        for one_sided in ("right", "left"):
+            with pytest.raises(ValueError, match="does not fit"):
+                _fd.derivative_at(np.arange(9.0), 0.1, 4, 1, accuracy=8,
+                                  one_sided=one_sided)
+        x = 0.1 * np.arange(20)
+        v = np.where(x > 0.4, (x - 0.4) ** 2, 0.0)
+        with pytest.raises(ValueError, match="does not fit"):
+            _fd.derivative_at(v, 0.1, 4, 1, accuracy=8, one_sided="left")
 
 
 class TestCoextend:

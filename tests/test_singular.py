@@ -8,7 +8,9 @@ from fracspace.grid import FULL_LINE, Grid, GridFunction, PowerWeight, weighted_
 from fracspace import fourier
 from fracspace.singular import (
     TruncationParams,
+    _far_field_kernel,
     _offset_mesh,
+    _singular_kernel,
     c_sigma,
     difference_l1_bound,
     fractional_laplacian_singular,
@@ -60,9 +62,11 @@ def _roll_truncated(f, sigma, params):
     return acc
 
 
-def _roll_far_field(f, sigma, big_r, n_images=64):
-    """Reference: the |h| > R completion applied as its own FFT convolution."""
-    h, n = f.grid.h, f.grid.n_points
+def _image_sum(n, h, sigma, big_r):
+    """Reference: the cut power kernel summed over 64 periodic images on each
+    side, with the closed-form tails, every image through the same cut and
+    half-weight test."""
+    n_images = 64
     m = np.arange(n, dtype=float)
     kernel = np.zeros(n)
     for j in range(-n_images, n_images + 1):
@@ -73,6 +77,13 @@ def _roll_far_field(f, sigma, big_r, n_images=64):
     jn = (n_images + 0.5) * n
     kernel += ((m + jn) * h) ** (-sigma) / (sigma * n * h)
     kernel += ((jn - m) * h) ** (-sigma) / (sigma * n * h)
+    return kernel
+
+
+def _roll_far_field(f, sigma, big_r):
+    """Reference: the |h| > R completion applied as its own FFT convolution."""
+    h, n = f.grid.h, f.grid.n_points
+    kernel = _image_sum(n, h, sigma, big_r)
     out = np.fft.ifft(np.fft.fft(f.values, axis=0) * np.fft.fft(h * kernel)[:, None], axis=0)
     return out - (2.0 / sigma) * big_r ** (-sigma) * f.values
 
@@ -218,6 +229,62 @@ class TestFractionalLaplacianSingular:
         ref = _roll_singular(f, sigma)
         out = fractional_laplacian_singular(f, sigma).values
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("sigma", [0.3, 0.7])
+    def test_far_field_kernel_matches_image_sum(self, n, sigma):
+        # only the images j = -1, 0 pass through the cut; the rest must add
+        # the same terms in the same order as the all-images reference
+        h = Grid(40.0, n, FULL_LINE).h
+        big_r = (n // 4) * h
+        ref = h * _image_sum(n, h, sigma, big_r)
+        ref[0] -= (2.0 / sigma) * big_r ** (-sigma)
+        assert np.array_equal(_far_field_kernel(n, h, sigma), ref)
+
+    def test_repeated_calls_identical(self):
+        g = Grid(40.0, 2048, FULL_LINE)
+        f = _complex_input(g, 28)
+        first = fractional_laplacian_singular(f, 0.4).values
+        assert np.array_equal(fractional_laplacian_singular(f, 0.4).values, first)
+
+    def test_cached_kernel_read_only(self):
+        g = Grid(40.0, 1024, FULL_LINE)
+        kernel = _singular_kernel(g.n_points, g.h, 0.5)
+        assert kernel.dtype == np.float64
+        with pytest.raises(ValueError):
+            kernel[0] = 0.0
+
+    def test_one_kernel_per_grid_and_order(self):
+        _singular_kernel.cache_clear()
+        for n in (1024, 2048, 4096):
+            g = Grid(40.0, n, FULL_LINE)
+            for f in generate_test_family(g, 29, 3):
+                for sigma in (0.3, 0.5, 0.7):
+                    fractional_laplacian_singular(f, sigma)
+        info = _singular_kernel.cache_info()
+        assert (info.misses, info.hits) == (9, 18)
+        with pytest.raises(ValueError):
+            fractional_laplacian_singular(f, 1.2)
+        assert _singular_kernel.cache_info().misses == 9
+
+    def test_refinement_ladder_to_2_16(self):
+        # the frac-laplacian-xcheck family (seed 42, 20 members) refined to
+        # N = 2^16: the worst discrepancy falls at every doubling, per sigma
+        sigmas = (0.3, 0.5, 0.7)
+        worst = {sigma: [] for sigma in sigmas}
+        for n in [2 ** k for k in range(10, 17)]:
+            g = Grid(40.0, n, FULL_LINE)
+            family = generate_test_family(g, 42, 20)
+            for sigma in sigmas:
+                sup = 0.0
+                for f in family:
+                    spec = fourier.fractional_laplacian_spectral(f, sigma)
+                    sing = fractional_laplacian_singular(f, sigma)
+                    sup = max(sup, weighted_lp_norm(sing - spec, 2.0, W0)
+                              / weighted_lp_norm(spec, 2.0, W0))
+                worst[sigma].append(sup)
+        for sigma in sigmas:
+            assert all(b < a for a, b in zip(worst[sigma], worst[sigma][1:])), worst[sigma]
 
     def test_zero_input(self):
         g = Grid(40.0, 1024, FULL_LINE)
