@@ -186,32 +186,36 @@ def hsp_norm(f: GridFunction, s: float, p: float, w: PowerWeight) -> float:
     return weighted_lp_norm(bessel_potential(f, s), p, w)
 
 
-def _full_line_with_derivatives(f: GridFunction, k: int):
-    """Return (restrict, [f, f', .., f^(k)]) handling both grid kinds.
+def _full_line_form(f: GridFunction, k: int):
+    """Return (restrict, g): a full-line function g whose derivatives up to
+    order k, passed through restrict, are those of f.
 
     Half-line inputs are extended by higher-order reflection so the spectral
     derivatives see a C^(2m+1) function; results are restricted back.
     """
     if f.grid.kind == FULL_LINE:
-        return (lambda g: g), [spectral_derivative(f, j) if j else f for j in range(k + 1)]
+        return (lambda g: g), f
     from .halfline import reflect_extend, restrict_plus, solve_reflection_coefficients
 
-    coeffs = solve_reflection_coefficients(max(1, k))
-    ext = reflect_extend(f, coeffs)
-    return restrict_plus, [spectral_derivative(ext, j) if j else ext for j in range(k + 1)]
+    return restrict_plus, reflect_extend(f, solve_reflection_coefficients(max(1, k)))
+
+
+def _derivative(g: GridFunction, j: int) -> GridFunction:
+    return spectral_derivative(g, j) if j else g
 
 
 def wkp_norm(f: GridFunction, k: int, p: float, w: PowerWeight) -> float:
     """Sum over j <= k of the weighted L^p norms of the j-th derivative."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    restrict, derivs = _full_line_with_derivatives(f, k)
-    return float(sum(weighted_lp_norm(restrict(g), p, w) for g in derivs))
+    restrict, g = _full_line_form(f, k)
+    return float(sum(weighted_lp_norm(restrict(_derivative(g, j)), p, w)
+                     for j in range(k + 1)))
 
 
 def wkp_seminorm(f: GridFunction, k: int, p: float, w: PowerWeight) -> float:
     """Weighted L^p norm of the top-order derivative alone."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    restrict, derivs = _full_line_with_derivatives(f, k)
-    return weighted_lp_norm(restrict(derivs[-1]), p, w)
+    restrict, g = _full_line_form(f, k)
+    return weighted_lp_norm(restrict(_derivative(g, k)), p, w)

@@ -333,11 +333,19 @@ def _bump_profile(u: np.ndarray) -> np.ndarray:
 
 
 def plateau(x: np.ndarray, center: float, inner: float, outer: float) -> np.ndarray:
-    """C^inf window: 1 on |x-c| <= inner, 0 on |x-c| >= outer."""
+    """C^inf window: 1 on |x-c| <= inner, 0 on |x-c| >= outer.
+
+    The ramp is the standard transition a / (a + b) with a = e^{-1/(1-z)}
+    and b = e^{-1/z}, z the relative position in the ramp: every derivative
+    vanishes at both edges.  a and b never underflow together, so the
+    quotient needs no guard.
+    """
     z = (np.abs(x - center) - inner) / (outer - inner)
     out = np.ones_like(x, dtype=float)
     ramp = (z > 0.0) & (z < 1.0)
-    out[ramp] = np.exp(1.0 - 1.0 / (1.0 - z[ramp] ** 2))
+    zr = z[ramp]
+    a = np.exp(-1.0 / (1.0 - zr))
+    out[ramp] = a / (a + np.exp(-1.0 / zr))
     out[z >= 1.0] = 0.0
     return out
 

@@ -607,16 +607,15 @@ def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
                      "values": dilated_sups}, max(dilated_sups), dilated_sups[0],
                     0.3 * dilated_sups[0],
                     passed=max(dilated_sups) <= 1.3 * dilated_sups[0])
-    # Gagliardo-Nirenberg
+    # Gagliardo-Nirenberg, one family per N for every (gamma, p)
+    fams_gn = [generate_test_family(Grid(cfg.half_width, n, FULL_LINE), cfg.seed + 7, 50)
+               for n in cfg.n_list]
     for gamma in (-0.5, 0.0, 1.0):
         for p in (1.5, 2.0, 3.0):
             if not -1.0 < gamma < p - 1.0:
                 continue
-            sups_gn = []
-            for n in cfg.n_list:
-                g = Grid(cfg.half_width, n, FULL_LINE)
-                fam = generate_test_family(g, cfg.seed + 7, 50)
-                sups_gn.append(max(halfline.gn_check(f, 1, 2, p, gamma) for f in fam))
+            sups_gn = [max(halfline.gn_check(f, 1, 2, p, gamma) for f in fam_n)
+                       for fam_n in fams_gn]
             report.add_case({"p": p, "gamma": gamma,
                              "what": "GN ratio sup stable", "values": sups_gn},
                             sups_gn[-1], sups_gn[0], stab * sups_gn[0],
@@ -686,24 +685,44 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
                     worst_d, 0.0, tol_res)
     report.add_case({"what": "minus ODE residual (20 random)"},
                     worst_m, 0.0, tol_res)
-    # contraction bound on the positive axis
+    # contraction bound on the positive axis, read from the certified
+    # upper end of the pencil bracket
     g2 = Grid(cfg.half_width, 2048, HALF_LINE)
-    top = max(opcalc._op_norm_singular_value(op, complex(r), g2)[0]
-              for r in (1e-3, 1e-1, 1.0, 1e1, 1e3))
+    real_axis = [opcalc._pencil_norm(op, complex(r), g2)
+                 for r in (1e-3, 1e-1, 1.0, 1e1, 1e3)]
+    top = max(math.sqrt(hi) for _, (_, hi), _ in real_axis)
     report.add_case({"what": "real-lambda norm <= 1 (p=2, gamma=0)"},
-                    top, 1.0, 1e-6, passed=top <= 1.0 + 1e-6)
+                    top, 1.0, 1e-6,
+                    passed=top <= 1.0 + 1e-6 and all(c for _, _, c in real_axis))
     # sector probe supremum, stable across N
     angle = 3.0 * math.pi / 4.0 - 0.1
     radii = [4.0 ** k for k in range(-5, 6)]
-    sups = []
+    sups, uppers, bad = [], [], 0
     for n in cfg.n_list:
         gn = Grid(cfg.half_width, n, HALF_LINE)
         probe = opcalc.sectoriality_probe(op, gn, [angle], radii)[0]
         sups.append(probe.supremum)
         report.add_refinement(n, probe.supremum)
+        finite = [e for e in probe.entries if e["certified"] is not None]
+        uppers.append(max(e["bracket"][1] for e in finite))
+        bad += sum(not e["certified"] or e["power_lower"] > e["bracket"][1]
+                   for e in finite)
     report.add_case({"angle": angle, "what": "sector-probe sup stable",
                      "values": sups}, sups[-1], sups[0], 0.05 * sups[0],
                     passed=_stable(sups, 0.05))
+    report.add_case({"what": "sector-probe entries certified, power bound inside bracket"},
+                    bad, 0, 0)
+    # at gamma = 0 the continuum map is convolution with lam e^{-lam t}; its
+    # norm on every L^p is the kernel's L^1 norm |lam| / Re lam, reached by the
+    # symbol at xi = -Im lam, so the sector supremum is sec(phi_max)
+    secant = 1.0 / math.cos(math.pi - angle)
+    report.add_case({"angle": angle, "what": "sector-probe sup <= sec(phi_max)",
+                     "values": uppers}, max(uppers), secant, 0.0,
+                    passed=max(uppers) <= secant)
+    gaps = [secant - v for v in sups]
+    report.add_case({"angle": angle, "what": "sector-probe gap to sec(phi_max) shrinks with N",
+                     "values": gaps}, gaps[-1], gaps[0], 0.0,
+                    passed=all(b < a for a, b in zip(gaps, gaps[1:])))
 
 
 def _suite_fractional_domains(cfg: SuiteConfig, report: SuiteReport) -> None:

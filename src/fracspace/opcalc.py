@@ -15,7 +15,11 @@ the grid: ``fractional_power`` builds its impulse response once per
 (variant, h, N, theta), keeps it in a small bounded cache of read-only
 arrays, and applies it by FFT convolution (``_conv.full_convolve``).
 Everything else evaluates per call.  ``riemann_liouville`` shares no code
-with that kernel, so the two stay independent representations.
+with that kernel, so the two stay independent representations.  Likewise
+the p = 2 sector norms come from a tridiagonal pencil assembled from the
+taps and the cell weights alone (``_pencil_norm``, certified by Sturm
+counts), and the power iteration through ``_resolvent_map`` is their
+independent lower bound.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.linalg import lapack
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from . import _fd
 from ._conv import full_convolve
@@ -165,10 +169,12 @@ class SectorProbe:
     ``angle`` is the sectoriality type being probed: lambda ranges over the
     sector |arg lambda| <= pi - angle.  Entries whose lambda leaves the open
     right half plane (the actual resolvent set) are reported as infinite.
-    Each entry also records ``iterations`` and ``converged``: for the
-    singular-value method the power-iteration steps taken and whether its
-    relative-change stop fired (False: the estimate is the one at the
-    iteration cap); None for the methods without a stopping test.
+    For p = 2 each entry also records the certificate of its value:
+    ``bracket`` (lower and upper end of the norm, from two Sturm counts of
+    the tridiagonal pencil), ``certified`` (both counts agree with the
+    bracket), ``newton_steps`` and ``power_lower``, the independent
+    matrix-free lower bound, which never exceeds the bracket's upper end.
+    All four are None for the entries without that certificate.
     """
 
     variant: str
@@ -187,43 +193,104 @@ class SectorProbe:
             "angle": self.angle, "entries": list(self.entries)})
 
 
-def _op_norm_singular_value(op: HalfLineOperator, lam: complex, grid,
-                            tol: float = 1e-8,
-                            max_iter: int = 400) -> tuple[float, int, bool]:
-    """Largest singular value of lam (lam+A)^{-1} on L^2(w_gamma), as
-    (estimate, iterations, converged).
+# power-iteration steps of the matrix-free lower bound
+_POWER_STEPS = 20
+# relative half width of the certified bracket on sigma^2
+_PENCIL_DELTA = 1e-6
+# cap on the Newton steps of the pencil root (it takes 2-6 on the probed sector)
+_NEWTON_MAX = 50
 
-    Power iteration on the weight-conjugated discrete map; conjugating by the
-    square root of the cell weights makes the L^2(w) norm Euclidean, so the
-    estimate is exact up to iteration tolerance.  ``converged`` is False when
-    the relative change never fell below ``tol`` within ``max_iter`` steps.
+
+def _op_norm_singular_value(op: HalfLineOperator, lam: complex, grid) -> float:
+    """Lower bound for the largest singular value of lam (lam+A)^{-1} on L^2(w_gamma).
+
+    A fixed number of power-iteration steps on the weight-conjugated discrete
+    map; conjugating by the square root of the cell weights makes the
+    L^2(w) norm Euclidean.  Every iterate ||M v|| with ||v|| = 1 is a lower
+    bound, so no convergence test is needed: this is the matrix-free side of
+    the cross-check against ``_pencil_norm``.
     """
     h = grid.h
-    cw = grid.cell_weights(op.gamma)
-    sq = np.sqrt(cw)[:, None]
-
-    def m_apply(x):
-        return lam * (sq * _resolvent_map(op.variant, lam, x / sq, h))
-
-    def mh_apply(x):
-        return np.conj(lam) * (_resolvent_map(op.variant, lam, sq * x, h, adjoint=True) / sq)
-
+    sq = np.sqrt(grid.cell_weights(op.gamma))[:, None]
     rng = np.random.default_rng(1234)
     v = rng.standard_normal((grid.n_points, 1)) + 1j * rng.standard_normal((grid.n_points, 1))
     v /= np.linalg.norm(v)
-    est, prev = 0.0, -1.0
-    for it in range(1, max_iter + 1):
-        w_ = m_apply(v)
+    for _ in range(_POWER_STEPS):
+        w_ = lam * (sq * _resolvent_map(op.variant, lam, v / sq, h))
         est = float(np.linalg.norm(w_))
-        v_new = mh_apply(w_)
-        nrm = np.linalg.norm(v_new)
-        if nrm == 0.0:
-            return 0.0, it, True
-        v = v_new / nrm
-        if abs(est - prev) <= tol * max(est, 1e-300):
-            return est, it, True
-        prev = est
-    return est, max_iter, False
+        v = np.conj(lam) * (_resolvent_map(op.variant, lam, sq * w_, h, adjoint=True) / sq)
+        v /= np.linalg.norm(v)
+    return est
+
+
+def _pencil_norm(op: HalfLineOperator, lam: complex,
+                 grid) -> tuple[list, tuple[float, float], bool]:
+    """sigma_max(M)^2 for M = lam S^{1/2} L^{-1} P R S^{-1/2}, as
+    (Newton iterates, bracket, certified).
+
+    S = diag(cell weights) (reversed for the minus variant), and L, R, P are
+    the factors of ``_resolvent_map``.  sigma_max(M)^2 is the largest
+    eigenvalue of the Hermitian tridiagonal pencil (G, B) with
+    G = |lam|^2 P R S^{-1} R^H P and B = L S^{-1} L^H (positive definite);
+    both are taken here after the congruence by S^{1/2}, which keeps the
+    eigenvalues and the inertia and puts B's diagonal near 1.
+    tau(mu) = lambda_max(G - mu B) is convex and decreasing with its root
+    at sigma_max^2, so Newton from mu = 0 rises monotonically to it; each
+    step takes the top eigenpair of the phase-symmetrized real tridiagonal
+    (same eigenvalues, eigenvector entries rotated by the phases of the
+    off-diagonal) and the slope -v^H B v.  By Sylvester's law of inertia the
+    number of positive eigenvalues of G - mu B counts the pencil
+    eigenvalues above mu, so two Sturm counts certify the bracket
+    mu (1 -+ _PENCIL_DELTA) of the last iterate: at least one above the
+    lower end, none above the upper end.  The certificate is exact for the
+    assembled entries; their rounding moves the root by about eps N^2
+    relative: 4e-9 at N = 4096, well inside the bracket, but near N = 65536
+    it reaches the bracket width and some entries stay uncertified.
+    """
+    E, b0, b1 = _taps(op.variant, lam, grid.h)
+    cw = grid.cell_weights(op.gamma)
+    if op.variant == MINUS:
+        cw = cw[::-1]
+    q = cw[1:] / cw[:-1]
+    rq = np.sqrt(q)
+    lam2 = abs(lam) ** 2
+    g_diag = np.full(cw.size, lam2 * abs(b0) ** 2)
+    g_diag[1:] += lam2 * abs(b1) ** 2 * q
+    g_off = lam2 * b1 * np.conj(b0) * rq  # entries (k, k-1)
+    if op.variant == DIRICHLET:
+        g_diag[0] = 0.0
+        g_off[0] = 0.0
+    b_diag = np.ones(cw.size)
+    b_diag[1:] += abs(E) ** 2 * q
+    b_off = -E * rq
+    top = (cw.size - 1, cw.size - 1)
+
+    def shifted(mu):
+        off = g_off - mu * b_off
+        return g_diag - mu * b_diag, off, np.abs(off)
+
+    def positive_count(mu):
+        d, _, e = shifted(mu)
+        return eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                                select_range=(0.0, np.inf)).size
+
+    mu, iterates = 0.0, [0.0]
+    for _ in range(_NEWTON_MAX):
+        d, off, e = shifted(mu)
+        tau, v = eigh_tridiagonal(d, e, select="i", select_range=top)
+        v = v[:, 0]
+        # the pencil's eigenvector is v_k times the phase of off_1 .. off_k,
+        # so conj(u_k) u_{k-1} = v_k v_{k-1} conj(off_k) / |off_k|
+        phase = np.divide(np.conj(off), e, out=np.ones_like(off), where=e > 0.0)
+        slope = float(b_diag @ (v * v) + 2.0 * np.real(np.sum(v[1:] * v[:-1] * b_off * phase)))
+        step = float(tau[0]) / slope
+        mu += max(step, 0.0)
+        iterates.append(mu)
+        if step <= _PENCIL_DELTA * mu:
+            break
+    bracket = (mu * (1.0 - _PENCIL_DELTA), mu * (1.0 + _PENCIL_DELTA))
+    certified = positive_count(bracket[0]) >= 1 and positive_count(bracket[1]) == 0
+    return iterates, bracket, certified
 
 
 def _op_norm_random_probe(op: HalfLineOperator, lam: complex, grid,
@@ -243,14 +310,28 @@ def _op_norm_random_probe(op: HalfLineOperator, lam: complex, grid,
     return best
 
 
+def _certified_entry(op: HalfLineOperator, lam: complex, grid) -> dict:
+    """The p = 2 entry fields: the pencil value, its certificate and the power bound."""
+    iterates, (lo, hi), certified = _pencil_norm(op, lam, grid)
+    return {"norm_estimate": math.sqrt(iterates[-1]), "method": "singular-value",
+            "bracket": [math.sqrt(lo), math.sqrt(hi)],
+            "newton_steps": len(iterates) - 1,
+            "power_lower": _op_norm_singular_value(op, lam, grid),
+            "certified": certified}
+
+
 def sectoriality_probe(op: HalfLineOperator, grid, angles, radii) -> list[SectorProbe]:
     """Estimate sup ||lam (lam+A)^{-1}|| over lam in the sector of each probed angle.
 
-    For p = 2 the singular-value method is exact (weight-conjugated power
-    iteration); otherwise 200 random probes give a labeled lower bound.
+    For p = 2 each value is the largest singular value of the
+    weight-conjugated discrete map, the root of the tridiagonal pencil of
+    ``_pencil_norm`` inside a certified bracket, with the power-iteration
+    lower bound of ``_op_norm_singular_value`` recorded beside it;
+    otherwise 200 random probes give a labeled lower bound.
     """
     probes = []
     radii = np.asarray(list(radii), dtype=float)
+    no_certificate = dict.fromkeys(("bracket", "newton_steps", "power_lower", "certified"))
     for a in angles:
         if not 0.0 < a < math.pi:
             raise ValueError(f"angle must lie in (0, pi), got {a}")
@@ -260,18 +341,15 @@ def sectoriality_probe(op: HalfLineOperator, grid, angles, radii) -> list[Sector
             for r in radii:
                 for sign in ((1.0,) if phi == 0.0 else (1.0, -1.0)):
                     lam = r * cmath.exp(1j * sign * phi)
-                    iterations = converged = None
                     if lam.real <= 0.0:
-                        est, method = math.inf, "outside-resolvent-set"
+                        fields = {"norm_estimate": math.inf,
+                                  "method": "outside-resolvent-set", **no_certificate}
                     elif op.p == 2.0:
-                        est, iterations, converged = _op_norm_singular_value(op, lam, grid)
-                        method = "singular-value"
+                        fields = _certified_entry(op, lam, grid)
                     else:
-                        est = _op_norm_random_probe(op, lam, grid)
-                        method = "random-probe"
-                    entries.append({"re_lambda": lam.real, "im_lambda": lam.imag,
-                                    "norm_estimate": est, "method": method,
-                                    "iterations": iterations, "converged": converged})
+                        fields = {"norm_estimate": _op_norm_random_probe(op, lam, grid),
+                                  "method": "random-probe", **no_certificate}
+                    entries.append({"re_lambda": lam.real, "im_lambda": lam.imag, **fields})
         probes.append(SectorProbe(op.variant, op.p, op.gamma, a, tuple(entries)))
     return probes
 

@@ -27,7 +27,8 @@ CRITERIA = [
     (8, "hardy-gn",
      "Hardy and interpolation-inequality sups stable; scale invariance 1e-6"),
     (9, "resolvent-sectoriality",
-     "closed-form ODEs 1e-8, residual 1e-6, contraction, probe stable 5%"),
+     "closed-form ODEs 1e-8, residual 1e-6, contraction, probe stable 5%, "
+     "certified, <= sec(phi_max)"),
     (10, "fractional-domains",
      "fractional power vs causal oracle 1e-3; domain-norm bands stable 10%"),
     (11, "integration-by-parts",

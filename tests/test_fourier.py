@@ -267,6 +267,26 @@ class TestSmoothnessNorms:
         top = weighted_lp_norm(spectral_derivative(f, 2), 2.0, W0)
         assert wkp_seminorm(f, 2, 2.0, W0) == pytest.approx(top, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", [FULL_LINE, HALF_LINE])
+    def test_seminorm_equals_the_all_orders_path(self, kind):
+        # the former implementation built every derivative j <= k and read
+        # the last; computing the top order alone gives the same bits
+        from fracspace.halfline import (reflect_extend, restrict_plus,
+                                        solve_reflection_coefficients)
+        g = Grid(40.0, 2048, kind)
+        for f in generate_test_family(g, 11, 3):
+            for k in (1, 2, 3):
+                if kind == FULL_LINE:
+                    restrict, base = (lambda v: v), f
+                else:
+                    restrict = restrict_plus
+                    base = reflect_extend(f, solve_reflection_coefficients(max(1, k)))
+                derivs = [spectral_derivative(base, j) if j else base for j in range(k + 1)]
+                for p, gamma in ((2.0, 0.0), (1.5, -0.5), (3.0, 1.0)):
+                    w = PowerWeight(gamma)
+                    ref = weighted_lp_norm(restrict(derivs[-1]), p, w)
+                    assert np.array_equal(wkp_seminorm(f, k, p, w), ref)
+
 
 class TestSymbolDerivatives:
     def test_finite_difference_fallback_matches_closed_form(self):

@@ -48,6 +48,29 @@ class TestGrid:
             GridFunction(g, vals)
 
 
+class TestPlateau:
+    @pytest.mark.parametrize("edge", [1.0, 2.0], ids=["inner", "outer"])
+    def test_edge_differences_decay_faster_than_c1(self, edge):
+        # a smooth window has 4th differences O(h^4), falling 16x per halving
+        # of h; the ramp exp(1 - 1/(1 - z^2)), whose second derivative jumps
+        # by -2/(outer - inner)^2 at the inner edge, gives O(h^2), i.e. 4x
+        peaks = []
+        for n in (64, 128, 256):
+            x = edge + np.arange(-8, 9) / n  # 17 nodes straddling the edge
+            peaks.append(np.max(np.abs(np.diff(plateau(x, 0.0, 1.0, 2.0), 4))))
+        assert peaks[0] > 0.0
+        assert all(b < a / 16.0 for a, b in zip(peaks, peaks[1:]))
+
+    def test_values(self):
+        x = np.linspace(-3.0, 3.0, 601)
+        w = plateau(x, 0.0, 1.0, 2.0)
+        assert np.all(w[np.abs(x) <= 1.0] == 1.0) and np.all(w[np.abs(x) >= 2.0] == 0.0)
+        assert np.all((w >= 0.0) & (w <= 1.0)) and np.all(np.isfinite(w))
+        assert plateau(np.array([1.5]), 0.0, 1.0, 2.0)[0] == pytest.approx(0.5, abs=1e-15)
+        ramp = (x > 1.0) & (x < 2.0)
+        assert np.all(np.diff(w[ramp]) <= 0.0)
+
+
 class TestWeightedNorm:
     def test_indicator_unit_mass(self):
         # h divides 1 exactly for L = 32, N = 4096

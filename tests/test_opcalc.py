@@ -29,6 +29,7 @@ from fracspace.opcalc import (
     sectoriality_probe,
     _balakrishnan_kernel,
     _op_norm_singular_value,
+    _pencil_norm,
     _resolvent_map,
     _taps,
 )
@@ -223,18 +224,68 @@ class TestResolventRecursionOracle:
         assert np.all(_resolvent_map(DIRICHLET, lam, x, h)[0] == 0.0)
 
 
+def _probed_lambdas(radius_step=1):
+    """The lambdas that ``sectoriality_probe`` visits at the suite's angle
+    (every ``radius_step``-th of its radii)."""
+    return [r * cmath.exp(1j * phi) for r in (4.0 ** k for k in range(-5, 6, radius_step))
+            for phi in (0.0, 0.5 * _PROBED_ARG, -0.5 * _PROBED_ARG, _PROBED_ARG, -_PROBED_ARG)]
+
+
+def _dense_norm(op, lam, g):
+    """sigma_max of lam (lam+A)^{-1} on L^2(w) from the assembled matrix of the map."""
+    sq = np.sqrt(g.cell_weights(op.gamma))[:, None]
+    eye = np.eye(g.n_points, dtype=np.complex128)
+    m = lam * sq * _resolvent_map(op.variant, lam, eye / sq, g.h)
+    return np.linalg.svd(m, compute_uv=False)[0]
+
+
+class TestPencilNorm:
+    @pytest.mark.parametrize("variant", [DIRICHLET, MINUS])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_matches_dense_svd(self, variant, gamma):
+        g = Grid(40.0, 256, HALF_LINE)
+        op = HalfLineOperator(variant, 2.0, gamma)
+        for lam in _probed_lambdas(radius_step=2):
+            iterates, (lo, hi), certified = _pencil_norm(op, lam, g)
+            exact = _dense_norm(op, lam, g)
+            assert certified
+            assert abs(math.sqrt(iterates[-1]) - exact) <= 1e-10 * exact
+            assert math.sqrt(lo) <= exact <= math.sqrt(hi)
+
+    @pytest.mark.parametrize("variant", [DIRICHLET, MINUS])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_newton_iterates_rise_monotonically(self, variant, gamma):
+        g = Grid(40.0, 1024, HALF_LINE)
+        op = HalfLineOperator(variant, 2.0, gamma)
+        for lam in _probed_lambdas():
+            iterates, _, certified = _pencil_norm(op, lam, g)
+            assert certified and iterates[0] == 0.0 and len(iterates) >= 2
+            assert np.all(np.diff(iterates) >= 0.0)
+
+    def test_unconverged_root_is_not_certified(self, monkeypatch):
+        # one Newton step from mu = 0 stops well below the root, so the
+        # upper Sturm count still finds a pencil eigenvalue above the bracket
+        g = Grid(40.0, 1024, HALF_LINE)
+        lam = 4.0 * cmath.exp(0.6j)
+        assert _pencil_norm(OP_D, lam, g)[2]
+        monkeypatch.setattr("fracspace.opcalc._NEWTON_MAX", 1)
+        iterates, _, certified = _pencil_norm(OP_D, lam, g)
+        assert len(iterates) == 2 and not certified
+
+
 class TestSectorialityProbe:
     def test_real_axis_contraction(self):
         g = Grid(40.0, 2048, HALF_LINE)
         for r in (1e-3, 1e-1, 1.0, 1e1, 1e3):
-            est = _op_norm_singular_value(OP_D, complex(r), g)[0]
-            assert est <= 1.0 + 1e-6
+            _, (_, hi), certified = _pencil_norm(OP_D, complex(r), g)
+            assert certified and math.sqrt(hi) <= 1.0 + 1e-6
+            assert _op_norm_singular_value(OP_D, complex(r), g) <= 1.0 + 1e-6
 
     def test_dilation_covariance_unweighted(self):
         g = Grid(40.0, 2048, HALF_LINE)
         for phi in (0.0, 0.6):
-            a = _op_norm_singular_value(OP_D, 2.0 * cmath.exp(1j * phi), g)[0]
-            b = _op_norm_singular_value(OP_D, 4.0 * cmath.exp(1j * phi), g)[0]
+            a = math.sqrt(_pencil_norm(OP_D, 2.0 * cmath.exp(1j * phi), g)[0][-1])
+            b = math.sqrt(_pencil_norm(OP_D, 4.0 * cmath.exp(1j * phi), g)[0][-1])
             assert abs(a - b) <= 0.05 * a
 
     def test_probe_structure_and_methods(self):
@@ -250,31 +301,37 @@ class TestSectorialityProbe:
         assert wide.supremum == math.inf
         assert any(e["method"] == "outside-resolvent-set" for e in wide.entries)
 
-    def test_entries_report_power_iteration_convergence(self):
+    @pytest.mark.parametrize("op", [OP_D, OP_M, HalfLineOperator(DIRICHLET, 2.0, 0.5),
+                                    HalfLineOperator(MINUS, 2.0, 0.5)],
+                             ids=["dirichlet-0", "minus-0", "dirichlet-0.5", "minus-0.5"])
+    def test_entries_report_pencil_certificate(self, op):
         g = Grid(40.0, 1024, HALF_LINE)
-        _, iterations, converged = _op_norm_singular_value(OP_D, 0.25, g)
-        assert converged and 1 < iterations < 400
-        assert _op_norm_singular_value(OP_D, 0.25, g, max_iter=3)[1:] == (3, False)
-        # at |lambda| = 4 the relative-change stop does not fire within the cap
-        probe = sectoriality_probe(OP_D, g, [3 * math.pi / 4], [0.25, 4.0])[0]
-        assert {e["converged"] for e in probe.entries} == {True, False}
+        probe = sectoriality_probe(op, g, [3 * math.pi / 4 - 0.1], [0.25, 4.0, 64.0])[0]
         for e in probe.entries:
             lam_e = complex(e["re_lambda"], e["im_lambda"])
-            est, iterations, converged = _op_norm_singular_value(OP_D, lam_e, g)
-            assert e["norm_estimate"] == pytest.approx(est, rel=1e-12)
-            assert (e["iterations"], e["converged"]) == (iterations, converged)
-            assert e["converged"] or e["iterations"] == 400
-        wide = sectoriality_probe(OP_D, g, [math.pi / 4], [1.0])[0]
+            iterates, (lo, hi), certified = _pencil_norm(op, lam_e, g)
+            # equal up to rounding: numpy's reductions depend on array alignment
+            assert e["norm_estimate"] == pytest.approx(math.sqrt(iterates[-1]), rel=1e-12)
+            assert e["bracket"] == pytest.approx([math.sqrt(lo), math.sqrt(hi)], rel=1e-12)
+            assert e["newton_steps"] == len(iterates) - 1 >= 1
+            assert e["certified"] is certified is True
+            assert e["bracket"][0] <= e["norm_estimate"] <= e["bracket"][1]
+            assert e["power_lower"] == pytest.approx(_op_norm_singular_value(op, lam_e, g),
+                                                     rel=1e-12)
+            assert 0.0 < e["power_lower"] <= e["bracket"][1]
+        wide = sectoriality_probe(op, g, [math.pi / 4], [1.0])[0]
         outside = [e for e in wide.entries if e["method"] == "outside-resolvent-set"]
-        assert outside and all(e["iterations"] is None and e["converged"] is None
-                               for e in outside)
-        assert json.loads(wide.to_json())["entries"][0]["converged"] in (True, False)
+        assert outside and all(
+            e[k] is None for e in outside
+            for k in ("bracket", "newton_steps", "power_lower", "certified"))
+        assert json.loads(wide.to_json())["entries"][0]["certified"] is True
 
     def test_random_probe_label_for_general_p(self):
         g = Grid(40.0, 1024, HALF_LINE)
         op = HalfLineOperator(DIRICHLET, 3.0, 0.0)
         probe = sectoriality_probe(op, g, [3 * math.pi / 4], [1.0])[0]
         assert all(e["method"] == "random-probe" for e in probe.entries)
+        assert all(e["certified"] is None and e["bracket"] is None for e in probe.entries)
         assert 0.0 < probe.supremum < math.inf
 
     def test_weighted_probe_finite(self):
