@@ -1,5 +1,4 @@
-"""Full linear convolution along the first axis by FFT (shared by ``opcalc``
-and ``kernels``).
+"""Full linear convolution along the first axis by FFT (used by ``opcalc``).
 
 The recipe is the one of SciPy's ``fftconvolve``: zero-pad both inputs to
 ``next_fast_len`` of the full length, a real transform pair when both inputs

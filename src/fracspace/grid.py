@@ -10,6 +10,7 @@ singularity of |x|^gamma at the origin never has to be sampled.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -87,10 +88,11 @@ class Grid:
         return self.n_points // 2 if self.kind == FULL_LINE else 0
 
     def frequencies(self) -> np.ndarray:
-        """Angular frequencies xi_k = pi k / L of the discrete transform (full line)."""
+        """Angular frequencies xi_k = pi k / L of the discrete transform (full
+        line); read-only, cached per grid."""
         if self.kind != FULL_LINE:
             raise ValueError("frequencies are defined for full-line grids")
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.h)
+        return _frequencies(self)
 
     def cell_weights(self, gamma: float = 0.0) -> np.ndarray:
         """Closed-form integrals of |x|^gamma over the cells [x_i - h/2, x_i + h/2].
@@ -98,18 +100,12 @@ class Grid:
         Every node owns its full centered cell (also the x = 0 node of a
         half-line grid, whose cell is symmetric about the origin); this makes
         extension by zero an exact isometry between the two grid kinds.
-        Requires gamma > -1 so the weight is locally integrable.
+        Requires gamma > -1 so the weight is locally integrable.  The array
+        is read-only and cached per (grid, gamma).
         """
         if gamma <= -1.0:
             raise AdmissibilityError(f"gamma must exceed -1, got {gamma}")
-        x = self.points
-        lo = x - 0.5 * self.h
-        hi = x + 0.5 * self.h
-        if gamma == 0.0:
-            return np.full_like(x, self.h)
-        g1 = gamma + 1.0
-        anti = lambda t: np.sign(t) * np.abs(t) ** g1 / g1
-        return anti(hi) - anti(lo)
+        return _cell_weights(self, float(gamma))
 
     def companion(self, kind: str) -> "Grid":
         """Grid of the other kind with the same spacing and half width."""
@@ -118,6 +114,26 @@ class Grid:
         if kind == FULL_LINE:
             return Grid(self.half_width, 2 * self.n_points, FULL_LINE)
         return Grid(self.half_width, self.n_points // 2, HALF_LINE)
+
+
+@functools.lru_cache(maxsize=32)
+def _frequencies(grid: Grid) -> np.ndarray:
+    xi = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.h)
+    xi.flags.writeable = False
+    return xi
+
+
+@functools.lru_cache(maxsize=32)
+def _cell_weights(grid: Grid, gamma: float) -> np.ndarray:
+    x = grid.points
+    if gamma == 0.0:
+        cw = np.full_like(x, grid.h)
+    else:
+        g1 = gamma + 1.0
+        anti = lambda t: np.sign(t) * np.abs(t) ** g1 / g1
+        cw = anti(x + 0.5 * grid.h) - anti(x - 0.5 * grid.h)
+    cw.flags.writeable = False
+    return cw
 
 
 @dataclass(frozen=True)

@@ -301,11 +301,6 @@ def factor_norm_upper(f: GridFunction, s: float, p: float, gamma: float,
     return hsp_norm(reflect_extend(f, coeffs), s, p, PowerWeight(gamma))
 
 
-def factor_norm_lower(f: GridFunction, p: float, gamma: float) -> float:
-    """Trivial lower bound: the weighted L^p norm of f on the half line."""
-    return weighted_lp_norm(f, p, PowerWeight(gamma))
-
-
 def gn_check(u: GridFunction, j: int, k: int, p: float, gamma: float) -> float:
     """Interpolation-inequality ratio [u]_j / (||u||^(1-j/k) [u]_k^(j/k)).
 

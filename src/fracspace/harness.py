@@ -16,6 +16,7 @@ import json
 import math
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
@@ -195,13 +196,15 @@ class SuiteConfig:
 
 @dataclass
 class SuiteReport:
-    """Per-case records, refinement table, and wall-clock of one suite run."""
+    """Per-case records, refinement table, wall-clock, and the counts of the
+    RuntimeWarnings the run suppressed (by message) of one suite run."""
 
     suite: str
     config_hash: str
     cases: list = field(default_factory=list)
     refinement: list = field(default_factory=list)
     runtime_s: float = 0.0
+    warnings: dict = field(default_factory=dict)
 
     def add_case(self, params: dict, value, reference, tol: float,
                  passed: bool | None = None) -> bool:
@@ -225,7 +228,7 @@ class SuiteReport:
     def to_dict(self) -> dict:
         return {"suite": self.suite, "config_hash": self.config_hash,
                 "cases": self.cases, "refinement": self.refinement,
-                "runtime_s": self.runtime_s}
+                "runtime_s": self.runtime_s, "warnings": self.warnings}
 
     def write(self, out_dir) -> None:
         out = Path(out_dir)
@@ -346,10 +349,9 @@ def _suite_bessel_kernel(cfg: SuiteConfig, report: SuiteReport) -> None:
                              "sup_ratio": rep.sup_ratio},
                             1.0 if rep.pass_flag else 0.0, 1.0, 0.0,
                             passed=rep.pass_flag)
+        g = kernels.bessel_kernel(s, 1, np.logspace(-6, 1.5, 300))
         report.add_case({"s": s, "what": "positivity on sample mesh"},
-                        float(np.min(kernels.bessel_kernel(s, 1, np.logspace(-6, 1.5, 300)))),
-                        0.0, 0.0, passed=bool(np.all(
-                            kernels.bessel_kernel(s, 1, np.logspace(-6, 1.5, 300)) > 0)))
+                        float(np.min(g)), 0.0, 0.0, passed=bool(np.all(g > 0)))
     # weighted integrability threshold
     for p, gamma in ((2.0, 0.0), (2.0, 0.5), (3.0, 1.0)):
         crit = (1.0 + gamma) / p
@@ -833,14 +835,24 @@ SUITE_KEYS = {
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Execute one named suite and return its report (writing files if asked)."""
+    """Execute one named suite and return its report (writing files if asked).
+
+    RuntimeWarnings are not printed; the report counts every one by message.
+    Warnings of other categories are passed on unchanged.
+    """
     config.validate()
     report = SuiteReport(config.suite, config.hash())
     start = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
         SUITES[config.suite](config, report)
     report.runtime_s = time.perf_counter() - start
+    suppressed = Counter(str(w.message) for w in caught
+                         if issubclass(w.category, RuntimeWarning))
+    report.warnings = dict(sorted(suppressed.items()))
+    for w in caught:
+        if not issubclass(w.category, RuntimeWarning):
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     if config.out_dir:
         report.write(config.out_dir)
     return report

@@ -1,18 +1,26 @@
 """The convolution kernel of (1 - Laplacian)^(-s/2), its envelope bounds, the
 half-line kernel operator with kernel 1/(x + y), and the associated sharp
 constants from the Schur test.
+
+Two operators skip work that cannot change their result.  ``bessel_kernel``
+sums its log-time trapezoid only over the window of nodes whose integrand can
+be nonzero in double precision for some point of the call; every dropped node
+contributes exactly 0.0.  The dense path of ``hardy_hilbert_apply`` takes the
+spectra of its two Hankel kernels from a bounded cache keyed by the number of
+nodes, and sums both correlations before a single inverse transform.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import integrate, special
 
-from ._conv import full_convolve
 from .grid import (
     AdmissibilityError,
     GridFunction,
@@ -23,8 +31,18 @@ from .grid import (
 
 # log-time quadrature for the subordination integral: t = exp(u), trapezoid.
 _U_GRID = np.arange(-80.0, 50.0 + 1e-9, 0.05)
+_EXP_U = np.exp(_U_GRID)
+_EXP_MINUS_U = np.exp(-_U_GRID)
+# exp(x) is exactly 0.0 in double precision for x below about -745.13
+_UNDERFLOW = -746.0
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
+def _exponent(r2: np.ndarray, a: float, sl: slice) -> np.ndarray:
+    """Log-integrand -e^u - (r2/4) e^{-u} + a u at the nodes ``sl``, one row per r2."""
+    return (-_EXP_U[None, sl] - 0.25 * r2[:, None] * _EXP_MINUS_U[None, sl]
+            + a * _U_GRID[None, sl])
 
 
 def bessel_kernel(s: float, d: int, x) -> np.ndarray | float:
@@ -34,6 +52,15 @@ def bessel_kernel(s: float, d: int, x) -> np.ndarray | float:
 
     with C_{s,d} = (4 pi)^{-d/2} / Gamma(s/2) so that the kernel has unit mass
     (the multiplier (1 + |xi|^2)^{-s/2} equals one at frequency zero).
+
+    The integral is the trapezoid rule in u = log t on the nodes ``_U_GRID``,
+    restricted to their live window: the exponent is concave in u and
+    decreasing in |x|, so the nodes where it exceeds ``_UNDERFLOW`` at the
+    smallest nonzero |x| of the call form one interval that holds every
+    nonzero term of every point.  The window keeps one (zero) node beyond
+    each end, so the kept terms and their weights are those of the
+    full-range rule; only the summation grouping differs.  When no node is
+    live the value is exactly 0.0.
     """
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
@@ -51,13 +78,18 @@ def bessel_kernel(s: float, d: int, x) -> np.ndarray | float:
             raise ValueError("the kernel is singular at the origin for s <= d")
         out[zero] = c * special.gamma((s - d) / 2.0)
     if np.any(~zero):
-        u = _U_GRID
-        expo = (-np.exp(u)[None, :]
-                - 0.25 * r2_flat[~zero, None] * np.exp(-u)[None, :]
-                + ((s - d) / 2.0) * u[None, :])
-        vals = np.exp(expo)
-        integral = _trapezoid(vals, dx=u[1] - u[0], axis=1)
-        out[~zero] = c * integral
+        r2_live = r2_flat[~zero]
+        a = (s - d) / 2.0
+        # same expression as the integrand, so rounding keeps it an upper
+        # bound; a NaN bound keeps every node (and the NaN result)
+        bound = _exponent(np.min(r2_live, keepdims=True), a, slice(None))[0]
+        live = np.flatnonzero(~(bound <= _UNDERFLOW))
+        if live.size == 0:
+            out[~zero] = 0.0
+        else:
+            sl = slice(max(live[0] - 1, 0), live[-1] + 2)
+            vals = np.exp(_exponent(r2_live, a, sl))
+            out[~zero] = c * _trapezoid(vals, dx=_U_GRID[1] - _U_GRID[0], axis=1)
     return float(out[0]) if scalar else out.reshape(np.shape(r2))
 
 
@@ -226,15 +258,39 @@ def hardy_hilbert_apply(h: GridFunction, p: float, w: PowerWeight,
         return GridFunction(grid, out)
 
     # dense evaluation: the cell weights depend on x_i + y_j = (i + j) h only,
-    # so both sums are Hankel products, i.e. FFT correlations
-    m = np.arange(2 * n - 1, dtype=float)
+    # so both sums are Hankel products, i.e. correlations; with the data
+    # reversed, out[i] is entry i + n - 2 of the linear convolution
+    kap_hat, mu_hat = _hankel_spectra(n)
+    size = kap_hat.shape[0]
+    spectrum = (kap_hat[:, None] * sp_fft.fft(left[::-1], size, axis=0)
+                + mu_hat[:, None] * sp_fft.fft(slope[::-1], size, axis=0))
+    out = sp_fft.ifft(spectrum, axis=0)[n - 2: 2 * n - 2].copy()
+    if singular_origin:
+        out[0, :] = row(0.5 * hh)
+    return GridFunction(grid, out)
+
+
+@functools.lru_cache(maxsize=8)
+def _hankel_spectra(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Length-``next_fast_len(2n)`` spectra of the Hankel kernels of the dense
+    ``hardy_hilbert_apply`` on n nodes (read-only).
+
+    kap[m] = log(1 + 1/m) and mu[m] = 1 - m kap[m], with kap[0] = 0 and
+    mu[0] = 1 (the x = 0 limits), for m = i + j <= 2n - 3 (node i < n, cell
+    j < n - 1).  Their linear convolution with the n - 1 reversed data
+    samples has entries 0 .. 3n-5, of which n-2 .. 2n-3 are kept.  A
+    circular convolution of length L >= 2n - 2 folds entry k >= L onto
+    k - L <= n - 3, below the kept range, and leaves the kept entries alone,
+    so the 3n - 4 points of the linear convolution are not needed.
+    """
+    m = np.arange(2 * n - 2, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         kap = np.log1p(1.0 / m)
         mu = 1.0 - m * kap
     kap[0] = 0.0
     mu[0] = 1.0
-    out = (full_convolve(kap[:, None], left[::-1])[n - 2: 2 * n - 2]
-           + full_convolve(mu[:, None], slope[::-1])[n - 2: 2 * n - 2])
-    if singular_origin:
-        out[0, :] = row(0.5 * hh)
-    return GridFunction(grid, out)
+    size = sp_fft.next_fast_len(2 * n, real=False)
+    spectra = sp_fft.fft(kap, size), sp_fft.fft(mu, size)
+    for spectrum in spectra:
+        spectrum.flags.writeable = False
+    return spectra

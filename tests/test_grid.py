@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from scipy import integrate
 
+from fracspace import grid as grid_module
 from fracspace.grid import (
     AdmissibilityError,
     FULL_LINE,
@@ -46,6 +47,51 @@ class TestGrid:
         vals[3] = np.nan
         with pytest.raises(ValueError):
             GridFunction(g, vals)
+
+
+class TestCachedTables:
+    """cell_weights and frequencies come from a bounded cache of read-only arrays."""
+
+    @pytest.mark.parametrize("kind", [FULL_LINE, HALF_LINE])
+    @pytest.mark.parametrize("gamma", [0.0, -0.5, 0.3, 1.0, 2.5])
+    def test_cell_weights_equal_fresh_computation(self, kind, gamma):
+        g = Grid(40.0, 1024, kind)
+        x, h = g.points, g.h
+        if gamma == 0.0:
+            fresh = np.full_like(x, h)
+        else:
+            g1 = gamma + 1.0
+            anti = lambda t: np.sign(t) * np.abs(t) ** g1 / g1
+            fresh = anti(x + 0.5 * h) - anti(x - 0.5 * h)
+        cw = g.cell_weights(gamma)
+        assert np.array_equal(cw, fresh)
+        assert not cw.flags.writeable
+        with pytest.raises(ValueError):
+            cw[0] = 1.0
+        hits = grid_module._cell_weights.cache_info().hits
+        again = Grid(40.0, 1024, kind).cell_weights(np.float64(gamma))
+        assert again is cw
+        assert grid_module._cell_weights.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    def test_frequencies_equal_fresh_computation(self, n):
+        g = Grid(40.0, n, FULL_LINE)
+        fresh = 2.0 * np.pi * np.fft.fftfreq(n, d=g.h)
+        xi = g.frequencies()
+        assert np.array_equal(xi, fresh)
+        assert not xi.flags.writeable
+        with pytest.raises(ValueError):
+            xi[0] = 1.0
+        hits = grid_module._frequencies.cache_info().hits
+        assert Grid(40.0, n, FULL_LINE).frequencies() is xi
+        assert grid_module._frequencies.cache_info().hits == hits + 1
+
+    def test_rejections_still_raise(self):
+        g = Grid(40.0, 1024, FULL_LINE)
+        with pytest.raises(AdmissibilityError):
+            g.cell_weights(-1.0)
+        with pytest.raises(ValueError):
+            Grid(40.0, 1024, HALF_LINE).frequencies()
 
 
 class TestPlateau:

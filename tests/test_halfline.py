@@ -22,7 +22,6 @@ from fracspace.halfline import (
     TraceVector,
     coextend,
     critical_line_distance,
-    factor_norm_lower,
     factor_norm_upper,
     gn_check,
     hardy_embedding_check,
@@ -450,7 +449,7 @@ class TestFactorNorm:
         g = Grid(40.0, 2048, HALF_LINE)
         for f in generate_test_family(g, 43, 5):
             up = factor_norm_upper(f, 0.0, 2.0, 0.2)
-            lo = factor_norm_lower(f, 2.0, 0.2)
+            lo = weighted_lp_norm(f, 2.0, PowerWeight(0.2))
             assert up >= lo - 1e-10
 
     def test_refinement_stability(self):

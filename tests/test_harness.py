@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ class TestReports:
         assert report.passed
         rec = json.loads((tmp_path / "c-sigma.json").read_text())
         assert set(rec) == {"suite", "config_hash", "cases", "refinement",
-                            "runtime_s"}
+                            "runtime_s", "warnings"}
         for case in rec["cases"]:
             assert set(case) == {"params", "value", "reference", "tol", "pass"}
         lines = (tmp_path / "c-sigma_refinement.csv").read_text().strip().splitlines()
@@ -170,6 +171,28 @@ class TestReports:
         assert ref_rows[0] == ["N", "value", "stability_ratio"]
         assert [len(r) for r in ref_rows] == [3, 3, 3, 3]
         assert float(ref_rows[-1][2]) == 0.5
+
+    def test_runtime_warnings_counted_not_printed(self, tmp_path, monkeypatch):
+        def warning_suite(cfg, report):
+            for _ in range(3):
+                warnings.warn("demo periodization", RuntimeWarning)
+            with np.errstate(divide="warn"):
+                np.log(np.zeros(2))
+            warnings.warn("demo user warning", UserWarning)
+            report.add_case({"what": "ran"}, 0.0, 0.0, 0.0)
+
+        monkeypatch.setitem(SUITES, "warning-demo", warning_suite)
+        monkeypatch.setitem(SUITE_KEYS, "warning-demo", ((), ()))
+        cfg = SuiteConfig(suite="warning-demo", out_dir=str(tmp_path))
+        with warnings.catch_warnings(record=True) as outer:
+            warnings.simplefilter("always")
+            report = run_suite(cfg)
+        expected = {"demo periodization": 3, "divide by zero encountered in log": 1}
+        assert report.warnings == expected
+        assert json.loads((tmp_path / "warning-demo.json").read_text())["warnings"] == expected
+        assert [str(w.message) for w in outer] == ["demo user warning"]
+        header = (tmp_path / "warning-demo.csv").read_text().splitlines()[0]
+        assert header == "params,value,reference,tol,pass"
 
     def test_every_registered_suite_exists(self):
         assert len(SUITES) == 11

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import fft as sp_fft
+from scipy import integrate, special
 
+from fracspace import kernels
 from fracspace.grid import (
     AdmissibilityError,
     Grid,
@@ -59,6 +61,55 @@ class TestBesselKernel:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             bessel_kernel(-1.0, 1, 1.0)
+
+
+def _full_range_trapezoid(s, x):
+    """The subordination trapezoid over every node of u in [-80, 50] (d = 1)."""
+    u = np.arange(-80.0, 50.0 + 1e-9, 0.05)
+    r2 = np.atleast_1d(np.asarray(x, dtype=float)) ** 2
+    expo = (-np.exp(u)[None, :] - 0.25 * r2[:, None] * np.exp(-u)[None, :]
+            + ((s - 1.0) / 2.0) * u[None, :])
+    c = (4.0 * math.pi) ** -0.5 / special.gamma(s / 2.0)
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    return c * trapezoid(np.exp(expo), dx=u[1] - u[0], axis=1)
+
+
+class TestBesselKernelWindow:
+    """The live-window trapezoid equals the full-range one."""
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("x", [
+        np.logspace(-6, math.log10(2.0), 400),
+        np.linspace(2.0, 40.0, 400),
+        np.linspace(700.0, 800.0, 101),   # the last nodes underflow here
+    ])
+    def test_matches_full_range_trapezoid(self, s, x):
+        got = bessel_kernel(s, 1, x)
+        ref = _full_range_trapezoid(s, x)
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 2.0, 2.5])
+    def test_scalar_matches_full_range_trapezoid(self, s):
+        got = bessel_kernel(s, 1, 0.7)
+        assert isinstance(got, float)
+        assert got == pytest.approx(_full_range_trapezoid(s, 0.7)[0], rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("s", [0.3, 1.0, 2.5])
+    def test_total_underflow_is_exact_zero(self, s):
+        assert _full_range_trapezoid(s, 2000.0)[0] == 0.0
+        assert bessel_kernel(s, 1, 2000.0) == 0.0
+        out = bessel_kernel(s, 1, np.array([2000.0, 5000.0]))
+        assert out.tolist() == [0.0, 0.0]
+
+    def test_mixed_mesh_keeps_small_and_large_points(self):
+        x = np.array([1e-6, 1.0, 40.0, 2000.0])
+        got = bessel_kernel(0.5, 1, x)
+        ref = _full_range_trapezoid(0.5, x)
+        assert got[-1] == 0.0
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+    def test_nan_propagates(self):
+        assert math.isnan(bessel_kernel(1.0, 1, math.nan))
 
 
 class TestKernelBounds:
@@ -169,3 +220,32 @@ class TestHardyHilbert:
                                   2.0, w)
         rhs = 2.0 * hardy_hilbert_apply(a, 2.0, w) - 3.0 * hardy_hilbert_apply(b, 2.0, w)
         assert np.max(np.abs(lhs.values - rhs.values)) < 1e-10 * np.max(np.abs(lhs.values))
+
+    @pytest.mark.parametrize("n", [16, 1024, 4096])
+    @pytest.mark.parametrize("origin", ["zero", "nonzero"])
+    def test_dense_path_matches_node_path(self, n, origin):
+        # the node path evaluates every row directly; the dense path takes
+        # circular correlations of length next_fast_len(2n), so an aliased
+        # output would show here
+        g = Grid(40.0, n, HALF_LINE)
+        t = g.points
+        rng = np.random.default_rng(n)
+        c = 0.0 if origin == "nonzero" else rng.uniform(5.0, 20.0)
+        vals = (np.exp(-((t - c) / 3.0) ** 2)
+                + 1j * np.exp(-((t - rng.uniform(5.0, 20.0)) / 5.0) ** 2)
+                * (1.0 + 0.5 * np.cos(t)))
+        if origin == "zero":
+            vals[0] = 0.0
+        h = GridFunction(g, vals)
+        assert (h.values[0, 0] != 0.0) == (origin == "nonzero")
+        w = PowerWeight(0.0)
+        dense = hardy_hilbert_apply(h, 2.0, w).values
+        direct = hardy_hilbert_apply(h, 2.0, w, nodes=np.arange(n)).values
+        assert np.all(np.abs(dense - direct) <= 1e-12 * np.abs(direct))
+
+    def test_cached_spectra_are_read_only_and_short(self):
+        kap_hat, mu_hat = kernels._hankel_spectra(1024)
+        for spectrum in (kap_hat, mu_hat):
+            assert spectrum.shape == (sp_fft.next_fast_len(2048, real=False),)
+            assert not spectrum.flags.writeable
+        assert kernels._hankel_spectra(1024)[0] is kap_hat
