@@ -13,99 +13,90 @@ reported as one line on stderr.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
-import numpy as np
-
-from .grid import Grid, GridFunction, PowerWeight, mollify
+from .grid import GridFunction, PowerWeight, mollify
 from . import fourier, halfline, kernels, opcalc, singular
 from .harness import ConfigError, SUITES, SuiteConfig, run_suite
 
 
-def _op_bessel(f, params):
-    return fourier.bessel_potential(f, float(params["s"]))
+def _op_bessel(f, s):
+    return fourier.bessel_potential(f, float(s))
 
 
-def _op_frac_spectral(f, params):
-    return fourier.fractional_laplacian_spectral(f, float(params["sigma"]))
+def _op_frac_spectral(f, sigma):
+    return fourier.fractional_laplacian_spectral(f, float(sigma))
 
 
-def _op_frac_singular(f, params):
-    return singular.fractional_laplacian_singular(f, float(params["sigma"]))
+def _op_frac_singular(f, sigma):
+    return singular.fractional_laplacian_singular(f, float(sigma))
 
 
-def _op_mollify(f, params):
-    return mollify(f, int(params["scale"]), params.get("profile", "bump"))
+def _op_mollify(f, scale, profile="bump"):
+    return mollify(f, int(scale), profile)
 
 
-def _op_multiplier_derivative(f, params):
-    return fourier.spectral_derivative(f, int(params.get("order", 1)))
+def _op_derivative(f, order=1):
+    return fourier.spectral_derivative(f, int(order))
 
 
-def _op_reflect_extend(f, params):
-    coeffs = halfline.solve_reflection_coefficients(int(params.get("m", 1)))
-    return halfline.reflect_extend(f, coeffs)
+def _op_reflect_extend(f, m=1):
+    return halfline.reflect_extend(f, halfline.solve_reflection_coefficients(int(m)))
 
 
-def _op_reflect_extend_dual(f, params):
-    coeffs = halfline.solve_reflection_coefficients(int(params.get("m", 1)))
-    return halfline.reflect_extend_dual(f, coeffs)
+def _op_reflect_extend_dual(f, m=1):
+    return halfline.reflect_extend_dual(f, halfline.solve_reflection_coefficients(int(m)))
 
 
-def _op_support_projection(f, params):
-    coeffs = halfline.solve_reflection_coefficients(int(params.get("m", 1)))
-    return halfline.support_projection(f, coeffs)
+def _op_support_projection(f, m=1):
+    return halfline.support_projection(f, halfline.solve_reflection_coefficients(int(m)))
 
 
-def _op_project_h0(f, params):
-    return halfline.project_H0(f, int(params.get("k", 0)))
+def _op_project_h0(f, k=0):
+    return halfline.project_H0(f, int(k))
 
 
-def _op_hardy_hilbert(f, params):
-    return kernels.hardy_hilbert_apply(f, float(params.get("p", 2.0)),
-                                       PowerWeight(float(params.get("gamma", 0.0))))
+def _op_hardy_hilbert(f, p=2.0, gamma=0.0):
+    return kernels.hardy_hilbert_apply(f, float(p), PowerWeight(float(gamma)))
 
 
-def _op_resolvent(f, params):
-    op = opcalc.HalfLineOperator(params.get("variant", opcalc.DIRICHLET),
-                                 float(params.get("p", 2.0)),
-                                 float(params.get("gamma", 0.0)))
-    lam = complex(float(params.get("re_lambda", 1.0)),
-                  float(params.get("im_lambda", 0.0)))
-    return opcalc.resolvent(op, lam, f)
+def _op_resolvent(f, variant=opcalc.DIRICHLET, p=2.0, gamma=0.0,
+                  re_lambda=1.0, im_lambda=0.0):
+    op = opcalc.HalfLineOperator(variant, float(p), float(gamma))
+    return opcalc.resolvent(op, complex(float(re_lambda), float(im_lambda)), f)
 
 
-def _op_fractional_power(f, params):
-    op = opcalc.HalfLineOperator(params.get("variant", opcalc.DIRICHLET),
-                                 float(params.get("p", 2.0)),
-                                 float(params.get("gamma", 0.0)))
-    return opcalc.fractional_power(op, float(params["theta"]), f)
+def _op_fractional_power(f, theta, variant=opcalc.DIRICHLET, p=2.0, gamma=0.0):
+    op = opcalc.HalfLineOperator(variant, float(p), float(gamma))
+    return opcalc.fractional_power(op, float(theta), f)
 
 
-def _op_riemann_liouville(f, params):
-    return opcalc.riemann_liouville(f, float(params["theta"]))
+def _op_riemann_liouville(f, theta):
+    return opcalc.riemann_liouville(f, float(theta))
 
 
-# operator -> (function, the --params keys it reads)
+# operator -> function of the input; its keyword parameters are the
+# operator's --params keys, with their defaults
 APPLY_OPS = {
-    "bessel-potential": (_op_bessel, ("s",)),
-    "frac-laplacian-spectral": (_op_frac_spectral, ("sigma",)),
-    "frac-laplacian-singular": (_op_frac_singular, ("sigma",)),
-    "mollify": (_op_mollify, ("scale", "profile")),
-    "derivative": (_op_multiplier_derivative, ("order",)),
-    "zero-extend": (lambda f, p: halfline.zero_extend(f), ()),
-    "restrict-plus": (lambda f, p: halfline.restrict_plus(f), ()),
-    "restrict-minus": (lambda f, p: halfline.restrict_minus(f), ()),
-    "indicator-multiply": (lambda f, p: halfline.indicator_multiply(f), ()),
-    "reflect-extend": (_op_reflect_extend, ("m",)),
-    "reflect-extend-dual": (_op_reflect_extend_dual, ("m",)),
-    "support-projection": (_op_support_projection, ("m",)),
-    "project-h0": (_op_project_h0, ("k",)),
-    "hardy-hilbert": (_op_hardy_hilbert, ("p", "gamma")),
-    "resolvent": (_op_resolvent, ("variant", "p", "gamma", "re_lambda", "im_lambda")),
-    "fractional-power": (_op_fractional_power, ("variant", "p", "gamma", "theta")),
-    "riemann-liouville": (_op_riemann_liouville, ("theta",)),
+    "bessel-potential": _op_bessel,
+    "frac-laplacian-spectral": _op_frac_spectral,
+    "frac-laplacian-singular": _op_frac_singular,
+    "mollify": _op_mollify,
+    "derivative": _op_derivative,
+    "zero-extend": halfline.zero_extend,
+    "restrict-plus": halfline.restrict_plus,
+    "restrict-minus": halfline.restrict_minus,
+    "indicator-multiply": halfline.indicator_multiply,
+    "reflect-extend": _op_reflect_extend,
+    "reflect-extend-dual": _op_reflect_extend_dual,
+    "support-projection": _op_support_projection,
+    "project-h0": _op_project_h0,
+    "hardy-hilbert": _op_hardy_hilbert,
+    "resolvent": _op_resolvent,
+    "fractional-power": _op_fractional_power,
+    "riemann-liouville": _op_riemann_liouville,
 }
 
 
@@ -168,14 +159,18 @@ def _apply(args) -> int:
         params = json.loads(args.params)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad --params JSON: {exc}") from None
-    func, keys = APPLY_OPS[args.op]
     if not isinstance(params, dict):
         raise ValueError(f"--params must be a JSON object, got {args.params!r}")
-    unread = sorted(set(params) - set(keys))
-    if unread:
-        raise ValueError(f"{args.op} reads no parameters {unread}; it reads {sorted(keys)}")
+    func = APPLY_OPS[args.op]
+    signature = inspect.signature(func)
+    try:
+        signature.bind(None, **params)
+    except TypeError:
+        keys = ", ".join(str(k) for k in list(signature.parameters.values())[1:])
+        raise ValueError(f"{args.op} takes --params ({keys}), "
+                         f"got {sorted(params)}") from None
     f = GridFunction.from_csv(args.inp)
-    func(f, params).to_csv(args.outp)
+    func(f, **params).to_csv(args.outp)
     return 0
 
 
@@ -198,8 +193,7 @@ def main(argv=None) -> int:
         names = list(SUITES) if args.suite == "all" else [args.suite]
         configs = [_make_config(name, args) for name in names]
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        detail = f"missing parameter {exc}" if isinstance(exc, KeyError) else exc
-        print(f"fracspace {args.command}: {detail}", file=sys.stderr)
+        print(f"fracspace {args.command}: {exc}", file=sys.stderr)
         return 2
     return _run(configs)
 

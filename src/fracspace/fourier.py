@@ -17,8 +17,6 @@ import numpy as np
 
 from .grid import (
     FULL_LINE,
-    HALF_LINE,
-    Grid,
     GridFunction,
     PowerWeight,
     warn_if_boundary_heavy,
@@ -30,9 +28,9 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class Symbol:
-    """A scalar multiplier xi -> C with optional closed-form derivatives.
+    """A scalar multiplier xi -> C with an optional closed-form first derivative.
 
-    ``eval`` must accept numpy arrays.  Missing derivatives are filled in by
+    ``eval`` must accept numpy arrays.  Other derivatives are filled in by
     central differences whose step is balanced per order against roundoff
     (relative step eps^(1/(k+2))), which keeps all orders accurate uniformly
     over a logarithmic frequency mesh.
@@ -40,19 +38,16 @@ class Symbol:
 
     eval: Callable[[np.ndarray], np.ndarray]
     d1: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    d2: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    d3: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         return np.asarray(self.eval(xi))
 
     def derivative(self, xi: np.ndarray, order: int) -> np.ndarray:
-        """k-th derivative, preferring closed forms over finite differences."""
+        """k-th derivative, preferring the closed form over finite differences."""
         if order == 0:
             return self(xi)
-        closed = {1: self.d1, 2: self.d2, 3: self.d3}.get(order)
-        if closed is not None:
-            return np.asarray(closed(xi))
+        if order == 1 and self.d1 is not None:
+            return np.asarray(self.d1(xi))
         return self._fd_derivative(xi, order)
 
     def _fd_derivative(self, xi: np.ndarray, order: int) -> np.ndarray:

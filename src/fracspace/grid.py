@@ -240,7 +240,7 @@ class GridFunction:
     def from_csv(cls, path) -> "GridFunction":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             rows = [[float(entry) for entry in row] for row in reader if row]
         if not header or header[0] != "x" or (len(header) - 1) % 2 != 0:
             raise ValueError(f"malformed grid-function CSV header: {header}")

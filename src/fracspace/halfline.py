@@ -32,7 +32,7 @@ from .grid import (
     warn_if_boundary_heavy,
     weighted_lp_norm,
 )
-from .fourier import hsp_norm, spectral_derivative, wkp_norm, wkp_seminorm
+from .fourier import hsp_norm, wkp_seminorm
 
 
 @dataclass(frozen=True)

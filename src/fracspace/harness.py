@@ -29,7 +29,6 @@ from .grid import (
     GridFunction,
     HALF_LINE,
     PowerWeight,
-    ap_constant,
     dual_exponent,
     dual_pairing,
     mollify,
@@ -117,7 +116,9 @@ _ALL_N = (1024, 2048, 4096)
 
 @dataclass
 class SuiteConfig:
-    """Grid sizes, sweeps, seed, and tolerances of one verification suite."""
+    """Grid sizes, seed, and the sweeps and tolerances of one verification
+    suite; ``sweeps`` and ``tolerances`` override the suite's defaults in
+    ``SUITES`` key by key."""
 
     suite: str
     half_width: float = 40.0
@@ -150,9 +151,9 @@ class SuiteConfig:
         for n in self.n_list:
             if n < 16 or (n & (n - 1)):
                 raise ConfigError(f"grid size {n} is not a power of two >= 16")
-        sweep_keys, tolerance_keys = SUITE_KEYS[self.suite]
-        for kind, given, read in (("sweep", self.sweeps, sweep_keys),
-                                  ("tolerance", self.tolerances, tolerance_keys)):
+        _, sweeps, tolerances = SUITES[self.suite]
+        for kind, given, read in (("sweep", self.sweeps, sweeps),
+                                  ("tolerance", self.tolerances, tolerances)):
             unread = sorted(set(given) - set(read))
             if unread:
                 raise ConfigError(f"suite {self.suite} reads no {kind} keys {unread}; "
@@ -168,13 +169,13 @@ class SuiteConfig:
         that no suite reads stay, so ``validate`` still rejects them.
         """
         def narrow(given: dict, column: int) -> dict:
-            read_here = SUITE_KEYS[self.suite][column]
-            read_anywhere = {k for keys in SUITE_KEYS.values() for k in keys[column]}
+            read_here = SUITES[self.suite][column]
+            read_anywhere = {k for entry in SUITES.values() for k in entry[column]}
             return {k: v for k, v in given.items()
                     if k in read_here or k not in read_anywhere}
 
-        return replace(self, sweeps=narrow(self.sweeps, 0),
-                       tolerances=narrow(self.tolerances, 1))
+        return replace(self, sweeps=narrow(self.sweeps, 1),
+                       tolerances=narrow(self.tolerances, 2))
 
     @staticmethod
     def _check_triple(key, entry) -> None:
@@ -283,8 +284,8 @@ def _stable(values, rtol: float) -> bool:
 
 
 def _suite_frac_laplacian(cfg: SuiteConfig, report: SuiteReport) -> None:
-    sigmas = cfg.sweeps.get("sigma", (0.3, 0.5, 0.7))
-    tol = cfg.tolerances.get("rel_l2", 1e-3)
+    sigmas = cfg.sweeps["sigma"]
+    tol = cfg.tolerances["rel_l2"]
     w0 = PowerWeight(0.0)
     worst_by_n = []
     for n in cfg.n_list:
@@ -312,9 +313,9 @@ def _suite_frac_laplacian(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_c_sigma(cfg: SuiteConfig, report: SuiteReport) -> None:
-    sigmas = cfg.sweeps.get("sigma", tuple(round(0.1 * k, 1) for k in range(1, 10)))
-    tol_h = cfg.tolerances.get("homogeneity", 1e-6)
-    tol_o = cfg.tolerances.get("oracle", 1e-8)
+    sigmas = cfg.sweeps["sigma"]
+    tol_h = cfg.tolerances["homogeneity"]
+    tol_o = cfg.tolerances["oracle"]
     for sigma in sigmas:
         c = singular.c_sigma(sigma)
         report.add_case({"sigma": sigma, "what": "c < 0"}, c, 0.0, 0.0,
@@ -333,7 +334,7 @@ def _suite_c_sigma(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_bessel_kernel(cfg: SuiteConfig, report: SuiteReport) -> None:
-    tol = cfg.tolerances.get("kernel", 1e-6)
+    tol = cfg.tolerances["kernel"]
     xs = np.linspace(0.1, 10.0, 199)
     g2 = kernels.bessel_kernel(2.0, 1, xs)
     report.add_case({"what": "G_2 = exp(-|x|)/2 on [0.1, 10]"},
@@ -370,11 +371,8 @@ def _suite_bessel_kernel(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_schur(cfg: SuiteConfig, report: SuiteReport) -> None:
-    tol = cfg.tolerances.get("closed_form", 1e-8)
-    pairs = cfg.sweeps.get("p_beta", (
-        (2.0, -0.3), (2.0, -0.1), (2.0, 0.0), (2.0, 0.2), (2.0, 0.45),
-        (1.5, -0.2), (1.5, 0.2), (2.5, 0.1), (3.0, -0.25), (4.0, 0.1)))
-    for p, beta in pairs:
+    tol = cfg.tolerances["closed_form"]
+    for p, beta in cfg.sweeps["p_beta"]:
         val = kernels.schur_constant(p, beta)
         report.add_case({"p": p, "beta": beta, "what": "quadrature vs closed form"},
                         val, kernels.schur_closed_form(p, beta), tol)
@@ -415,7 +413,7 @@ def _suite_reflection(cfg: SuiteConfig, report: SuiteReport) -> None:
     c0 = halfline.solve_reflection_coefficients(0)
     report.add_case({"what": "m=0 coefficients"}, list(c0.bs), [3.0, -2.0], 0.0,
                     passed=c0.bs == (3.0, -2.0))
-    tol_poly = cfg.tolerances.get("poly", 1e-9)
+    tol_poly = cfg.tolerances["poly"]
     grid = Grid(cfg.half_width, 8192, HALF_LINE)
     t = grid.points
     for m in (0, 1, 2):
@@ -443,7 +441,7 @@ def _suite_reflection(cfg: SuiteConfig, report: SuiteReport) -> None:
     report.add_case({"what": "extension of zero"},
                     float(np.max(np.abs(ez.values))), 0.0, 0.0)
     # duality, with refinement
-    tol_dual = cfg.tolerances.get("duality", 1e-8)
+    tol_dual = cfg.tolerances["duality"]
     errs_by_n = []
     for n in cfg.n_list:
         gfull = Grid(cfg.half_width, n, FULL_LINE)
@@ -464,7 +462,7 @@ def _suite_reflection(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_traces(cfg: SuiteConfig, report: SuiteReport) -> None:
-    tol = cfg.tolerances.get("trace", 1e-8)
+    tol = cfg.tolerances["trace"]
     grid = Grid(cfg.half_width, 4096, FULL_LINE)
     x = grid.points
     win = plateau(x, 0.0, 3.0, 9.0)
@@ -522,18 +520,9 @@ def _suite_traces(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_pointwise_multiplier(cfg: SuiteConfig, report: SuiteReport) -> None:
-    stab = cfg.tolerances.get("stability", 0.10)
-    tol_comm = cfg.tolerances.get("commutation", 1e-6)
-    spg = cfg.sweeps.get("spg")
-    if spg is None:
-        spg = []
-        for p, gamma in ((2.0, 0.0), (2.0, 0.5), (3.0, 1.0)):
-            gd = -gamma / (p - 1.0)
-            pd = dual_exponent(p)
-            lo = -(gd + 1.0) / pd + 0.05
-            hi = (gamma + 1.0) / p - 0.05
-            for s in (lo + 0.05, 0.5 * (lo + hi), hi - 0.05):
-                spg.append((round(s, 3), p, gamma))
+    stab = cfg.tolerances["stability"]
+    tol_comm = cfg.tolerances["commutation"]
+    spg = cfg.sweeps["spg"]
     sups = {}
     for n in cfg.n_list:
         grid = Grid(cfg.half_width, n, FULL_LINE)
@@ -578,8 +567,8 @@ def _suite_pointwise_multiplier(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
-    stab = cfg.tolerances.get("stability", 0.10)
-    tol_scale = cfg.tolerances.get("scale_invariance", 1e-6)
+    stab = cfg.tolerances["stability"]
+    tol_scale = cfg.tolerances["scale_invariance"]
     # Hardy embedding ratio
     sups = []
     for n in cfg.n_list:
@@ -635,8 +624,8 @@ def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
-    tol_ode = cfg.tolerances.get("ode", 1e-8)
-    tol_res = cfg.tolerances.get("residual", 1e-6)
+    tol_ode = cfg.tolerances["ode"]
+    tol_res = cfg.tolerances["residual"]
     w0 = PowerWeight(0.0)
     op = opcalc.HalfLineOperator(opcalc.DIRICHLET, 2.0, 0.0)
     opm = opcalc.HalfLineOperator(opcalc.MINUS, 2.0, 0.0)
@@ -728,8 +717,8 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_fractional_domains(cfg: SuiteConfig, report: SuiteReport) -> None:
-    tol_rl = cfg.tolerances.get("rl_match", 1e-3)
-    stab = cfg.tolerances.get("stability", 0.10)
+    tol_rl = cfg.tolerances["rl_match"]
+    stab = cfg.tolerances["stability"]
     w0 = PowerWeight(0.0)
     op0 = opcalc.HalfLineOperator(opcalc.DIRICHLET, 2.0, 0.0)
     grid = Grid(cfg.half_width, cfg.n_list[-1], HALF_LINE)
@@ -745,9 +734,7 @@ def _suite_fractional_domains(cfg: SuiteConfig, report: SuiteReport) -> None:
                          "what": "fractional power vs causal-derivative oracle"},
                         sup, 0.0, tol_rl)
     # domain-norm ratio bands
-    for p, gamma, theta in cfg.sweeps.get("pgt", ((2.0, 0.0, 0.5),
-                                                  (2.0, 0.5, 0.3),
-                                                  (2.0, 0.5, 0.7))):
+    for p, gamma, theta in cfg.sweeps["pgt"]:
         op = opcalc.HalfLineOperator(opcalc.DIRICHLET, p, gamma)
         cs = []
         for n in cfg.n_list:
@@ -778,8 +765,8 @@ def _suite_fractional_domains(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_integration_by_parts(cfg: SuiteConfig, report: SuiteReport) -> None:
-    tol = cfg.tolerances.get("closed_form", 1e-8)
-    tol_rand = cfg.tolerances.get("random", 1e-7)
+    tol = cfg.tolerances["closed_form"]
+    tol_rand = cfg.tolerances["random"]
     grid = Grid(cfg.half_width, 4096, HALF_LINE)
     t = grid.points
     u = GridFunction(grid, np.exp(-t))
@@ -803,34 +790,44 @@ def _suite_integration_by_parts(cfg: SuiteConfig, report: SuiteReport) -> None:
         report.add_refinement(n, opcalc.integration_by_parts_check(ug, ug))
 
 
-SUITES = {
-    "frac-laplacian-xcheck": _suite_frac_laplacian,
-    "c-sigma": _suite_c_sigma,
-    "bessel-kernel": _suite_bessel_kernel,
-    "schur-constants": _suite_schur,
-    "reflection-extension": _suite_reflection,
-    "traces": _suite_traces,
-    "pointwise-multiplier": _suite_pointwise_multiplier,
-    "hardy-gn": _suite_hardy_gn,
-    "resolvent-sectoriality": _suite_resolvent,
-    "fractional-domains": _suite_fractional_domains,
-    "integration-by-parts": _suite_integration_by_parts,
-}
+def _multiplier_triples() -> tuple:
+    """Default (s, p, gamma) of ``pointwise-multiplier``: per (p, gamma), the
+    midpoint and the points 0.1 inside either end of -(gd + 1)/p' < s <
+    (gamma + 1)/p, with gd = -gamma/(p - 1) the dual weight."""
+    triples = []
+    for p, gamma in ((2.0, 0.0), (2.0, 0.5), (3.0, 1.0)):
+        gd = -gamma / (p - 1.0)
+        pd = dual_exponent(p)
+        lo = -(gd + 1.0) / pd + 0.05
+        hi = (gamma + 1.0) / p - 0.05
+        for s in (lo + 0.05, 0.5 * (lo + hi), hi - 0.05):
+            triples.append((round(s, 3), p, gamma))
+    return tuple(triples)
 
-# (sweep keys, tolerance keys) that each suite reads through cfg.sweeps.get
-# and cfg.tolerances.get; SuiteConfig.validate rejects every other key
-SUITE_KEYS = {
-    "frac-laplacian-xcheck": (("sigma",), ("rel_l2",)),
-    "c-sigma": (("sigma",), ("homogeneity", "oracle")),
-    "bessel-kernel": ((), ("kernel",)),
-    "schur-constants": (("p_beta",), ("closed_form",)),
-    "reflection-extension": ((), ("poly", "duality")),
-    "traces": ((), ("trace",)),
-    "pointwise-multiplier": (("spg",), ("stability", "commutation")),
-    "hardy-gn": ((), ("stability", "scale_invariance")),
-    "resolvent-sectoriality": ((), ("ode", "residual")),
-    "fractional-domains": (("pgt",), ("rl_match", "stability")),
-    "integration-by-parts": ((), ("closed_form", "random")),
+
+# name -> (suite, default sweeps, default tolerances); a config may set only
+# these keys, and run_suite hands the suite the defaults updated by them
+SUITES = {
+    "frac-laplacian-xcheck": (_suite_frac_laplacian, {"sigma": (0.3, 0.5, 0.7)},
+                              {"rel_l2": 1e-3}),
+    "c-sigma": (_suite_c_sigma, {"sigma": tuple(round(0.1 * k, 1) for k in range(1, 10))},
+                {"homogeneity": 1e-6, "oracle": 1e-8}),
+    "bessel-kernel": (_suite_bessel_kernel, {}, {"kernel": 1e-6}),
+    "schur-constants": (_suite_schur, {"p_beta": (
+        (2.0, -0.3), (2.0, -0.1), (2.0, 0.0), (2.0, 0.2), (2.0, 0.45),
+        (1.5, -0.2), (1.5, 0.2), (2.5, 0.1), (3.0, -0.25), (4.0, 0.1))},
+                        {"closed_form": 1e-8}),
+    "reflection-extension": (_suite_reflection, {}, {"poly": 1e-9, "duality": 1e-8}),
+    "traces": (_suite_traces, {}, {"trace": 1e-8}),
+    "pointwise-multiplier": (_suite_pointwise_multiplier, {"spg": _multiplier_triples()},
+                             {"stability": 0.10, "commutation": 1e-6}),
+    "hardy-gn": (_suite_hardy_gn, {}, {"stability": 0.10, "scale_invariance": 1e-6}),
+    "resolvent-sectoriality": (_suite_resolvent, {}, {"ode": 1e-8, "residual": 1e-6}),
+    "fractional-domains": (_suite_fractional_domains,
+                           {"pgt": ((2.0, 0.0, 0.5), (2.0, 0.5, 0.3), (2.0, 0.5, 0.7))},
+                           {"rl_match": 1e-3, "stability": 0.10}),
+    "integration-by-parts": (_suite_integration_by_parts, {},
+                             {"closed_form": 1e-8, "random": 1e-7}),
 }
 
 
@@ -842,10 +839,13 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     """
     config.validate()
     report = SuiteReport(config.suite, config.hash())
+    suite, sweeps, tolerances = SUITES[config.suite]
+    merged = replace(config, sweeps={**sweeps, **config.sweeps},
+                     tolerances={**tolerances, **config.tolerances})
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
-        SUITES[config.suite](config, report)
+        suite(merged, report)
     report.runtime_s = time.perf_counter() - start
     suppressed = Counter(str(w.message) for w in caught
                          if issubclass(w.category, RuntimeWarning))

@@ -293,23 +293,6 @@ def _pencil_norm(op: HalfLineOperator, lam: complex,
     return iterates, bracket, certified
 
 
-def _op_norm_random_probe(op: HalfLineOperator, lam: complex, grid,
-                          n_probes: int = 200, seed: int = 7) -> float:
-    """Lower bound for the L^p(w) norm of lam (lam+A)^{-1} from random inputs."""
-    rng = np.random.default_rng(seed)
-    w = op.weight
-    best = 0.0
-    for _ in range(n_probes):
-        raw = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
-        f = GridFunction(grid, raw)
-        denom = weighted_lp_norm(f, op.p, w)
-        if denom == 0.0:
-            continue
-        u = resolvent(op, lam, f)
-        best = max(best, abs(lam) * weighted_lp_norm(u, op.p, w) / denom)
-    return best
-
-
 def _certified_entry(op: HalfLineOperator, lam: complex, grid) -> dict:
     """The p = 2 entry fields: the pencil value, its certificate and the power bound."""
     iterates, (lo, hi), certified = _pencil_norm(op, lam, grid)
@@ -326,9 +309,11 @@ def sectoriality_probe(op: HalfLineOperator, grid, angles, radii) -> list[Sector
     For p = 2 each value is the largest singular value of the
     weight-conjugated discrete map, the root of the tridiagonal pencil of
     ``_pencil_norm`` inside a certified bracket, with the power-iteration
-    lower bound of ``_op_norm_singular_value`` recorded beside it;
-    otherwise 200 random probes give a labeled lower bound.
+    lower bound of ``_op_norm_singular_value`` recorded beside it.  Other p
+    are rejected: no estimator here bounds their L^p norm from both sides.
     """
+    if op.p != 2.0:
+        raise ValueError(f"sector probes need p = 2, got p = {op.p}")
     probes = []
     radii = np.asarray(list(radii), dtype=float)
     no_certificate = dict.fromkeys(("bracket", "newton_steps", "power_lower", "certified"))
@@ -344,11 +329,8 @@ def sectoriality_probe(op: HalfLineOperator, grid, angles, radii) -> list[Sector
                     if lam.real <= 0.0:
                         fields = {"norm_estimate": math.inf,
                                   "method": "outside-resolvent-set", **no_certificate}
-                    elif op.p == 2.0:
-                        fields = _certified_entry(op, lam, grid)
                     else:
-                        fields = {"norm_estimate": _op_norm_random_probe(op, lam, grid),
-                                  "method": "random-probe", **no_certificate}
+                        fields = _certified_entry(op, lam, grid)
                     entries.append({"re_lambda": lam.real, "im_lambda": lam.imag, **fields})
         probes.append(SectorProbe(op.variant, op.p, op.gamma, a, tuple(entries)))
     return probes

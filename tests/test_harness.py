@@ -1,8 +1,6 @@
 import csv
-import inspect
 import json
 import math
-import re
 import warnings
 
 import numpy as np
@@ -13,7 +11,6 @@ from fracspace import cli
 from fracspace.halfline import trace
 from fracspace.harness import (
     ConfigError,
-    SUITE_KEYS,
     SUITES,
     SuiteConfig,
     SuiteReport,
@@ -101,13 +98,6 @@ class TestConfig:
         SuiteConfig(suite="c-sigma", sweeps={"sigma": (0.5,)},
                     tolerances={"oracle": 1e-6}).validate()
 
-    def test_suite_keys_are_the_keys_each_suite_reads(self):
-        for name, suite in SUITES.items():
-            source = inspect.getsource(suite)
-            read = tuple(set(re.findall(rf'cfg\.{kind}\.get\("(\w+)"', source))
-                         for kind in ("sweeps", "tolerances"))
-            assert tuple(set(keys) for keys in SUITE_KEYS[name]) == read, name
-
     def test_shared_config_keeps_the_keys_each_suite_reads(self):
         cfg = SuiteConfig(suite="traces", tolerances={"stability": 0.2, "trace": 1e-7,
                                                       "oracel": 1.0})
@@ -181,8 +171,7 @@ class TestReports:
             warnings.warn("demo user warning", UserWarning)
             report.add_case({"what": "ran"}, 0.0, 0.0, 0.0)
 
-        monkeypatch.setitem(SUITES, "warning-demo", warning_suite)
-        monkeypatch.setitem(SUITE_KEYS, "warning-demo", ((), ()))
+        monkeypatch.setitem(SUITES, "warning-demo", (warning_suite, {}, {}))
         cfg = SuiteConfig(suite="warning-demo", out_dir=str(tmp_path))
         with warnings.catch_warnings(record=True) as outer:
             warnings.simplefilter("always")
@@ -193,6 +182,17 @@ class TestReports:
         assert [str(w.message) for w in outer] == ["demo user warning"]
         header = (tmp_path / "warning-demo.csv").read_text().splitlines()[0]
         assert header == "params,value,reference,tol,pass"
+
+    def test_tolerance_override_keeps_the_other_defaults(self):
+        # 1e-7 differs from both defaults (oracle 1e-8, homogeneity 1e-6)
+        cfg = SuiteConfig(suite="c-sigma", sweeps={"sigma": (0.5,)},
+                          tolerances={"oracle": 1e-7})
+        report = run_suite(cfg)
+        tols = {(c["params"]["what"], c["tol"]) for c in report.cases}
+        assert tols == {("c < 0", 0.0), ("vs closed form", 1e-7),
+                        ("homogeneity", SUITES["c-sigma"][2]["homogeneity"])}
+        assert cfg.tolerances == {"oracle": 1e-7}
+        assert report.config_hash == cfg.hash()
 
     def test_every_registered_suite_exists(self):
         assert len(SUITES) == 11
@@ -230,10 +230,16 @@ class TestCli:
         # smoothing shrinks the L^inf peak
         assert np.max(np.abs(out.values)) < np.max(np.abs(f.values))
 
-    def test_apply_keys_are_the_keys_each_operator_reads(self):
-        for name, (func, keys) in cli.APPLY_OPS.items():
-            read = re.findall(r'params(?:\.get\(|\[)"(\w+)"', inspect.getsource(func))
-            assert set(read) == set(keys), name
+    def test_apply_bad_key_names_the_keys_the_operator_reads(self, tmp_path, capsys):
+        src = tmp_path / "h.csv"
+        g = Grid(20.0, 256, HALF_LINE)
+        GridFunction(g, g.points * np.exp(-g.points)).to_csv(src)
+        rc = cli.main(["apply", "fractional-power", "--in", str(src),
+                       "--out", str(tmp_path / "o.csv"), "--params", '{"thta": 0.5}'])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "fractional-power" in err and "thta" in err
+        assert all(key in err for key in ("theta", "variant", "p=2.0", "gamma=0.0"))
 
     def test_apply_bad_params_exit_code(self, tmp_path, capsys):
         g = Grid(20.0, 256, FULL_LINE)
@@ -259,6 +265,19 @@ def _half_line_csv(tmp_path):
     path = tmp_path / "h.csv"
     g = Grid(20.0, 256, HALF_LINE)
     GridFunction(g, g.points * np.exp(-g.points)).to_csv(path)
+    return str(path)
+
+
+def _empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    return str(path)
+
+
+def _full_line_csv(tmp_path):
+    path = tmp_path / "g.csv"
+    g = Grid(20.0, 256, FULL_LINE)
+    GridFunction(g, np.exp(-g.points ** 2)).to_csv(path)
     return str(path)
 
 
@@ -288,6 +307,12 @@ BAD_INPUTS = {
                                   "--out", str(tmp / "o.csv"), "--params", '{"mm": 3}'],
     "params-not-object": lambda tmp: ["apply", "reflect-extend", "--in", _half_line_csv(tmp),
                                       "--out", str(tmp / "o.csv"), "--params", '"m"'],
+    "csv-empty": lambda tmp: ["apply", "zero-extend", "--in", _empty_file(tmp),
+                              "--out", str(tmp / "o.csv")],
+    "param-missing": lambda tmp: ["apply", "bessel-potential", "--in", _full_line_csv(tmp),
+                                  "--out", str(tmp / "o.csv"), "--params", "{}"],
+    "param-is-the-input": lambda tmp: ["apply", "reflect-extend", "--in", _half_line_csv(tmp),
+                                       "--out", str(tmp / "o.csv"), "--params", '{"f": 1}'],
 }
 
 

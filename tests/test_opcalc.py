@@ -326,13 +326,13 @@ class TestSectorialityProbe:
             for k in ("bracket", "newton_steps", "power_lower", "certified"))
         assert json.loads(wide.to_json())["entries"][0]["certified"] is True
 
-    def test_random_probe_label_for_general_p(self):
+    def test_general_p_rejected(self):
+        # no estimator bounds the L^p sector norm from both sides for p != 2
         g = Grid(40.0, 1024, HALF_LINE)
-        op = HalfLineOperator(DIRICHLET, 3.0, 0.0)
-        probe = sectoriality_probe(op, g, [3 * math.pi / 4], [1.0])[0]
-        assert all(e["method"] == "random-probe" for e in probe.entries)
-        assert all(e["certified"] is None and e["bracket"] is None for e in probe.entries)
-        assert 0.0 < probe.supremum < math.inf
+        for p in (1.5, 3.0):
+            with pytest.raises(ValueError, match="p = 2"):
+                sectoriality_probe(HalfLineOperator(DIRICHLET, p, 0.0), g,
+                                   [3 * math.pi / 4], [1.0])
 
     def test_weighted_probe_finite(self):
         g = Grid(40.0, 1024, HALF_LINE)
