@@ -22,6 +22,13 @@ from . import fourier, halfline, kernels, opcalc, singular
 from .harness import ConfigError, SUITES, SuiteConfig, run_suite
 
 
+def _integer(name: str, value) -> int:
+    """An integer --params value; booleans and non-integral numbers are bad input."""
+    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def _op_bessel(f, s):
     return fourier.bessel_potential(f, float(s))
 
@@ -35,27 +42,31 @@ def _op_frac_singular(f, sigma):
 
 
 def _op_mollify(f, scale, profile="bump"):
-    return mollify(f, int(scale), profile)
+    return mollify(f, _integer("scale", scale), profile)
 
 
 def _op_derivative(f, order=1):
-    return fourier.spectral_derivative(f, int(order))
+    return fourier.spectral_derivative(f, _integer("order", order))
+
+
+def _reflection(m):
+    return halfline.solve_reflection_coefficients(_integer("m", m))
 
 
 def _op_reflect_extend(f, m=1):
-    return halfline.reflect_extend(f, halfline.solve_reflection_coefficients(int(m)))
+    return halfline.reflect_extend(f, _reflection(m))
 
 
 def _op_reflect_extend_dual(f, m=1):
-    return halfline.reflect_extend_dual(f, halfline.solve_reflection_coefficients(int(m)))
+    return halfline.reflect_extend_dual(f, _reflection(m))
 
 
 def _op_support_projection(f, m=1):
-    return halfline.support_projection(f, halfline.solve_reflection_coefficients(int(m)))
+    return halfline.support_projection(f, _reflection(m))
 
 
 def _op_project_h0(f, k=0):
-    return halfline.project_H0(f, int(k))
+    return halfline.project_H0(f, _integer("k", k))
 
 
 def _op_hardy_hilbert(f, p=2.0, gamma=0.0):

@@ -19,6 +19,8 @@ from .grid import (
     FULL_LINE,
     GridFunction,
     PowerWeight,
+    _cell_weight_norm,
+    _fiber_norms,
     warn_if_boundary_heavy,
     weighted_lp_norm,
 )
@@ -102,21 +104,33 @@ class MultiplierReport:
         return cls(per_order, math.inf if not finite else top, finite)
 
 
-def apply_multiplier(m, f: GridFunction) -> GridFunction:
-    """ifft(m(xi) fft(f)) on a full-line grid, fiberwise.
+def _multiplied(symbols, f: GridFunction) -> np.ndarray:
+    """ifft(m_i(xi) fft(f)) for every symbol m_i, stacked: shape (k, N, n).
 
-    Warns when f has not decayed at the boundary (the grid periodizes).
+    One boundary-decay check and one forward FFT serve all symbols, and each
+    product is formed as for a single symbol, so slice i equals the values of
+    ``apply_multiplier(m_i, f)`` bit for bit.
     """
     if f.grid.kind != FULL_LINE:
         raise ValueError("multipliers act on full-line grids; extend first")
     warn_if_boundary_heavy(f, "apply_multiplier")
     xi = f.grid.frequencies()
-    mvals = np.asarray(m(xi))
-    if not np.all(np.isfinite(mvals)):
+    mvals = [np.asarray(m(xi)) for m in symbols]
+    if not all(np.all(np.isfinite(v)) for v in mvals):
         raise ValueError("multiplier takes non-finite values on the grid frequencies")
     spec = np.fft.fft(f.values, axis=0)
-    out = np.fft.ifft(spec * mvals[:, None], axis=0)
-    return GridFunction(f.grid, out)
+    prods = np.empty((len(mvals),) + spec.shape, dtype=np.complex128)
+    for v, out in zip(mvals, prods):
+        np.multiply(spec, v[:, None], out=out)
+    return np.fft.ifft(prods, axis=1)
+
+
+def apply_multiplier(m, f: GridFunction) -> GridFunction:
+    """ifft(m(xi) fft(f)) on a full-line grid, fiberwise.
+
+    Warns when f has not decayed at the boundary (the grid periodizes).
+    """
+    return GridFunction(f.grid, _multiplied([m], f)[0])
 
 
 def bessel_potential(f: GridFunction, s: float) -> GridFunction:
@@ -182,35 +196,52 @@ def hsp_norm(f: GridFunction, s: float, p: float, w: PowerWeight) -> float:
 
 
 def _full_line_form(f: GridFunction, k: int):
-    """Return (restrict, g): a full-line function g whose derivatives up to
-    order k, passed through restrict, are those of f.
+    """Return (start, g): a full-line function g whose derivatives up to
+    order k, read from index ``start`` on, are those of f on f's grid.
 
     Half-line inputs are extended by higher-order reflection so the spectral
     derivatives see a C^(2m+1) function; results are restricted back.
     """
     if f.grid.kind == FULL_LINE:
-        return (lambda g: g), f
-    from .halfline import reflect_extend, restrict_plus, solve_reflection_coefficients
+        return 0, f
+    from .halfline import reflect_extend, solve_reflection_coefficients
 
-    return restrict_plus, reflect_extend(f, solve_reflection_coefficients(max(1, k)))
+    g = reflect_extend(f, solve_reflection_coefficients(max(1, k)))
+    return g.grid.zero_index, g
 
 
-def _derivative(g: GridFunction, j: int) -> GridFunction:
-    return spectral_derivative(g, j) if j else g
+def _derivative_norms(f: GridFunction, orders, k: int) -> list:
+    """Fiber norms on f's grid of the derivatives of each order in ``orders``,
+    all from one transform of the order-k full-line form (order 0 is that
+    form itself, untransformed)."""
+    start, g = _full_line_form(f, k)
+    positive = [j for j in orders if j]
+    mags = {0: g.fiber_norms()} if 0 in orders else {}
+    if positive:
+        stacked = _multiplied([derivative_symbol(j) for j in positive], g)
+        mags.update(zip(positive, _fiber_norms(stacked)))
+    return [mags[j][start:] for j in orders]
+
+
+def _seminorm_norms(f: GridFunction, orders) -> list:
+    """Fiber norms on f's grid of the j-th derivative for each j in
+    ``orders``, as ``wkp_seminorm`` measures it: a half-line f is reflected
+    with order max(1, j) for each j, a full-line f is transformed once."""
+    if f.grid.kind == FULL_LINE:
+        return _derivative_norms(f, orders, 0)
+    return [_derivative_norms(f, (j,), j)[0] for j in orders]
 
 
 def wkp_norm(f: GridFunction, k: int, p: float, w: PowerWeight) -> float:
     """Sum over j <= k of the weighted L^p norms of the j-th derivative."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    restrict, g = _full_line_form(f, k)
-    return float(sum(weighted_lp_norm(restrict(_derivative(g, j)), p, w)
-                     for j in range(k + 1)))
+    return float(sum(_cell_weight_norm(mags, f.grid, p, w)
+                     for mags in _derivative_norms(f, range(k + 1), k)))
 
 
 def wkp_seminorm(f: GridFunction, k: int, p: float, w: PowerWeight) -> float:
     """Weighted L^p norm of the top-order derivative alone."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    restrict, g = _full_line_form(f, k)
-    return weighted_lp_norm(restrict(_derivative(g, k)), p, w)
+    return _cell_weight_norm(_seminorm_norms(f, (k,))[0], f.grid, p, w)

@@ -205,7 +205,7 @@ class GridFunction:
 
     def fiber_norms(self) -> np.ndarray:
         """Pointwise C^n norms, shape (N,)."""
-        return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=1))
+        return _fiber_norms(self.values)
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         check_compatible(self, other)
@@ -272,6 +272,12 @@ def check_compatible(f: GridFunction, g: GridFunction) -> None:
         )
 
 
+def _fiber_norms(values: np.ndarray) -> np.ndarray:
+    """Pointwise C^n norms over the last axis: shape (N, n) -> (N,), and a
+    stack (k, N, n) of samples -> (k, N)."""
+    return np.sqrt(np.sum(np.abs(values) ** 2, axis=-1))
+
+
 def weighted_lp_norm(f: GridFunction, p: float, w: PowerWeight) -> float:
     """(integral of ||f(x)||^p |x|^gamma dx)^(1/p) by the cell-weight rule.
 
@@ -279,9 +285,14 @@ def weighted_lp_norm(f: GridFunction, p: float, w: PowerWeight) -> float:
     the weight over that node's cell, so it is exact for functions that are
     constant on cells and second-order accurate for smooth ones.
     """
+    return _cell_weight_norm(f.fiber_norms(), f.grid, p, w)
+
+
+def _cell_weight_norm(mags: np.ndarray, grid: Grid, p: float, w: PowerWeight) -> float:
+    """The cell-weight rule of ``weighted_lp_norm`` over fiber norms ``mags``
+    sampled on ``grid``; a sweep over (p, gamma) reuses one ``mags``."""
     w.check_integrable(p)
-    mags = f.fiber_norms()
-    cw = f.grid.cell_weights(w.gamma)
+    cw = grid.cell_weights(w.gamma)
     return float(np.sum(mags ** p * cw) ** (1.0 / p))
 
 

@@ -27,12 +27,14 @@ from .grid import (
     HALF_LINE,
     PowerWeight,
     ResolutionError,
+    _cell_weight_norm,
+    _fiber_norms,
     boundary_decay_ok,
     plateau,
     warn_if_boundary_heavy,
     weighted_lp_norm,
 )
-from .fourier import hsp_norm, wkp_seminorm
+from .fourier import _multiplied, _seminorm_norms, bessel_symbol, hsp_norm
 
 
 @dataclass(frozen=True)
@@ -301,22 +303,33 @@ def factor_norm_upper(f: GridFunction, s: float, p: float, gamma: float,
     return hsp_norm(reflect_extend(f, coeffs), s, p, PowerWeight(gamma))
 
 
+def gn_ratios(u: GridFunction, j: int, k: int, pg) -> list:
+    """``gn_check`` for each (p, gamma) of ``pg``; the derivatives of u are
+    taken once for the whole sweep (one transform for a full-line u)."""
+    if not 0 < j < k:
+        raise ValueError(f"need 0 < j < k, got j={j}, k={k}")
+    num_mags, top_mags = _seminorm_norms(u, (j, k))
+    base_mags = u.fiber_norms()
+    ratios = []
+    for p, gamma in pg:
+        w = PowerWeight(gamma)
+        num = _cell_weight_norm(num_mags, u.grid, p, w)
+        base = _cell_weight_norm(base_mags, u.grid, p, w)
+        top = _cell_weight_norm(top_mags, u.grid, p, w)
+        denom = base ** (1.0 - j / k) * top ** (j / k)
+        if denom == 0.0:
+            raise DegenerateInputError("top-order seminorm vanishes (constant input)")
+        ratios.append(float(num / denom))
+    return ratios
+
+
 def gn_check(u: GridFunction, j: int, k: int, p: float, gamma: float) -> float:
     """Interpolation-inequality ratio [u]_j / (||u||^(1-j/k) [u]_k^(j/k)).
 
     Scale invariant for gamma = 0; raises on constants, where the top
     seminorm vanishes.
     """
-    if not 0 < j < k:
-        raise ValueError(f"need 0 < j < k, got j={j}, k={k}")
-    w = PowerWeight(gamma)
-    num = wkp_seminorm(u, j, p, w)
-    base = weighted_lp_norm(u, p, w)
-    top = wkp_seminorm(u, k, p, w)
-    denom = base ** (1.0 - j / k) * top ** (j / k)
-    if denom == 0.0:
-        raise DegenerateInputError("top-order seminorm vanishes (constant input)")
-    return float(num / denom)
+    return gn_ratios(u, j, k, [(p, gamma)])[0]
 
 
 def hardy_embedding_check(f: GridFunction, s: float, p: float, gamma: float) -> float:
@@ -339,10 +352,25 @@ def critical_line_distance(s: float, p: float, gamma: float) -> float:
     return min(candidates) if candidates else math.inf
 
 
+def multiplier_norm_ratios(f: GridFunction, spg) -> list:
+    """``multiplier_norm_ratio`` for each (s, p, gamma) of ``spg``.
+
+    f and 1_{x>=0} f are transformed once each for the whole sweep, and one
+    array of fiber norms per s serves every (p, gamma).
+    """
+    symbols = [bessel_symbol(s) for s, _, _ in spg]
+    den_mags = _fiber_norms(_multiplied(symbols, f))
+    num_mags = _fiber_norms(_multiplied(symbols, indicator_multiply(f)))
+    ratios = []
+    for (_, p, gamma), den, num in zip(spg, den_mags, num_mags):
+        w = PowerWeight(gamma)
+        denom = _cell_weight_norm(den, f.grid, p, w)
+        if denom == 0.0:
+            raise DegenerateInputError("vanishing input")
+        ratios.append(_cell_weight_norm(num, f.grid, p, w) / denom)
+    return ratios
+
+
 def multiplier_norm_ratio(f: GridFunction, s: float, p: float, gamma: float) -> float:
     """||1_{x>=0} f||_{H^{s,p}(w)} / ||f||_{H^{s,p}(w)}."""
-    w = PowerWeight(gamma)
-    denom = hsp_norm(f, s, p, w)
-    if denom == 0.0:
-        raise DegenerateInputError("vanishing input")
-    return hsp_norm(indicator_multiply(f), s, p, w) / denom
+    return multiplier_norm_ratios(f, [(s, p, gamma)])[0]

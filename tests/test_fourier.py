@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from fracspace.grid import (
@@ -20,6 +21,7 @@ from fracspace.fourier import (
     apply_multiplier,
     bessel_potential,
     bessel_symbol,
+    derivative_symbol,
     fractional_laplacian_spectral,
     hsp_norm,
     identity_symbol,
@@ -31,7 +33,7 @@ from fracspace.fourier import (
 )
 from fracspace.harness import generate_test_family
 
-from helpers import plateau
+from helpers import plateau, seeds
 
 W0 = PowerWeight(0.0)
 
@@ -303,3 +305,47 @@ class TestSymbolDerivatives:
         xi = np.linspace(-4, 4, 41)
         ref = 1.4 * xi * (1 + xi ** 2) ** (1.4 / 2 - 1)
         assert np.max(np.abs(s.derivative(xi, 1) - ref)) < 1e-12
+
+
+# sweep inputs: small grids whose edge samples lie outside the family window,
+# and fiber dimensions 1 and 2
+sweep_sizes = st.sampled_from([2 ** k for k in range(6, 11)])
+sweep_fibers = st.integers(1, 2)
+sweep_symbols = st.lists(st.one_of(st.floats(-2.0, 2.0).map(bessel_symbol),
+                                   st.integers(1, 3).map(derivative_symbol)),
+                         min_size=1, max_size=4)
+
+
+class TestTransformSweep:
+    @settings(max_examples=30, deadline=None)
+    @given(n=sweep_sizes, fiber_dim=sweep_fibers, seed=seeds, symbols=sweep_symbols)
+    def test_apply_multiplier_is_a_slice_of_the_sweep(self, n, fiber_dim, seed, symbols):
+        f = generate_test_family(Grid(40.0, n, FULL_LINE), seed, 1, fiber_dim=fiber_dim)[0]
+        stacked = fourier._multiplied(symbols, f)
+        assert stacked.shape == (len(symbols), n, fiber_dim)
+        spec = np.fft.fft(f.values, axis=0)
+        for m, values in zip(symbols, stacked):
+            assert np.array_equal(apply_multiplier(m, f).values, values)
+            # the former one-symbol formula
+            former = np.fft.ifft(spec * m(f.grid.frequencies())[:, None], axis=0)
+            assert np.array_equal(former, values)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from([FULL_LINE, HALF_LINE]), n=sweep_sizes,
+           fiber_dim=sweep_fibers, seed=seeds, k=st.integers(0, 3),
+           p=st.floats(1.1, 4.0), gamma=st.floats(-0.9, 2.0))
+    def test_wkp_norm_is_the_sum_of_derivative_norms(self, kind, n, fiber_dim, seed,
+                                                      k, p, gamma):
+        from fracspace.halfline import (reflect_extend, restrict_plus,
+                                        solve_reflection_coefficients)
+        f = generate_test_family(Grid(40.0, n, kind), seed, 1, fiber_dim=fiber_dim)[0]
+        if kind == FULL_LINE:
+            restrict, base = (lambda v: v), f
+        else:
+            restrict = restrict_plus
+            base = reflect_extend(f, solve_reflection_coefficients(max(1, k)))
+        w = PowerWeight(gamma)
+        former = float(sum(
+            weighted_lp_norm(restrict(spectral_derivative(base, j) if j else base), p, w)
+            for j in range(k + 1)))
+        assert wkp_norm(f, k, p, w) == former

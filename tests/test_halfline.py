@@ -24,9 +24,11 @@ from fracspace.halfline import (
     critical_line_distance,
     factor_norm_upper,
     gn_check,
+    gn_ratios,
     hardy_embedding_check,
     indicator_multiply,
     multiplier_norm_ratio,
+    multiplier_norm_ratios,
     project_H0,
     reflect_extend,
     reflect_extend_dual,
@@ -37,7 +39,7 @@ from fracspace.halfline import (
     trace,
     zero_extend,
 )
-from fracspace.harness import generate_test_family
+from fracspace.harness import _GN_PAIRS, _multiplier_triples, generate_test_family
 
 from helpers import (
     fiber_dims,
@@ -509,6 +511,66 @@ class TestGagliardoNirenberg:
         u = GridFunction(g, np.ones(1024))
         with pytest.raises(DegenerateInputError):
             gn_check(u, 1, 2, 2.0, 0.0)
+
+
+# sweep inputs: grids whose edge samples lie outside the family windows,
+# fiber dimensions 1 and 2, exponents p > 1 and weights gamma > -1
+sweep_sizes = st.sampled_from([2 ** k for k in range(6, 11)])
+sweep_fibers = st.integers(1, 2)
+sweep_ps = st.floats(1.1, 4.0)
+sweep_gammas = st.floats(-0.9, 2.0)
+
+
+class TestSweeps:
+    @settings(max_examples=30, deadline=None)
+    @given(n=sweep_sizes, fiber_dim=sweep_fibers, seed=seeds,
+           spg=st.lists(st.tuples(st.floats(-1.5, 1.5), sweep_ps, sweep_gammas),
+                        min_size=1, max_size=5))
+    def test_multiplier_ratios_equal_the_scalar_path(self, n, fiber_dim, seed, spg):
+        f = generate_test_family(Grid(40.0, n, FULL_LINE), seed, 1, "boundary-touching",
+                                 fiber_dim=fiber_dim)[0]
+        ratios = multiplier_norm_ratios(f, spg)
+        assert len(ratios) == len(spg)
+        for ratio, (s, p, gamma) in zip(ratios, spg):
+            assert ratio == multiplier_norm_ratio(f, s, p, gamma)
+            # the former formula: two Bessel-potential norms per triple
+            w = PowerWeight(gamma)
+            assert ratio == (fourier.hsp_norm(indicator_multiply(f), s, p, w)
+                             / fourier.hsp_norm(f, s, p, w))
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from([FULL_LINE, HALF_LINE]), n=sweep_sizes,
+           fiber_dim=sweep_fibers, seed=seeds, jk=st.sampled_from([(1, 2), (1, 3), (2, 3)]),
+           pg=st.lists(st.tuples(sweep_ps, sweep_gammas), min_size=1, max_size=5))
+    def test_gn_ratios_equal_the_scalar_path(self, kind, n, fiber_dim, seed, jk, pg):
+        j, k = jk
+        u = generate_test_family(Grid(40.0, n, kind), seed, 1, fiber_dim=fiber_dim)[0]
+        ratios = gn_ratios(u, j, k, pg)
+        assert len(ratios) == len(pg)
+        for ratio, (p, gamma) in zip(ratios, pg):
+            assert ratio == gn_check(u, j, k, p, gamma)
+            # the former formula: two seminorms and one norm per (p, gamma)
+            w = PowerWeight(gamma)
+            denom = (weighted_lp_norm(u, p, w) ** (1.0 - j / k)
+                     * fourier.wkp_seminorm(u, k, p, w) ** (j / k))
+            assert ratio == float(fourier.wkp_seminorm(u, j, p, w) / denom)
+
+    def test_one_forward_transform_per_input(self, monkeypatch):
+        # the default sweeps of pointwise-multiplier and hardy-gn: f and
+        # 1_{x>=0} f once each for 9 triples, u once for 7 (p, gamma)
+        g = Grid(40.0, 1024, FULL_LINE)
+        f = generate_test_family(g, 3, 1, "boundary-touching")[0]
+        u = generate_test_family(g, 4, 1)[0]
+        triples = _multiplier_triples()
+        assert (len(triples), len(_GN_PAIRS)) == (9, 7)
+        forward = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: forward.append(1) or fft(*a, **kw))
+        multiplier_norm_ratios(f, triples)
+        assert len(forward) == 2
+        forward.clear()
+        gn_ratios(u, 1, 2, _GN_PAIRS)
+        assert len(forward) == 1
 
 
 class TestHardyEmbedding:

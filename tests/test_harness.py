@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from fracspace.grid import FULL_LINE, Grid, GridFunction, HALF_LINE
-from fracspace import cli
+from fracspace.grid import FULL_LINE, Grid, GridFunction, HALF_LINE, plateau
+from fracspace import cli, fourier, halfline
 from fracspace.halfline import trace
 from fracspace.harness import (
     ConfigError,
@@ -62,6 +62,61 @@ class TestTestFamilies:
         g = Grid(40.0, 1024, FULL_LINE)
         with pytest.raises(ValueError):
             generate_test_family(g, 1, 0)
+
+    @pytest.mark.parametrize("grid, kind, options", [
+        (Grid(40.0, 512, FULL_LINE), "smooth-compact", {"fiber_dim": 2}),
+        (Grid(40.0, 512, HALF_LINE), "smooth-compact", {"support": (0.2, 0.7)}),
+        (Grid(40.0, 512, FULL_LINE), "boundary-touching", {}),
+        (Grid(40.0, 1024, FULL_LINE), "zero-trace-k", {"trace_order": 1}),
+    ])
+    def test_members_match_the_per_member_construction(self, grid, kind, options):
+        # the windows depend on grid, kind and support only; building them
+        # once per family gives the bits of building them for every member
+        family = generate_test_family(grid, 5, 3, kind, **options)
+        for f, ref in zip(family, _per_member_family(grid, 5, 3, kind, **options)):
+            assert np.array_equal(f.values, ref)
+
+
+def _per_member_family(grid, seed, count, kind, support=None, trace_order=0, fiber_dim=1):
+    """The family values, with the plateau window and the zero-trace damping
+    rebuilt for every member and fiber as the generator first did."""
+    rng = np.random.default_rng(seed)
+    x = grid.points
+    lo_dom = -grid.half_width if grid.kind == FULL_LINE else 0.0
+    lo_frac, hi_frac = support or (0.1, 0.9)
+    lo = lo_dom + lo_frac * (grid.half_width - lo_dom)
+    hi = lo_dom + hi_frac * (grid.half_width - lo_dom)
+    mid, half_len = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    out = []
+    for _ in range(count):
+        vals = np.zeros((grid.n_points, fiber_dim), dtype=np.complex128)
+        for c in range(fiber_dim):
+            profile = np.zeros_like(x, dtype=np.complex128)
+            for _ in range(rng.integers(2, 5)):
+                if kind == "boundary-touching":
+                    center = rng.uniform(-0.15, 0.15) * grid.half_width
+                else:
+                    center = mid + rng.uniform(-0.55, 0.55) * half_len
+                width = rng.uniform(0.04, 0.16) * half_len
+                freq = rng.uniform(0.0, 2.5)
+                phase = rng.uniform(0.0, 2.0 * math.pi)
+                amp = rng.uniform(0.3, 1.0)
+                profile += amp * np.exp(-((x - center) / width) ** 2) \
+                    * np.cos(freq * x + phase)
+            if kind == "zero-trace-k":
+                damp = (x / (1.0 + x ** 2 / half_len ** 2) ** 0.5) ** (trace_order + 6)
+                profile = profile * damp
+            master = plateau(x, mid, 0.8 * half_len, half_len)
+            if kind == "boundary-touching":
+                master = plateau(x, 0.0, 0.3 * grid.half_width, 0.6 * grid.half_width)
+            profile *= master
+            peak = np.max(np.abs(profile))
+            vals[:, c] = profile / peak if peak > 0 else profile
+        f = GridFunction(grid, vals)
+        if kind == "zero-trace-k":
+            f = halfline.project_H0(f, trace_order)
+        out.append(f.values)
+    return out
 
 
 class TestConfig:
@@ -118,6 +173,15 @@ class TestConfig:
         path.write_text(json.dumps({"bogus": 1}))
         with pytest.raises(ConfigError):
             SuiteConfig.from_json("c-sigma", path)
+
+    def test_json_multiplier_triples_run(self, tmp_path):
+        # JSON gives the triples as lists; the suite keys its results by them
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_list": [256, 512, 1024],
+                                    "sweeps": {"spg": [[0.3, 2.0, 0.0]]}}))
+        report = run_suite(SuiteConfig.from_json("pointwise-multiplier", path))
+        assert [row["N"] for row in report.refinement] == [256, 512, 1024]
+        assert report.cases[0]["params"]["s"] == 0.3
 
     def test_hash_deterministic(self):
         a = SuiteConfig(suite="c-sigma").hash()
@@ -241,6 +305,17 @@ class TestCli:
         assert "fractional-power" in err and "thta" in err
         assert all(key in err for key in ("theta", "variant", "p=2.0", "gamma=0.0"))
 
+    @pytest.mark.parametrize("order", [2, 2.0])
+    def test_apply_integral_order(self, tmp_path, order):
+        src = _full_line_csv(tmp_path)
+        dst = tmp_path / "o.csv"
+        rc = cli.main(["apply", "derivative", "--in", src, "--out", str(dst),
+                       "--params", json.dumps({"order": order})])
+        assert rc == 0
+        f = GridFunction.from_csv(src)
+        expected = fourier.spectral_derivative(f, 2).values
+        assert np.array_equal(GridFunction.from_csv(dst).values, expected)
+
     def test_apply_bad_params_exit_code(self, tmp_path, capsys):
         g = Grid(20.0, 256, FULL_LINE)
         src = tmp_path / "f.csv"
@@ -313,6 +388,20 @@ BAD_INPUTS = {
                                   "--out", str(tmp / "o.csv"), "--params", "{}"],
     "param-is-the-input": lambda tmp: ["apply", "reflect-extend", "--in", _half_line_csv(tmp),
                                        "--out", str(tmp / "o.csv"), "--params", '{"f": 1}'],
+    # integer parameters: no truncation of a fraction, no boolean as 0 or 1
+    "param-order-fractional": lambda tmp: ["apply", "derivative", "--in", _full_line_csv(tmp),
+                                           "--out", str(tmp / "o.csv"),
+                                           "--params", '{"order": 1.5}'],
+    "param-order-boolean": lambda tmp: ["apply", "derivative", "--in", _full_line_csv(tmp),
+                                        "--out", str(tmp / "o.csv"),
+                                        "--params", '{"order": true}'],
+    "param-m-fractional": lambda tmp: ["apply", "reflect-extend", "--in", _half_line_csv(tmp),
+                                       "--out", str(tmp / "o.csv"), "--params", '{"m": 1.5}'],
+    "param-k-boolean": lambda tmp: ["apply", "project-h0", "--in", _half_line_csv(tmp),
+                                    "--out", str(tmp / "o.csv"), "--params", '{"k": true}'],
+    "param-scale-fractional": lambda tmp: ["apply", "mollify", "--in", _full_line_csv(tmp),
+                                           "--out", str(tmp / "o.csv"),
+                                           "--params", '{"scale": 1.5}'],
 }
 
 
