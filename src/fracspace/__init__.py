@@ -17,20 +17,16 @@ from .grid import (
     HALF_LINE,
     PowerWeight,
     ResolutionError,
-    ap_constant,
     dual_exponent,
     dual_pairing,
     mollify,
     weighted_lp_norm,
 )
 from .fourier import (
-    MultiplierReport,
-    Symbol,
     apply_multiplier,
     bessel_potential,
     fractional_laplacian_spectral,
     hsp_norm,
-    mihlin_constant,
     spectral_derivative,
     wkp_norm,
     wkp_seminorm,
@@ -43,10 +39,8 @@ from .kernels import (
     schur_constant,
 )
 from .singular import (
-    TruncationParams,
     c_sigma,
     fractional_laplacian_singular,
-    truncated_difference_operator,
 )
 from .halfline import (
     ReflectionCoefficients,
@@ -83,22 +77,21 @@ from .harness import SuiteConfig, SuiteReport, generate_test_family, run_suite
 __all__ = [
     "AdmissibilityError", "DegenerateInputError", "DIRICHLET", "FULL_LINE",
     "Grid", "GridFunction", "GridMismatchError", "HALF_LINE",
-    "HalfLineOperator", "KernelBoundReport", "MINUS", "MultiplierReport",
-    "PowerWeight", "ReflectionCoefficients", "ResolutionError", "SectorProbe",
-    "SuiteConfig", "SuiteReport", "Symbol", "TraceVector", "TruncationParams",
-    "ap_constant", "apply_multiplier", "bessel_kernel", "bessel_potential",
-    "c_sigma", "coextend", "domain_norm_ratio", "dual_exponent",
-    "dual_pairing", "factor_norm_upper", "fractional_laplacian_singular",
-    "fractional_laplacian_spectral", "fractional_power",
-    "generate_test_family", "gn_check", "hardy_embedding_check",
-    "hardy_hilbert_apply", "hsp_norm", "indicator_multiply",
-    "integration_by_parts_check", "kernel_bound_check", "mihlin_constant",
+    "HalfLineOperator", "KernelBoundReport", "MINUS", "PowerWeight",
+    "ReflectionCoefficients", "ResolutionError", "SectorProbe", "SuiteConfig",
+    "SuiteReport", "TraceVector", "apply_multiplier", "bessel_kernel",
+    "bessel_potential", "c_sigma", "coextend", "domain_norm_ratio",
+    "dual_exponent", "dual_pairing", "factor_norm_upper",
+    "fractional_laplacian_singular", "fractional_laplacian_spectral",
+    "fractional_power", "generate_test_family", "gn_check",
+    "hardy_embedding_check", "hardy_hilbert_apply", "hsp_norm",
+    "indicator_multiply", "integration_by_parts_check", "kernel_bound_check",
     "mollify", "project_H0", "reflect_extend", "reflect_extend_dual",
     "resolvent", "restrict_minus", "restrict_plus", "riemann_liouville",
     "run_suite", "schur_constant", "sectoriality_probe",
     "solve_reflection_coefficients", "spectral_derivative",
-    "support_projection", "trace", "truncated_difference_operator",
-    "weighted_lp_norm", "wkp_norm", "wkp_seminorm", "zero_extend",
+    "support_projection", "trace", "weighted_lp_norm", "wkp_norm",
+    "wkp_seminorm", "zero_extend",
 ]
 
 __version__ = "0.1.0"

@@ -307,43 +307,6 @@ def dual_pairing(f: GridFunction, g: GridFunction) -> complex:
     return complex(h * (0.5 * prods[0] + np.sum(prods[1:])))
 
 
-def _ap_interval_ratio(a: np.ndarray, b: np.ndarray, p: float, gamma: float) -> np.ndarray:
-    """A_p ratio of |x|^gamma over intervals (a, b), via closed-form averages."""
-    gamma_dual = -gamma / (p - 1.0)
-
-    def avg(expo):
-        g1 = expo + 1.0
-        anti = lambda t: np.sign(t) * np.abs(t) ** g1 / g1
-        return (anti(b) - anti(a)) / (b - a)
-
-    return avg(gamma) * avg(gamma_dual) ** (p - 1.0)
-
-
-def ap_constant(p: float, w: PowerWeight, search_depth: int = 10) -> float:
-    """Lower-bound estimate of the Muckenhoupt constant of |x|^gamma.
-
-    Maximizes the interval ratio over all pairs of endpoints taken from a
-    geometric mesh covering scales 2^-search_depth .. 2^search_depth on both
-    sides of the origin (plus 0 itself).  Returns inf when gamma lies outside
-    (-1, p-1), where the supremum diverges.
-    """
-    if not p > 1.0:
-        raise AdmissibilityError(f"p must exceed 1, got {p}")
-    gamma = w.gamma
-    if gamma <= -1.0 or gamma >= p - 1.0:
-        return math.inf
-    if gamma == 0.0:
-        return 1.0
-    per_octave = 4
-    ks = np.arange(-per_octave * search_depth, per_octave * search_depth + 1)
-    pos = 2.0 ** (ks / per_octave)
-    mesh = np.concatenate([-pos[::-1], [0.0], pos])
-    a, b = np.meshgrid(mesh, mesh, indexing="ij")
-    mask = b > a
-    ratios = _ap_interval_ratio(a[mask], b[mask], p, gamma)
-    return float(np.max(ratios))
-
-
 _PROFILE_SUPPORTS = {
     "bump": (-1.0, 1.0),
     "left": (-2.0, -1.0),

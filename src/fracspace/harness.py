@@ -146,10 +146,12 @@ class SuiteConfig:
     def validate(self) -> None:
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; see 'fracspace list'")
-        if self.half_width <= 0:
-            raise ConfigError("half_width must be positive")
-        if len(self.n_list) < 3:
-            raise ConfigError("need at least three grid sizes for refinement")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ConfigError(f"half_width must be finite and positive, got {self.half_width}")
+        if len(set(self.n_list)) < 3:
+            raise ConfigError("need at least three distinct grid sizes for refinement")
         for n in self.n_list:
             if n < 16 or (n & (n - 1)):
                 raise ConfigError(f"grid size {n} is not a power of two >= 16")
@@ -193,7 +195,11 @@ class SuiteConfig:
                 f"(p, gamma)=({p}, {gamma})")
 
     def hash(self) -> str:
-        canon = json.dumps(asdict(self), sort_keys=True, default=list)
+        """Hash of the computation the config asks for; where the report is
+        written (``out_dir``) does not enter."""
+        fields = asdict(self)
+        del fields["out_dir"]
+        canon = json.dumps(fields, sort_keys=True, default=list)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 

@@ -7,16 +7,15 @@ transform: the annulus-truncated integral
 
 converges, after multiplication by the normalizing constant c_sigma, to the
 spectral operator as r -> 0 and R -> inf.  This module computes c_sigma by
-split quadrature, the truncated operator by exact integer-offset shifts, and
-the extrapolated limit.
+split quadrature and the extrapolated limit.
 
 A sum of weighted symmetric differences f(x+mh) + f(x-mh) - 2 f(x) over
-integer offsets m is a circular convolution with an even kernel.  Both
-operators therefore assemble one length-N kernel from the difference-quotient
-weights and apply it with one FFT pair.  The limit's kernel (the Richardson
-mixture of its levels and the periodic far-field image sum) depends only on
-(N, h, sigma), so it is built once per key and kept, read-only, in a small
-bounded in-process cache.  The kernels never use |xi|^sigma, so the two
+integer offsets m is a circular convolution with an even kernel.  The limit
+therefore assembles one length-N kernel from the difference-quotient weights
+(the Richardson mixture of its levels and the periodic far-field image sum)
+and applies it with one FFT pair.  That kernel depends only on (N, h, sigma),
+so it is built once per key and kept, read-only, in a small bounded
+in-process cache.  The kernel never uses |xi|^sigma, so the two
 representations stay independent.
 """
 
@@ -24,28 +23,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
-from .grid import FULL_LINE, Grid, GridFunction, warn_if_boundary_heavy
-
-
-@dataclass(frozen=True)
-class TruncationParams:
-    """Annulus r < |h| < R and the density of the h-quadrature mesh."""
-
-    inner: float
-    outer: float
-    points_per_decade: int = 40
-
-    def __post_init__(self):
-        if not (0 < self.inner < self.outer):
-            raise ValueError(
-                f"need 0 < inner < outer, got ({self.inner}, {self.outer})")
-        if self.points_per_decade < 4:
-            raise ValueError("points_per_decade must be at least 4")
+from .grid import FULL_LINE, GridFunction, warn_if_boundary_heavy
 
 
 def _cos_minus_one_series(r: float, sigma: float, xi: float, terms: int = 12) -> float:
@@ -100,46 +82,6 @@ def c_sigma(sigma: float) -> float:
     return 1.0 / symbol_integral(1.0, sigma)
 
 
-def _offset_mesh(grid: Grid, params: TruncationParams) -> tuple[np.ndarray, np.ndarray]:
-    """Integer shift counts m (h = m * grid.h) and trapezoid weights in h.
-
-    Consecutive integers near the inner radius, then geometric growth capped
-    by points_per_decade; shifts at integer offsets are exact band-limited
-    translations of the periodized samples, so no interpolation error enters.
-    """
-    h = grid.h
-    m_lo = int(round(params.inner / h))
-    m_hi = int(math.floor(params.outer / h))
-    if m_lo < 1:
-        raise ValueError("inner radius below the grid spacing is meaningless")
-    if params.outer > 0.5 * grid.half_width + 1e-12:
-        raise ValueError("outer radius beyond L/2 is contaminated by periodization")
-    ratio = 10.0 ** (1.0 / params.points_per_decade)
-    ms = [m_lo]
-    dense_top = max(m_lo + 1, 16)
-    m = m_lo
-    while m < m_hi:
-        if m < dense_top:
-            m += 1
-        else:
-            m = max(m + 1, int(round(m * ratio)))
-        if m > m_hi:
-            break
-        ms.append(m)
-    ms = np.asarray(ms, dtype=int)
-    hs = ms * h
-    w = np.empty_like(hs)
-    if len(hs) == 1:
-        w[0] = h
-    else:
-        # trapezoid on [inner, outer]: the inner boundary is respected exactly
-        # so that the truncation error scales cleanly with the inner radius
-        w[0] = 0.5 * (hs[1] - hs[0])
-        w[-1] = 0.5 * (hs[-1] - hs[-2]) + max(0.0, params.outer - hs[-1])
-        w[1:-1] = 0.5 * (hs[2:] - hs[:-2])
-    return ms, w
-
-
 def _pair_kernel(n: int, ms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Length-n circular kernel of sum_m coeffs_m (f(x+mh) + f(x-mh) - 2 f(x)).
 
@@ -156,24 +98,6 @@ def _circular_apply(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Circular convolution of each column of ``values`` with ``kernel``."""
     spectrum = np.fft.fft(kernel)
     return np.fft.ifft(np.fft.fft(values, axis=0) * spectrum[:, None], axis=0)
-
-
-def truncated_difference_operator(f: GridFunction, sigma: float,
-                                  params: TruncationParams) -> GridFunction:
-    """integral over the annulus of (f(x+h) - f(x)) / |h|^(1+sigma) dh.
-
-    Uses symmetric +-h pairs (the odd Taylor term cancels, leaving a
-    truncation error O(r^(2-sigma))) and exact integer-offset translations.
-    """
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
-    if f.grid.kind != FULL_LINE:
-        raise ValueError("the difference operator needs a full-line grid")
-    warn_if_boundary_heavy(f, "truncated_difference_operator")
-    ms, weights = _offset_mesh(f.grid, params)
-    coeffs = weights / (ms * f.grid.h) ** (1.0 + sigma)
-    kernel = _pair_kernel(f.grid.n_points, ms, coeffs)
-    return GridFunction(f.grid, _circular_apply(f.values, kernel))
 
 
 def _far_field_kernel(n: int, h: float, sigma: float) -> np.ndarray:
@@ -255,23 +179,3 @@ def fractional_laplacian_singular(f: GridFunction, sigma: float) -> GridFunction
     kernel = _singular_kernel(grid.n_points, grid.h, sigma)
     return GridFunction(grid, c_sigma(sigma) * _circular_apply(f.values, kernel))
 
-
-def difference_l1_bound(f: GridFunction, sigma: float,
-                        params: TruncationParams, p: float = 2.0) -> float:
-    """Quadrature of integral ||delta_h f||_{L^p} / |h|^(1+sigma) dh over the annulus.
-
-    Finiteness and mesh stability of this number is the discrete form of the
-    L^1-in-h estimate controlling the difference representation by the first
-    order Sobolev norm.
-    """
-    ms, weights = _offset_mesh(f.grid, params)
-    h_grid = f.grid.h
-    vals = f.values
-    total = 0.0
-    for m, w in zip(ms, weights):
-        for sign in (m, -m):
-            delta = np.roll(vals, -sign, axis=0) - vals
-            mags = np.sqrt(np.sum(np.abs(delta) ** 2, axis=1))
-            lp = (np.sum(mags ** p) * h_grid) ** (1.0 / p)
-            total += w * lp / (abs(sign) * h_grid) ** (1.0 + sigma)
-    return float(total)

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import sympy
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
@@ -17,15 +16,12 @@ from fracspace.grid import (
 )
 from fracspace import fourier
 from fracspace.fourier import (
-    Symbol,
     apply_multiplier,
     bessel_potential,
     bessel_symbol,
     derivative_symbol,
     fractional_laplacian_spectral,
     hsp_norm,
-    identity_symbol,
-    mihlin_constant,
     spectral_derivative,
     transform_values,
     wkp_norm,
@@ -46,7 +42,7 @@ class TestApplyMultiplier:
     def test_identity(self):
         g = Grid(40.0, 2048, FULL_LINE)
         f = gaussian(g)
-        out = apply_multiplier(identity_symbol(), f)
+        out = apply_multiplier(np.ones_like, f)
         assert np.max(np.abs(out.values - f.values)) < 1e-14
 
     def test_derivative_of_windowed_sine(self):
@@ -72,49 +68,13 @@ class TestApplyMultiplier:
         g = Grid(40.0, 1024, HALF_LINE)
         f = GridFunction(g, np.exp(-g.points))
         with pytest.raises(ValueError):
-            apply_multiplier(identity_symbol(), f)
+            apply_multiplier(np.ones_like, f)
 
     def test_boundary_heavy_input_warns(self):
         g = Grid(10.0, 1024, FULL_LINE)
         f = GridFunction(g, np.cos(g.points))
         with pytest.warns(RuntimeWarning):
-            apply_multiplier(identity_symbol(), f)
-
-
-class TestMihlinConstant:
-    def test_constant_symbol(self):
-        rep = mihlin_constant(identity_symbol())
-        assert rep.mihlin_constant == pytest.approx(1.0, abs=1e-12)
-        assert rep.finite
-        assert rep.mihlin_constant == max(rep.per_order)
-
-    @pytest.mark.parametrize("expr_builder, sigma", [
-        (lambda xi: 1 / (1 + xi ** 2), None),
-        (lambda xi: sympy.Abs(xi) ** sympy.Rational(1, 2)
-         * (1 + xi ** 2) ** sympy.Rational(-1, 4), 0.5),
-    ])
-    def test_against_symbolic_oracle(self, expr_builder, sigma):
-        xi = sympy.symbols("xi", positive=True)
-        expr = expr_builder(xi)
-        mesh = np.logspace(-6, 6, 1_000_000)
-        oracle = 0.0
-        for k in range(4):
-            deriv = sympy.lambdify(xi, sympy.diff(expr, xi, k), "numpy")
-            vals = np.abs(np.asarray(deriv(mesh), dtype=float))
-            oracle = max(oracle, float(np.max(mesh ** k * vals)))
-        if sigma is None:
-            sym = Symbol(lambda t: 1.0 / (1.0 + np.asarray(t, dtype=float) ** 2))
-        else:
-            sym = Symbol(lambda t: np.abs(np.asarray(t, dtype=float)) ** sigma
-                         * (1.0 + np.asarray(t, dtype=float) ** 2) ** (-sigma / 2))
-        rep = mihlin_constant(sym)
-        assert rep.finite
-        assert rep.mihlin_constant == pytest.approx(oracle, rel=0.01)
-
-    def test_unbounded_symbol_flagged(self):
-        rep = mihlin_constant(Symbol(lambda t: np.asarray(t, dtype=float)))
-        assert not rep.finite
-        assert rep.mihlin_constant == math.inf
+            apply_multiplier(np.ones_like, f)
 
 
 class TestBesselPotential:
@@ -288,23 +248,6 @@ class TestSmoothnessNorms:
                     w = PowerWeight(gamma)
                     ref = weighted_lp_norm(restrict(derivs[-1]), p, w)
                     assert np.array_equal(wkp_seminorm(f, k, p, w), ref)
-
-
-class TestSymbolDerivatives:
-    def test_finite_difference_fallback_matches_closed_form(self):
-        sym_fd = Symbol(lambda t: (1.0 + np.asarray(t, dtype=float) ** 2) ** 0.5)
-        # away from xi ~ 0, where the derivative itself nearly vanishes and
-        # only the Mihlin-weighted quantity |xi m'| is meaningful
-        xi = np.logspace(-0.5, 3, 50)
-        d1 = sym_fd.derivative(xi, 1)
-        ref = xi * (1 + xi ** 2) ** -0.5
-        assert np.max(np.abs(d1 - ref) / np.abs(ref)) < 1e-7
-
-    def test_bessel_symbol_closed_form_derivative(self):
-        s = bessel_symbol(1.4)
-        xi = np.linspace(-4, 4, 41)
-        ref = 1.4 * xi * (1 + xi ** 2) ** (1.4 / 2 - 1)
-        assert np.max(np.abs(s.derivative(xi, 1) - ref)) < 1e-12
 
 
 # sweep inputs: small grids whose edge samples lie outside the family window,

@@ -15,7 +15,6 @@ from fracspace.grid import (
     HALF_LINE,
     PowerWeight,
     ResolutionError,
-    ap_constant,
     dual_pairing,
     mollify,
     weighted_lp_norm,
@@ -192,43 +191,6 @@ class TestDualPairing:
         h = GridFunction(Grid(10.0, 128), np.ones(128))
         with pytest.raises(GridMismatchError):
             dual_pairing(f, h)
-
-
-class TestApConstant:
-    def test_unweighted_is_one(self):
-        assert ap_constant(2.0, PowerWeight(0.0)) == 1.0
-
-    def test_against_brute_force_oracle(self):
-        p, gamma = 3.0, 1.0
-        est = ap_constant(p, PowerWeight(gamma), search_depth=10)
-        # oracle: 10^4 random intervals with geometric-mesh endpoints
-        rng = np.random.default_rng(2)
-        mesh = np.concatenate([-np.logspace(-3, 3, 400)[::-1], [0.0],
-                               np.logspace(-3, 3, 400)])
-        gd = -gamma / (p - 1.0)
-
-        def avg(a, b, e):
-            g1 = e + 1.0
-            anti = lambda t: np.sign(t) * np.abs(t) ** g1 / g1
-            return (anti(b) - anti(a)) / (b - a)
-
-        best = 0.0
-        for _ in range(10_000):
-            a, b = sorted(rng.choice(mesh, 2, replace=False))
-            if b <= a:
-                continue
-            best = max(best, avg(a, b, gamma) * avg(a, b, gd) ** (p - 1.0))
-        assert est == pytest.approx(best, rel=5e-3)
-
-    def test_divergence_toward_endpoint(self):
-        p = 2.0
-        values = [ap_constant(p, PowerWeight(p - 1.0 - 2.0 ** -j)) for j in range(1, 30, 4)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-        assert values[-1] > 1e6
-
-    def test_inadmissible_reports_divergence(self):
-        assert ap_constant(2.0, PowerWeight(1.5)) == math.inf
-        assert ap_constant(2.0, PowerWeight(-1.2)) == math.inf
 
 
 class TestMollify:

@@ -188,6 +188,9 @@ class TestConfig:
         b = SuiteConfig(suite="c-sigma").hash()
         assert a == b
         assert a != SuiteConfig(suite="c-sigma", seed=1).hash()
+        # the report's location is not part of the computation
+        assert (SuiteConfig(suite="c-sigma", out_dir="a").hash()
+                == SuiteConfig(suite="c-sigma", out_dir="b").hash() == a)
 
 
 class TestReports:
@@ -402,6 +405,10 @@ BAD_INPUTS = {
     "param-scale-fractional": lambda tmp: ["apply", "mollify", "--in", _full_line_csv(tmp),
                                            "--out", str(tmp / "o.csv"),
                                            "--params", '{"scale": 1.5}'],
+    "seed-negative": lambda tmp: ["run", "traces", "--seed", "-1"],
+    "half-width-nan": lambda tmp: ["run", "traces", "--half-width", "nan"],
+    "half-width-inf": lambda tmp: ["run", "bessel-kernel", "--half-width", "inf"],
+    "n-repeated": lambda tmp: ["run", "c-sigma", "--n", "1024,1024,1024"],
 }
 
 

@@ -7,15 +7,11 @@ from scipy import integrate
 from fracspace.grid import FULL_LINE, Grid, GridFunction, PowerWeight, weighted_lp_norm
 from fracspace import fourier
 from fracspace.singular import (
-    TruncationParams,
     _far_field_kernel,
-    _offset_mesh,
     _singular_kernel,
     c_sigma,
-    difference_l1_bound,
     fractional_laplacian_singular,
     symbol_integral,
-    truncated_difference_operator,
 )
 from fracspace.harness import generate_test_family
 
@@ -51,15 +47,6 @@ def _complex_input(grid, seed):
 
 def _pair(vals, m):
     return np.roll(vals, -m, axis=0) + np.roll(vals, m, axis=0) - 2.0 * vals
-
-
-def _roll_truncated(f, sigma, params):
-    """Reference: the annulus sum as one np.roll pass per offset."""
-    ms, weights = _offset_mesh(f.grid, params)
-    acc = np.zeros_like(f.values)
-    for m, w in zip(ms, weights):
-        acc += (w / (m * f.grid.h) ** (1.0 + sigma)) * _pair(f.values, m)
-    return acc
 
 
 def _image_sum(n, h, sigma, big_r):
@@ -130,63 +117,6 @@ class TestCSigma:
             c_sigma(1.2)
         with pytest.raises(ValueError):
             symbol_integral(1.0, 0.0)
-
-
-class TestTruncatedDifferenceOperator:
-    def test_constant_maps_to_zero(self):
-        g = Grid(40.0, 2048, FULL_LINE)
-        f = GridFunction(g, np.ones(2048))
-        with pytest.warns(RuntimeWarning):
-            out = truncated_difference_operator(f, 0.5, TruncationParams(g.h, 10.0))
-        assert np.max(np.abs(out.values)) < 1e-12
-
-    def test_odd_functions_map_to_odd(self):
-        g = Grid(40.0, 2048, FULL_LINE)
-        x = g.points
-        f = GridFunction(g, x * np.exp(-x ** 2 / 2))
-        out = truncated_difference_operator(f, 0.5, TruncationParams(g.h, 10.0))
-        v = out.values[:, 0]
-        zero = g.zero_index
-        flipped = v[zero + 1:]
-        mirrored = v[zero - 1:0:-1][: len(flipped)]
-        assert np.max(np.abs(flipped + mirrored)) < 1e-12
-
-    def test_matches_truncated_symbol_on_grid_mode(self):
-        g = Grid(40.0, 4096, FULL_LINE)
-        omega = 2.0 * np.pi * 26 / (2 * g.half_width)
-        f = GridFunction(g, np.cos(omega * g.points))
-        sigma = 0.5
-        r, big_r = 4 * g.h, 15.0
-        with pytest.warns(RuntimeWarning):
-            out = truncated_difference_operator(f, sigma, TruncationParams(r, big_r, 400))
-        # oracle: the exact annulus integral acting on the mode
-        j_trunc = 2.0 * integrate.quad(
-            lambda t: (np.cos(omega * t) - 1.0) / t ** (1 + sigma), r, big_r,
-            limit=4000)[0]
-        ratio = out.values[:, 0].real / np.cos(omega * g.points)
-        mask = np.abs(np.cos(omega * g.points)) > 0.5
-        assert np.max(np.abs(ratio[mask] - j_trunc)) < 1e-4 * abs(j_trunc)
-
-    @pytest.mark.parametrize("n", [1024, 4096])
-    @pytest.mark.parametrize("sigma", [0.3, 0.7])
-    def test_kernel_matches_roll_loop(self, n, sigma):
-        g = Grid(40.0, n, FULL_LINE)
-        f = _complex_input(g, 26)
-        params = TruncationParams(g.h, 10.0, 40)  # dense near r, geometric beyond
-        assert len(_offset_mesh(g, params)[0]) < int(10.0 / g.h)
-        ref = _roll_truncated(f, sigma, params)
-        out = truncated_difference_operator(f, sigma, params).values
-        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
-
-    def test_truncation_validation(self):
-        g = Grid(40.0, 1024, FULL_LINE)
-        f = GridFunction(g, np.exp(-g.points ** 2))
-        with pytest.raises(ValueError):
-            truncated_difference_operator(f, 0.5, TruncationParams(g.h / 4, 10.0))
-        with pytest.raises(ValueError):
-            truncated_difference_operator(f, 0.5, TruncationParams(g.h, 30.0))
-        with pytest.raises(ValueError):
-            TruncationParams(1.0, 0.5)
 
 
 class TestFractionalLaplacianSingular:
@@ -290,37 +220,6 @@ class TestFractionalLaplacianSingular:
         g = Grid(40.0, 1024, FULL_LINE)
         out = fractional_laplacian_singular(GridFunction(g, np.zeros(1024)), 0.4)
         assert np.all(out.values == 0.0)
-
-    def test_truncation_convergence_monotone(self):
-        # error against the spectral reference decreases along (r, 1/R) -> 0
-        g = Grid(40.0, 4096, FULL_LINE)
-        f = generate_test_family(g, 23, 1)[0]
-        sigma = 0.5
-        ref = fourier.fractional_laplacian_spectral(f, sigma)
-        c = c_sigma(sigma)
-        errs = []
-        for r_mult, big_r in ((16, 2.5), (8, 5.0), (4, 10.0), (2, 20.0)):
-            params = TruncationParams(r_mult * g.h, big_r, 200)
-            tail = -(2.0 / sigma) * big_r ** (-sigma)
-            approx = c * (truncated_difference_operator(f, sigma, params).values
-                          + tail * f.values)
-            errs.append(float(np.linalg.norm(approx - ref.values)))
-        assert all(b < a for a, b in zip(errs, errs[1:]))
-
-    def test_l1_in_h_bound_stable(self):
-        # quadrature of a fixed annulus: stable under both mesh refinement
-        # and grid refinement, and controlled by the first-order norm
-        sigma = 0.5
-        totals = []
-        for n, ppd in ((1024, 50), (2048, 100), (4096, 200)):
-            g = Grid(40.0, n, FULL_LINE)
-            f = generate_test_family(g, 24, 1)[0]
-            params = TruncationParams(0.08, 10.0, ppd)
-            w1 = (weighted_lp_norm(f, 2.0, W0)
-                  + weighted_lp_norm(fourier.spectral_derivative(f), 2.0, W0))
-            totals.append(difference_l1_bound(f, sigma, params, 2.0) / w1)
-        assert all(math.isfinite(v) for v in totals)
-        assert max(totals) - min(totals) <= 0.05 * min(totals)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_norm_equivalence_band(self):
