@@ -1,8 +1,8 @@
 """Full linear convolution along the first axis by FFT (used by ``opcalc``).
 
-The recipe is the one of SciPy's ``fftconvolve``: zero-pad both inputs to
-``next_fast_len`` of the full length, a real transform pair when both inputs
-are real and a complex pair otherwise; results agree with it bit for bit.
+The recipe is SciPy's ``fftconvolve`` for complex data (grid-function
+values are complex): zero-pad both inputs to ``next_fast_len`` of the full
+length and take one complex transform pair; results agree bit for bit.
 Only ``scipy.fft`` is used, which ``scipy.integrate`` loads anyway, so the
 package never imports SciPy's signal-processing subpackage, whose import
 used to dominate the package's start-up.
@@ -21,12 +21,6 @@ def full_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     convolves every column of data of shape (m, k) at once.
     """
     length = a.shape[0] + b.shape[0] - 1
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        size = sp_fft.next_fast_len(length, real=False)
-        spectrum = sp_fft.fft(a, size, axis=0) * sp_fft.fft(b, size, axis=0)
-        out = sp_fft.ifft(spectrum, size, axis=0)
-    else:
-        size = sp_fft.next_fast_len(length, real=True)
-        spectrum = sp_fft.rfft(a, size, axis=0) * sp_fft.rfft(b, size, axis=0)
-        out = sp_fft.irfft(spectrum, size, axis=0)
-    return out[:length]
+    size = sp_fft.next_fast_len(length, real=False)
+    spectrum = sp_fft.fft(a, size, axis=0) * sp_fft.fft(b, size, axis=0)
+    return sp_fft.ifft(spectrum, size, axis=0)[:length]

@@ -1,5 +1,6 @@
-"""Finite-difference weights on arbitrary nodes (Fornberg's recursion) and
-derivative stencils used by trace evaluation and boundary-safe differentiation.
+"""Finite-difference weights on arbitrary nodes (Fornberg's recursion), a
+derivative of any order at one node (traces, endpoint corrections), and the
+order-8 first derivative at every node (boundary-safe differentiation).
 """
 
 from __future__ import annotations
@@ -62,32 +63,26 @@ def derivative_at(values: np.ndarray, h: float, index: int, order: int,
     return np.tensordot(w, values[offsets], axes=(0, 0))
 
 
-def derivative_array(values: np.ndarray, h: float, order: int = 1,
-                     accuracy: int = 8) -> np.ndarray:
-    """Derivative at every node by centered stencils, one-sided near the ends.
-
-    Local and therefore safe for functions that have not decayed at the grid
-    boundary, unlike spectral differentiation on a periodized domain.
+def derivative_array(values: np.ndarray, h: float) -> np.ndarray:
+    """First derivative of values of shape (N, n) at every node, to order 8,
+    by 9-node stencils: centered, shifted one-sided at the 4 nodes nearest
+    each end.  Local and therefore safe for functions that have not decayed
+    at the grid boundary, unlike spectral differentiation on a periodized domain.
     """
-    n_pts = order + accuracy
-    if n_pts % 2 == 0:
-        n_pts += 1
-    half = n_pts // 2
+    n_pts, half = 9, 4
     n = values.shape[0]
     out = np.empty_like(np.asarray(values, dtype=complex))
     # interior: one centered stencil, applied by correlation
-    w = fd_weights(0.0, np.arange(-half, half + 1) * h, order)[order]
-    flat = values if values.ndim > 1 else values[:, None]
-    interior = np.zeros((n - 2 * half, flat.shape[1]), dtype=complex)
+    w = fd_weights(0.0, np.arange(-half, half + 1) * h, 1)[1]
+    interior = np.zeros((n - 2 * half, values.shape[1]), dtype=complex)
     for j, wj in enumerate(w):
         if wj != 0.0:
-            interior += wj * flat[j: j + n - 2 * half]
-    out_flat = out if out.ndim > 1 else out[:, None]
-    out_flat[half: n - half] = interior
+            interior += wj * values[j: j + n - 2 * half]
+    out[half: n - half] = interior
     # ends: shifted stencils of the same length
     for i in range(half):
-        wl = fd_weights(0.0, (np.arange(n_pts) - i) * h, order)[order]
-        out_flat[i] = np.tensordot(wl, flat[:n_pts], axes=(0, 0))
-        wr = fd_weights(0.0, (np.arange(n - n_pts, n) - (n - 1 - i)) * h, order)[order]
-        out_flat[n - 1 - i] = np.tensordot(wr, flat[n - n_pts:], axes=(0, 0))
-    return out if values.ndim > 1 else out_flat[:, 0]
+        wl = fd_weights(0.0, (np.arange(n_pts) - i) * h, 1)[1]
+        out[i] = np.tensordot(wl, values[:n_pts], axes=(0, 0))
+        wr = fd_weights(0.0, (np.arange(n - n_pts, n) - (n - 1 - i)) * h, 1)[1]
+        out[n - 1 - i] = np.tensordot(wr, values[n - n_pts:], axes=(0, 0))
+    return out

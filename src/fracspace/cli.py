@@ -17,7 +17,7 @@ import inspect
 import json
 import sys
 
-from .grid import GridFunction, PowerWeight, mollify
+from .grid import GridFunction, mollify
 from . import fourier, halfline, kernels, opcalc, singular
 from .harness import ConfigError, SUITES, SuiteConfig, run_suite
 
@@ -69,8 +69,9 @@ def _op_project_h0(f, k=0):
     return halfline.project_H0(f, _integer("k", k))
 
 
-def _op_hardy_hilbert(f, p=2.0, gamma=0.0):
-    return kernels.hardy_hilbert_apply(f, float(p), PowerWeight(float(gamma)))
+def _op_hardy_hilbert(f):
+    # its node subset (nodes=) is a test reference, not a --params key
+    return kernels.hardy_hilbert_apply(f)
 
 
 def _op_resolvent(f, variant=opcalc.DIRICHLET, p=2.0, gamma=0.0,

@@ -74,8 +74,6 @@ def bessel_potential(f: GridFunction, s: float) -> GridFunction:
 
 def fractional_laplacian_spectral(f: GridFunction, sigma: float) -> GridFunction:
     """Apply |xi|^sigma, the spectral form of the fractional Laplacian."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
     return apply_multiplier(frac_laplacian_symbol(sigma), f)
 
 

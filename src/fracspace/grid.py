@@ -37,11 +37,6 @@ class DegenerateInputError(ValueError):
 FULL_LINE = "full-line"
 HALF_LINE = "half-line"
 
-#: Default desk-scale half width; Gaussian-type test functions decay below
-#: 1e-300 at the boundary of [-40, 40).
-DEFAULT_HALF_WIDTH = 40.0
-DEFAULT_N = 4096
-
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -388,17 +383,17 @@ def mollify(f: GridFunction, scale: int, profile: str = "bump") -> GridFunction:
     return GridFunction(grid, out)
 
 
-def boundary_decay_ok(f: GridFunction, rel_tol: float = 1e-10, n_edge: int = 4) -> bool:
-    """True when the outermost samples are below rel_tol of the peak."""
+def boundary_decay_ok(f: GridFunction) -> bool:
+    """True when the 4 outermost samples are below 1e-10 of the peak."""
     mags = f.fiber_norms()
     peak = float(np.max(mags))
     if peak == 0.0:
         return True
     if f.grid.kind == FULL_LINE:
-        edge = max(float(np.max(mags[:n_edge])), float(np.max(mags[-n_edge:])))
+        edge = max(float(np.max(mags[:4])), float(np.max(mags[-4:])))
     else:
-        edge = float(np.max(mags[-n_edge:]))
-    return edge <= rel_tol * peak
+        edge = float(np.max(mags[-4:]))
+    return edge <= 1e-10 * peak
 
 
 def warn_if_boundary_heavy(f: GridFunction, what: str) -> None:

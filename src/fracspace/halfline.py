@@ -11,7 +11,6 @@ operator, which samples at -x/lambda_j.  Non-integer factors are rejected.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +28,6 @@ from .grid import (
     ResolutionError,
     _cell_weight_norm,
     _fiber_norms,
-    boundary_decay_ok,
     plateau,
     warn_if_boundary_heavy,
     weighted_lp_norm,
@@ -70,16 +68,6 @@ class ReflectionCoefficients:
             scale = max(1.0, sum(abs(t) for t in terms))
             worst = max(worst, abs(sum(terms) - 1.0) / scale)
         return worst
-
-    def to_json(self) -> str:
-        return json.dumps({"m": self.order,
-                           "lambdas": list(self.lambdas),
-                           "bs": list(self.bs)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReflectionCoefficients":
-        rec = json.loads(text)
-        return cls(rec["m"], tuple(rec["lambdas"]), tuple(rec["bs"]))
 
 
 def solve_reflection_coefficients(m: int) -> ReflectionCoefficients:
@@ -159,8 +147,7 @@ def reflect_extend(f: GridFunction, coeffs: ReflectionCoefficients) -> GridFunct
     """
     if f.grid.kind != HALF_LINE:
         raise ValueError("reflect_extend needs a half-line input")
-    if not boundary_decay_ok(f):
-        warn_if_boundary_heavy(f, "reflect_extend")
+    warn_if_boundary_heavy(f, "reflect_extend")
     full = f.grid.companion(FULL_LINE)
     zero = full.zero_index
     out = np.zeros((full.n_points, f.fiber_dim), dtype=np.complex128)
@@ -292,14 +279,12 @@ def support_projection(F: GridFunction, coeffs: ReflectionCoefficients) -> GridF
     return GridFunction(grid, out)
 
 
-def factor_norm_upper(f: GridFunction, s: float, p: float, gamma: float,
-                      coeffs: ReflectionCoefficients | None = None) -> float:
+def factor_norm_upper(f: GridFunction, s: float, p: float, gamma: float) -> float:
     """Upper bound for the restricted-space norm: the norm of the reflection
-    extension (order max(1, ceil|s|) unless ``coeffs`` is given)."""
+    extension of order max(1, ceil|s|)."""
     if f.grid.kind != HALF_LINE:
         raise ValueError("factor_norm_upper needs a half-line input")
-    if coeffs is None:
-        coeffs = solve_reflection_coefficients(max(1, int(math.ceil(abs(s)))))
+    coeffs = solve_reflection_coefficients(max(1, int(math.ceil(abs(s)))))
     return hsp_norm(reflect_extend(f, coeffs), s, p, PowerWeight(gamma))
 
 

@@ -13,9 +13,8 @@ nodes, and sums both correlations before a single inverse transform.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -45,13 +44,15 @@ def _exponent(r2: np.ndarray, a: float, sl: slice) -> np.ndarray:
             + a * _U_GRID[None, sl])
 
 
-def bessel_kernel(s: float, d: int, x) -> np.ndarray | float:
-    """Kernel G_s of the order-s smoothing operator, from the heat subordination
+def bessel_kernel(s: float, x) -> np.ndarray | float:
+    """Kernel G_s of the order-s smoothing operator on the line, from the
+    heat subordination
 
-        G_s(x) = C_{s,d} * integral_0^inf e^{-t} e^{-|x|^2/(4t)} t^{(s-d)/2} dt/t,
+        G_s(x) = C_s * integral_0^inf e^{-t} e^{-x^2/(4t)} t^{(s-1)/2} dt/t,
 
-    with C_{s,d} = (4 pi)^{-d/2} / Gamma(s/2) so that the kernel has unit mass
-    (the multiplier (1 + |xi|^2)^{-s/2} equals one at frequency zero).
+    with C_s = (4 pi)^{-1/2} / Gamma(s/2) so that the kernel has unit mass
+    (the multiplier (1 + xi^2)^{-s/2} equals one at frequency zero).  ``x``
+    is a point or an array of points.
 
     The integral is the trapezoid rule in u = log t on the nodes ``_U_GRID``,
     restricted to their live window: the exponent is concave in u and
@@ -64,22 +65,18 @@ def bessel_kernel(s: float, d: int, x) -> np.ndarray | float:
     """
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    r2 = np.sum(np.atleast_2d(x_arr.T).T ** 2, axis=-1) if x_arr.ndim > 1 else x_arr ** 2
-    scalar = np.isscalar(x) or np.asarray(x).ndim == 0
-    c = (4.0 * math.pi) ** (-d / 2.0) / special.gamma(s / 2.0)
-    out = np.empty_like(np.atleast_1d(r2), dtype=float)
+    r2 = np.asarray(x, dtype=float) ** 2
+    c = (4.0 * math.pi) ** -0.5 / special.gamma(s / 2.0)
     r2_flat = np.atleast_1d(r2)
+    out = np.empty_like(r2_flat)
     zero = r2_flat == 0.0
     if np.any(zero):
-        if s <= d:
-            raise ValueError("the kernel is singular at the origin for s <= d")
-        out[zero] = c * special.gamma((s - d) / 2.0)
+        if s <= 1:
+            raise ValueError("the kernel is singular at the origin for s <= 1")
+        out[zero] = c * special.gamma((s - 1) / 2.0)
     if np.any(~zero):
         r2_live = r2_flat[~zero]
-        a = (s - d) / 2.0
+        a = (s - 1) / 2.0
         # same expression as the integrand, so rounding keeps it an upper
         # bound; a NaN bound keeps every node (and the NaN result)
         bound = _exponent(np.min(r2_live, keepdims=True), a, slice(None))[0]
@@ -90,7 +87,7 @@ def bessel_kernel(s: float, d: int, x) -> np.ndarray | float:
             sl = slice(max(live[0] - 1, 0), live[-1] + 2)
             vals = np.exp(_exponent(r2_live, a, sl))
             out[~zero] = c * _trapezoid(vals, dx=_U_GRID[1] - _U_GRID[0], axis=1)
-    return float(out[0]) if scalar else out.reshape(np.shape(r2))
+    return float(out[0]) if r2.ndim == 0 else out.reshape(r2.shape)
 
 
 _ENVELOPE_TAIL = "exponential-tail"
@@ -104,16 +101,9 @@ class KernelBoundReport:
     """Supremum of G_s over the claimed envelope in each regime of |x|."""
 
     s: float
-    d: int
     regime: str
     sup_ratio: float
-    mesh_points: int
     pass_flag: bool
-
-    def to_json(self) -> str:
-        rec = asdict(self)
-        rec["pass"] = rec.pop("pass_flag")
-        return json.dumps(rec)
 
 
 def _near_envelope(s: float, x: np.ndarray) -> tuple[str, np.ndarray]:
@@ -140,23 +130,22 @@ def kernel_bound_check(s: float) -> list[KernelBoundReport]:
                 x = np.logspace(math.log10(lo), math.log10(hi), n)
             else:
                 x = np.linspace(lo, hi, n)
-            g = bessel_kernel(s, 1, x)
+            g = bessel_kernel(s, x)
             if regime == _ENVELOPE_TAIL:
                 name, env = _ENVELOPE_TAIL, np.exp(-x / 2.0)
             else:
                 name, env = _near_envelope(s, x)
             sups.append(float(np.max(g / env)))
         stable = math.isfinite(sups[1]) and abs(sups[1] - sups[0]) <= 0.05 * sups[0]
-        reports.append(KernelBoundReport(s, 1, name, sups[1], 800, stable))
+        reports.append(KernelBoundReport(s, name, sups[1], stable))
     return reports
 
 
-def kernel_weighted_tail_integrals(s: float, p: float, gamma: float,
-                                   n_levels: int = 6) -> np.ndarray:
+def kernel_weighted_tail_integrals(s: float, p: float, gamma: float) -> np.ndarray:
     """Contributions of shrinking dyadic shells near 0 to ||G_s||_{p'} weighted.
 
     Returns the integrals of |G_s|^{p'} |x|^{gamma'} over [eps/4, eps] for
-    eps = 1e-1 * 4^{-j}; their ratios decide convergence (ratios < 1) versus
+    eps = 1e-1 * 4^{-j}, j = 0..5; their ratios decide convergence (ratios < 1) versus
     divergence (ratios > 1) of the weighted norm as the mesh refines.
     """
     w = PowerWeight(gamma)
@@ -164,10 +153,10 @@ def kernel_weighted_tail_integrals(s: float, p: float, gamma: float,
     pp = dual_exponent(p)
     gamma_dual = w.dual(p).gamma
     out = []
-    for j in range(n_levels):
+    for j in range(6):
         eps = 1e-1 * 4.0 ** (-j)
         val, _ = integrate.quad(
-            lambda x: bessel_kernel(s, 1, x) ** pp * x ** gamma_dual,
+            lambda x: bessel_kernel(s, x) ** pp * x ** gamma_dual,
             eps / 4.0, eps, limit=200)
         out.append(val)
     return np.asarray(out)
@@ -216,8 +205,7 @@ def schur_companion_constant(p: float, beta: float) -> float:
     return _split_power_quadrature(e)
 
 
-def hardy_hilbert_apply(h: GridFunction, p: float, w: PowerWeight,
-                        nodes: np.ndarray | None = None) -> GridFunction:
+def hardy_hilbert_apply(h: GridFunction, nodes: np.ndarray | None = None) -> GridFunction:
     """I h(x) = integral_0^inf h(y) / (x + y) dy on a half-line grid.
 
     The integral is taken against the piecewise-linear interpolant of the
@@ -226,7 +214,6 @@ def hardy_hilbert_apply(h: GridFunction, p: float, w: PowerWeight,
     (first sample zero) and at the first cell midpoint otherwise.  ``nodes``
     restricts evaluation to a subset of node indices (the rest are zero).
     """
-    w.check_integrable(p)
     grid = h.grid
     if grid.kind != HALF_LINE:
         raise ValueError("hardy_hilbert_apply needs a half-line grid")

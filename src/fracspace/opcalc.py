@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -44,7 +43,6 @@ from .grid import (
 )
 from .fourier import hsp_norm
 from .halfline import (
-    ReflectionCoefficients,
     factor_norm_upper,
     trace,
     zero_extend,
@@ -74,7 +72,7 @@ class HalfLineOperator:
     def apply(self, f: GridFunction) -> GridFunction:
         """A f by boundary-safe 8th-order differentiation."""
         sign = 1.0 if self.variant == DIRICHLET else -1.0
-        dv = _fd.derivative_array(f.values, f.grid.h, order=1, accuracy=8)
+        dv = _fd.derivative_array(f.values, f.grid.h)
         return GridFunction(f.grid, sign * dv)
 
 
@@ -186,11 +184,6 @@ class SectorProbe:
     @property
     def supremum(self) -> float:
         return max((e["norm_estimate"] for e in self.entries), default=0.0)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "variant": self.variant, "p": self.p, "gamma": self.gamma,
-            "angle": self.angle, "entries": list(self.entries)})
 
 
 # power-iteration steps of the matrix-free lower bound
@@ -451,7 +444,7 @@ def riemann_liouville(f: GridFunction, theta: float) -> GridFunction:
     grid = f.grid
     h = grid.h
     n = grid.n_points
-    df = _fd.derivative_array(f.values, h, order=1, accuracy=8)
+    df = _fd.derivative_array(f.values, h)
     g = np.arange(0, n, dtype=float)
     tb = g * h
     ta = np.maximum(g - 1.0, 0.0) * h
@@ -472,8 +465,7 @@ def riemann_liouville(f: GridFunction, theta: float) -> GridFunction:
     return GridFunction(grid, out / special.gamma(one))
 
 
-def domain_norm_ratio(op: HalfLineOperator, theta: float, f: GridFunction,
-                      coeffs: ReflectionCoefficients | None = None) -> float:
+def domain_norm_ratio(op: HalfLineOperator, theta: float, f: GridFunction) -> float:
     """(||f||_{L^p(w)} + ||A^theta f||_{L^p(w)}) / N(f).
 
     N(f) is the order-theta smoothness norm of the zero extension (Dirichlet
@@ -490,7 +482,7 @@ def domain_norm_ratio(op: HalfLineOperator, theta: float, f: GridFunction,
     if op.variant == DIRICHLET:
         denom = hsp_norm(zero_extend(f), theta, op.p, w)
     else:
-        denom = factor_norm_upper(f, theta, op.p, op.gamma, coeffs)
+        denom = factor_norm_upper(f, theta, op.p, op.gamma)
     if denom == 0.0:
         raise ValueError("vanishing input")
     return numer / denom
@@ -523,8 +515,8 @@ def integration_by_parts_check(u: GridFunction, v: GridFunction) -> float:
     """
     if u.grid != v.grid or u.fiber_dim != v.fiber_dim:
         raise ValueError("u and v must share grid and fiber dimension")
-    du = GridFunction(u.grid, _fd.derivative_array(u.values, u.grid.h, 1, 8))
-    dv = GridFunction(v.grid, _fd.derivative_array(v.values, v.grid.h, 1, 8))
+    du = GridFunction(u.grid, _fd.derivative_array(u.values, u.grid.h))
+    dv = GridFunction(v.grid, _fd.derivative_array(v.values, v.grid.h))
     boundary = complex(np.sum(u.values[0] * np.conj(v.values[0])))
     total = (_endpoint_corrected_pairing(du, v) + boundary
              + _endpoint_corrected_pairing(u, dv))

@@ -30,10 +30,10 @@ from scipy import integrate
 from .grid import FULL_LINE, GridFunction, warn_if_boundary_heavy
 
 
-def _cos_minus_one_series(r: float, sigma: float, xi: float, terms: int = 12) -> float:
-    """integral_0^r (cos(xi h) - 1) h^(-1-sigma) dh by the alternating series."""
+def _cos_minus_one_series(r: float, sigma: float, xi: float) -> float:
+    """integral_0^r (cos(xi h) - 1) h^(-1-sigma) dh by 12 terms of the alternating series."""
     total = 0.0
-    for k in range(1, terms + 1):
+    for k in range(1, 13):
         expo = 2 * k - sigma
         total += (-1.0) ** k * (xi ** (2 * k)) * r ** expo / (math.factorial(2 * k) * expo)
     return total

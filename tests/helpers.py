@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from fracspace.grid import FULL_LINE, HALF_LINE, Grid, GridFunction, plateau
+from fracspace.grid import FULL_LINE, Grid, GridFunction, plateau
 
 # property-test inputs: half width, grid size N (a power of two from 16 to
 # 4096), weight exponent gamma in (-1, 2), fiber dimension, and data seed

@@ -46,4 +46,7 @@ def test_acceptance_criterion(number, suite, summary):
           f"cases ({summary}) [{report.runtime_s:.1f}s]")
     failed = [c for c in report.cases if not c["pass"]]
     assert not failed, f"criterion {number} ({suite}) failed cases: {failed}"
+    # no suppressed RuntimeWarning, e.g. none of periodization: every input
+    # decays before the grid ends
+    assert report.warnings == {}
     assert len(report.refinement) >= 3

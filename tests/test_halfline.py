@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -73,11 +72,6 @@ class TestReflectionCoefficients:
         with pytest.raises(ResolutionError):
             solve_reflection_coefficients(9)
 
-    def test_json_round_trip(self):
-        c = solve_reflection_coefficients(1)
-        back = ReflectionCoefficients.from_json(c.to_json())
-        assert back == c
-
     def test_rejects_inconsistent_data(self):
         with pytest.raises(ValueError):
             ReflectionCoefficients(0, (1.0, 2.0), (1.0, 1.0))
@@ -85,11 +79,8 @@ class TestReflectionCoefficients:
     def test_rejects_non_integer_factors(self):
         # (7/3, -4/3) solves the matching system for lambdas (1, 2.5), so only
         # the integer requirement rejects these data
-        data = {"m": 0, "lambdas": [1.0, 2.5], "bs": [7.0 / 3.0, -4.0 / 3.0]}
         with pytest.raises(ValueError, match="integer"):
-            ReflectionCoefficients(0, tuple(data["lambdas"]), tuple(data["bs"]))
-        with pytest.raises(ValueError, match="integer"):
-            ReflectionCoefficients.from_json(json.dumps(data))
+            ReflectionCoefficients(0, (1.0, 2.5), (7.0 / 3.0, -4.0 / 3.0))
 
 
 class TestReflectExtend:

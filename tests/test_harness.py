@@ -391,6 +391,10 @@ BAD_INPUTS = {
                                   "--out", str(tmp / "o.csv"), "--params", "{}"],
     "param-is-the-input": lambda tmp: ["apply", "reflect-extend", "--in", _half_line_csv(tmp),
                                        "--out", str(tmp / "o.csv"), "--params", '{"f": 1}'],
+    # the operator 1/(x + y) does not depend on a weight
+    "param-hardy-weight": lambda tmp: ["apply", "hardy-hilbert", "--in", _half_line_csv(tmp),
+                                       "--out", str(tmp / "o.csv"),
+                                       "--params", '{"p": 2.0, "gamma": 0.5}'],
     # integer parameters: no truncation of a fraction, no boolean as 0 or 1
     "param-order-fractional": lambda tmp: ["apply", "derivative", "--in", _full_line_csv(tmp),
                                            "--out", str(tmp / "o.csv"),
@@ -409,6 +413,17 @@ BAD_INPUTS = {
     "half-width-nan": lambda tmp: ["run", "traces", "--half-width", "nan"],
     "half-width-inf": lambda tmp: ["run", "bessel-kernel", "--half-width", "inf"],
     "n-repeated": lambda tmp: ["run", "c-sigma", "--n", "1024,1024,1024"],
+    # config shapes: sweep entries shaped like the defaults, tolerances >= 0
+    "config-sweep-scalar": lambda tmp: [
+        "run", "c-sigma", "--config", _config(tmp, {"sweeps": {"sigma": 0.5}})],
+    "config-sweep-empty": lambda tmp: [
+        "run", "c-sigma", "--config", _config(tmp, {"sweeps": {"sigma": []}})],
+    "config-sweep-entry-short": lambda tmp: [
+        "run", "schur-constants", "--config", _config(tmp, {"sweeps": {"p_beta": [[2.0]]}})],
+    "config-tolerance-string": lambda tmp: [
+        "run", "c-sigma", "--config", _config(tmp, {"tolerances": {"oracle": "tight"}})],
+    "config-tolerance-negative": lambda tmp: [
+        "run", "c-sigma", "--config", _config(tmp, {"tolerances": {"oracle": -1}})],
 }
 
 

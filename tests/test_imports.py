@@ -3,6 +3,7 @@
 import ast
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import fracspace
@@ -42,8 +43,9 @@ def _unused_top_level_imports(path: Path) -> list[str]:
 def test_no_unused_top_level_imports():
     # a name listed in __all__ is a re-export, so it counts as used
     package = Path(fracspace.__file__).resolve().parent
-    unused = [entry for path in sorted(package.glob("*.py"))
-              for entry in _unused_top_level_imports(path)]
+    tests = Path(__file__).resolve().parent
+    paths = sorted(package.glob("*.py")) + sorted(tests.glob("*.py"))
+    unused = [entry for path in paths for entry in _unused_top_level_imports(path)]
     assert unused == []
 
 
@@ -73,22 +75,160 @@ def _loaded_names(node: ast.AST) -> set[str]:
     return names
 
 
-def test_every_top_level_definition_is_read():
-    # a definition that no other package code loads is public surface that
-    # nothing checks; the re-exports of __init__ do not count as reads
+def _package_modules() -> list[tuple[str, ast.Module]]:
+    """(stem, tree) of every package module; the re-exports of __init__
+    are not package code that reads anything."""
     package = Path(fracspace.__file__).resolve().parent
+    return [(path.stem, ast.parse(path.read_text(), filename=str(path)))
+            for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+
+
+def _top_level_name(node: ast.stmt) -> str | None:
+    """The name a top-level function, class or constant defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+            and isinstance(node.targets[0], ast.Name):
+        return node.targets[0].id
+    return None
+
+
+def test_every_top_level_definition_is_read():
+    # a function, class or constant that no other package code loads is
+    # public surface that nothing checks
     defined, reads = [], []
-    for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
-            owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+    for module, tree in _package_modules():
+        for node in tree.body:
+            owner = _top_level_name(node)
             if owner is not None:
-                defined.append((path.stem, owner))
-            reads.append((path.stem, owner, _loaded_names(node)))
+                defined.append((module, owner))
+            reads.append((module, owner, _loaded_names(node)))
     unread = [f"{module}.{name}" for module, name in defined
               if name not in READ_BY_TESTS_ONLY
               and not any((name in names or f"{module}.{name}" in names)
                           and (where, owner) != (module, name)
                           for where, owner, names in reads)]
     assert unread == []
+
+
+def _enclosed(tree: ast.AST, kinds) -> list[tuple[ast.AST, tuple]]:
+    """Every node of one of ``kinds`` under ``tree``, with the function
+    definitions that enclose it, outermost first."""
+    found = []
+    stack = [(tree, ())]
+    while stack:
+        node, owners = stack.pop()
+        if isinstance(node, kinds):
+            found.append((node, owners))
+        if isinstance(node, ast.FunctionDef):
+            owners = owners + (node,)
+        stack.extend((child, owners) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _members(tree: ast.Module):
+    """(class, method) for every non-dunder method or property of a class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
+                    yield node, item
+
+
+def test_every_method_is_read():
+    # a method or property that no package code outside its own body loads
+    # is surface only tests reach; ``Other.name`` reads Other's member only
+    modules = _package_modules()
+    classes = {cls.name for _, tree in modules for cls, _ in _members(tree)}
+    loads = [(node.attr, node.value.id if isinstance(node.value, ast.Name) else None, owners)
+             for _, tree in modules
+             for node, owners in _enclosed(tree, ast.Attribute)
+             if isinstance(node.ctx, ast.Load)]
+    unread = [f"{module}.{cls.name}.{fn.name}"
+              for module, tree in modules for cls, fn in _members(tree)
+              if not any(attr == fn.name and fn not in owners
+                         and (base == cls.name or base not in classes)
+                         for attr, base, owners in loads)]
+    assert unread == []
+
+
+# defaulted parameters that only tests set: the node-by-node side of the
+# dense Hardy operator (test_dense_path_matches_node_path) and the fiber
+# dimension of the C^n-valued property tests
+SET_BY_TESTS_ONLY = {("hardy_hilbert_apply", "nodes"), ("generate_test_family", "fiber_dim")}
+
+
+def _defaulted_parameters(fn: ast.FunctionDef, method: bool):
+    """(name, position or None, default) of each defaulted parameter of
+    ``fn``; positions of a method count after self or cls."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    skip = 1 if method and not static else 0
+    first = len(positional) - len(args.defaults)
+    for i, (arg, default) in enumerate(zip(positional[first:], args.defaults)):
+        yield arg.arg, first + i - skip, default
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None, default
+
+
+def _same_value(node: ast.AST, default: ast.AST) -> bool:
+    """Whether an argument spells the parameter's default (passing it
+    explicitly sets nothing)."""
+    if ast.unparse(node) == ast.unparse(default):
+        return True
+    try:
+        return ast.literal_eval(node) == ast.literal_eval(default)
+    except ValueError:
+        return False
+
+
+def _sets(call: ast.Call, name: str, position, default: ast.AST) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args) \
+            or any(k.arg is None for k in call.keywords):
+        return True
+    passed = [k.value for k in call.keywords if k.arg == name]
+    if position is not None and position < len(call.args):
+        passed.append(call.args[position])
+    return any(not _same_value(value, default) for value in passed)
+
+
+def _set_from_outside(modules) -> set[str]:
+    """Functions whose parameters the command line sets: the console entry
+    points of pyproject.toml and the functions in ``cli.APPLY_OPS``, whose
+    keyword parameters are --params keys."""
+    project = Path(fracspace.__file__).resolve().parents[2] / "pyproject.toml"
+    scripts = tomllib.loads(project.read_text())["project"]["scripts"]
+    tree = dict(modules)["cli"]
+    table = next(node.value for node in tree.body if _top_level_name(node) == "APPLY_OPS")
+    return ({target.rpartition(":")[2] for target in scripts.values()}
+            | {v.id if isinstance(v, ast.Name) else v.attr for v in table.values})
+
+
+def test_every_defaulted_parameter_is_set():
+    # a default that no package call overrides, by keyword or by position,
+    # is a single-value knob: a constant or dead branch in disguise
+    modules = _package_modules()
+    exempt = _set_from_outside(modules)
+    calls = [(node.func.id if isinstance(node.func, ast.Name) else node.func.attr, node, owners)
+             for _, tree in modules for node, owners in _enclosed(tree, ast.Call)
+             if isinstance(node.func, (ast.Name, ast.Attribute))]
+    methods = {fn for _, tree in modules for _, fn in _members(tree)}
+    unset = []
+    for module, tree in modules:
+        for fn, _ in _enclosed(tree, ast.FunctionDef):
+            if fn.name in exempt or _is_dunder(fn.name):
+                continue
+            for name, position, default in _defaulted_parameters(fn, fn in methods):
+                if (fn.name, name) in SET_BY_TESTS_ONLY:
+                    continue
+                if not any(callee == fn.name and fn not in owners
+                           and _sets(call, name, position, default)
+                           for callee, call, owners in calls):
+                    unset.append(f"{module}.{fn.name}({name}=)")
+    assert unset == []

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -29,19 +28,19 @@ from fracspace.kernels import (
 class TestBesselKernel:
     def test_order_two_closed_form(self):
         xs = np.linspace(0.1, 10.0, 200)
-        vals = bessel_kernel(2.0, 1, xs)
+        vals = bessel_kernel(2.0, xs)
         assert np.max(np.abs(vals - np.exp(-xs) / 2.0)) < 1e-6
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
     def test_unit_mass(self, s):
-        head = integrate.quad(lambda t: bessel_kernel(s, 1, t), 0, 2, limit=200)[0]
-        tail = integrate.quad(lambda t: bessel_kernel(s, 1, t), 2, np.inf, limit=200)[0]
+        head = integrate.quad(lambda t: bessel_kernel(s, t), 0, 2, limit=200)[0]
+        tail = integrate.quad(lambda t: bessel_kernel(s, t), 2, np.inf, limit=200)[0]
         assert 2 * (head + tail) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 3.0])
     def test_positivity(self, s):
         xs = np.logspace(-6, 1.6, 400)
-        assert np.all(bessel_kernel(s, 1, xs) > 0)
+        assert np.all(bessel_kernel(s, xs) > 0)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 3.0])
     def test_matches_numeric_inverse_transform(self, s):
@@ -49,18 +48,18 @@ class TestBesselKernel:
         for x in (0.1, 1.0, 5.0, 10.0):
             val = integrate.quad(lambda xi: (1 + xi ** 2) ** (-s / 2), 0, np.inf,
                                  weight="cos", wvar=x, limit=400)[0] / math.pi
-            assert bessel_kernel(s, 1, x) == pytest.approx(val, abs=1e-5)
+            assert bessel_kernel(s, x) == pytest.approx(val, abs=1e-5)
 
     def test_origin_value(self):
         # finite at 0 only above the dimension
-        assert bessel_kernel(3.0, 1, 0.0) == pytest.approx(
+        assert bessel_kernel(3.0, 0.0) == pytest.approx(
             (4 * math.pi) ** -0.5 * math.gamma(1.0) / math.gamma(1.5), rel=1e-12)
         with pytest.raises(ValueError):
-            bessel_kernel(0.5, 1, 0.0)
+            bessel_kernel(0.5, 0.0)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
-            bessel_kernel(-1.0, 1, 1.0)
+            bessel_kernel(-1.0, 1.0)
 
 
 def _full_range_trapezoid(s, x):
@@ -84,32 +83,32 @@ class TestBesselKernelWindow:
         np.linspace(700.0, 800.0, 101),   # the last nodes underflow here
     ])
     def test_matches_full_range_trapezoid(self, s, x):
-        got = bessel_kernel(s, 1, x)
+        got = bessel_kernel(s, x)
         ref = _full_range_trapezoid(s, x)
         assert np.all(np.abs(got - ref) <= 1e-14 * ref)
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 2.0, 2.5])
     def test_scalar_matches_full_range_trapezoid(self, s):
-        got = bessel_kernel(s, 1, 0.7)
+        got = bessel_kernel(s, 0.7)
         assert isinstance(got, float)
         assert got == pytest.approx(_full_range_trapezoid(s, 0.7)[0], rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("s", [0.3, 1.0, 2.5])
     def test_total_underflow_is_exact_zero(self, s):
         assert _full_range_trapezoid(s, 2000.0)[0] == 0.0
-        assert bessel_kernel(s, 1, 2000.0) == 0.0
-        out = bessel_kernel(s, 1, np.array([2000.0, 5000.0]))
+        assert bessel_kernel(s, 2000.0) == 0.0
+        out = bessel_kernel(s, np.array([2000.0, 5000.0]))
         assert out.tolist() == [0.0, 0.0]
 
     def test_mixed_mesh_keeps_small_and_large_points(self):
         x = np.array([1e-6, 1.0, 40.0, 2000.0])
-        got = bessel_kernel(0.5, 1, x)
+        got = bessel_kernel(0.5, x)
         ref = _full_range_trapezoid(0.5, x)
         assert got[-1] == 0.0
         assert np.all(np.abs(got - ref) <= 1e-14 * ref)
 
     def test_nan_propagates(self):
-        assert math.isnan(bessel_kernel(1.0, 1, math.nan))
+        assert math.isnan(bessel_kernel(1.0, math.nan))
 
 
 class TestKernelBounds:
@@ -128,11 +127,6 @@ class TestKernelBounds:
         for s in (0.5, 1.0, 2.0):
             tail = [r for r in kernel_bound_check(s) if "tail" in r.regime][0]
             assert tail.pass_flag and math.isfinite(tail.sup_ratio)
-
-    def test_report_serialization(self):
-        rep = kernel_bound_check(0.5)[0]
-        rec = json.loads(rep.to_json())
-        assert set(rec) == {"s", "d", "regime", "sup_ratio", "mesh_points", "pass"}
 
     @pytest.mark.parametrize("p, gamma", [(2.0, 0.0), (2.0, 0.5), (3.0, 1.0)])
     def test_weighted_integrability_threshold(self, p, gamma):
@@ -178,7 +172,7 @@ class TestHardyHilbert:
         g = Grid(4.0, 2 ** 22, HALF_LINE)
         y = g.points
         h = GridFunction(g, np.where((y >= 1.0) & (y <= 2.0), 1.0, 0.0))
-        out = hardy_hilbert_apply(h, 2.0, PowerWeight(0.0), nodes=[0])
+        out = hardy_hilbert_apply(h, nodes=[0])
         assert out.values[0, 0].real == pytest.approx(math.log(2.0), abs=1e-6)
 
     def test_one_minus_log_two_example(self):
@@ -186,14 +180,14 @@ class TestHardyHilbert:
         y = g.points
         h = GridFunction(g, np.where(y <= 1.0, y, 0.0))
         idx = int(round(1.0 / g.h))
-        out = hardy_hilbert_apply(h, 2.0, PowerWeight(0.0), nodes=[idx])
+        out = hardy_hilbert_apply(h, nodes=[idx])
         assert out.values[idx, 0].real == pytest.approx(1.0 - math.log(2.0), abs=1e-6)
 
     def test_positivity_preserving(self):
         g = Grid(40.0, 2048, HALF_LINE)
         rng = np.random.default_rng(4)
         h = GridFunction(g, np.abs(rng.standard_normal(2048)))
-        out = hardy_hilbert_apply(h, 2.0, PowerWeight(0.0))
+        out = hardy_hilbert_apply(h)
         assert np.min(out.values.real) >= 0.0
 
     def test_norm_probe_below_schur_bound(self):
@@ -206,7 +200,7 @@ class TestHardyHilbert:
             for _ in range(20):
                 c, wd = rng.uniform(2, 25), rng.uniform(0.5, 5)
                 h = GridFunction(g, np.exp(-((t - c) / wd) ** 2))
-                ih = hardy_hilbert_apply(h, 2.0, w)
+                ih = hardy_hilbert_apply(h)
                 ratio = weighted_lp_norm(ih, 2.0, w) / weighted_lp_norm(h, 2.0, w)
                 assert ratio <= bound
 
@@ -215,10 +209,8 @@ class TestHardyHilbert:
         rng = np.random.default_rng(6)
         a = GridFunction(g, rng.standard_normal(1024))
         b = GridFunction(g, rng.standard_normal(1024))
-        w = PowerWeight(0.0)
-        lhs = hardy_hilbert_apply(GridFunction(g, 2.0 * a.values - 3.0 * b.values),
-                                  2.0, w)
-        rhs = 2.0 * hardy_hilbert_apply(a, 2.0, w) - 3.0 * hardy_hilbert_apply(b, 2.0, w)
+        lhs = hardy_hilbert_apply(GridFunction(g, 2.0 * a.values - 3.0 * b.values))
+        rhs = 2.0 * hardy_hilbert_apply(a) - 3.0 * hardy_hilbert_apply(b)
         assert np.max(np.abs(lhs.values - rhs.values)) < 1e-10 * np.max(np.abs(lhs.values))
 
     @pytest.mark.parametrize("n", [16, 1024, 4096])
@@ -238,9 +230,8 @@ class TestHardyHilbert:
             vals[0] = 0.0
         h = GridFunction(g, vals)
         assert (h.values[0, 0] != 0.0) == (origin == "nonzero")
-        w = PowerWeight(0.0)
-        dense = hardy_hilbert_apply(h, 2.0, w).values
-        direct = hardy_hilbert_apply(h, 2.0, w, nodes=np.arange(n)).values
+        dense = hardy_hilbert_apply(h).values
+        direct = hardy_hilbert_apply(h, nodes=np.arange(n)).values
         assert np.all(np.abs(dense - direct) <= 1e-12 * np.abs(direct))
 
     def test_cached_spectra_are_read_only_and_short(self):

@@ -15,7 +15,6 @@ from fracspace.singular import (
 )
 from fracspace.harness import generate_test_family
 
-from helpers import plateau
 
 W0 = PowerWeight(0.0)
 
