@@ -3,8 +3,8 @@
 The recipe is SciPy's ``fftconvolve`` for complex data (grid-function
 values are complex): zero-pad both inputs to ``next_fast_len`` of the full
 length and take one complex transform pair; results agree bit for bit.
-Only ``scipy.fft`` is used, which ``scipy.integrate`` loads anyway, so the
-package never imports SciPy's signal-processing subpackage, whose import
+This module uses only ``scipy.fft``, which ``scipy.integrate`` loads anyway,
+so it needs no import of SciPy's signal-processing subpackage, whose import
 used to dominate the package's start-up.
 """
 

@@ -8,21 +8,21 @@ from __future__ import annotations
 import numpy as np
 
 
-def fd_weights(z: float, nodes: np.ndarray, max_order: int) -> np.ndarray:
-    """Weights w[k, j] with sum_j w[k, j] f(nodes[j]) ~ f^(k)(z), k = 0..max_order."""
+def fd_weights(nodes: np.ndarray, max_order: int) -> np.ndarray:
+    """Weights w[k, j] with sum_j w[k, j] f(nodes[j]) ~ f^(k)(0), k = 0..max_order."""
     nodes = np.asarray(nodes, dtype=float)
     n = len(nodes)
     if max_order >= n:
         raise ValueError("need more nodes than the requested derivative order")
     c = np.zeros((max_order + 1, n))
     c1 = 1.0
-    c4 = nodes[0] - z
+    c4 = nodes[0]
     c[0, 0] = 1.0
     for i in range(1, n):
         mn = min(i, max_order)
         c2 = 1.0
         c5 = c4
-        c4 = nodes[i] - z
+        c4 = nodes[i]
         for j in range(i):
             c3 = nodes[i] - nodes[j]
             c2 *= c3
@@ -59,7 +59,7 @@ def derivative_at(values: np.ndarray, h: float, index: int, order: int,
         raise ValueError(f"the {one_sided}-sided stencil of {n_pts} nodes at "
                          f"index {index} does not fit in {n} samples")
     offsets = np.arange(lo, lo + n_pts)
-    w = fd_weights(0.0, (offsets - index) * h, order)[order]
+    w = fd_weights((offsets - index) * h, order)[order]
     return np.tensordot(w, values[offsets], axes=(0, 0))
 
 
@@ -73,7 +73,7 @@ def derivative_array(values: np.ndarray, h: float) -> np.ndarray:
     n = values.shape[0]
     out = np.empty_like(np.asarray(values, dtype=complex))
     # interior: one centered stencil, applied by correlation
-    w = fd_weights(0.0, np.arange(-half, half + 1) * h, 1)[1]
+    w = fd_weights(np.arange(-half, half + 1) * h, 1)[1]
     interior = np.zeros((n - 2 * half, values.shape[1]), dtype=complex)
     for j, wj in enumerate(w):
         if wj != 0.0:
@@ -81,8 +81,8 @@ def derivative_array(values: np.ndarray, h: float) -> np.ndarray:
     out[half: n - half] = interior
     # ends: shifted stencils of the same length
     for i in range(half):
-        wl = fd_weights(0.0, (np.arange(n_pts) - i) * h, 1)[1]
+        wl = fd_weights((np.arange(n_pts) - i) * h, 1)[1]
         out[i] = np.tensordot(wl, values[:n_pts], axes=(0, 0))
-        wr = fd_weights(0.0, (np.arange(n - n_pts, n) - (n - 1 - i)) * h, 1)[1]
+        wr = fd_weights((np.arange(n - n_pts, n) - (n - 1 - i)) * h, 1)[1]
         out[n - 1 - i] = np.tensordot(wr, values[n - n_pts:], axes=(0, 0))
     return out

@@ -173,9 +173,12 @@ class SuiteConfig:
         for key, tol in self.tolerances.items():
             if _shape(tol) != 0 or not (math.isfinite(tol) and tol >= 0):
                 raise ConfigError(f"tolerance {key} must be a finite number >= 0, got {tol!r}")
-        for key in ("spg", "pgt"):
+        for key, check in _ENTRY_CHECKS.items():
             for entry in self.sweeps.get(key, ()):
-                self._check_triple(key, entry)
+                try:
+                    check(entry)
+                except ValueError as exc:
+                    raise ConfigError(f"sweep {key} entry {entry!r}: {exc}") from None
 
     def shared(self) -> "SuiteConfig":
         """This configuration as one of several suites that share it (``run all``).
@@ -192,19 +195,6 @@ class SuiteConfig:
         return replace(self, sweeps=narrow(self.sweeps, 1),
                        tolerances=narrow(self.tolerances, 2))
 
-    @staticmethod
-    def _check_triple(key, entry) -> None:
-        if key == "spg":
-            s, p, gamma = entry
-        else:
-            p, gamma, s = entry
-        if not (p > 1 and -1 < gamma < p - 1):
-            raise ConfigError(f"(p, gamma)=({p}, {gamma}) is not admissible")
-        if halfline.critical_line_distance(s, p, gamma) < 0.05 and s > 0:
-            raise ConfigError(
-                f"s={s} is within 0.05 of a critical trace line for "
-                f"(p, gamma)=({p}, {gamma})")
-
     def hash(self) -> str:
         """Hash of the computation the config asks for; where the report is
         written (``out_dir``) does not enter."""
@@ -212,6 +202,25 @@ class SuiteConfig:
         del fields["out_dir"]
         canon = json.dumps(fields, sort_keys=True, default=list)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _check_triple(p, gamma, s) -> None:
+    if not (p > 1 and -1 < gamma < p - 1):
+        raise ConfigError(f"(p, gamma)=({p}, {gamma}) is not admissible")
+    if halfline.critical_line_distance(s, p, gamma) < 0.05 and s > 0:
+        raise ConfigError(
+            f"s={s} is within 0.05 of a critical trace line for "
+            f"(p, gamma)=({p}, {gamma})")
+
+
+# sweep key -> the range check of one of its entries (a ValueError rejects it);
+# sigma and p_beta use the checks of the operators that the suites call
+_ENTRY_CHECKS = {
+    "sigma": singular.check_sigma,
+    "p_beta": lambda entry: kernels.check_schur_exponents(*entry),
+    "spg": lambda entry: _check_triple(entry[1], entry[2], entry[0]),
+    "pgt": lambda entry: _check_triple(*entry),
+}
 
 
 def _shape(entry) -> int | None:
@@ -254,16 +263,11 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(c["pass"] for c in self.cases)
 
-    def to_dict(self) -> dict:
-        return {"suite": self.suite, "config_hash": self.config_hash,
-                "cases": self.cases, "refinement": self.refinement,
-                "runtime_s": self.runtime_s, "warnings": self.warnings}
-
     def write(self, out_dir) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / f"{self.suite}.json", "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            json.dump(asdict(self), fh, indent=2)
         with open(out / f"{self.suite}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["params", "value", "reference", "tol", "pass"])

@@ -172,13 +172,10 @@ def _split_power_quadrature(e: float) -> float:
     return head + tail
 
 
-def schur_constant(p: float, beta: float) -> float:
-    """Adaptive quadrature of integral_0^inf z^(beta - 1/p) / (1 + z) dz.
-
-    Requires both exponent windows -1 < beta - 1/p' < 0 (the admissible range
-    beta in (-1/p, 1/p')) and -1 < beta - 1/p < 0 (convergence of this
-    integral).  Cross-checked by callers against pi / sin(pi (beta + 1/p')).
-    """
+def check_schur_exponents(p: float, beta: float) -> None:
+    """Raise AdmissibilityError unless both exponent windows of ``schur_constant``
+    hold: -1 < beta - 1/p' < 0 (the admissible range beta in (-1/p, 1/p')) and
+    -1 < beta - 1/p < 0 (convergence of its integral)."""
     pp = dual_exponent(p)
     if not (-1.0 < beta - 1.0 / pp < 0.0):
         raise AdmissibilityError(
@@ -187,7 +184,16 @@ def schur_constant(p: float, beta: float) -> float:
     if not (-1.0 < e < 0.0):
         raise AdmissibilityError(
             f"beta={beta} makes the exponent {e} non-integrable for p={p}")
-    return _split_power_quadrature(e)
+
+
+def schur_constant(p: float, beta: float) -> float:
+    """Adaptive quadrature of integral_0^inf z^(beta - 1/p) / (1 + z) dz.
+
+    Requires the exponent windows of ``check_schur_exponents``.
+    Cross-checked by callers against pi / sin(pi (beta + 1/p')).
+    """
+    check_schur_exponents(p, beta)
+    return _split_power_quadrature(beta - 1.0 / p)
 
 
 def schur_closed_form(p: float, beta: float) -> float:

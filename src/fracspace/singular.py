@@ -30,6 +30,12 @@ from scipy import integrate
 from .grid import FULL_LINE, GridFunction, warn_if_boundary_heavy
 
 
+def check_sigma(sigma: float) -> None:
+    """Raise ValueError unless sigma lies in (0, 1), the order range of this module."""
+    if not 0.0 < sigma < 1.0:
+        raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
+
+
 def _cos_minus_one_series(r: float, sigma: float, xi: float) -> float:
     """integral_0^r (cos(xi h) - 1) h^(-1-sigma) dh by 12 terms of the alternating series."""
     total = 0.0
@@ -62,8 +68,7 @@ def symbol_integral(xi: float, sigma: float, split: float = 1.0) -> float:
     cosine-weighted quadrature per decade on (split, inf), both doubled for
     the two signs of h.
     """
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
+    check_sigma(sigma)
     xi = abs(float(xi))
     if xi == 0.0:
         return 0.0
@@ -170,8 +175,7 @@ def fractional_laplacian_singular(f: GridFunction, sigma: float) -> GridFunction
     Every level and the Richardson mixture are linear, so the result is one
     circular kernel, built once per (N, h, sigma) by ``_singular_kernel``.
     """
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
+    check_sigma(sigma)
     grid = f.grid
     if grid.kind != FULL_LINE:
         raise ValueError("needs a full-line grid")

@@ -424,6 +424,14 @@ BAD_INPUTS = {
         "run", "c-sigma", "--config", _config(tmp, {"tolerances": {"oracle": "tight"}})],
     "config-tolerance-negative": lambda tmp: [
         "run", "c-sigma", "--config", _config(tmp, {"tolerances": {"oracle": -1}})],
+    # sweep entries outside the range of the operator the suite calls
+    "config-sweep-sigma-above-one": lambda tmp: [
+        "run", "c-sigma", "--config", _config(tmp, {"sweeps": {"sigma": [1.5]}})],
+    "config-sweep-sigma-zero": lambda tmp: [
+        "run", "frac-laplacian-xcheck", "--config", _config(tmp, {"sweeps": {"sigma": [0.0]}})],
+    "config-sweep-p-beta-inadmissible": lambda tmp: [
+        "run", "schur-constants", "--config",
+        _config(tmp, {"sweeps": {"p_beta": [[2.0, 0.7]]}})],
 }
 
 

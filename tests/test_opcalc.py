@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import signal
+from scipy import integrate, signal
 
 from fracspace.grid import (
     Grid,
@@ -168,14 +168,14 @@ class TestResolvent:
 # independent references: the four recursions as scipy.signal.lfilter
 # filters (tests may import scipy.signal; the package must not)
 def _lfilter_dirichlet(lam, x, h):
-    E, beta, alpha = _taps(DIRICHLET, lam, h)
+    E, beta, alpha = _taps(lam, h)
     y, _ = signal.lfilter([beta, alpha], [1.0, -E], x, axis=0, zi=(-beta * x[0])[None, :])
     y[0] = 0.0
     return y
 
 
 def _lfilter_dirichlet_adjoint(lam, x, h):
-    E, beta, alpha = _taps(DIRICHLET, lam, h)
+    E, beta, alpha = _taps(lam, h)
     E, alpha, beta = np.conj(E), np.conj(alpha), np.conj(beta)
     rev = x[::-1]
     y = signal.lfilter([beta, alpha], [1.0, -E], rev, axis=0)[::-1]
@@ -184,17 +184,54 @@ def _lfilter_dirichlet_adjoint(lam, x, h):
 
 
 def _lfilter_minus(lam, x, h):
-    E, alpha_p, beta_p = _taps(MINUS, lam, h)
+    E, alpha_p, beta_p = _taps(lam, h)
     return signal.lfilter([alpha_p, beta_p], [1.0, -E], x[::-1], axis=0)[::-1]
 
 
 def _lfilter_minus_adjoint(lam, x, h):
-    E, alpha_p, beta_p = _taps(MINUS, lam, h)
+    E, alpha_p, beta_p = _taps(lam, h)
     return signal.lfilter([np.conj(alpha_p), np.conj(beta_p)], [1.0, -np.conj(E)], x, axis=0)
 
 
 # the sector that resolvent-sectoriality probes: |arg lambda| <= pi - angle
 _PROBED_ARG = math.pi / 4 + 0.1
+
+
+def _quad_complex(fn) -> complex:
+    """integral_0^1 of a complex function, real and imaginary parts by ``quad``."""
+    return complex(*(integrate.quad(lambda x: part(fn(x)), 0.0, 1.0, epsabs=0.0,
+                                    epsrel=1e-13, limit=200)[0]
+                     for part in (lambda v: v.real, lambda v: v.imag)))
+
+
+class TestTaps:
+    @pytest.mark.parametrize("lam_h", [1e-16, 1e-12, 1e-8, 1e-5, 1e-3, 0.1, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("arg", [0.0, _PROBED_ARG, -_PROBED_ARG])
+    def test_match_defining_integrals(self, lam_h, arg):
+        # b0 = int_0^h e^{-lam tau} (1 - tau/h) dtau, b1 = int_0^h e^{-lam tau} tau/h dtau
+        h = 0.04
+        z = lam_h * cmath.exp(1j * arg)
+        b0_ref = h * _quad_complex(lambda x: cmath.exp(-z * x) * (1.0 - x))
+        b1_ref = h * _quad_complex(lambda x: cmath.exp(-z * x) * x)
+        E, b0, b1 = _taps(z / h, h)
+        assert abs(b0 - b0_ref) <= 1e-13 * abs(b0_ref)
+        assert abs(b1 - b1_ref) <= 1e-13 * abs(b1_ref)
+        assert abs(E - cmath.exp(-z)) <= 2.0 * np.finfo(float).eps
+
+    def test_array_call_matches_scalar_calls(self):
+        # not bit for bit: Python and numpy round complex arithmetic differently.
+        # E = 1 + (E - 1) is accurate on the scale of 1, and b1 = (b0 + b1) - b0
+        # on the scale of b0 (at |lam h| = 17, 7 ulps of b1 itself)
+        h = 0.04
+        eps = np.finfo(float).eps
+        lams = np.array([r * cmath.exp(1j * a) / h for r in np.logspace(-16, 3, 44)
+                         for a in (0.0, _PROBED_ARG, -_PROBED_ARG)])
+        E_all, b0_all, b1_all = _taps(lams, h)
+        for i, lam in enumerate(lams):
+            E, b0, b1 = _taps(complex(lam), h)
+            assert abs(E_all[i] - E) <= 4.0 * eps
+            assert abs(b0_all[i] - b0) <= 4.0 * eps * abs(b0)
+            assert abs(b1_all[i] - b1) <= 4.0 * eps * (abs(b0) + abs(b1))
 
 
 class TestResolventRecursionOracle:
@@ -259,6 +296,14 @@ class TestPencilNorm:
             iterates, _, certified = _pencil_norm(op, lam, g)
             assert certified and iterates[0] == 0.0 and len(iterates) >= 2
             assert np.all(np.diff(iterates) >= 0.0)
+
+    def test_certified_at_n_65536(self):
+        # the entries of the gamma = 0.5 sector whose roots sit nearest the
+        # rounding of b0: lam = 4^-5 on the real axis and at the edge, 4^-3
+        g = Grid(40.0, 65536, HALF_LINE)
+        op = HalfLineOperator(DIRICHLET, 2.0, 0.5)
+        for lam in (4.0 ** -5, 4.0 ** -5 * cmath.exp(1j * _PROBED_ARG), 4.0 ** -3):
+            assert _pencil_norm(op, complex(lam), g)[2]
 
     def test_unconverged_root_is_not_certified(self, monkeypatch):
         # one Newton step from mu = 0 stops well below the root, so the
@@ -431,6 +476,15 @@ class TestFractionalPowerKernel:
         info = _balakrishnan_kernel.cache_info()
         assert (info.misses, info.currsize) == (2, 2)
 
+    def test_both_variants_share_one_kernel(self):
+        g = Grid(40.0, 1024, HALF_LINE)
+        f = generate_test_family(g, 71, 1, support=(0.1, 0.5))[0]
+        _balakrishnan_kernel.cache_clear()
+        fractional_power(OP_D, 0.5, f)
+        fractional_power(OP_M, 0.5, f)
+        info = _balakrishnan_kernel.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_repeated_calls_identical_and_cache_read_only(self):
         g = Grid(40.0, 1024, HALF_LINE)
         f = generate_test_family(g, 70, 1, support=(0.1, 0.5))[0]
@@ -440,7 +494,7 @@ class TestFractionalPowerKernel:
             first.values[:] = 1e6  # the caller's array, not the cache
             again = fractional_power(op, 0.5, f)
             assert np.array_equal(again.values, kept)
-            kernel = _balakrishnan_kernel(op.variant, g.h, g.n_points, 0.5)
+            kernel = _balakrishnan_kernel(g.h, g.n_points, 0.5)
             assert not kernel.flags.writeable
             with pytest.raises(ValueError):
                 kernel[0, 0] = 0.0
