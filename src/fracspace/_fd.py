@@ -1,9 +1,16 @@
 """Finite-difference weights on arbitrary nodes (Fornberg's recursion), a
 derivative of any order at one node (traces, endpoint corrections), and the
 order-8 first derivative at every node (boundary-safe differentiation).
+
+Every stencil sits on consecutive grid nodes, so its weights depend only on
+(h, first offset, node count, order).  ``_stencil`` builds each such row once
+in a small bounded cache of read-only arrays; the nodes are the same floats
+as a per-call build, so the derivatives are bit-identical to one.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +44,14 @@ def fd_weights(nodes: np.ndarray, max_order: int) -> np.ndarray:
     return c
 
 
+@lru_cache(maxsize=128)
+def _stencil(h: float, first: int, count: int, order: int) -> np.ndarray:
+    """Read-only weights of f^(order)(0) on the nodes (first + j) h, j < count."""
+    w = fd_weights((np.arange(count) + first) * h, order)[order]
+    w.flags.writeable = False
+    return w
+
+
 def derivative_at(values: np.ndarray, h: float, index: int, order: int,
                   accuracy: int, one_sided: str | None = None) -> np.ndarray:
     """f^(order) at node ``index`` from samples, to the given accuracy order.
@@ -58,9 +73,8 @@ def derivative_at(values: np.ndarray, h: float, index: int, order: int,
     if lo < 0 or lo + n_pts > n:
         raise ValueError(f"the {one_sided}-sided stencil of {n_pts} nodes at "
                          f"index {index} does not fit in {n} samples")
-    offsets = np.arange(lo, lo + n_pts)
-    w = fd_weights((offsets - index) * h, order)[order]
-    return np.tensordot(w, values[offsets], axes=(0, 0))
+    w = _stencil(h, lo - index, n_pts, order)
+    return np.tensordot(w, values[lo: lo + n_pts], axes=(0, 0))
 
 
 def derivative_array(values: np.ndarray, h: float) -> np.ndarray:
@@ -73,7 +87,7 @@ def derivative_array(values: np.ndarray, h: float) -> np.ndarray:
     n = values.shape[0]
     out = np.empty_like(np.asarray(values, dtype=complex))
     # interior: one centered stencil, applied by correlation
-    w = fd_weights(np.arange(-half, half + 1) * h, 1)[1]
+    w = _stencil(h, -half, n_pts, 1)
     interior = np.zeros((n - 2 * half, values.shape[1]), dtype=complex)
     for j, wj in enumerate(w):
         if wj != 0.0:
@@ -81,8 +95,7 @@ def derivative_array(values: np.ndarray, h: float) -> np.ndarray:
     out[half: n - half] = interior
     # ends: shifted stencils of the same length
     for i in range(half):
-        wl = fd_weights((np.arange(n_pts) - i) * h, 1)[1]
-        out[i] = np.tensordot(wl, values[:n_pts], axes=(0, 0))
-        wr = fd_weights((np.arange(n - n_pts, n) - (n - 1 - i)) * h, 1)[1]
-        out[n - 1 - i] = np.tensordot(wr, values[n - n_pts:], axes=(0, 0))
+        out[i] = np.tensordot(_stencil(h, -i, n_pts, 1), values[:n_pts], axes=(0, 0))
+        out[n - 1 - i] = np.tensordot(_stencil(h, i + 1 - n_pts, n_pts, 1),
+                                      values[n - n_pts:], axes=(0, 0))
     return out

@@ -321,6 +321,47 @@ class TestTrace:
             trace(f, 7)
 
 
+# (order, accuracy) of every stencil that ``trace`` (k <= 6) and
+# ``opcalc._endpoint_corrected_pairing`` ask ``derivative_at`` for
+_CALLER_STENCILS = sorted({(j, k + 3) for k in range(7) for j in range(k + 1)}
+                          | {(1, 8), (3, 8), (5, 6)})
+
+
+def _derivative_at_per_call(values, h, index, order, accuracy, one_sided=None):
+    """``_fd.derivative_at`` with its weights rebuilt on every call; the
+    stencil must fit."""
+    n_pts = order + accuracy
+    n = values.shape[0]
+    if one_sided == "right":
+        lo = index
+    elif one_sided == "left":
+        lo = index - n_pts + 1
+    else:
+        lo = max(0, min(index - n_pts // 2, n - n_pts))
+    offsets = np.arange(lo, lo + n_pts)
+    w = _fd.fd_weights((offsets - index) * h, order)[order]
+    return np.tensordot(w, values[offsets], axes=(0, 0))
+
+
+def _derivative_array_per_call(values, h):
+    """``_fd.derivative_array`` with its 9 stencils rebuilt on every call."""
+    n_pts, half = 9, 4
+    n = values.shape[0]
+    out = np.empty_like(np.asarray(values, dtype=complex))
+    w = _fd.fd_weights(np.arange(-half, half + 1) * h, 1)[1]
+    interior = np.zeros((n - 2 * half, values.shape[1]), dtype=complex)
+    for j, wj in enumerate(w):
+        if wj != 0.0:
+            interior += wj * values[j: j + n - 2 * half]
+    out[half: n - half] = interior
+    for i in range(half):
+        wl = _fd.fd_weights((np.arange(n_pts) - i) * h, 1)[1]
+        out[i] = np.tensordot(wl, values[:n_pts], axes=(0, 0))
+        wr = _fd.fd_weights((np.arange(n - n_pts, n) - (n - 1 - i)) * h, 1)[1]
+        out[n - 1 - i] = np.tensordot(wr, values[n - n_pts:], axes=(0, 0))
+    return out
+
+
 class TestDerivativeStencil:
     def test_input_shorter_than_stencil_rejected(self):
         # order 1 at accuracy 8 needs 9 nodes; 9 suffice, 5 raise ValueError
@@ -344,6 +385,52 @@ class TestDerivativeStencil:
         v = np.where(x > 0.4, (x - 0.4) ** 2, 0.0)
         with pytest.raises(ValueError, match="does not fit"):
             _fd.derivative_at(v, 0.1, 4, 1, accuracy=8, one_sided="left")
+
+    @pytest.mark.parametrize("h", [40.0 / 1024, 0.1, 1.0 / 3.0])
+    @pytest.mark.parametrize("n", [9, 16, 4096])
+    def test_cached_stencils_equal_per_call_build(self, h, n):
+        rng = np.random.default_rng(n)
+        for shape in ((n,), (n, 1), (n, 2)):
+            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            if len(shape) == 2:
+                assert np.array_equal(_fd.derivative_array(v, h),
+                                      _derivative_array_per_call(v, h))
+            for (order, accuracy), one_sided, index in (
+                    (oa, side, index) for oa in _CALLER_STENCILS
+                    for side, indices in (("right", (0, 1)), ("left", (n - 1,)),
+                                          (None, (0, 1, n // 2, n - 1)))
+                    for index in indices):
+                n_pts = order + accuracy
+                lo = {"right": index, "left": index - n_pts + 1}.get(one_sided, 0)
+                if n_pts > n or lo < 0 or lo + n_pts > n:
+                    with pytest.raises(ValueError):
+                        _fd.derivative_at(v, h, index, order, accuracy, one_sided)
+                    continue
+                got = _fd.derivative_at(v, h, index, order, accuracy, one_sided)
+                ref = _derivative_at_per_call(v, h, index, order, accuracy, one_sided)
+                assert np.array_equal(got, ref)
+
+    def test_cached_stencils_are_read_only(self):
+        w = _fd._stencil(0.1, -4, 9, 1)
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+    def test_derivative_array_builds_each_stencil_once(self, monkeypatch):
+        # 1 interior + 8 end stencils, however often the same h comes back
+        calls = []
+        build = _fd.fd_weights
+        monkeypatch.setattr(_fd, "fd_weights",
+                            lambda nodes, max_order: calls.append(max_order)
+                            or build(nodes, max_order))
+        v = np.ones((64, 2), dtype=complex)
+        _fd._stencil.cache_clear()
+        try:
+            for _ in range(100):
+                _fd.derivative_array(v, 0.05)
+        finally:
+            _fd._stencil.cache_clear()
+        assert len(calls) == 9
 
 
 class TestCoextend:
