@@ -38,20 +38,26 @@ def derivative_symbol(order: int = 1):
     return lambda xi: (1j * np.asarray(xi)) ** order
 
 
-def _multiplied(symbols, f: GridFunction) -> np.ndarray:
-    """ifft(m_i(xi) fft(f)) for every symbol m_i, stacked: shape (k, N, n).
+def _symbol_values(symbols, grid) -> list:
+    """Each symbol m_i on the frequencies of a full-line grid."""
+    if grid.kind != FULL_LINE:
+        raise ValueError("multipliers act on full-line grids; extend first")
+    xi = grid.frequencies()
+    mvals = [np.asarray(m(xi)) for m in symbols]
+    if not all(np.all(np.isfinite(v)) for v in mvals):
+        raise ValueError("multiplier takes non-finite values on the grid frequencies")
+    return mvals
+
+
+def _multiplied(mvals, f: GridFunction) -> np.ndarray:
+    """ifft(m_i(xi) fft(f)) for the values m_i(xi) of every symbol on f's grid
+    (``_symbol_values``), stacked: shape (k, N, n).
 
     One boundary-decay check and one forward FFT serve all symbols, and each
     product is formed as for a single symbol, so slice i equals the values of
     ``apply_multiplier(m_i, f)`` bit for bit.
     """
-    if f.grid.kind != FULL_LINE:
-        raise ValueError("multipliers act on full-line grids; extend first")
     warn_if_boundary_heavy(f, "apply_multiplier")
-    xi = f.grid.frequencies()
-    mvals = [np.asarray(m(xi)) for m in symbols]
-    if not all(np.all(np.isfinite(v)) for v in mvals):
-        raise ValueError("multiplier takes non-finite values on the grid frequencies")
     spec = np.fft.fft(f.values, axis=0)
     prods = np.empty((len(mvals),) + spec.shape, dtype=np.complex128)
     for v, out in zip(mvals, prods):
@@ -64,7 +70,7 @@ def apply_multiplier(m, f: GridFunction) -> GridFunction:
 
     Warns when f has not decayed at the boundary (the grid periodizes).
     """
-    return GridFunction(f.grid, _multiplied([m], f)[0])
+    return GridFunction(f.grid, _multiplied(_symbol_values([m], f.grid), f)[0])
 
 
 def bessel_potential(f: GridFunction, s: float) -> GridFunction:
@@ -123,7 +129,8 @@ def _derivative_norms(f: GridFunction, orders, k: int) -> list:
     positive = [j for j in orders if j]
     mags = {0: g.fiber_norms()} if 0 in orders else {}
     if positive:
-        stacked = _multiplied([derivative_symbol(j) for j in positive], g)
+        symbols = [derivative_symbol(j) for j in positive]
+        stacked = _multiplied(_symbol_values(symbols, g.grid), g)
         mags.update(zip(positive, _fiber_norms(stacked)))
     return [mags[j][start:] for j in orders]
 

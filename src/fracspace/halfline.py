@@ -32,7 +32,13 @@ from .grid import (
     warn_if_boundary_heavy,
     weighted_lp_norm,
 )
-from .fourier import _multiplied, _seminorm_norms, bessel_symbol, hsp_norm
+from .fourier import (
+    _multiplied,
+    _seminorm_norms,
+    _symbol_values,
+    bessel_symbol,
+    hsp_norm,
+)
 
 
 @dataclass(frozen=True)
@@ -340,12 +346,13 @@ def critical_line_distance(s: float, p: float, gamma: float) -> float:
 def multiplier_norm_ratios(f: GridFunction, spg) -> list:
     """``multiplier_norm_ratio`` for each (s, p, gamma) of ``spg``.
 
-    f and 1_{x>=0} f are transformed once each for the whole sweep, and one
-    array of fiber norms per s serves every (p, gamma).
+    Each Bessel symbol is evaluated once, f and 1_{x>=0} f are transformed
+    once each for the whole sweep, and one array of fiber norms per s serves
+    every (p, gamma).
     """
-    symbols = [bessel_symbol(s) for s, _, _ in spg]
-    den_mags = _fiber_norms(_multiplied(symbols, f))
-    num_mags = _fiber_norms(_multiplied(symbols, indicator_multiply(f)))
+    mvals = _symbol_values([bessel_symbol(s) for s, _, _ in spg], f.grid)
+    den_mags = _fiber_norms(_multiplied(mvals, f))
+    num_mags = _fiber_norms(_multiplied(mvals, indicator_multiply(f)))
     ratios = []
     for (_, p, gamma), den, num in zip(spg, den_mags, num_mags):
         w = PowerWeight(gamma)

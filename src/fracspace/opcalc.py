@@ -14,12 +14,15 @@ Balakrishnan quadrature is a fixed sum of such recursions, hence one linear
 time-invariant filter on the grid: ``fractional_power`` builds its impulse
 responses once per (h, N, theta) for both variants, keeps them in a small
 bounded cache of read-only arrays, and applies them by FFT convolution
-(``_conv.full_convolve``).
-Everything else evaluates per call.  ``riemann_liouville`` shares no code
-with that kernel, so the two stay independent representations.  Likewise
-the p = 2 sector norms come from a tridiagonal pencil assembled from the
-taps and the cell weights alone (``_pencil_norm``, certified by Sturm
-counts), and the power iteration through ``_resolvent_map`` is their
+(``_conv.full_convolve``).  The finite-difference stencils that
+``HalfLineOperator.apply``, ``riemann_liouville`` and the endpoint-corrected
+pairing apply are built once per grid spacing in ``_fd``; everything else
+evaluates per call.  ``riemann_liouville`` shares no code with the
+Balakrishnan kernel, so the two stay independent representations; both
+differentiate through ``_fd``, whose stencils depend only on the grid.
+Likewise the p = 2 sector norms come from a tridiagonal pencil assembled
+from the taps and the cell weights alone (``_pencil_norm``, certified by
+Sturm counts), and the power iteration through ``_resolvent_map`` is their
 independent lower bound.
 """
 
@@ -77,8 +80,18 @@ class HalfLineOperator:
         return GridFunction(f.grid, sign * dv)
 
 
-# Taylor coefficients 1/(k+2)!, k = 13 .. 0, of phi2(z) = (e^z - 1 - z)/z^2 for Horner
+# Taylor coefficients, k = 13 .. 0 and 15 .. 0 for Horner, of
+# phi2(z) = (e^z - 1 - z)/z^2 = sum z^k/(k+2)! and
+# psi(z) = (1 + e^z (z - 1))/z^2 = sum (k+1) z^k/(k+2)!
 _PHI2_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(13, -1, -1))
+_PSI_SERIES = tuple((k + 1.0) / math.factorial(k + 2) for k in range(15, -1, -1))
+
+
+def _horner(coefficients, z):
+    value = 0.0
+    for c in coefficients:
+        value = value * z + c
+    return value
 
 
 def _taps(lam, h: float):
@@ -86,22 +99,21 @@ def _taps(lam, h: float):
     which solves u' + lam u = f exactly for f linear on the cell.
 
     E = e^{-lam h}, b0 = integral_0^h e^{-lam tau} (1 - tau/h) dtau
-    = h phi2(-lam h) and b0 + b1 = -expm1(-lam h)/lam.  phi2 comes from its
-    Taylor series for |lam h| < 1/2, where the closed form cancels, so b0
-    and b0 + b1 are accurate to a few ulps at every |lam h|.  ``lam`` is a
-    scalar or an array (the taps are elementwise).
+    = h phi2(-lam h) and b1 = integral_0^h e^{-lam tau} tau/h dtau
+    = h psi(-lam h).  phi2 and psi come from their Taylor series for
+    |lam h| < 1/2, where the closed forms cancel, so b0 and b1 are accurate
+    to a few ulps at every |lam h|.  ``lam`` is a scalar or an array (the
+    taps are elementwise).
     """
     z = -lam * h
     small = abs(z) < 0.5
     zs = z * small  # the series argument: z where small, else 0
-    series = 0.0
-    for c in _PHI2_SERIES:
-        series = series * zs + c
     em1 = np.expm1(z)  # E - 1
-    # z * z + small keeps the discarded branch away from 0 / 0
-    phi2 = np.where(small, series, (em1 - z) / (z * z + small))[()]
-    b0 = h * phi2
-    return 1.0 + em1, b0, -em1 / lam - b0
+    # z * z + small keeps the discarded branches away from 0 / 0
+    zz = z * z + small
+    phi2 = np.where(small, _horner(_PHI2_SERIES, zs), (em1 - z) / zz)[()]
+    psi = np.where(small, _horner(_PSI_SERIES, zs), (1.0 + np.exp(z) * (z - 1.0)) / zz)[()]
+    return 1.0 + em1, h * phi2, h * psi
 
 
 def _resolvent_map(variant: str, lam: complex, values: np.ndarray, h: float,

@@ -263,7 +263,7 @@ class TestTransformSweep:
     @given(n=sweep_sizes, fiber_dim=sweep_fibers, seed=seeds, symbols=sweep_symbols)
     def test_apply_multiplier_is_a_slice_of_the_sweep(self, n, fiber_dim, seed, symbols):
         f = generate_test_family(Grid(40.0, n, FULL_LINE), seed, 1, fiber_dim=fiber_dim)[0]
-        stacked = fourier._multiplied(symbols, f)
+        stacked = fourier._multiplied(fourier._symbol_values(symbols, f.grid), f)
         assert stacked.shape == (len(symbols), n, fiber_dim)
         spec = np.fft.fft(f.values, axis=0)
         for m, values in zip(symbols, stacked):

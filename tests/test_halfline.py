@@ -15,7 +15,7 @@ from fracspace.grid import (
     dual_pairing,
     weighted_lp_norm,
 )
-from fracspace import _fd, fourier
+from fracspace import _fd, fourier, halfline
 from fracspace.halfline import (
     ReflectionCoefficients,
     TraceVector,
@@ -649,6 +649,21 @@ class TestSweeps:
         forward.clear()
         gn_ratios(u, 1, 2, _GN_PAIRS)
         assert len(forward) == 1
+
+    def test_each_symbol_evaluated_once(self, monkeypatch):
+        # 9 default triples: one evaluation each, shared by f and 1_{x>=0} f,
+        # and one boundary-decay check per input
+        g = Grid(40.0, 1024, FULL_LINE)
+        f = generate_test_family(g, 3, 1, "boundary-touching")[0]
+        evaluations, checks = [], []
+        symbol = halfline.bessel_symbol
+        monkeypatch.setattr(halfline, "bessel_symbol", lambda s: (
+            lambda xi: evaluations.append(s) or symbol(s)(xi)))
+        check = fourier.warn_if_boundary_heavy
+        monkeypatch.setattr(fourier, "warn_if_boundary_heavy",
+                            lambda *a: checks.append(1) or check(*a))
+        multiplier_norm_ratios(f, _multiplier_triples())
+        assert (len(evaluations), len(checks)) == (9, 2)
 
 
 class TestHardyEmbedding:

@@ -205,7 +205,8 @@ def _quad_complex(fn) -> complex:
 
 
 class TestTaps:
-    @pytest.mark.parametrize("lam_h", [1e-16, 1e-12, 1e-8, 1e-5, 1e-3, 0.1, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("lam_h", [1e-16, 1e-12, 1e-8, 1e-5, 1e-3, 0.1, 1.0, 10.0, 100.0,
+                                       1e3, 1e4])
     @pytest.mark.parametrize("arg", [0.0, _PROBED_ARG, -_PROBED_ARG])
     def test_match_defining_integrals(self, lam_h, arg):
         # b0 = int_0^h e^{-lam tau} (1 - tau/h) dtau, b1 = int_0^h e^{-lam tau} tau/h dtau
@@ -220,8 +221,7 @@ class TestTaps:
 
     def test_array_call_matches_scalar_calls(self):
         # not bit for bit: Python and numpy round complex arithmetic differently.
-        # E = 1 + (E - 1) is accurate on the scale of 1, and b1 = (b0 + b1) - b0
-        # on the scale of b0 (at |lam h| = 17, 7 ulps of b1 itself)
+        # E = 1 + (E - 1) is accurate on the scale of 1, b0 and b1 each on its own
         h = 0.04
         eps = np.finfo(float).eps
         lams = np.array([r * cmath.exp(1j * a) / h for r in np.logspace(-16, 3, 44)
@@ -231,7 +231,7 @@ class TestTaps:
             E, b0, b1 = _taps(complex(lam), h)
             assert abs(E_all[i] - E) <= 4.0 * eps
             assert abs(b0_all[i] - b0) <= 4.0 * eps * abs(b0)
-            assert abs(b1_all[i] - b1) <= 4.0 * eps * (abs(b0) + abs(b1))
+            assert abs(b1_all[i] - b1) <= 4.0 * eps * abs(b1)
 
 
 class TestResolventRecursionOracle:
