@@ -22,51 +22,20 @@ from . import fourier, halfline, kernels, opcalc, singular
 from .harness import ConfigError, SUITES, SuiteConfig, run_suite
 
 
-def _integer(name: str, value) -> int:
-    """An integer --params value; booleans and non-integral numbers are bad input."""
-    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
-        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
-    return int(value)
-
-
-def _op_bessel(f, s):
-    return fourier.bessel_potential(f, float(s))
-
-
-def _op_frac_spectral(f, sigma):
-    return fourier.fractional_laplacian_spectral(f, float(sigma))
-
-
-def _op_frac_singular(f, sigma):
-    return singular.fractional_laplacian_singular(f, float(sigma))
-
-
-def _op_mollify(f, scale, profile="bump"):
-    return mollify(f, _integer("scale", scale), profile)
-
-
-def _op_derivative(f, order=1):
-    return fourier.spectral_derivative(f, _integer("order", order))
-
-
-def _reflection(m):
-    return halfline.solve_reflection_coefficients(_integer("m", m))
-
-
 def _op_reflect_extend(f, m=1):
-    return halfline.reflect_extend(f, _reflection(m))
+    return halfline.reflect_extend(f, halfline.solve_reflection_coefficients(m))
 
 
 def _op_reflect_extend_dual(f, m=1):
-    return halfline.reflect_extend_dual(f, _reflection(m))
+    return halfline.reflect_extend_dual(f, halfline.solve_reflection_coefficients(m))
 
 
 def _op_support_projection(f, m=1):
-    return halfline.support_projection(f, _reflection(m))
+    return halfline.support_projection(f, halfline.solve_reflection_coefficients(m))
 
 
 def _op_project_h0(f, k=0):
-    return halfline.project_H0(f, _integer("k", k))
+    return halfline.project_H0(f, k)
 
 
 def _op_hardy_hilbert(f):
@@ -76,27 +45,23 @@ def _op_hardy_hilbert(f):
 
 def _op_resolvent(f, variant=opcalc.DIRICHLET, p=2.0, gamma=0.0,
                   re_lambda=1.0, im_lambda=0.0):
-    op = opcalc.HalfLineOperator(variant, float(p), float(gamma))
-    return opcalc.resolvent(op, complex(float(re_lambda), float(im_lambda)), f)
+    op = opcalc.HalfLineOperator(variant, p, gamma)
+    return opcalc.resolvent(op, complex(re_lambda, im_lambda), f)
 
 
 def _op_fractional_power(f, theta, variant=opcalc.DIRICHLET, p=2.0, gamma=0.0):
-    op = opcalc.HalfLineOperator(variant, float(p), float(gamma))
-    return opcalc.fractional_power(op, float(theta), f)
-
-
-def _op_riemann_liouville(f, theta):
-    return opcalc.riemann_liouville(f, float(theta))
+    op = opcalc.HalfLineOperator(variant, p, gamma)
+    return opcalc.fractional_power(op, theta, f)
 
 
 # operator -> function of the input; its keyword parameters are the
 # operator's --params keys, with their defaults
 APPLY_OPS = {
-    "bessel-potential": _op_bessel,
-    "frac-laplacian-spectral": _op_frac_spectral,
-    "frac-laplacian-singular": _op_frac_singular,
-    "mollify": _op_mollify,
-    "derivative": _op_derivative,
+    "bessel-potential": fourier.bessel_potential,
+    "frac-laplacian-spectral": fourier.fractional_laplacian_spectral,
+    "frac-laplacian-singular": singular.fractional_laplacian_singular,
+    "mollify": mollify,
+    "derivative": fourier.spectral_derivative,
     "zero-extend": halfline.zero_extend,
     "restrict-plus": halfline.restrict_plus,
     "restrict-minus": halfline.restrict_minus,
@@ -108,7 +73,7 @@ APPLY_OPS = {
     "hardy-hilbert": _op_hardy_hilbert,
     "resolvent": _op_resolvent,
     "fractional-power": _op_fractional_power,
-    "riemann-liouville": _op_riemann_liouville,
+    "riemann-liouville": opcalc.riemann_liouville,
 }
 
 
@@ -178,7 +143,8 @@ def _apply(args) -> int:
     try:
         signature.bind(None, **params)
     except TypeError:
-        keys = ", ".join(str(k) for k in list(signature.parameters.values())[1:])
+        keys = ", ".join(str(k.replace(annotation=k.empty))
+                         for k in list(signature.parameters.values())[1:])
         raise ValueError(f"{args.op} takes --params ({keys}), "
                          f"got {sorted(params)}") from None
     f = GridFunction.from_csv(args.inp)

@@ -17,6 +17,8 @@ from .grid import (
     PowerWeight,
     _cell_weight_norm,
     _fiber_norms,
+    _integer,
+    _require_kind,
     warn_if_boundary_heavy,
     weighted_lp_norm,
 )
@@ -35,13 +37,12 @@ def frac_laplacian_symbol(sigma: float):
 
 
 def derivative_symbol(order: int = 1):
+    order = _integer("order", order, 0)
     return lambda xi: (1j * np.asarray(xi)) ** order
 
 
 def _symbol_values(symbols, grid) -> list:
     """Each symbol m_i on the frequencies of a full-line grid."""
-    if grid.kind != FULL_LINE:
-        raise ValueError("multipliers act on full-line grids; extend first")
     xi = grid.frequencies()
     mvals = [np.asarray(m(xi)) for m in symbols]
     if not all(np.all(np.isfinite(v)) for v in mvals):
@@ -70,6 +71,7 @@ def apply_multiplier(m, f: GridFunction) -> GridFunction:
 
     Warns when f has not decayed at the boundary (the grid periodizes).
     """
+    _require_kind(f, FULL_LINE, "apply_multiplier")
     return GridFunction(f.grid, _multiplied(_symbol_values([m], f.grid), f)[0])
 
 
@@ -92,8 +94,7 @@ def transform_values(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
 
     Frequencies come in fft order.  Useful for Plancherel-style cross-checks.
     """
-    if f.grid.kind != FULL_LINE:
-        raise ValueError("transform_values needs a full-line grid")
+    _require_kind(f, FULL_LINE, "transform_values")
     grid = f.grid
     xi = grid.frequencies()
     phase = np.exp(-1j * xi * grid.points[0])
@@ -146,14 +147,12 @@ def _seminorm_norms(f: GridFunction, orders) -> list:
 
 def wkp_norm(f: GridFunction, k: int, p: float, w: PowerWeight) -> float:
     """Sum over j <= k of the weighted L^p norms of the j-th derivative."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    k = _integer("k", k, 0)
     return float(sum(_cell_weight_norm(mags, f.grid, p, w)
                      for mags in _derivative_norms(f, range(k + 1), k)))
 
 
 def wkp_seminorm(f: GridFunction, k: int, p: float, w: PowerWeight) -> float:
     """Weighted L^p norm of the top-order derivative alone."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    k = _integer("k", k, 0)
     return _cell_weight_norm(_seminorm_norms(f, (k,))[0], f.grid, p, w)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -42,6 +43,16 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _integer(name: str, value, lower: int) -> int:
+    """``value`` as an int >= ``lower`` (orders, scales, sizes, seeds); a
+    boolean, a string or a non-integral number is rejected, not converted."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not integral or int(value) < lower:
+        raise ValueError(f"{name} must be an integer >= {lower}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform sampling of [-L, L) (full line) or [0, L) (half line).
@@ -54,8 +65,8 @@ class Grid:
     kind: str = FULL_LINE
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
         if self.n_points < 16 or not _is_power_of_two(self.n_points):
             raise ValueError(
                 f"n_points must be a power of two >= 16, got {self.n_points}"
@@ -131,6 +142,11 @@ def _cell_weights(grid: Grid, gamma: float) -> np.ndarray:
     return cw
 
 
+def _check_exponent(p: float) -> None:
+    if not p > 1.0:
+        raise AdmissibilityError(f"p must exceed 1, got {p}")
+
+
 @dataclass(frozen=True)
 class PowerWeight:
     """The weight w_gamma(x) = |x|^gamma.
@@ -143,8 +159,7 @@ class PowerWeight:
 
     def check_integrable(self, p: float) -> None:
         """Weakest requirement for weighted norms: p > 1 and gamma > -1."""
-        if not p > 1.0:
-            raise AdmissibilityError(f"p must exceed 1, got {p}")
+        _check_exponent(p)
         if not self.gamma > -1.0:
             raise AdmissibilityError(
                 f"gamma={self.gamma} makes |x|^gamma non-integrable at 0")
@@ -152,8 +167,7 @@ class PowerWeight:
     def check_admissible(self, p: float) -> None:
         """Full Muckenhoupt window gamma in (-1, p-1), needed by duality and
         multiplier-based operations."""
-        if not p > 1.0:
-            raise AdmissibilityError(f"p must exceed 1, got {p}")
+        _check_exponent(p)
         if not (-1.0 < self.gamma < p - 1.0):
             raise AdmissibilityError(
                 f"gamma={self.gamma} is not admissible for p={p}; "
@@ -166,8 +180,7 @@ class PowerWeight:
 
 
 def dual_exponent(p: float) -> float:
-    if not p > 1.0:
-        raise AdmissibilityError(f"p must exceed 1, got {p}")
+    _check_exponent(p)
     return p / (p - 1.0)
 
 
@@ -258,6 +271,12 @@ class GridFunction:
         return cls(grid, values)
 
 
+def _require_kind(f: GridFunction, kind: str, who: str) -> None:
+    """Raise ValueError unless ``f`` lives on a grid of ``kind``."""
+    if f.grid.kind != kind:
+        raise ValueError(f"{who} needs a {kind} input")
+
+
 def check_compatible(f: GridFunction, g: GridFunction) -> None:
     if f.grid != g.grid:
         raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
@@ -341,8 +360,7 @@ def mollifier_kernel(grid: Grid, scale: int, profile: str = "bump"):
     Normalizing against the discrete mass h * sum makes convolution against a
     constant reproduce the constant to machine precision.
     """
-    if scale < 1:
-        raise ValueError(f"scale must be a positive integer, got {scale}")
+    scale = _integer("scale", scale, 1)
     try:
         lo, hi = _PROFILE_SUPPORTS[profile]
     except KeyError:

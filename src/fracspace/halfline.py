@@ -28,6 +28,8 @@ from .grid import (
     ResolutionError,
     _cell_weight_norm,
     _fiber_norms,
+    _integer,
+    _require_kind,
     plateau,
     warn_if_boundary_heavy,
     weighted_lp_norm,
@@ -83,8 +85,7 @@ def solve_reflection_coefficients(m: int) -> ReflectionCoefficients:
     from the nodes -1..-(2m+2) on polynomials of degree 2m+1; those are
     Lagrange extrapolation weights, computed here as exact products.
     """
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    m = _integer("m", m, 0)
     if m > 8:
         raise ResolutionError(
             "m > 8 rejected: the Vandermonde system is too ill-conditioned")
@@ -102,8 +103,7 @@ def solve_reflection_coefficients(m: int) -> ReflectionCoefficients:
 
 def zero_extend(f: GridFunction) -> GridFunction:
     """Place the half-line samples on [0, L) of a full-line grid, zero on x < 0."""
-    if f.grid.kind != HALF_LINE:
-        raise ValueError("zero_extend needs a half-line input")
+    _require_kind(f, HALF_LINE, "zero_extend")
     full = f.grid.companion(FULL_LINE)
     out = np.zeros((full.n_points, f.fiber_dim), dtype=np.complex128)
     out[full.zero_index:, :] = f.values
@@ -112,8 +112,7 @@ def zero_extend(f: GridFunction) -> GridFunction:
 
 def restrict_plus(F: GridFunction) -> GridFunction:
     """Samples on x >= 0 as a half-line function."""
-    if F.grid.kind != FULL_LINE:
-        raise ValueError("restrict_plus needs a full-line input")
+    _require_kind(F, FULL_LINE, "restrict_plus")
     half = F.grid.companion(HALF_LINE)
     return GridFunction(half, F.values[F.grid.zero_index:, :])
 
@@ -124,8 +123,7 @@ def restrict_minus(F: GridFunction) -> GridFunction:
     The node x = 0 belongs to the plus side (matching the half-space
     indicator), so the t = 0 entry is zero.
     """
-    if F.grid.kind != FULL_LINE:
-        raise ValueError("restrict_minus needs a full-line input")
+    _require_kind(F, FULL_LINE, "restrict_minus")
     half = F.grid.companion(HALF_LINE)
     out = np.zeros((half.n_points, F.fiber_dim), dtype=np.complex128)
     zero = F.grid.zero_index
@@ -151,8 +149,7 @@ def reflect_extend(f: GridFunction, coeffs: ReflectionCoefficients) -> GridFunct
     (E f)(x) = f(x) for x >= 0 and sum_j b_j f(-lambda_j x) for x < 0; values
     that would require f beyond L are taken as zero under the decay guard.
     """
-    if f.grid.kind != HALF_LINE:
-        raise ValueError("reflect_extend needs a half-line input")
+    _require_kind(f, HALF_LINE, "reflect_extend")
     warn_if_boundary_heavy(f, "reflect_extend")
     full = f.grid.companion(FULL_LINE)
     zero = full.zero_index
@@ -183,8 +180,7 @@ def reflect_extend_dual(g: GridFunction, coeffs: ReflectionCoefficients) -> Grid
     -x/lambda_j live on the lambda_j-fold refined lattice, where that
     interpolant is an exact FFT upsampling.
     """
-    if g.grid.kind != FULL_LINE:
-        raise ValueError("reflect_extend_dual needs a full-line input")
+    _require_kind(g, FULL_LINE, "reflect_extend_dual")
     grid = g.grid
     n = grid.n_points
     zero = grid.zero_index
@@ -200,8 +196,7 @@ def reflect_extend_dual(g: GridFunction, coeffs: ReflectionCoefficients) -> Grid
 
 def indicator_multiply(F: GridFunction) -> GridFunction:
     """Multiply samples by the indicator of x >= 0 (the node 0 is kept)."""
-    if F.grid.kind != FULL_LINE:
-        raise ValueError("indicator_multiply needs a full-line input")
+    _require_kind(F, FULL_LINE, "indicator_multiply")
     out = F.values.copy()
     out[: F.grid.zero_index, :] = 0.0
     return GridFunction(F.grid, out)
@@ -228,8 +223,7 @@ def trace(f: GridFunction, k: int) -> TraceVector:
 
     One-sided on half-line grids, centered on full-line grids.
     """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    k = _integer("k", k, 0)
     grid = f.grid
     one_sided = "right" if grid.kind == HALF_LINE else None
     zero = grid.zero_index
@@ -270,8 +264,7 @@ def support_projection(F: GridFunction, coeffs: ReflectionCoefficients) -> GridF
     The output vanishes identically on x < 0 (the gather-based reflection
     reproduces the restriction exactly) and the map is a projection.
     """
-    if F.grid.kind != FULL_LINE:
-        raise ValueError("support_projection needs a full-line input")
+    _require_kind(F, FULL_LINE, "support_projection")
     minus = restrict_minus(F)
     grid = F.grid
     zero = grid.zero_index
@@ -288,8 +281,7 @@ def support_projection(F: GridFunction, coeffs: ReflectionCoefficients) -> GridF
 def factor_norm_upper(f: GridFunction, s: float, p: float, gamma: float) -> float:
     """Upper bound for the restricted-space norm: the norm of the reflection
     extension of order max(1, ceil|s|)."""
-    if f.grid.kind != HALF_LINE:
-        raise ValueError("factor_norm_upper needs a half-line input")
+    _require_kind(f, HALF_LINE, "factor_norm_upper")
     coeffs = solve_reflection_coefficients(max(1, int(math.ceil(abs(s)))))
     return hsp_norm(reflect_extend(f, coeffs), s, p, PowerWeight(gamma))
 

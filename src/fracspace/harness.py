@@ -17,7 +17,7 @@ import math
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .grid import (
     GridFunction,
     HALF_LINE,
     PowerWeight,
+    _integer,
     dual_exponent,
     dual_pairing,
     mollify,
@@ -71,6 +72,9 @@ def generate_test_family(grid: Grid, seed: int, count: int,
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    kinds = ("smooth-compact", "zero-trace-k", "boundary-touching")
+    if kind not in kinds:
+        raise ValueError(f"unknown family kind {kind!r}; the kinds are {', '.join(kinds)}")
     rng = np.random.default_rng(seed)
     x = grid.points
     lo, hi = _support_window(grid, support)
@@ -134,27 +138,26 @@ class SuiteConfig:
     def from_json(cls, suite: str, path) -> "SuiteConfig":
         with open(path) as fh:
             raw = json.load(fh)
-        known = {"half_width", "n_list", "seed", "out_dir", "sweeps", "tolerances"}
-        bad = set(raw) - known - {"suite"}
+        bad = set(raw) - {f.name for f in fields(cls)}
         if bad:
             raise ConfigError(f"unknown config fields: {sorted(bad)}")
         raw.pop("suite", None)
-        if "n_list" in raw:
-            raw["n_list"] = tuple(int(n) for n in raw["n_list"])
         return cls(suite=suite, **raw)
 
     def validate(self) -> None:
+        """Raise ConfigError unless the configuration can run; the seed and
+        the grid sizes are stored as ints."""
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; see 'fracspace list'")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (math.isfinite(self.half_width) and self.half_width > 0):
-            raise ConfigError(f"half_width must be finite and positive, got {self.half_width}")
+        try:
+            self.seed = _integer("seed", self.seed, 0)
+            self.n_list = tuple(_integer("grid size", n, 0) for n in self.n_list)
+            for n in self.n_list:  # Grid holds the half-width and grid-size rules
+                Grid(self.half_width, n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if len(set(self.n_list)) < 3:
             raise ConfigError("need at least three distinct grid sizes for refinement")
-        for n in self.n_list:
-            if n < 16 or (n & (n - 1)):
-                raise ConfigError(f"grid size {n} is not a power of two >= 16")
         _, sweeps, tolerances = SUITES[self.suite]
         for kind, given, read in (("sweep", self.sweeps, sweeps),
                                   ("tolerance", self.tolerances, tolerances)):
@@ -198,15 +201,14 @@ class SuiteConfig:
     def hash(self) -> str:
         """Hash of the computation the config asks for; where the report is
         written (``out_dir``) does not enter."""
-        fields = asdict(self)
-        del fields["out_dir"]
-        canon = json.dumps(fields, sort_keys=True, default=list)
+        record = asdict(self)
+        del record["out_dir"]
+        canon = json.dumps(record, sort_keys=True, default=list)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def _check_triple(p, gamma, s) -> None:
-    if not (p > 1 and -1 < gamma < p - 1):
-        raise ConfigError(f"(p, gamma)=({p}, {gamma}) is not admissible")
+    PowerWeight(gamma).check_admissible(p)
     if halfline.critical_line_distance(s, p, gamma) < 0.05 and s > 0:
         raise ConfigError(
             f"s={s} is within 0.05 of a critical trace line for "

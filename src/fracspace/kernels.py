@@ -25,6 +25,7 @@ from .grid import (
     GridFunction,
     HALF_LINE,
     PowerWeight,
+    _require_kind,
     dual_exponent,
 )
 
@@ -148,10 +149,8 @@ def kernel_weighted_tail_integrals(s: float, p: float, gamma: float) -> np.ndarr
     eps = 1e-1 * 4^{-j}, j = 0..5; their ratios decide convergence (ratios < 1) versus
     divergence (ratios > 1) of the weighted norm as the mesh refines.
     """
-    w = PowerWeight(gamma)
-    w.check_admissible(p)
     pp = dual_exponent(p)
-    gamma_dual = w.dual(p).gamma
+    gamma_dual = PowerWeight(gamma).dual(p).gamma  # dual() checks admissibility
     out = []
     for j in range(6):
         eps = 1e-1 * 4.0 ** (-j)
@@ -220,9 +219,8 @@ def hardy_hilbert_apply(h: GridFunction, nodes: np.ndarray | None = None) -> Gri
     (first sample zero) and at the first cell midpoint otherwise.  ``nodes``
     restricts evaluation to a subset of node indices (the rest are zero).
     """
+    _require_kind(h, HALF_LINE, "hardy_hilbert_apply")
     grid = h.grid
-    if grid.kind != HALF_LINE:
-        raise ValueError("hardy_hilbert_apply needs a half-line grid")
     y = grid.points
     hh = grid.h
     n = grid.n_points

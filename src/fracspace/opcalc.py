@@ -43,6 +43,8 @@ from .grid import (
     GridFunction,
     HALF_LINE,
     PowerWeight,
+    _require_kind,
+    check_compatible,
     weighted_lp_norm,
 )
 from .fourier import hsp_norm
@@ -161,8 +163,7 @@ def resolvent(op: HalfLineOperator, lam: complex, f: GridFunction) -> GridFuncti
     The Dirichlet branch returns u(t) = integral_0^t e^{-lam(t-s)} f(s) ds
     (so u(0) = 0 identically); the minus branch integrates from the right.
     """
-    if f.grid.kind != HALF_LINE:
-        raise ValueError("resolvent needs a half-line grid function")
+    _require_kind(f, HALF_LINE, "resolvent")
     if lam.real <= 0:
         raise ValueError(f"need Re(lambda) > 0, got {lam}")
     return GridFunction(f.grid, _resolvent_map(op.variant, lam, f.values, f.grid.h))
@@ -337,6 +338,12 @@ def sectoriality_probe(op: HalfLineOperator, grid, angles, radii) -> list[Sector
     return probes
 
 
+def _check_theta(theta: float) -> None:
+    """Raise ValueError unless theta lies in (0, 1), the order range of A^theta."""
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must lie in (0, 1), got {theta}")
+
+
 # log-lambda trapezoid of the Balakrishnan integral: lam = e^u, |u| <= _U_RANGE
 _U_RANGE = 30.0
 _U_STEP = 0.05
@@ -409,10 +416,8 @@ def fractional_power(op: HalfLineOperator, theta: float, f: GridFunction) -> Gri
     trapezoid sum of discrete resolvents is applied as one cached convolution
     kernel (see ``_balakrishnan_kernel``).
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    if f.grid.kind != HALF_LINE:
-        raise ValueError("fractional_power needs a half-line grid function")
+    _check_theta(theta)
+    _require_kind(f, HALF_LINE, "fractional_power")
     if op.variant == DIRICHLET:
         tr = trace(f, 0)
         scale = float(np.max(np.abs(f.values))) or 1.0
@@ -443,10 +448,8 @@ def riemann_liouville(f: GridFunction, theta: float) -> GridFunction:
     with f' by 8th-order local differences and the weakly singular convolution
     by product integration that is exact for piecewise-linear f'.
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    if f.grid.kind != HALF_LINE:
-        raise ValueError("riemann_liouville needs a half-line grid function")
+    _check_theta(theta)
+    _require_kind(f, HALF_LINE, "riemann_liouville")
     grid = f.grid
     h = grid.h
     n = grid.n_points
@@ -464,10 +467,9 @@ def riemann_liouville(f: GridFunction, theta: float) -> GridFunction:
     B_shift = np.empty_like(B)
     B_shift[:-1] = B[1:]  # B(g'+1) aligned to the source index of f'_{j+1}
     B_shift[-1] = 0.0
-    df_b = df.copy()
-    df_b[0] = 0.0  # f'(0) feeds only the left endpoint of the first cell
-    out = (full_convolve(A[:, None], df)[:n]
-           + full_convolve(B_shift[:, None], df_b)[:n])
+    # f'(0) feeds only the left endpoint of the first cell, so its B_shift
+    # term (the one zero-start correction) is taken back out
+    out = full_convolve((A + B_shift)[:, None], df)[:n] - B_shift[:, None] * df[0][None, :]
     return GridFunction(grid, out / special.gamma(one))
 
 
@@ -519,8 +521,7 @@ def integration_by_parts_check(u: GridFunction, v: GridFunction) -> float:
     endpoint corrections, so the residual reflects the identity rather than
     boundary quadrature error.
     """
-    if u.grid != v.grid or u.fiber_dim != v.fiber_dim:
-        raise ValueError("u and v must share grid and fiber dimension")
+    check_compatible(u, v)
     du = GridFunction(u.grid, _fd.derivative_array(u.values, u.grid.h))
     dv = GridFunction(v.grid, _fd.derivative_array(v.values, v.grid.h))
     boundary = complex(np.sum(u.values[0] * np.conj(v.values[0])))

@@ -27,7 +27,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from .grid import FULL_LINE, GridFunction, warn_if_boundary_heavy
+from .grid import FULL_LINE, GridFunction, _require_kind, warn_if_boundary_heavy
 
 
 def check_sigma(sigma: float) -> None:
@@ -176,9 +176,8 @@ def fractional_laplacian_singular(f: GridFunction, sigma: float) -> GridFunction
     circular kernel, built once per (N, h, sigma) by ``_singular_kernel``.
     """
     check_sigma(sigma)
+    _require_kind(f, FULL_LINE, "fractional_laplacian_singular")
     grid = f.grid
-    if grid.kind != FULL_LINE:
-        raise ValueError("needs a full-line grid")
     warn_if_boundary_heavy(f, "fractional_laplacian_singular")
     kernel = _singular_kernel(grid.n_points, grid.h, sigma)
     return GridFunction(grid, c_sigma(sigma) * _circular_apply(f.values, kernel))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from scipy import integrate
 
+from fracspace import fourier, halfline, kernels, opcalc, singular
 from fracspace import grid as grid_module
 from fracspace.grid import (
     AdmissibilityError,
@@ -250,3 +251,80 @@ class TestCsvRoundTrip:
         back = GridFunction.from_csv(path)
         assert back.grid == f.grid
         assert np.array_equal(back.values, f.values)
+
+
+_X = Grid(10.0, 64, FULL_LINE).points
+_T = Grid(10.0, 64, HALF_LINE).points
+_FULL = GridFunction(Grid(10.0, 64, FULL_LINE), np.exp(-_X ** 2))
+_HALF = GridFunction(Grid(10.0, 64, HALF_LINE), _T * np.exp(-_T))
+_C1 = halfline.solve_reflection_coefficients(1)
+_OP = opcalc.HalfLineOperator(opcalc.DIRICHLET)
+
+# each operator called from Python with an input it cannot honour, and the
+# one-line message it raises; integer parameters go through grid._integer,
+# grid kinds through grid._require_kind
+OPERATOR_INPUT_RULES = {
+    "derivative-order-fractional": (lambda: fourier.spectral_derivative(_FULL, 1.5),
+                                    "order must be an integer >= 0, got 1.5"),
+    "derivative-order-boolean": (lambda: fourier.spectral_derivative(_FULL, True),
+                                 "order must be an integer >= 0, got True"),
+    "derivative-order-negative": (lambda: fourier.spectral_derivative(_FULL, -1),
+                                  "order must be an integer >= 0, got -1"),
+    "derivative-order-string": (lambda: fourier.spectral_derivative(_FULL, "2"),
+                                "order must be an integer >= 0, got '2'"),
+    "mollify-scale-fractional": (lambda: mollify(_FULL, 2.5),
+                                 "scale must be an integer >= 1, got 2.5"),
+    "mollify-scale-boolean": (lambda: mollify(_FULL, True),
+                              "scale must be an integer >= 1, got True"),
+    "mollify-scale-zero": (lambda: mollify(_FULL, 0), "scale must be an integer >= 1, got 0"),
+    "trace-k-boolean": (lambda: halfline.trace(_HALF, True), "k must be an integer >= 0, got True"),
+    "trace-k-fractional": (lambda: halfline.trace(_HALF, 0.5),
+                           "k must be an integer >= 0, got 0.5"),
+    "trace-k-negative": (lambda: halfline.trace(_HALF, -1), "k must be an integer >= 0, got -1"),
+    "project-h0-k-fractional": (lambda: halfline.project_H0(_HALF, 1.5),
+                                "k must be an integer >= 0, got 1.5"),
+    "reflection-m-fractional": (lambda: halfline.solve_reflection_coefficients(1.5),
+                                "m must be an integer >= 0, got 1.5"),
+    "reflection-m-boolean": (lambda: halfline.solve_reflection_coefficients(True),
+                             "m must be an integer >= 0, got True"),
+    "reflection-m-negative": (lambda: halfline.solve_reflection_coefficients(-1),
+                              "m must be an integer >= 0, got -1"),
+    "wkp-k-fractional": (lambda: fourier.wkp_norm(_FULL, 1.5, 2.0, PowerWeight(0.0)),
+                         "k must be an integer >= 0, got 1.5"),
+    "zero_extend": (lambda: halfline.zero_extend(_FULL), "zero_extend needs a half-line input"),
+    "restrict_plus": (lambda: halfline.restrict_plus(_HALF),
+                      "restrict_plus needs a full-line input"),
+    "restrict_minus": (lambda: halfline.restrict_minus(_HALF),
+                       "restrict_minus needs a full-line input"),
+    "reflect_extend": (lambda: halfline.reflect_extend(_FULL, _C1),
+                       "reflect_extend needs a half-line input"),
+    "reflect_extend_dual": (lambda: halfline.reflect_extend_dual(_HALF, _C1),
+                            "reflect_extend_dual needs a full-line input"),
+    "indicator_multiply": (lambda: halfline.indicator_multiply(_HALF),
+                           "indicator_multiply needs a full-line input"),
+    "support_projection": (lambda: halfline.support_projection(_HALF, _C1),
+                           "support_projection needs a full-line input"),
+    "factor_norm_upper": (lambda: halfline.factor_norm_upper(_FULL, 0.5, 2.0, 0.0),
+                          "factor_norm_upper needs a half-line input"),
+    "resolvent": (lambda: opcalc.resolvent(_OP, 1.0, _FULL), "resolvent needs a half-line input"),
+    "fractional_power": (lambda: opcalc.fractional_power(_OP, 0.5, _FULL),
+                         "fractional_power needs a half-line input"),
+    "riemann_liouville": (lambda: opcalc.riemann_liouville(_FULL, 0.5),
+                          "riemann_liouville needs a half-line input"),
+    "apply_multiplier": (lambda: fourier.apply_multiplier(fourier.bessel_symbol(1.0), _HALF),
+                         "apply_multiplier needs a full-line input"),
+    "transform_values": (lambda: fourier.transform_values(_HALF),
+                         "transform_values needs a full-line input"),
+    "hardy_hilbert_apply": (lambda: kernels.hardy_hilbert_apply(_FULL),
+                            "hardy_hilbert_apply needs a half-line input"),
+    "fractional_laplacian_singular": (lambda: singular.fractional_laplacian_singular(_HALF, 0.5),
+                                      "fractional_laplacian_singular needs a full-line input"),
+}
+
+
+@pytest.mark.parametrize("call, message", OPERATOR_INPUT_RULES.values(),
+                         ids=OPERATOR_INPUT_RULES.keys())
+def test_operator_rejects_input_it_cannot_honour(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

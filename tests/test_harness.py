@@ -58,6 +58,13 @@ class TestTestFamilies:
         f = generate_test_family(g, 12, 1, fiber_dim=3)[0]
         assert f.fiber_dim == 3
 
+    def test_unknown_kind_rejected(self):
+        g = Grid(40.0, 1024, FULL_LINE)
+        with pytest.raises(ValueError, match="'typo'") as info:
+            generate_test_family(g, 1, 2, kind="typo")
+        assert all(kind in str(info.value)
+                   for kind in ("smooth-compact", "zero-trace-k", "boundary-touching"))
+
     def test_count_validated(self):
         g = Grid(40.0, 1024, FULL_LINE)
         with pytest.raises(ValueError):
@@ -402,6 +409,12 @@ BAD_INPUTS = {
     "param-order-boolean": lambda tmp: ["apply", "derivative", "--in", _full_line_csv(tmp),
                                         "--out", str(tmp / "o.csv"),
                                         "--params", '{"order": true}'],
+    "param-order-string": lambda tmp: ["apply", "derivative", "--in", _full_line_csv(tmp),
+                                       "--out", str(tmp / "o.csv"),
+                                       "--params", '{"order": "2"}'],
+    "param-theta-string": lambda tmp: ["apply", "fractional-power", "--in", _half_line_csv(tmp),
+                                       "--out", str(tmp / "o.csv"),
+                                       "--params", '{"theta": "0.5"}'],
     "param-m-fractional": lambda tmp: ["apply", "reflect-extend", "--in", _half_line_csv(tmp),
                                        "--out", str(tmp / "o.csv"), "--params", '{"m": 1.5}'],
     "param-k-boolean": lambda tmp: ["apply", "project-h0", "--in", _half_line_csv(tmp),
@@ -432,6 +445,11 @@ BAD_INPUTS = {
     "config-sweep-p-beta-inadmissible": lambda tmp: [
         "run", "schur-constants", "--config",
         _config(tmp, {"sweeps": {"p_beta": [[2.0, 0.7]]}})],
+    # config integers: no boolean seed, no truncation of a fractional grid size
+    "config-seed-boolean": lambda tmp: [
+        "run", "c-sigma", "--config", _config(tmp, {"seed": True})],
+    "config-n-fractional": lambda tmp: [
+        "run", "c-sigma", "--config", _config(tmp, {"n_list": [1024.7, 2048, 4096]})],
 }
 
 

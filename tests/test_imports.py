@@ -232,3 +232,16 @@ def test_every_defaulted_parameter_is_set():
                            for callee, call, owners in calls):
                     unset.append(f"{module}.{fn.name}({name}=)")
     assert unset == []
+
+
+def test_grid_kind_checks_live_in_grid():
+    # the kind an operator needs is checked by grid._require_kind; a raise
+    # directly under a test on ``.kind`` elsewhere is a hand-written copy
+    copies = [f"{module}.py:{node.lineno}"
+              for module, tree in _package_modules() if module != "grid"
+              for node in ast.walk(tree)
+              if isinstance(node, ast.If)
+              and any(isinstance(n, ast.Attribute) and n.attr == "kind"
+                      for n in ast.walk(node.test))
+              and any(isinstance(stmt, ast.Raise) for stmt in node.body + node.orelse)]
+    assert copies == []

@@ -14,7 +14,7 @@ from fracspace.grid import (
     dual_pairing,
     weighted_lp_norm,
 )
-from fracspace import fourier, halfline
+from fracspace import _fd, fourier, halfline
 from fracspace.opcalc import (
     DIRICHLET,
     MINUS,
@@ -536,6 +536,26 @@ class TestRiemannLiouville:
         f = GridFunction(g, np.zeros(1024))
         with pytest.raises(ValueError):
             riemann_liouville(f, 1.2)
+
+    @pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
+    def test_equals_cell_by_cell_product_integration(self, theta):
+        # the convolution form against the cell sum it stands for: on
+        # [t_j, t_j+1] the linear interpolant of f' against (t_i - s)^-theta,
+        # in closed form; f'(0) = 1 exercises the zero-start term
+        g = Grid(4.0, 64, HALF_LINE)
+        t, h = g.points, g.h
+        f = GridFunction(g, t * np.exp(-t) * (1.0 + 0.5j * np.sin(3.0 * t)))
+        df = _fd.derivative_array(f.values, h)[:, 0]
+        one, two = 1.0 - theta, 2.0 - theta
+        ref = np.zeros(g.n_points, dtype=complex)
+        for i in range(1, g.n_points):
+            for j in range(i):
+                a, b = t[i] - t[j + 1], t[i] - t[j]
+                p1, p2 = (b ** one - a ** one) / one, (b ** two - a ** two) / two
+                ref[i] += (df[j] * (p2 - a * p1) + df[j + 1] * (b * p1 - p2)) / h
+        ref /= math.gamma(one)
+        out = riemann_liouville(f, theta).values[:, 0]
+        assert np.max(np.abs(out - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 class TestDomainNormRatio:
