@@ -5,7 +5,9 @@ Each suite exercises one package-level guarantee (operator identities,
 inequality constants, convergence under grid refinement) and emits a
 :class:`SuiteReport` holding per-case pass/fail records, a refinement table
 with at least three resolution levels, and wall-clock time.  A report is
-deterministic given (config, seed, floating-point environment).
+deterministic given (config, seed, floating-point environment).  Refinement
+studies measure over one ladder of grid sizes (``_ladder``) and judge each sweep
+entry's values with one verdict (``_stable_case``: they agree within rtol).
 """
 
 from __future__ import annotations
@@ -215,13 +217,18 @@ def _check_triple(p, gamma, s) -> None:
             f"(p, gamma)=({p}, {gamma})")
 
 
+def _check_pgt(p, gamma, theta) -> None:
+    opcalc.check_domain_theta(theta)
+    _check_triple(p, gamma, theta)
+
+
 # sweep key -> the range check of one of its entries (a ValueError rejects it);
-# sigma and p_beta use the checks of the operators that the suites call
+# sigma, p_beta and pgt's theta use the checks of the operators the suites call
 _ENTRY_CHECKS = {
     "sigma": singular.check_sigma,
     "p_beta": lambda entry: kernels.check_schur_exponents(*entry),
     "spg": lambda entry: _check_triple(entry[1], entry[2], entry[0]),
-    "pgt": lambda entry: _check_triple(*entry),
+    "pgt": lambda entry: _check_pgt(*entry),
 }
 
 
@@ -255,11 +262,13 @@ class SuiteReport:
                            "pass": bool(passed)})
         return bool(passed)
 
-    def add_refinement(self, level, value) -> None:
-        prev = self.refinement[-1]["value"] if self.refinement else None
-        ratio = (value / prev) if prev else None
-        self.refinement.append({"N": level, "value": _jsonable(value),
-                                "stability_ratio": _jsonable(ratio)})
+    def add_refinement(self, levels, values) -> None:
+        prev = None
+        for level, value in zip(levels, values, strict=True):
+            ratio = (value / prev) if prev else None
+            self.refinement.append({"N": level, "value": _jsonable(value),
+                                    "stability_ratio": _jsonable(ratio)})
+            prev = value
 
     @property
     def passed(self) -> bool:
@@ -313,6 +322,30 @@ def _stable(values, rtol: float) -> bool:
     return (top - bot) <= rtol * bot
 
 
+def _sup(values) -> float:
+    """The largest value, NaN if any is NaN (``max`` drops a NaN after the first value)."""
+    values = list(values)
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
+def _ladder(cfg: SuiteConfig, kind: str, inputs, measure):
+    """Run ``measure(inputs(grid))`` on the grid of each size in ``cfg.n_list``, in
+    order (coarsest first in every default).  ``measure`` returns one value per
+    sweep entry; the result is one list of values per entry and the last grid's inputs.
+    """
+    rows = []
+    for n in cfg.n_list:
+        made = inputs(Grid(cfg.half_width, n, kind))
+        rows.append(measure(made))
+    return [list(values) for values in zip(*rows)], made
+
+
+def _stable_case(report: SuiteReport, params: dict, values, rtol: float) -> None:
+    """The case that the refinement ``values`` agree within ``rtol``."""
+    report.add_case({**params, "values": values}, values[-1], values[0],
+                    rtol * values[0], passed=_stable(values, rtol))
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -321,25 +354,19 @@ def _suite_frac_laplacian(cfg: SuiteConfig, report: SuiteReport) -> None:
     sigmas = cfg.sweeps["sigma"]
     tol = cfg.tolerances["rel_l2"]
     w0 = PowerWeight(0.0)
-    worst_by_n = []
-    for n in cfg.n_list:
-        grid = Grid(cfg.half_width, n, FULL_LINE)
-        family = generate_test_family(grid, cfg.seed, 20)
-        worst = 0.0
-        for sigma in sigmas:
-            sup = 0.0
-            for f in family:
-                spec = fourier.fractional_laplacian_spectral(f, sigma)
-                sing = singular.fractional_laplacian_singular(f, sigma)
-                rel = (weighted_lp_norm(sing - spec, 2.0, w0)
-                       / weighted_lp_norm(spec, 2.0, w0))
-                sup = max(sup, rel)
-            worst = max(worst, sup)
-            if n == cfg.n_list[-1]:
-                report.add_case({"sigma": sigma, "N": n, "what": "max rel L2"},
-                                sup, 0.0, tol)
-        worst_by_n.append(worst)
-        report.add_refinement(n, worst)
+
+    def rel(f: GridFunction, sigma: float) -> float:
+        spec = fourier.fractional_laplacian_spectral(f, sigma)
+        sing = singular.fractional_laplacian_singular(f, sigma)
+        return weighted_lp_norm(sing - spec, 2.0, w0) / weighted_lp_norm(spec, 2.0, w0)
+
+    sups, _ = _ladder(cfg, FULL_LINE, lambda g: generate_test_family(g, cfg.seed, 20),
+                      lambda fam: [_sup(rel(f, sigma) for f in fam) for sigma in sigmas])
+    for sigma, values in zip(sigmas, sups):
+        report.add_case({"sigma": sigma, "N": cfg.n_list[-1], "what": "max rel L2"},
+                        values[-1], 0.0, tol)
+    worst_by_n = [_sup(at_n) for at_n in zip(*sups)]
+    report.add_refinement(cfg.n_list, worst_by_n)
     monotone = all(b <= a * 1.0 + 1e-15 for a, b in zip(worst_by_n, worst_by_n[1:]))
     report.add_case({"what": "discrepancy decreases with N",
                      "values": worst_by_n}, worst_by_n[-1], worst_by_n[0],
@@ -363,8 +390,8 @@ def _suite_c_sigma(cfg: SuiteConfig, report: SuiteReport) -> None:
             report.add_case({"sigma": sigma, "xi": xi, "what": "homogeneity"},
                             val, xi ** sigma, tol_h)
     # refinement: series/tail split points must agree
-    for level, split in enumerate((0.5, 1.0, 2.0)):
-        report.add_refinement(level, 1.0 / singular.symbol_integral(1.0, 0.5, split=split))
+    report.add_refinement((0, 1, 2), [1.0 / singular.symbol_integral(1.0, 0.5, split=split)
+                                      for split in (0.5, 1.0, 2.0)])
 
 
 def _suite_bessel_kernel(cfg: SuiteConfig, report: SuiteReport) -> None:
@@ -398,10 +425,10 @@ def _suite_bessel_kernel(cfg: SuiteConfig, report: SuiteReport) -> None:
             report.add_case({"p": p, "gamma": gamma, "s": s, "side": side,
                              "shell_ratio": ratio},
                             ratio, 1.0, 0.0, passed=ok)
-    for n_mesh in (100, 200, 400):
-        xs = np.linspace(0.1, 10.0, n_mesh)
-        err = float(np.max(np.abs(kernels.bessel_kernel(2.0, xs) - np.exp(-xs) / 2)))
-        report.add_refinement(n_mesh, err)
+    meshes = (100, 200, 400)
+    report.add_refinement(meshes, [
+        float(np.max(np.abs(kernels.bessel_kernel(2.0, xs) - np.exp(-xs) / 2)))
+        for xs in (np.linspace(0.1, 10.0, n_mesh) for n_mesh in meshes)])
 
 
 def _suite_schur(cfg: SuiteConfig, report: SuiteReport) -> None:
@@ -416,31 +443,26 @@ def _suite_schur(cfg: SuiteConfig, report: SuiteReport) -> None:
                         kernels.schur_companion_constant(2.0, beta), tol)
     # operator-norm probe against the Schur bound
     rng = np.random.default_rng(cfg.seed)
-    worst_by_n = []
-    for n in cfg.n_list:
-        grid = Grid(cfg.half_width, n, HALF_LINE)
-        t = grid.points
-        worst = 0.0
-        for gamma in (-0.5, 0.0, 1.0):
-            w = PowerWeight(gamma)
-            beta = gamma / 2.0
-            admissible = -1.0 < beta - 0.5 < 0.0
-            bound = kernels.schur_closed_form(2.0, beta) if admissible else math.inf
-            sup = 0.0
-            for _ in range(50):
-                c = rng.uniform(0.05, 0.6) * cfg.half_width
-                wd = rng.uniform(0.01, 0.12) * cfg.half_width
-                h = GridFunction(grid, np.exp(-((t - c) / wd) ** 2))
-                ih = kernels.hardy_hilbert_apply(h)
-                sup = max(sup, weighted_lp_norm(ih, 2.0, w)
-                          / weighted_lp_norm(h, 2.0, w))
-            ok = sup <= bound
-            if n == cfg.n_list[-1]:
-                report.add_case({"gamma": gamma, "what": "probe <= Schur bound",
-                                 "bound": _jsonable(bound)}, sup, 0.0, 0.0, passed=ok)
-            worst = max(worst, sup)
-        worst_by_n.append(worst)
-        report.add_refinement(n, worst)
+    gammas = (-0.5, 0.0, 1.0)
+
+    def bump_ratio(grid: Grid, gamma: float) -> float:
+        c = rng.uniform(0.05, 0.6) * cfg.half_width
+        wd = rng.uniform(0.01, 0.12) * cfg.half_width
+        h = GridFunction(grid, np.exp(-((grid.points - c) / wd) ** 2))
+        w = PowerWeight(gamma)
+        return (weighted_lp_norm(kernels.hardy_hilbert_apply(h), 2.0, w)
+                / weighted_lp_norm(h, 2.0, w))
+
+    sups, _ = _ladder(cfg, HALF_LINE, lambda g: g, lambda g: [
+        _sup(bump_ratio(g, gamma) for _ in range(50)) for gamma in gammas])
+    for gamma, values in zip(gammas, sups):
+        beta = gamma / 2.0
+        admissible = -1.0 < beta - 0.5 < 0.0
+        bound = kernels.schur_closed_form(2.0, beta) if admissible else math.inf
+        report.add_case({"gamma": gamma, "what": "probe <= Schur bound",
+                         "bound": _jsonable(bound)}, values[-1], 0.0, 0.0,
+                        passed=values[-1] <= bound)
+    report.add_refinement(cfg.n_list, [_sup(at_n) for at_n in zip(*sups)])
 
 
 def _suite_reflection(cfg: SuiteConfig, report: SuiteReport) -> None:
@@ -476,21 +498,19 @@ def _suite_reflection(cfg: SuiteConfig, report: SuiteReport) -> None:
                     float(np.max(np.abs(ez.values))), 0.0, 0.0)
     # duality, with refinement
     tol_dual = cfg.tolerances["duality"]
-    errs_by_n = []
-    for n in cfg.n_list:
-        gfull = Grid(cfg.half_width, n, FULL_LINE)
-        ghalf = gfull.companion(HALF_LINE)
-        fam_h = generate_test_family(ghalf, cfg.seed + 1, 20)
-        fam_g = generate_test_family(gfull, cfg.seed + 2, 20)
-        cm = halfline.solve_reflection_coefficients(1)
-        errs = []
-        for fh, gg in zip(fam_h, fam_g):
-            lhs = dual_pairing(halfline.reflect_extend(fh, cm), gg)
-            rhs = dual_pairing(halfline.zero_extend(fh),
-                               halfline.reflect_extend_dual(gg, cm))
-            errs.append(abs(lhs - rhs))
-        errs_by_n.append(max(errs))
-        report.add_refinement(n, max(errs))
+    c1 = halfline.solve_reflection_coefficients(1)
+
+    def duality_gap(fh: GridFunction, gg: GridFunction) -> float:
+        lhs = dual_pairing(halfline.reflect_extend(fh, c1), gg)
+        rhs = dual_pairing(halfline.zero_extend(fh), halfline.reflect_extend_dual(gg, c1))
+        return abs(lhs - rhs)
+
+    (errs_by_n,), _ = _ladder(
+        cfg, FULL_LINE,
+        lambda g: (generate_test_family(g.companion(HALF_LINE), cfg.seed + 1, 20),
+                   generate_test_family(g, cfg.seed + 2, 20)),
+        lambda fams: [_sup(duality_gap(fh, gg) for fh, gg in zip(*fams))])
+    report.add_refinement(cfg.n_list, errs_by_n)
     report.add_case({"what": "duality pairing identity (20 pairs)"},
                     errs_by_n[-1], 0.0, tol_dual)
 
@@ -546,74 +566,60 @@ def _suite_traces(cfg: SuiteConfig, report: SuiteReport) -> None:
     report.add_case({"what": "one-sided mollify convergence (reported)",
                      "errors": [float(c) for c in conv]},
                     conv[-1], 0.0, math.inf, passed=True)
-    for k, n in ((2, 1024), (2, 2048), (2, 4096)):
-        g = Grid(cfg.half_width, n, FULL_LINE)
-        tv = halfline.TraceVector(k, np.ones((k + 1, 1)))
-        back = halfline.trace(halfline.coextend(tv, g), k)
-        report.add_refinement(n, float(np.max(np.abs(back.entries - tv.entries))))
+    sizes = (1024, 2048, 4096)
+    tv = halfline.TraceVector(2, np.ones((3, 1)))
+    backs = [halfline.trace(halfline.coextend(tv, Grid(cfg.half_width, n, FULL_LINE)), 2)
+             for n in sizes]
+    report.add_refinement(sizes, [float(np.max(np.abs(b.entries - tv.entries)))
+                                  for b in backs])
 
 
 def _suite_pointwise_multiplier(cfg: SuiteConfig, report: SuiteReport) -> None:
     stab = cfg.tolerances["stability"]
     tol_comm = cfg.tolerances["commutation"]
-    spg = [tuple(triple) for triple in cfg.sweeps["spg"]]  # a JSON config gives lists
-    sups = {}
-    for n in cfg.n_list:
-        grid = Grid(cfg.half_width, n, FULL_LINE)
-        fam_sups = [0.0] * len(spg)
-        for f in generate_test_family(grid, cfg.seed, 50, "boundary-touching"):
-            ratios = halfline.multiplier_norm_ratios(f, spg)
-            fam_sups = [max(sup, r) for sup, r in zip(fam_sups, ratios)]
-        for triple, sup in zip(spg, fam_sups):
-            sups.setdefault(triple, []).append(sup)
-    for (s, p, gamma), values in sups.items():
-        ok = _stable(values, stab)
-        report.add_case({"s": s, "p": p, "gamma": gamma,
-                         "what": "indicator norm-ratio sup stable",
-                         "values": values}, values[-1], values[0],
-                        stab * values[0], passed=ok)
+    spg = cfg.sweeps["spg"]
+    sups, _ = _ladder(cfg, FULL_LINE,
+                      lambda g: generate_test_family(g, cfg.seed, 50, "boundary-touching"),
+                      lambda fam: [_sup(r) for r in zip(
+                          *(halfline.multiplier_norm_ratios(f, spg) for f in fam))])
+    for (s, p, gamma), values in zip(spg, sups):
+        _stable_case(report, {"s": s, "p": p, "gamma": gamma,
+                              "what": "indicator norm-ratio sup stable"}, values, stab)
     # zero-trace windows and the derivative-commutation identity
     w = PowerWeight(0.0)
     for k in (1, 2):
-        sups_k = []
-        for n in cfg.n_list:
-            grid = Grid(cfg.half_width, n, FULL_LINE)
-            fam = generate_test_family(grid, cfg.seed + k, 20, "zero-trace-k",
-                                       trace_order=k)
-            s = k - 0.2
-            sup = max(halfline.multiplier_norm_ratio(f, s, 2.0, 0.0) for f in fam)
-            sups_k.append(sup)
-            if n == cfg.n_list[-1]:
-                worst = 0.0
-                for f in fam[:10]:
-                    for j in range(1, k + 1):
-                        lhs = fourier.spectral_derivative(halfline.indicator_multiply(f), j)
-                        rhs = halfline.indicator_multiply(fourier.spectral_derivative(f, j))
-                        worst = max(worst, weighted_lp_norm(lhs - rhs, 2.0, w))
-                report.add_case({"k": k, "what": "derivative commutation in L2"},
-                                worst, 0.0, tol_comm)
-        report.add_case({"k": k, "s": k - 0.2,
-                         "what": "zero-trace window ratio sup stable",
-                         "values": sups_k}, sups_k[-1], sups_k[0],
-                        stab * sups_k[0], passed=_stable(sups_k, stab))
-    for n, v in zip(cfg.n_list, sups[spg[0]]):
-        report.add_refinement(n, v)
+        (sups_k,), fam = _ladder(
+            cfg, FULL_LINE,
+            lambda g: generate_test_family(g, cfg.seed + k, 20, "zero-trace-k", trace_order=k),
+            lambda fam: [_sup(halfline.multiplier_norm_ratio(f, k - 0.2, 2.0, 0.0)
+                              for f in fam)])
+        worst = 0.0
+        for f in fam[:10]:
+            for j in range(1, k + 1):
+                lhs = fourier.spectral_derivative(halfline.indicator_multiply(f), j)
+                rhs = halfline.indicator_multiply(fourier.spectral_derivative(f, j))
+                worst = max(worst, weighted_lp_norm(lhs - rhs, 2.0, w))
+        report.add_case({"k": k, "what": "derivative commutation in L2"},
+                        worst, 0.0, tol_comm)
+        _stable_case(report, {"k": k, "s": k - 0.2,
+                              "what": "zero-trace window ratio sup stable"}, sups_k, stab)
+    report.add_refinement(cfg.n_list, sups[0])
 
 
 def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
     stab = cfg.tolerances["stability"]
     tol_scale = cfg.tolerances["scale_invariance"]
     # Hardy embedding ratio
-    sups = []
-    for n in cfg.n_list:
-        grid = Grid(cfg.half_width, n, FULL_LINE)
-        fam = generate_test_family(grid, cfg.seed, 50)
-        sup = max(halfline.hardy_embedding_check(f, 0.4, 2.0, 0.5) for f in fam)
-        sups.append(sup)
-        report.add_refinement(n, sup)
-    report.add_case({"s": 0.4, "p": 2, "gamma": 0.5,
-                     "what": "Hardy ratio sup stable", "values": sups},
-                    sups[-1], sups[0], stab * sups[0], passed=_stable(sups, stab))
+
+    def hardy_sup(fam) -> float:
+        return _sup(halfline.hardy_embedding_check(f, 0.4, 2.0, 0.5) for f in fam)
+
+    (sups,), fam = _ladder(cfg, FULL_LINE, lambda g: generate_test_family(g, cfg.seed, 50),
+                           lambda fam: [hardy_sup(fam)])
+    grid = fam[0].grid
+    report.add_refinement(cfg.n_list, sups)
+    _stable_case(report, {"s": 0.4, "p": 2, "gamma": 0.5, "what": "Hardy ratio sup stable"},
+                 sups, stab)
     # rescaling study: dilating the whole family (exact integer gathers)
     # moves the supremum only within a bounded factor; factor 1 is the
     # finest family of the ladder itself, whose supremum is sups[-1]
@@ -625,24 +631,18 @@ def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
         vals[ok] = f.values[idx[ok]]
         return GridFunction(grid, vals)
 
-    dilated_sups = [sups[-1]] + [
-        max(halfline.hardy_embedding_check(dilate(f, lam), 0.4, 2.0, 0.5) for f in fam)
-        for lam in (2, 4)]
+    dilated_sups = [sups[-1]] + [hardy_sup(dilate(f, lam) for f in fam) for lam in (2, 4)]
     report.add_case({"what": "Hardy sup bounded under dilation",
                      "values": dilated_sups}, max(dilated_sups), dilated_sups[0],
                     0.3 * dilated_sups[0],
                     passed=max(dilated_sups) <= 1.3 * dilated_sups[0])
-    # Gagliardo-Nirenberg, one family per N; ratios_gn[N][member][pair]
-    ratios_gn = [[halfline.gn_ratios(f, 1, 2, _GN_PAIRS)
-                  for f in generate_test_family(Grid(cfg.half_width, n, FULL_LINE),
-                                                cfg.seed + 7, 50)]
-                 for n in cfg.n_list]
-    for i, (p, gamma) in enumerate(_GN_PAIRS):
-        sups_gn = [max(member[i] for member in ratios_n) for ratios_n in ratios_gn]
-        report.add_case({"p": p, "gamma": gamma,
-                         "what": "GN ratio sup stable", "values": sups_gn},
-                        sups_gn[-1], sups_gn[0], stab * sups_gn[0],
-                        passed=_stable(sups_gn, stab))
+    # Gagliardo-Nirenberg, one family per N
+    sups_gn, _ = _ladder(cfg, FULL_LINE, lambda g: generate_test_family(g, cfg.seed + 7, 50),
+                         lambda fam: [_sup(r) for r in zip(
+                             *(halfline.gn_ratios(f, 1, 2, _GN_PAIRS) for f in fam))])
+    for (p, gamma), values in zip(_GN_PAIRS, sups_gn):
+        _stable_case(report, {"p": p, "gamma": gamma, "what": "GN ratio sup stable"},
+                     values, stab)
     # scale invariance at gamma = 0
     x = grid.points
     u = GridFunction(grid, np.exp(-x ** 2) * (1.0 + 0.3 * np.cos(2.0 * x)))
@@ -721,21 +721,19 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
     # sector probe supremum, stable across N
     angle = 3.0 * math.pi / 4.0 - 0.1
     radii = [4.0 ** k for k in range(-5, 6)]
-    sups, uppers, bad = [], [], 0
-    for n in cfg.n_list:
-        gn = Grid(cfg.half_width, n, HALF_LINE)
-        probe = opcalc.sectoriality_probe(op, gn, [angle], radii)[0]
-        sups.append(probe.supremum)
-        report.add_refinement(n, probe.supremum)
-        finite = [e for e in probe.entries if e["certified"] is not None]
-        uppers.append(max(e["bracket"][1] for e in finite))
-        bad += sum(not e["certified"] or e["power_lower"] > e["bracket"][1]
-                   for e in finite)
-    report.add_case({"angle": angle, "what": "sector-probe sup stable",
-                     "values": sups}, sups[-1], sups[0], 0.05 * sups[0],
-                    passed=_stable(sups, 0.05))
+
+    def probe(grid: Grid) -> list:
+        """Supremum, largest upper bound, count of uncertified or outside-bracket entries."""
+        result = opcalc.sectoriality_probe(op, grid, [angle], radii)[0]
+        finite = [e for e in result.entries if e["certified"] is not None]
+        return [result.supremum, _sup(e["bracket"][1] for e in finite),
+                sum(not e["certified"] or e["power_lower"] > e["bracket"][1] for e in finite)]
+
+    (sups, uppers, bads), _ = _ladder(cfg, HALF_LINE, lambda g: g, probe)
+    report.add_refinement(cfg.n_list, sups)
+    _stable_case(report, {"angle": angle, "what": "sector-probe sup stable"}, sups, 0.05)
     report.add_case({"what": "sector-probe entries certified, power bound inside bracket"},
-                    bad, 0, 0)
+                    sum(bads), 0, 0)
     # at gamma = 0 the continuum map is convolution with lam e^{-lam t}; its
     # norm on every L^p is the kernel's L^1 norm |lam| / Re lam, reached by the
     # symbol at xi = -Im lam, so the sector supremum is sec(phi_max)
@@ -754,8 +752,16 @@ def _suite_fractional_domains(cfg: SuiteConfig, report: SuiteReport) -> None:
     stab = cfg.tolerances["stability"]
     w0 = PowerWeight(0.0)
     op0 = opcalc.HalfLineOperator(opcalc.DIRICHLET, 2.0, 0.0)
-    grid = Grid(cfg.half_width, cfg.n_list[-1], HALF_LINE)
-    fam = generate_test_family(grid, cfg.seed, 20, support=(0.1, 0.5))
+    # domain-norm ratio bands: one family per N serves every (p, gamma, theta)
+    pgt = cfg.sweeps["pgt"]
+    ops = [opcalc.HalfLineOperator(opcalc.DIRICHLET, p, gamma) for p, gamma, _ in pgt]
+    bands, fam_b = _ladder(
+        cfg, HALF_LINE,
+        lambda g: generate_test_family(g, cfg.seed + 5, 50, support=(0.1, 0.6)),
+        lambda fam: [_band_constant([opcalc.domain_norm_ratio(op, theta, f) for f in fam])
+                     for op, (_, _, theta) in zip(ops, pgt)])
+    # the fractional power against the causal-derivative oracle, finest grid
+    fam = generate_test_family(fam_b[0].grid, cfg.seed, 20, support=(0.1, 0.5))
     for theta in (0.25, 0.5, 0.75):
         sup = 0.0
         for f in fam:
@@ -766,24 +772,11 @@ def _suite_fractional_domains(cfg: SuiteConfig, report: SuiteReport) -> None:
         report.add_case({"theta": theta,
                          "what": "fractional power vs causal-derivative oracle"},
                         sup, 0.0, tol_rl)
-    # domain-norm ratio bands
-    for p, gamma, theta in cfg.sweeps["pgt"]:
-        op = opcalc.HalfLineOperator(opcalc.DIRICHLET, p, gamma)
-        cs = []
-        for n in cfg.n_list:
-            g = Grid(cfg.half_width, n, HALF_LINE)
-            fam_n = generate_test_family(g, cfg.seed + 5, 50, support=(0.1, 0.6))
-            ratios = [opcalc.domain_norm_ratio(op, theta, f) for f in fam_n]
-            cs.append(_band_constant(ratios))
-        report.add_case({"p": p, "gamma": gamma, "theta": theta,
-                         "what": "domain-norm band constant stable",
-                         "values": cs}, cs[-1], cs[0], stab * cs[0],
-                        passed=_stable(cs, stab))
-        if (p, gamma, theta) == (2.0, 0.0, 0.5):
-            for n, c in zip(cfg.n_list, cs):
-                report.add_refinement(n, c)
+    for (p, gamma, theta), values in zip(pgt, bands):
+        _stable_case(report, {"p": p, "gamma": gamma, "theta": theta,
+                              "what": "domain-norm band constant stable"}, values, stab)
+    report.add_refinement(cfg.n_list, bands[0])
     # theta = 1 reproduces the first-order equivalence band
-    fam_b = generate_test_family(grid, cfg.seed + 5, 50, support=(0.1, 0.6))
     ratios_theta = [opcalc.domain_norm_ratio(op0, 1.0, f) for f in fam_b]
     ratios_wh = []
     for f in fam_b:
@@ -817,10 +810,9 @@ def _suite_integration_by_parts(cfg: SuiteConfig, report: SuiteReport) -> None:
         worst = max(worst, opcalc.integration_by_parts_check(fu, fv) / scale)
     report.add_case({"what": "random windowed pairs, residual / (W1 norms)"},
                     worst, 0.0, tol_rand)
-    for n in cfg.n_list:
-        g = Grid(cfg.half_width, n, HALF_LINE)
-        ug = GridFunction(g, np.exp(-g.points))
-        report.add_refinement(n, opcalc.integration_by_parts_check(ug, ug))
+    (residuals,), _ = _ladder(cfg, HALF_LINE, lambda g: GridFunction(g, np.exp(-g.points)),
+                              lambda ug: [opcalc.integration_by_parts_check(ug, ug)])
+    report.add_refinement(cfg.n_list, residuals)
 
 
 #: (p, gamma) of the Gagliardo-Nirenberg study in ``hardy-gn``: the admissible

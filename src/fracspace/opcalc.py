@@ -344,6 +344,12 @@ def _check_theta(theta: float) -> None:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
 
 
+def check_domain_theta(theta: float) -> None:
+    """Raise ValueError unless 0 < theta <= 1, the orders ``domain_norm_ratio`` takes."""
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+
+
 # log-lambda trapezoid of the Balakrishnan integral: lam = e^u, |u| <= _U_RANGE
 _U_RANGE = 30.0
 _U_STEP = 0.05
@@ -481,6 +487,7 @@ def domain_norm_ratio(op: HalfLineOperator, theta: float, f: GridFunction) -> fl
     reflection-extension upper bound of the restricted-space norm (minus
     branch).  theta = 1 is allowed and uses A f directly.
     """
+    check_domain_theta(theta)
     w = op.weight
     if theta == 1.0:
         a_part = op.apply(f)

@@ -16,6 +16,7 @@ from fracspace.harness import (
     SuiteReport,
     _band_constant,
     _stable,
+    _sup,
     generate_test_family,
     run_suite,
 )
@@ -221,8 +222,7 @@ class TestReports:
         params = {"what": "a, \"quoted\" case", "values": [1.0, 2.5], "p": 2.0}
         report.add_case(params, 1.0, 1.0, 1e-3)
         report.add_case({"theta": 0.5}, 2.0, 1.0, 1e-3)
-        for n, v in ((1024, 1.0), (2048, 0.5), (4096, 0.25)):
-            report.add_refinement(n, v)
+        report.add_refinement((1024, 2048, 4096), (1.0, 0.5, 0.25))
         report.write(tmp_path)
         with open(tmp_path / "demo.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -450,6 +450,10 @@ BAD_INPUTS = {
         "run", "c-sigma", "--config", _config(tmp, {"seed": True})],
     "config-n-fractional": lambda tmp: [
         "run", "c-sigma", "--config", _config(tmp, {"n_list": [1024.7, 2048, 4096]})],
+    # theta outside the (0, 1] that domain_norm_ratio compares
+    "config-pgt-theta": lambda tmp: [
+        "run", "fractional-domains", "--config",
+        _config(tmp, {"sweeps": {"pgt": [[2.0, 0.0, 1.2]]}, "n_list": [256, 512, 1024]})],
 }
 
 
@@ -472,7 +476,53 @@ class TestStabilityHelpers:
         assert not _stable([1.0, math.inf], 0.1)
         assert _stable([1.0, 1.05], 0.1)
 
+    def test_sup_propagates_nan(self):
+        # max(0.0, nan) is 0.0 and max(nan, 1.0) is nan: the position decided
+        assert math.isnan(_sup([1.0, math.nan, 0.5]))
+        assert math.isnan(_sup([math.nan, 1.0]))
+        assert _sup([0.5, 2.0, 1.0]) == 2.0
+
     def test_band_constant_infinite_on_non_finite_ratio(self):
         assert _band_constant([1.0, math.nan, 4.0]) == math.inf
         assert _band_constant([1.0, math.inf]) == math.inf
         assert _band_constant([1.0, 4.0]) == pytest.approx(2.0)
+
+
+_SMALL_N = (256, 512, 1024)
+
+
+class TestRefinementLadders:
+    def test_nan_family_member_fails_the_hardy_case(self, monkeypatch):
+        # one member after the first gives NaN; a sup folded with max() from
+        # 0.0 dropped it and the case passed
+        calls = []
+        original = halfline.hardy_embedding_check
+
+        def nan_for_second_member(f, s, p, gamma):
+            calls.append(None)
+            return math.nan if len(calls) % 50 == 2 else original(f, s, p, gamma)
+
+        monkeypatch.setattr(halfline, "hardy_embedding_check", nan_for_second_member)
+        report = run_suite(SuiteConfig(suite="hardy-gn", n_list=_SMALL_N))
+        case = next(c for c in report.cases
+                    if c["params"]["what"] == "Hardy ratio sup stable")
+        assert all(math.isnan(v) for v in case["params"]["values"])
+        assert not case["pass"]
+
+    def test_repeated_multiplier_entry_gives_one_case_each(self):
+        report = run_suite(SuiteConfig(suite="pointwise-multiplier", n_list=_SMALL_N,
+                                       sweeps={"spg": [[0.3, 2, 0], [0.3, 2, 0]]}))
+        cases = [c for c in report.cases
+                 if c["params"]["what"] == "indicator norm-ratio sup stable"]
+        assert len(cases) == 2
+        assert [len(c["params"]["values"]) for c in cases] == [3, 3]
+        assert cases[0]["params"]["values"] == cases[1]["params"]["values"]
+        assert [row["N"] for row in report.refinement] == list(_SMALL_N)
+
+    def test_domain_refinement_rows_come_from_the_first_entry(self):
+        report = run_suite(SuiteConfig(suite="fractional-domains", n_list=_SMALL_N,
+                                       sweeps={"pgt": [[2.0, 0.5, 0.3]]}))
+        case = next(c for c in report.cases
+                    if c["params"]["what"] == "domain-norm band constant stable")
+        assert [row["N"] for row in report.refinement] == list(_SMALL_N)
+        assert [row["value"] for row in report.refinement] == case["params"]["values"]

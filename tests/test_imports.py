@@ -245,3 +245,16 @@ def test_grid_kind_checks_live_in_grid():
                       for n in ast.walk(node.test))
               and any(isinstance(stmt, ast.Raise) for stmt in node.body + node.orelse)]
     assert copies == []
+
+
+def test_one_grid_size_ladder():
+    # every refinement study walks the grid sizes through harness._ladder; a
+    # loop over a config's n_list elsewhere is a hand-written ladder
+    tree = dict(_package_modules())["harness"]
+    loops = [f"harness.py:{node.iter.lineno} in {owners[-1].name if owners else '<module>'}"
+             for node, owners in _enclosed(tree, (ast.For, ast.comprehension))
+             if any(isinstance(n, ast.Attribute) and n.attr == "n_list"
+                    and not (isinstance(n.value, ast.Name) and n.value.id == "self")
+                    for n in ast.walk(node.iter))
+             and [fn.name for fn in owners] != ["_ladder"]]
+    assert loops == []

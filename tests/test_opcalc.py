@@ -580,6 +580,13 @@ class TestDomainNormRatio:
         r = domain_norm_ratio(OP_M, 0.5, f)
         assert 0.0 < r < math.inf
 
+    @pytest.mark.parametrize("theta", [0.0, -0.5, 1.2, math.nan])
+    def test_theta_outside_zero_one_closed_rejected(self, theta):
+        g = Grid(40.0, 256, HALF_LINE)
+        f = generate_test_family(g, 64, 1, support=(0.1, 0.6))[0]
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            domain_norm_ratio(OP_D, theta, f)
+
 
 class TestIntegrationByParts:
     def test_exponential_closed_form(self):
