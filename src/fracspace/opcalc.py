@@ -14,9 +14,13 @@ Balakrishnan quadrature is a fixed sum of such recursions, hence one linear
 time-invariant filter on the grid: ``fractional_power`` builds its impulse
 responses once per (h, N, theta) for both variants, keeps them in a small
 bounded cache of read-only arrays, and applies them by FFT convolution
-(``_conv.full_convolve``).  The finite-difference stencils that
-``HalfLineOperator.apply``, ``riemann_liouville`` and the endpoint-corrected
-pairing apply are built once per grid spacing in ``_fd``; everything else
+(``_conv.full_convolve``).  The build forms each power E^k of a node as
+E^(qB) E^j with B ~ sqrt(N), one small two-row matrix product per block q,
+and the log-lambda trapezoid carries its step^2/12 end correction, so at
+theta in [0.25, 0.75] the quadrature error is below the rounding of the sum.
+The finite-difference stencils that ``HalfLineOperator.apply``,
+``riemann_liouville`` and the endpoint-corrected pairing apply are built
+once per grid spacing in ``_fd``; everything else
 evaluates per call.  ``riemann_liouville`` shares no code with the
 Balakrishnan kernel, so the two stay independent representations; both
 differentiate through ``_fd``, whose stencils depend only on the grid.
@@ -350,38 +354,51 @@ def check_domain_theta(theta: float) -> None:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
 
 
-# log-lambda trapezoid of the Balakrishnan integral: lam = e^u, |u| <= _U_RANGE
-_U_RANGE = 30.0
-_U_STEP = 0.05
+# log-lambda trapezoid of the Balakrishnan integral: lam = e^u, |u| <= _U_RANGE.
+# The step sets the interior error, about e^{-pi^2/_U_STEP} since the integrand
+# is analytic for |Im u| < pi/2: 5e-22 at 0.2.  The range sets the end error.
+# The closed-form tails hold to e^{-_U_RANGE}, and ``fractional_power``
+# subtracts the trapezoid's own end error (step^2/12) g'(u) at both cuts; what
+# is left, (theta step)^4/(720 theta) e^{-theta _U_RANGE} of ||f|| at the small
+# end and the same in 1 - theta and ||A f|| at the large end, is below 1e-16 for
+# 0.25 <= theta <= 0.75 at range 80 (801 nodes).
+_U_RANGE = 80.0
+_U_STEP = 0.2
 # e^{-lam h k} below e^-700 is dropped from the kernel (subnormal slow paths)
 _DECAY_CUTOFF = 700.0
-# elements of the exponential buffer the kernel build fills per chunk of lambdas
-_CHUNK_ELEMENTS = 1 << 16
 
 
 def _exponential_sums(first: np.ndarray, rate: np.ndarray, log_e: np.ndarray,
                       n: int) -> np.ndarray:
     """Rows out[r, k] = sum_i first[r, i] (k = 0), sum_i rate[r, i] E_i^(k-1) (k >= 1).
 
-    E_i = exp(log_e[i]) with log_e non-increasing (lambdas ascending); each
-    chunk of lambdas is cut where its slowest decay passes e^-_DECAY_CUTOFF.
+    E_i = exp(log_e[i]) with log_e non-increasing (lambdas ascending).  The
+    powers 0 .. n-2 come in blocks of B = ceil(sqrt(n - 1)) from
+    E^(qB + j) = E^(qB) E^j: one table of E^j (j < B) and, per block q, one
+    two-row product of the rates scaled by E^(qB) with that table.  A node
+    leaves the sums once E^(qB) passes e^-_DECAY_CUTOFF, and table entries
+    past it are 0; since log_e does not increase, the live nodes of a block
+    are a prefix.
     """
     out = np.zeros((first.shape[0], n))
     out[:, 0] = first.sum(axis=1)
-    out[:, 1] = rate.sum(axis=1)  # E^0 = 1, also where E = 0
-    powers = np.arange(1.0, n - 1)  # exponents of E for k = 2 .. n-1
-    rows = max(1, _CHUNK_ELEMENTS // n)
-    buf = np.empty((rows, n - 2))
-    for start in range(0, log_e.size, rows):
-        sl = slice(start, min(start + rows, log_e.size))
-        slowest = -log_e[start]
-        width = (n - 2 if slowest * (n - 2) <= _DECAY_CUTOFF
-                 else int(_DECAY_CUTOFF / slowest))
-        block = buf[:sl.stop - sl.start, :width]
-        np.multiply(log_e[sl, None], powers[:width], out=block)
-        block[block < -_DECAY_CUTOFF] = -np.inf
-        np.exp(block, out=block)
-        out[:, 2:2 + width] += rate[:, sl] @ block
+    m = n - 1  # number of powers
+    b = math.isqrt(m - 1) + 1
+    table = np.empty((log_e.size, b))
+    table[:, 0] = 1.0  # E^0 = 1, also where E = 0
+    powers = table[:, 1:]
+    np.multiply(log_e[:, None], np.arange(1.0, b), out=powers)
+    powers[powers < -_DECAY_CUTOFF] = -np.inf
+    np.exp(powers, out=powers)
+    for start in range(0, m, b):
+        if start:
+            log_start = start * log_e
+            live = int(np.count_nonzero(log_start >= -_DECAY_CUTOFF))
+            scaled = rate[:, :live] * np.exp(log_start[:live])
+        else:
+            live, scaled = log_e.size, rate
+        width = min(b, m - start)
+        out[:, 1 + start:1 + start + width] = scaled @ table[:live, :width]
     return out
 
 
@@ -394,7 +411,10 @@ def _balakrishnan_kernel(h: float, n: int, theta: float) -> np.ndarray:
     recursion with the taps (E, b0, b1) of ``_taps``: g[0] = b0,
     g[k] = (E b0 + b1) E^(k-1).  Both variants apply it, the minus variant
     to reversed data.  Row 1, sum_lam c_lam b0 E^k, is the response to f_0
-    that the zero initial value of the Dirichlet variant removes.
+    that the zero initial value of the Dirichlet variant removes.  Both rows
+    come from the taps and the trapezoid weights alone, summed by
+    ``_exponential_sums`` in blocks of about sqrt(N) powers, so a build takes
+    about 2 sqrt(N) exponentials per node where a power-by-power sum takes N.
     """
     us = np.arange(-_U_RANGE, _U_RANGE + 1e-12, _U_STEP)
     lam = np.exp(us)
@@ -420,7 +440,10 @@ def fractional_power(op: HalfLineOperator, theta: float, f: GridFunction) -> Gri
     both truncated ends (from (lam+A)^{-1}Af = f - lam (lam+A)^{-1} f at the
     small end and = Af/lam - (lam+A)^{-1} A^2 f / lam at the large end).  The
     trapezoid sum of discrete resolvents is applied as one cached convolution
-    kernel (see ``_balakrishnan_kernel``).
+    kernel (see ``_balakrishnan_kernel``).  The trapezoid's end error,
+    (step^2/12) (g'(range) - g'(-range)) for the integrand g(u), is taken out
+    with g' from the same end forms: theta e^{theta u} f at the small end and
+    (theta - 1) e^{(theta - 1) u} A f at the large end.
     """
     _check_theta(theta)
     _require_kind(f, HALF_LINE, "fractional_power")
@@ -439,8 +462,9 @@ def fractional_power(op: HalfLineOperator, theta: float, f: GridFunction) -> Gri
         acc = full_convolve(kernel[0][:, None], af.values[::-1])[:n][::-1]
     eps_end = math.exp(-_U_RANGE)
     big_end = math.exp(_U_RANGE)
-    acc += (eps_end ** theta / theta) * f.values
-    acc += (big_end ** (theta - 1.0) / (1.0 - theta)) * af.values
+    end = _U_STEP ** 2 / 12.0
+    acc += eps_end ** theta * (1.0 / theta + end * theta) * f.values
+    acc += big_end ** (theta - 1.0) * (1.0 / (1.0 - theta) + end * (1.0 - theta)) * af.values
     return GridFunction(f.grid, (math.sin(math.pi * theta) / math.pi) * acc)
 
 

@@ -30,7 +30,8 @@ CRITERIA = [
      "closed-form ODEs 1e-8, residual 1e-6, contraction, probe stable 5%, "
      "certified, <= sec(phi_max)"),
     (10, "fractional-domains",
-     "fractional power vs causal oracle 1e-3; domain-norm bands stable 10%"),
+     "fractional power vs causal oracle 1e-10; domain-norm bands stable 10%; "
+     "theta -> 1 band gap shrinking to 1e-2"),
     (11, "integration-by-parts",
      "closed-form residual 1e-8; random pairs 1e-7 relative"),
 ]

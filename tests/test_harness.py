@@ -139,6 +139,10 @@ class TestConfig:
         cfg = SuiteConfig(suite="c-sigma", n_list=(1024,))
         with pytest.raises(ConfigError):
             cfg.validate()
+        # the suites read the last size as the finest grid
+        for sizes in ((1024, 512, 256), (256, 1024, 512), (256, 512, 512, 1024)):
+            with pytest.raises(ConfigError, match="ascending"):
+                SuiteConfig(suite="c-sigma", n_list=sizes).validate()
 
     def test_inadmissible_sweep_rejected(self):
         cfg = SuiteConfig(suite="pointwise-multiplier",
@@ -450,6 +454,8 @@ BAD_INPUTS = {
         "run", "c-sigma", "--config", _config(tmp, {"seed": True})],
     "config-n-fractional": lambda tmp: [
         "run", "c-sigma", "--config", _config(tmp, {"n_list": [1024.7, 2048, 4096]})],
+    "config-n-descending": lambda tmp: [
+        "run", "frac-laplacian-xcheck", "--config", _config(tmp, {"n_list": [1024, 512, 256]})],
     # theta outside the (0, 1] that domain_norm_ratio compares
     "config-pgt-theta": lambda tmp: [
         "run", "fractional-domains", "--config",
@@ -518,6 +524,16 @@ class TestRefinementLadders:
         assert [len(c["params"]["values"]) for c in cases] == [3, 3]
         assert cases[0]["params"]["values"] == cases[1]["params"]["values"]
         assert [row["N"] for row in report.refinement] == list(_SMALL_N)
+
+    def test_theta_limit_gaps_shrink_toward_the_theta_one_band(self):
+        report = run_suite(SuiteConfig(suite="fractional-domains", n_list=_SMALL_N,
+                                       sweeps={"pgt": [[2.0, 0.5, 0.3]]}))
+        case = next(c for c in report.cases if c["params"]["what"].startswith("theta -> 1"))
+        gaps = case["params"]["values"]
+        assert list(case["params"]["thetas"]) == [0.9, 0.95, 0.99]
+        # three distinct bands against the theta = 1 band, not one number twice
+        assert 0.0 < gaps[2] < gaps[1] < gaps[0] and case["value"] == gaps[2]
+        assert case["pass"]
 
     def test_domain_refinement_rows_come_from_the_first_entry(self):
         report = run_suite(SuiteConfig(suite="fractional-domains", n_list=_SMALL_N,

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, signal
 
 from fracspace.grid import (
@@ -14,7 +14,7 @@ from fracspace.grid import (
     dual_pairing,
     weighted_lp_norm,
 )
-from fracspace import _fd, fourier, halfline
+from fracspace import _fd, fourier, halfline, opcalc
 from fracspace.opcalc import (
     DIRICHLET,
     MINUS,
@@ -436,8 +436,10 @@ class TestFractionalPower:
 
 
 def _reference_fractional_power(op, theta, f):
-    """The Balakrishnan trapezoid as a per-lambda sum of resolvent applies."""
-    u_range, u_step = 30.0, 0.05
+    """The Balakrishnan trapezoid as a per-lambda sum of resolvent applies, on
+    the nodes of ``opcalc`` and with the same closed-form tails and end
+    correction."""
+    u_range, u_step = opcalc._U_RANGE, opcalc._U_STEP
     af = op.apply(f)
     us = np.arange(-u_range, u_range + 1e-12, u_step)
     acc = np.zeros_like(f.values)
@@ -445,15 +447,54 @@ def _reference_fractional_power(op, theta, f):
         lam = math.exp(u)
         wt = u_step if 0 < i < len(us) - 1 else 0.5 * u_step
         acc += wt * lam ** theta * _resolvent_map(op.variant, lam, af.values, f.grid.h)
-    acc += (math.exp(-u_range) ** theta / theta) * f.values
-    acc += (math.exp(u_range) ** (theta - 1.0) / (1.0 - theta)) * af.values
+    end = u_step ** 2 / 12.0
+    acc += math.exp(-u_range * theta) * (1.0 / theta + end * theta) * f.values
+    acc += (math.exp(u_range * (theta - 1.0))
+            * (1.0 / (1.0 - theta) + end * (1.0 - theta)) * af.values)
     return (math.sin(math.pi * theta) / math.pi) * acc
 
 
+_PER_LAMBDA_CASES = [
+    *[pytest.param(theta, op, n, id=f"{theta}-{name}-{n}")
+      for theta in (0.25, 0.75) for op, name in ((OP_D, "dirichlet"), (OP_M, "minus"))
+      for n in (1024, 4096)],
+    pytest.param(0.25, OP_D, 16384, id="0.25-dirichlet-16384"),
+]
+
+
+class TestExponentialSums:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([2, 3, 17, 1024, 4097]), seed=st.integers(0, 2 ** 32 - 1),
+           log_e=st.lists(st.one_of(
+               # a decay that passes the cutoff at power d, inside or past the row
+               st.floats(0.25, 8200.0).map(lambda d: -opcalc._DECAY_CUTOFF / d),
+               st.floats(-50.0, 0.0), st.just(0.0), st.just(-math.inf)), max_size=30))
+    @example(n=4097, seed=1, log_e=[0.0, -math.inf, -1e-3, -0.2, -3.0])
+    @example(n=17, seed=2, log_e=[0.0, 0.0, -math.inf, -math.inf])
+    def test_matches_direct_evaluation(self, n, seed, log_e):
+        # one node that passes the cutoff halfway along the row is always there
+        log_e = np.sort(np.array(log_e + [-opcalc._DECAY_CUTOFF / (0.5 * n + 0.25)]))[::-1]
+        rng = np.random.default_rng(seed)
+        first = rng.standard_normal((2, log_e.size))
+        rate = 10.0 ** rng.uniform(-30.0, 30.0, (2, log_e.size))
+        out = opcalc._exponential_sums(first, rate, log_e, n)
+        assert out.shape == (2, n)
+        assert np.allclose(out[:, 0], first.sum(axis=1), rtol=1e-14, atol=0.0)
+        # sum_i rate_i E_i^k in extended precision, E^0 = 1 also where E = 0
+        k = np.arange(n - 1, dtype=np.longdouble)
+        with np.errstate(invalid="ignore"):
+            powers = np.exp(log_e.astype(np.longdouble)[:, None] * k)
+        powers[:, 0] = 1.0
+        direct = rate.astype(np.longdouble) @ powers
+        # terms below e^-cutoff are dropped and float64 underflows to subnormal
+        # steps, so these bound the absolute error
+        dropped = (np.exp(np.longdouble(-opcalc._DECAY_CUTOFF)) * direct[:, :1]
+                   + np.finfo(float).smallest_subnormal * log_e.size)
+        assert np.all(np.abs(out[:, 1:] - direct) <= 1e-13 * direct + dropped)
+
+
 class TestFractionalPowerKernel:
-    @pytest.mark.parametrize("n", [1024, 4096])
-    @pytest.mark.parametrize("op", [OP_D, OP_M], ids=["dirichlet", "minus"])
-    @pytest.mark.parametrize("theta", [0.25, 0.75])
+    @pytest.mark.parametrize("theta, op, n", _PER_LAMBDA_CASES)
     def test_matches_per_lambda_sum(self, n, op, theta):
         # f(0) = 0 with A f(0) != 0 exercises the Dirichlet column-0 term
         g = Grid(40.0, n, HALF_LINE)
@@ -464,6 +505,20 @@ class TestFractionalPowerKernel:
         ref = _reference_fractional_power(op, theta, f)
         out = fractional_power(op, theta, f).values
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("theta", [0.25, 0.9])
+    def test_end_correction_matches_a_wider_range(self, theta, monkeypatch):
+        # without the step^2/12 end terms range 80 is 1e-8 off range 120 at
+        # theta = 0.9 (large end); with them the two agree to rounding
+        g = Grid(40.0, 4096, HALF_LINE)
+        f = generate_test_family(g, 72, 1, support=(0.1, 0.5))[0]
+        _balakrishnan_kernel.cache_clear()
+        out = fractional_power(OP_D, theta, f)
+        monkeypatch.setattr(opcalc, "_U_RANGE", 120.0)
+        _balakrishnan_kernel.cache_clear()
+        wide = fractional_power(OP_D, theta, f)
+        _balakrishnan_kernel.cache_clear()  # no range-120 kernel outlives the test
+        assert _relative(out, wide) < 1e-12
 
     def test_grids_differing_in_h_do_not_share_a_kernel(self):
         _balakrishnan_kernel.cache_clear()
