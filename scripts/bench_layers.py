@@ -12,8 +12,8 @@ Runs in one process, in this order:
    N, which includes building any per-(N, h) cache, and the best of
    ``REPEATS`` further calls.
 
-The file also records the environment (code and library versions, CPU count,
-thread settings), so two BENCH files can be compared without rerunning.
+The file also records the environment (code and library versions, the git
+revision and whether the tree differed from it, CPU count, thread settings), so two BENCH files can be compared without rerunning.
 It is written to the repository root.  RuntimeWarnings are counted, not
 printed.
 """
@@ -71,9 +71,10 @@ OPERATORS = {
 }
 
 
-def _git_revision() -> str | None:
+def _git(*args: str) -> str | None:
+    """Output of ``git args`` in the repository, or None without git."""
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
                              text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return None
@@ -81,9 +82,12 @@ def _git_revision() -> str | None:
 
 
 def environment() -> dict:
+    status = _git("status", "--porcelain")
     return {
         "fracspace": fracspace.__version__,
-        "git_revision": _git_revision(),
+        "git_revision": _git("rev-parse", "HEAD"),
+        # True when tracked or untracked files differ from that revision
+        "git_dirty": None if status is None else bool(status),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,

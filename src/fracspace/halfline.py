@@ -11,6 +11,7 @@ operator, which samples at -x/lambda_j.  Non-integer factors are rejected.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -335,14 +336,23 @@ def critical_line_distance(s: float, p: float, gamma: float) -> float:
     return min(candidates) if candidates else math.inf
 
 
+@functools.lru_cache(maxsize=32)
+def _bessel_values(grid: Grid, s: float) -> np.ndarray:
+    """The order-s Bessel symbol on the frequencies of a full-line grid
+    (read-only, cached per (grid, s))."""
+    values, = _symbol_values([bessel_symbol(s)], grid)
+    values.flags.writeable = False
+    return values
+
+
 def multiplier_norm_ratios(f: GridFunction, spg) -> list:
     """``multiplier_norm_ratio`` for each (s, p, gamma) of ``spg``.
 
-    Each Bessel symbol is evaluated once, f and 1_{x>=0} f are transformed
-    once each for the whole sweep, and one array of fiber norms per s serves
-    every (p, gamma).
+    The Bessel symbol values come from ``_bessel_values``, f and 1_{x>=0} f
+    are transformed once each for the whole sweep, and one array of fiber
+    norms per s serves every (p, gamma).
     """
-    mvals = _symbol_values([bessel_symbol(s) for s, _, _ in spg], f.grid)
+    mvals = [_bessel_values(f.grid, s) for s, _, _ in spg]
     den_mags = _fiber_norms(_multiplied(mvals, f))
     num_mags = _fiber_norms(_multiplied(mvals, indicator_multiply(f)))
     ratios = []

@@ -221,8 +221,9 @@ def _check_triple(p, gamma, s) -> None:
 
 
 def _check_pgt(p, gamma, theta) -> None:
+    # theta is an operator order, not a smoothness on the trace lines
+    PowerWeight(gamma).check_admissible(p)
     opcalc.check_domain_theta(theta)
-    _check_triple(p, gamma, theta)
 
 
 # sweep key -> the range check of one of its entries (a ValueError rejects it);

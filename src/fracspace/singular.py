@@ -12,11 +12,12 @@ split quadrature and the extrapolated limit.
 A sum of weighted symmetric differences f(x+mh) + f(x-mh) - 2 f(x) over
 integer offsets m is a circular convolution with an even kernel.  The limit
 therefore assembles one length-N kernel from the difference-quotient weights
-(the Richardson mixture of its levels and the periodic far-field image sum)
-and applies it with one FFT pair.  That kernel depends only on (N, h, sigma),
-so it is built once per key and kept, read-only, in a small bounded
-in-process cache.  The kernel never uses |xi|^sigma, so the two
-representations stay independent.
+(the Richardson mixture of its levels and the periodic far-field image sum,
+whose images on the two sides share one folded sum of powers) and applies it
+with one FFT pair.  That kernel depends only on (N, h, sigma), so its
+spectrum is computed once per key and kept, read-only, in a small bounded
+in-process cache; c_sigma is likewise computed once per sigma.  The kernel
+never uses |xi|^sigma, so the two representations stay independent.
 """
 
 from __future__ import annotations
@@ -78,11 +79,13 @@ def symbol_integral(xi: float, sigma: float, split: float = 1.0) -> float:
     return 2.0 * (near + far)
 
 
+@functools.lru_cache(maxsize=32)
 def c_sigma(sigma: float) -> float:
     """The negative constant with |xi|^sigma = c * integral (e^{i h xi} - 1)/|h|^{1+sigma} dh
     on the line (d = 1).
 
     Computed as 1/J with J the integral at |xi| = 1; J < 0, hence c < 0.
+    The quadrature runs once per sigma (bounded in-process cache).
     """
     return 1.0 / symbol_integral(1.0, sigma)
 
@@ -99,9 +102,9 @@ def _pair_kernel(n: int, ms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return kernel
 
 
-def _circular_apply(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Circular convolution of each column of ``values`` with ``kernel``."""
-    spectrum = np.fft.fft(kernel)
+def _circular_apply(values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """Circular convolution of each column of ``values`` with the kernel whose
+    FFT is ``spectrum``."""
     return np.fft.ifft(np.fft.fft(values, axis=0) * spectrum[:, None], axis=0)
 
 
@@ -113,22 +116,28 @@ def _far_field_kernel(n: int, h: float, sigma: float) -> np.ndarray:
 
     The f(x+h) part sums the cut power kernel over periodic images, explicitly
     up to 64 copies on each side and closed-form (midpoint-corrected integral)
-    beyond; the -f(x) part is the closed-form weight at index 0.
+    beyond; the -f(x) part is the closed-form weight at index 0.  For
+    0 <= m < n, image j >= 1 lies at (m + j n) h and image -(j + 1) at
+    ((n - m) + j n) h, so both sides read one folded sum
+    S(q) = sum_{j=1}^{63} ((q + j n) h)^(-1-sigma) over q = 0..n, at q = m and
+    at q = n - m; image 64 is added on its own.
     """
     n_images = 64
     big_r = (n // 4) * h
     m = np.arange(n, dtype=float)
     expo = -1.0 - sigma
-    kernel = np.zeros(n)
-    for j in range(-n_images, n_images + 1):
-        d = np.abs(m + j * n) * h
-        if j in (-1, 0):
-            # 0 <= m < n, so only these two images reach within R + h/4
-            term = np.where(d > big_r + 0.25 * h, np.where(d > 0, d, 1.0) ** expo, 0.0)
-            term = np.where(np.abs(d - big_r) < 0.25 * h, 0.5 * big_r ** expo, term)
-        else:
-            term = d ** expo
-        kernel += term
+    # j descending: the smallest terms first
+    q = np.arange(n + 1, dtype=float)
+    folded = np.zeros(n + 1)
+    for j in range(n_images - 1, 0, -1):
+        folded += ((q + j * n) * h) ** expo
+    kernel = ((m + n_images * n) * h) ** expo
+    kernel += folded[:n]
+    kernel += folded[n:0:-1]
+    # 0 <= m < n, so only the images j = -1, 0 reach within R + h/4
+    for d in ((n - m) * h, m * h):
+        term = np.where(d > big_r + 0.25 * h, np.where(d > 0, d, 1.0) ** expo, 0.0)
+        kernel += np.where(np.abs(d - big_r) < 0.25 * h, 0.5 * big_r ** expo, term)
     # analytic tails of the image sum (both signs of j)
     jn = (n_images + 0.5) * n
     kernel += ((m + jn) * h) ** (-sigma) / (sigma * n * h)
@@ -140,8 +149,8 @@ def _far_field_kernel(n: int, h: float, sigma: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _singular_kernel(n: int, h: float, sigma: float) -> np.ndarray:
-    """Circular kernel of the extrapolated annulus integral, without c_sigma
-    (read-only).
+    """FFT of the circular kernel of the extrapolated annulus integral,
+    without c_sigma (read-only).
 
     The trapezoid levels over m = k..n/4 (inner radius r = k h, k = 1, 2, 4,
     both ends halved) are mixed by two Richardson stages, and the far-field
@@ -160,8 +169,9 @@ def _singular_kernel(n: int, h: float, sigma: float) -> np.ndarray:
     mix = np.array([(1.0 + a) * (1.0 + b), -(1.0 + b) * a - b * (1.0 + a), a * b])
     kernel = _pair_kernel(n, ms, mix @ levels)
     kernel += _far_field_kernel(n, h, sigma)
-    kernel.flags.writeable = False
-    return kernel
+    spectrum = np.fft.fft(kernel)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def fractional_laplacian_singular(f: GridFunction, sigma: float) -> GridFunction:
@@ -173,12 +183,13 @@ def fractional_laplacian_singular(f: GridFunction, sigma: float) -> GridFunction
     kernel, the whole is scaled by c_sigma, and the O(r^(2-sigma)) inner
     truncation error is removed by two Richardson stages over r in {h, 2h, 4h}.
     Every level and the Richardson mixture are linear, so the result is one
-    circular kernel, built once per (N, h, sigma) by ``_singular_kernel``.
+    circular kernel, whose spectrum ``_singular_kernel`` builds once per
+    (N, h, sigma).
     """
     check_sigma(sigma)
     _require_kind(f, FULL_LINE, "fractional_laplacian_singular")
     grid = f.grid
     warn_if_boundary_heavy(f, "fractional_laplacian_singular")
-    kernel = _singular_kernel(grid.n_points, grid.h, sigma)
-    return GridFunction(grid, c_sigma(sigma) * _circular_apply(f.values, kernel))
+    spectrum = _singular_kernel(grid.n_points, grid.h, sigma)
+    return GridFunction(grid, c_sigma(sigma) * _circular_apply(f.values, spectrum))
 

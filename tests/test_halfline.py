@@ -38,7 +38,13 @@ from fracspace.halfline import (
     trace,
     zero_extend,
 )
-from fracspace.harness import _GN_PAIRS, _multiplier_triples, generate_test_family
+from fracspace.harness import (
+    _GN_PAIRS,
+    SuiteConfig,
+    _multiplier_triples,
+    generate_test_family,
+    run_suite,
+)
 
 from helpers import (
     fiber_dims,
@@ -650,20 +656,40 @@ class TestSweeps:
         gn_ratios(u, 1, 2, _GN_PAIRS)
         assert len(forward) == 1
 
-    def test_each_symbol_evaluated_once(self, monkeypatch):
-        # 9 default triples: one evaluation each, shared by f and 1_{x>=0} f,
-        # and one boundary-decay check per input
-        g = Grid(40.0, 1024, FULL_LINE)
-        f = generate_test_family(g, 3, 1, "boundary-touching")[0]
-        evaluations, checks = [], []
+    def _count_symbol_evaluations(self, monkeypatch) -> list:
+        halfline._bessel_values.cache_clear()
+        evaluations = []
         symbol = halfline.bessel_symbol
         monkeypatch.setattr(halfline, "bessel_symbol", lambda s: (
             lambda xi: evaluations.append(s) or symbol(s)(xi)))
+        return evaluations
+
+    def test_each_symbol_evaluated_once(self, monkeypatch):
+        # 9 default triples: one evaluation each, shared by f and 1_{x>=0} f
+        # and by later calls on the same grid, and one boundary-decay check
+        # per input
+        g = Grid(40.0, 1024, FULL_LINE)
+        f = generate_test_family(g, 3, 1, "boundary-touching")[0]
+        evaluations, checks = self._count_symbol_evaluations(monkeypatch), []
         check = fourier.warn_if_boundary_heavy
         monkeypatch.setattr(fourier, "warn_if_boundary_heavy",
                             lambda *a: checks.append(1) or check(*a))
-        multiplier_norm_ratios(f, _multiplier_triples())
+        first = multiplier_norm_ratios(f, _multiplier_triples())
         assert (len(evaluations), len(checks)) == (9, 2)
+        assert multiplier_norm_ratios(f, _multiplier_triples()) == first
+        assert (len(evaluations), len(checks)) == (9, 4)
+
+    def test_cached_symbol_values_read_only(self):
+        values = halfline._bessel_values(Grid(40.0, 1024, FULL_LINE), 0.5)
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+    def test_multiplier_suite_evaluates_each_grid_and_order_once(self, monkeypatch):
+        # 9 default triples and the orders 0.8, 1.8 of the zero-trace windows,
+        # on 3 grids: 33 evaluations where one per family member took 1,470
+        evaluations = self._count_symbol_evaluations(monkeypatch)
+        run_suite(SuiteConfig(suite="pointwise-multiplier", seed=42))
+        assert len(evaluations) == 33
 
 
 class TestHardyEmbedding:

@@ -156,6 +156,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    def test_pgt_default_theta_on_a_trace_line_runs(self, tmp_path, capsys):
+        # theta = 0.5 at (p, gamma) = (2, 0) is the suite's own default entry;
+        # theta is an operator order, so the trace-line guard does not apply
+        path = _config(tmp_path, {"sweeps": {"pgt": [[2.0, 0.0, 0.5]]},
+                                  "n_list": [256, 512, 1024]})
+        assert cli.main(["run", "fractional-domains", "--config", path,
+                         "--out", str(tmp_path)]) == 0
+        assert "[PASS] fractional-domains" in capsys.readouterr().out
+        with pytest.raises(ConfigError):
+            SuiteConfig(suite="fractional-domains", sweeps={"pgt": [(2.0, 1.5, 0.5)]}).validate()
+
     def test_unread_sweep_and_tolerance_keys_rejected(self):
         for sweeps, tolerances in (({}, {"oracel": 1e-6}), ({"p": (2.0,)}, {}),
                                    ({"spg": [(0.3, 2.0, 0.0)]}, {})):

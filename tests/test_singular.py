@@ -48,22 +48,26 @@ def _pair(vals, m):
     return np.roll(vals, -m, axis=0) + np.roll(vals, m, axis=0) - 2.0 * vals
 
 
-def _image_sum(n, h, sigma, big_r):
-    """Reference: the cut power kernel summed over 64 periodic images on each
-    side, with the closed-form tails, every image through the same cut and
-    half-weight test."""
+def _image_terms(n, h, sigma, big_r):
+    """Reference terms, one row each: the cut power kernel of the 64 periodic
+    images on each side and of j = 0, every image through the same cut and
+    half-weight test, then the two closed-form tails (131 rows)."""
     n_images = 64
     m = np.arange(n, dtype=float)
-    kernel = np.zeros(n)
+    rows = []
     for j in range(-n_images, n_images + 1):
         d = np.abs(m + j * n) * h
         term = np.where(d > big_r + 0.25 * h, np.where(d > 0, d, 1.0) ** (-1.0 - sigma), 0.0)
-        term = np.where(np.abs(d - big_r) < 0.25 * h, 0.5 * big_r ** (-1.0 - sigma), term)
-        kernel += term
+        rows.append(np.where(np.abs(d - big_r) < 0.25 * h, 0.5 * big_r ** (-1.0 - sigma), term))
     jn = (n_images + 0.5) * n
-    kernel += ((m + jn) * h) ** (-sigma) / (sigma * n * h)
-    kernel += ((jn - m) * h) ** (-sigma) / (sigma * n * h)
-    return kernel
+    rows.append(((m + jn) * h) ** (-sigma) / (sigma * n * h))
+    rows.append(((jn - m) * h) ** (-sigma) / (sigma * n * h))
+    return np.array(rows)
+
+
+def _image_sum(n, h, sigma, big_r):
+    """Reference: the image terms summed in row order."""
+    return _image_terms(n, h, sigma, big_r).sum(axis=0)
 
 
 def _roll_far_field(f, sigma, big_r):
@@ -110,6 +114,19 @@ class TestCSigma:
         sigma = 0.5
         c = c_sigma(sigma)
         assert c * symbol_integral(xi, sigma) == pytest.approx(xi ** sigma, abs=1e-6)
+
+    def test_computed_once_per_order(self):
+        # a 3-N x 3-sigma ladder runs the quadrature once per sigma
+        c_sigma.cache_clear()
+        for n in (1024, 2048, 4096):
+            f = generate_test_family(Grid(40.0, n, FULL_LINE), 30, 1)[0]
+            for sigma in (0.3, 0.5, 0.7):
+                fractional_laplacian_singular(f, sigma)
+        assert c_sigma.cache_info().misses == 3
+        with pytest.raises(ValueError):
+            c_sigma(1.2)
+        info = c_sigma.cache_info()
+        assert (info.misses, info.currsize) == (4, 3)
 
     def test_rejects_order_outside_unit_interval(self):
         with pytest.raises(ValueError):
@@ -160,15 +177,18 @@ class TestFractionalLaplacianSingular:
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n", [1024, 4096])
-    @pytest.mark.parametrize("sigma", [0.3, 0.7])
+    @pytest.mark.parametrize("sigma", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_far_field_kernel_matches_image_sum(self, n, sigma):
-        # only the images j = -1, 0 pass through the cut; the rest must add
-        # the same terms in the same order as the all-images reference
+        # only the images j = -1, 0 pass through the cut, and the folded sum
+        # adds the others in its own order: every index agrees within 8 ulps
+        # with the exactly rounded sum of all 131 reference terms
         h = Grid(40.0, n, FULL_LINE).h
         big_r = (n // 4) * h
-        ref = h * _image_sum(n, h, sigma, big_r)
+        terms = _image_terms(n, h, sigma, big_r)
+        ref = h * np.array([math.fsum(column) for column in terms.T])
         ref[0] -= (2.0 / sigma) * big_r ** (-sigma)
-        assert np.array_equal(_far_field_kernel(n, h, sigma), ref)
+        ulps = np.abs(_far_field_kernel(n, h, sigma) - ref) / np.spacing(np.abs(ref))
+        assert np.max(ulps) <= 8.0
 
     def test_repeated_calls_identical(self):
         g = Grid(40.0, 2048, FULL_LINE)
@@ -177,11 +197,12 @@ class TestFractionalLaplacianSingular:
         assert np.array_equal(fractional_laplacian_singular(f, 0.4).values, first)
 
     def test_cached_kernel_read_only(self):
+        # the cache holds the kernel's spectrum
         g = Grid(40.0, 1024, FULL_LINE)
-        kernel = _singular_kernel(g.n_points, g.h, 0.5)
-        assert kernel.dtype == np.float64
+        spectrum = _singular_kernel(g.n_points, g.h, 0.5)
+        assert spectrum.dtype == np.complex128
         with pytest.raises(ValueError):
-            kernel[0] = 0.0
+            spectrum[0] = 0.0
 
     def test_one_kernel_per_grid_and_order(self):
         _singular_kernel.cache_clear()
