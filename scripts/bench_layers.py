@@ -13,7 +13,8 @@ Runs in one process, in this order:
    ``REPEATS`` further calls.
 
 The file also records the environment (code and library versions, the git
-revision and whether the tree differed from it, CPU count, thread settings), so two BENCH files can be compared without rerunning.
+revision and whether the tree differed from it, CPU count, thread
+settings), so two BENCH files can be compared without rerunning.
 It is written to the repository root.  RuntimeWarnings are counted, not
 printed.
 """
