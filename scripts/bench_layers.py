@@ -22,6 +22,7 @@ printed.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import json
 import os
 import platform
@@ -82,13 +83,21 @@ def _git(*args: str) -> str | None:
     return out.stdout.strip() if out.returncode == 0 else None
 
 
+def _differs_from_revision(status: str) -> bool:
+    """Whether ``git status --porcelain`` output shows a change other than an
+    untracked ``BENCH_*.json`` (this script's own output)."""
+    return any(not (line.startswith("?? ") and fnmatch.fnmatch(line[3:], "BENCH_*.json"))
+               for line in status.splitlines())
+
+
 def environment() -> dict:
     status = _git("status", "--porcelain")
     return {
         "fracspace": fracspace.__version__,
         "git_revision": _git("rev-parse", "HEAD"),
-        # True when tracked or untracked files differ from that revision
-        "git_dirty": None if status is None else bool(status),
+        # True when tracked or untracked files, other than untracked BENCH
+        # files, differ from that revision
+        "git_dirty": None if status is None else _differs_from_revision(status),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,

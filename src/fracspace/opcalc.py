@@ -122,9 +122,10 @@ def _taps(lam, h: float):
     return 1.0 + em1, h * phi2, h * psi
 
 
-def _resolvent_map(variant: str, lam: complex, values: np.ndarray, h: float,
+def _resolvent_map(variant: str, taps: tuple, values: np.ndarray,
                    adjoint: bool = False) -> np.ndarray:
-    """Column-wise discrete (lam + A)^{-1}, or its conjugate transpose.
+    """Column-wise discrete (lam + A)^{-1}, or its conjugate transpose, given
+    the taps (E, b0, b1) = ``_taps(lam, h)``.
 
     Dirichlet: u(t) = integral_0^t e^{-lam (t-s)} f(s) ds with u(0) = 0.
     Minus: u(t) = integral_t^inf e^{-lam (s-t)} f(s) ds (zero data past the
@@ -136,7 +137,7 @@ def _resolvent_map(variant: str, lam: complex, values: np.ndarray, h: float,
     triangular solve; the adjoint R^H P L^{-H} x solves with L^H on the same
     band.
     """
-    E, b0, b1 = _taps(lam, h)
+    E, b0, b1 = taps
     zero_start = variant == DIRICHLET
     if not zero_start:
         values = values[::-1]
@@ -170,7 +171,7 @@ def resolvent(op: HalfLineOperator, lam: complex, f: GridFunction) -> GridFuncti
     _require_kind(f, HALF_LINE, "resolvent")
     if lam.real <= 0:
         raise ValueError(f"need Re(lambda) > 0, got {lam}")
-    return GridFunction(f.grid, _resolvent_map(op.variant, lam, f.values, f.grid.h))
+    return GridFunction(f.grid, _resolvent_map(op.variant, _taps(lam, f.grid.h), f.values))
 
 
 @dataclass(frozen=True)
@@ -216,15 +217,15 @@ def _op_norm_singular_value(op: HalfLineOperator, lam: complex, grid) -> float:
     bound, so no convergence test is needed: this is the matrix-free side of
     the cross-check against ``_pencil_norm``.
     """
-    h = grid.h
+    taps = _taps(lam, grid.h)
     sq = np.sqrt(grid.cell_weights(op.gamma))[:, None]
     rng = np.random.default_rng(1234)
     v = rng.standard_normal((grid.n_points, 1)) + 1j * rng.standard_normal((grid.n_points, 1))
     v /= np.linalg.norm(v)
     for _ in range(_POWER_STEPS):
-        w_ = lam * (sq * _resolvent_map(op.variant, lam, v / sq, h))
+        w_ = lam * (sq * _resolvent_map(op.variant, taps, v / sq))
         est = float(np.linalg.norm(w_))
-        v = np.conj(lam) * (_resolvent_map(op.variant, lam, sq * w_, h, adjoint=True) / sq)
+        v = np.conj(lam) * (_resolvent_map(op.variant, taps, sq * w_, adjoint=True) / sq)
         v /= np.linalg.norm(v)
     return est
 
@@ -317,6 +318,12 @@ def sectoriality_probe(op: HalfLineOperator, grid, angles, radii) -> list[Sector
     ``_pencil_norm`` inside a certified bracket, with the power-iteration
     lower bound of ``_op_norm_singular_value`` recorded beside it.  Other p
     are rejected: no estimator here bounds their L^p norm from both sides.
+
+    Only arguments 0 <= arg lam <= pi - angle are probed: A = +-d/dt and the
+    cell weights are real, so the discrete map at conj(lam) is the complex
+    conjugate of the map at lam and has the same norm; its pencil has the
+    same diagonals and conjugate off-diagonals, hence bit-identical
+    iterates and bracket.
     """
     if op.p != 2.0:
         raise ValueError(f"sector probes need p = 2, got p = {op.p}")
@@ -330,14 +337,13 @@ def sectoriality_probe(op: HalfLineOperator, grid, angles, radii) -> list[Sector
         entries = []
         for phi in {0.0, 0.5 * phi_max, phi_max}:
             for r in radii:
-                for sign in ((1.0,) if phi == 0.0 else (1.0, -1.0)):
-                    lam = r * cmath.exp(1j * sign * phi)
-                    if lam.real <= 0.0:
-                        fields = {"norm_estimate": math.inf,
-                                  "method": "outside-resolvent-set", **no_certificate}
-                    else:
-                        fields = _certified_entry(op, lam, grid)
-                    entries.append({"re_lambda": lam.real, "im_lambda": lam.imag, **fields})
+                lam = r * cmath.exp(1j * phi)
+                if lam.real <= 0.0:
+                    fields = {"norm_estimate": math.inf,
+                              "method": "outside-resolvent-set", **no_certificate}
+                else:
+                    fields = _certified_entry(op, lam, grid)
+                entries.append({"re_lambda": lam.real, "im_lambda": lam.imag, **fields})
         probes.append(SectorProbe(op.variant, op.p, op.gamma, a, tuple(entries)))
     return probes
 

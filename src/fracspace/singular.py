@@ -13,7 +13,8 @@ A sum of weighted symmetric differences f(x+mh) + f(x-mh) - 2 f(x) over
 integer offsets m is a circular convolution with an even kernel.  The limit
 therefore assembles one length-N kernel from the difference-quotient weights
 (the Richardson mixture of its levels and the periodic far-field image sum,
-whose images on the two sides share one folded sum of powers) and applies it
+whose images on the two sides share one folded sum of powers; past the first
+few images that sum is one Taylor polynomial in the offset) and applies it
 with one FFT pair.  That kernel depends only on (N, h, sigma), so its
 spectrum is computed once per key and kept, read-only, in a small bounded
 in-process cache; c_sigma is likewise computed once per sigma.  The kernel
@@ -108,6 +109,34 @@ def _circular_apply(values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(values, axis=0) * spectrum[:, None], axis=0)
 
 
+# periodic images summed explicitly on each side of the far field
+_N_IMAGES = 64
+# images j = 1 .. _NEAR_IMAGES - 1 of the folded sum are explicit, the rest one
+# polynomial of _SERIES_TERMS terms: its first dropped term is below 2^-60 of
+# the sum for every sigma in (0, 1)
+_NEAR_IMAGES = 4
+_SERIES_TERMS = 32
+
+
+def _image_series(sigma: float) -> list[float]:
+    """Coefficients a_k (k = 0 .. _SERIES_TERMS - 1) of the Taylor polynomial
+    sum_k a_k x^k of sum_{j=_NEAR_IMAGES}^{_N_IMAGES-1} (j + x)^(-1-sigma) on 0 <= x <= 1.
+
+    a_k = binom(-1-sigma, k) sum_j j^(-1-sigma-k), each sum of powers exactly
+    rounded (``math.fsum``).  The series in x / j converges geometrically
+    with ratio at most 1/_NEAR_IMAGES and alternates in sign.
+    """
+    expo = -1.0 - sigma
+    j = np.arange(_NEAR_IMAGES, _N_IMAGES, dtype=float)
+    powers = j ** (expo - np.arange(_SERIES_TERMS)[:, None])
+    coeffs = []
+    binom = 1.0
+    for k, row in enumerate(powers.tolist()):
+        coeffs.append(binom * math.fsum(row))
+        binom *= (expo - k) / (k + 1)
+    return coeffs
+
+
 def _far_field_kernel(n: int, h: float, sigma: float) -> np.ndarray:
     """Circular kernel of the far field, integral over |h| > R of
     (f(x+h) - f(x)) / |h|^(1+sigma) dh with R = (n // 4) h = L/2, f understood
@@ -120,18 +149,27 @@ def _far_field_kernel(n: int, h: float, sigma: float) -> np.ndarray:
     0 <= m < n, image j >= 1 lies at (m + j n) h and image -(j + 1) at
     ((n - m) + j n) h, so both sides read one folded sum
     S(q) = sum_{j=1}^{63} ((q + j n) h)^(-1-sigma) over q = 0..n, at q = m and
-    at q = n - m; image 64 is added on its own.
+    at q = n - m; image 64 is added on its own.  In S the images
+    j = 1 .. _NEAR_IMAGES - 1 are explicit powers, and the rest is
+    (n h)^(-1-sigma) times the polynomial of ``_image_series`` in x = q / n
+    (exact, n being a power of two), evaluated by Horner's rule, so a build
+    takes eight powers per node.
     """
-    n_images = 64
     big_r = (n // 4) * h
     m = np.arange(n, dtype=float)
     expo = -1.0 - sigma
-    # j descending: the smallest terms first
     q = np.arange(n + 1, dtype=float)
-    folded = np.zeros(n + 1)
-    for j in range(n_images - 1, 0, -1):
+    x = q / n
+    coeffs = _image_series(sigma)
+    folded = np.full(n + 1, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        folded *= x
+        folded += c
+    folded *= (n * h) ** expo
+    # j descending: the smallest terms first
+    for j in range(_NEAR_IMAGES - 1, 0, -1):
         folded += ((q + j * n) * h) ** expo
-    kernel = ((m + n_images * n) * h) ** expo
+    kernel = ((m + _N_IMAGES * n) * h) ** expo
     kernel += folded[:n]
     kernel += folded[n:0:-1]
     # 0 <= m < n, so only the images j = -1, 0 reach within R + h/4
@@ -139,7 +177,7 @@ def _far_field_kernel(n: int, h: float, sigma: float) -> np.ndarray:
         term = np.where(d > big_r + 0.25 * h, np.where(d > 0, d, 1.0) ** expo, 0.0)
         kernel += np.where(np.abs(d - big_r) < 0.25 * h, 0.5 * big_r ** expo, term)
     # analytic tails of the image sum (both signs of j)
-    jn = (n_images + 0.5) * n
+    jn = (_N_IMAGES + 0.5) * n
     kernel += ((m + jn) * h) ** (-sigma) / (sigma * n * h)
     kernel += ((jn - m) * h) ** (-sigma) / (sigma * n * h)
     kernel *= h

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from fracspace.grid import FULL_LINE, Grid, GridFunction, PowerWeight, weighted_lp_norm
 from fracspace import fourier
 from fracspace.singular import (
+    _N_IMAGES,
+    _NEAR_IMAGES,
+    _SERIES_TERMS,
     _far_field_kernel,
     _singular_kernel,
     c_sigma,
@@ -176,19 +179,32 @@ class TestFractionalLaplacianSingular:
         out = fractional_laplacian_singular(f, sigma).values
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("n", [1024, 4096])
-    @pytest.mark.parametrize("sigma", [0.1, 0.3, 0.5, 0.7, 0.9])
-    def test_far_field_kernel_matches_image_sum(self, n, sigma):
+    @pytest.mark.parametrize("half_width", [5.0, 40.0, 500.0])
+    @pytest.mark.parametrize("n", [1024, 4096, 16384])
+    @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
+    def test_far_field_kernel_matches_image_sum(self, n, sigma, half_width):
         # only the images j = -1, 0 pass through the cut, and the folded sum
-        # adds the others in its own order: every index agrees within 8 ulps
-        # with the exactly rounded sum of all 131 reference terms
-        h = Grid(40.0, n, FULL_LINE).h
+        # adds the others in its own order (most of them as one polynomial):
+        # every index agrees within 8 ulps with the exactly rounded sum of all
+        # 131 reference terms
+        h = Grid(half_width, n, FULL_LINE).h
         big_r = (n // 4) * h
         terms = _image_terms(n, h, sigma, big_r)
         ref = h * np.array([math.fsum(column) for column in terms.T])
         ref[0] -= (2.0 / sigma) * big_r ** (-sigma)
         ulps = np.abs(_far_field_kernel(n, h, sigma) - ref) / np.spacing(np.abs(ref))
         assert np.max(ulps) <= 8.0
+
+    @pytest.mark.parametrize("sigma", [1e-9, 1.0 - 1e-9])
+    def test_first_dropped_series_term_below_rounding(self, sigma):
+        # at x = 1, where the series in x / j converges slowest, the first
+        # term the polynomial drops is below 2^-60 of the far images' sum
+        expo = -1.0 - sigma
+        images = range(_NEAR_IMAGES, _N_IMAGES)
+        total = math.fsum((j + 1.0) ** expo for j in images)
+        dropped = abs(special.binom(expo, _SERIES_TERMS)) * math.fsum(
+            float(j) ** (expo - _SERIES_TERMS) for j in images)
+        assert dropped < 2.0 ** -60 * total
 
     def test_repeated_calls_identical(self):
         g = Grid(40.0, 2048, FULL_LINE)
