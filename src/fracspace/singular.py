@@ -166,7 +166,7 @@ def _far_field_kernel(n: int, h: float, sigma: float) -> np.ndarray:
         folded *= x
         folded += c
     folded *= (n * h) ** expo
-    # j descending: the smallest terms first
+    # the far images' polynomial first, then the near images, j descending
     for j in range(_NEAR_IMAGES - 1, 0, -1):
         folded += ((q + j * n) * h) ** expo
     kernel = ((m + _N_IMAGES * n) * h) ** expo

@@ -263,9 +263,9 @@ class TestResolventRecursionOracle:
 
 def _probed_lambdas(radius_step=1):
     """The lambdas that ``sectoriality_probe`` visits at the suite's angle
-    (every ``radius_step``-th of its radii)."""
+    (every ``radius_step``-th of its radii), and their conjugates."""
     return [r * cmath.exp(1j * phi) for r in (4.0 ** k for k in range(-5, 6, radius_step))
-            for phi in (0.0, 0.5 * _PROBED_ARG, _PROBED_ARG)]
+            for phi in (0.0, 0.5 * _PROBED_ARG, -0.5 * _PROBED_ARG, _PROBED_ARG, -_PROBED_ARG)]
 
 
 def _dense_norm(op, lam, g):
@@ -344,6 +344,9 @@ class TestSectorialityProbe:
         op = HalfLineOperator(variant, 2.0, gamma)
         lam = math.exp(log_r) * cmath.exp(1j * arg)
         assert _pencil_norm(op, lam.conjugate(), g) == _pencil_norm(op, lam, g)
+        # and the assembled map, independent of the pencil, has the same norm
+        dense = _dense_norm(op, lam, g)
+        assert _dense_norm(op, lam.conjugate(), g) == pytest.approx(dense, rel=1e-12)
 
     def test_probe_structure_and_methods(self):
         g = Grid(40.0, 1024, HALF_LINE)
