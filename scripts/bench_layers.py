@@ -10,7 +10,10 @@ Runs in one process, in this order:
    ``HALF_WIDTH`` (a width the suites do not use, so no cache the suites
    filled serves the operators): the milliseconds of its first call at that
    N, which includes building any per-(N, h) cache, and the best of
-   ``REPEATS`` further calls.
+   ``REPEATS`` further calls.  ``fractional_power_second_theta`` runs right
+   after ``fractional_power``, at another theta: its first call finds the
+   grid's exponential tables built and shows what a new order on a known
+   grid costs.
 
 The file also records the environment (code and library versions, the git
 revision and whether the tree differed from it, CPU count, thread
@@ -64,6 +67,7 @@ _OP = HalfLineOperator(DIRICHLET, 2.0, 0.0)
 OPERATORS = {
     "derivative_array": (HALF_LINE, lambda f: _fd.derivative_array(f.values, f.grid.h)),
     "fractional_power": (HALF_LINE, lambda f: fractional_power(_OP, 0.5, f)),
+    "fractional_power_second_theta": (HALF_LINE, lambda f: fractional_power(_OP, 0.25, f)),
     "riemann_liouville": (HALF_LINE, lambda f: riemann_liouville(f, 0.5)),
     "resolvent": (HALF_LINE, lambda f: resolvent(_OP, 2.0 + 1.5j, f)),
     "fractional_laplacian_singular": (FULL_LINE,

@@ -74,7 +74,7 @@ def derivative_at(values: np.ndarray, h: float, index: int, order: int,
         raise ValueError(f"the {one_sided}-sided stencil of {n_pts} nodes at "
                          f"index {index} does not fit in {n} samples")
     w = _stencil(h, lo - index, n_pts, order)
-    return np.tensordot(w, values[lo: lo + n_pts], axes=(0, 0))
+    return w @ values[lo: lo + n_pts]
 
 
 def derivative_array(values: np.ndarray, h: float) -> np.ndarray:
@@ -95,7 +95,6 @@ def derivative_array(values: np.ndarray, h: float) -> np.ndarray:
     out[half: n - half] = interior
     # ends: shifted stencils of the same length
     for i in range(half):
-        out[i] = np.tensordot(_stencil(h, -i, n_pts, 1), values[:n_pts], axes=(0, 0))
-        out[n - 1 - i] = np.tensordot(_stencil(h, i + 1 - n_pts, n_pts, 1),
-                                      values[n - n_pts:], axes=(0, 0))
+        out[i] = _stencil(h, -i, n_pts, 1) @ values[:n_pts]
+        out[n - 1 - i] = _stencil(h, i + 1 - n_pts, n_pts, 1) @ values[n - n_pts:]
     return out

@@ -625,9 +625,12 @@ def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
     report.add_refinement(cfg.n_list, sups)
     _stable_case(report, {"s": 0.4, "p": 2, "gamma": 0.5, "what": "Hardy ratio sup stable"},
                  sups, stab)
-    # rescaling study: dilating the whole family (exact integer gathers)
-    # moves the supremum only within a bounded factor; factor 1 is the
-    # finest family of the ladder itself, whose supremum is sups[-1]
+    # rescaling study: dilating the whole family by lam (exact integer
+    # gathers) against the homogeneous norm || |D|^0.4 f ||_{L^2(w_0.5)}, under
+    # which both sides scale as lam^(s - (1+gamma)/p), so the sup is invariant.
+    # On the grid the dilated samples are the family sampled lam times
+    # coarser, so the sups move only by the refinement error over spacings
+    # h .. 4h: the ladder's band ``stability``, at most 0.3
 
     def dilate(f: GridFunction, lam: int) -> GridFunction:
         idx = lam * np.arange(grid.n_points) - (lam - 1) * grid.zero_index
@@ -636,11 +639,15 @@ def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
         vals[ok] = f.values[idx[ok]]
         return GridFunction(grid, vals)
 
-    dilated_sups = [sups[-1]] + [hardy_sup(dilate(f, lam) for f in fam) for lam in (2, 4)]
-    report.add_case({"what": "Hardy sup bounded under dilation",
-                     "values": dilated_sups}, max(dilated_sups), dilated_sups[0],
-                    0.3 * dilated_sups[0],
-                    passed=max(dilated_sups) <= 1.3 * dilated_sups[0])
+    def homogeneous_ratio(f: GridFunction) -> float:
+        denom = weighted_lp_norm(fourier.fractional_laplacian_spectral(f, 0.4), 2.0,
+                                 PowerWeight(0.5))
+        return weighted_lp_norm(f, 2.0, PowerWeight(0.5 - 0.4 * 2.0)) / denom
+
+    dilated_sups = [_sup(homogeneous_ratio(dilate(f, lam)) for f in fam) for lam in (1, 2, 4)]
+    _stable_case(report, {"s": 0.4, "p": 2, "gamma": 0.5,
+                          "what": "Hardy sup bounded under dilation"},
+                 dilated_sups, min(stab, 0.3))
     # Gagliardo-Nirenberg, one family per N
     sups_gn, _ = _ladder(cfg, FULL_LINE, lambda g: generate_test_family(g, cfg.seed + 7, 50),
                          lambda fam: [_sup(r) for r in zip(

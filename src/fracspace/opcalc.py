@@ -11,19 +11,33 @@ the data reversal and the zero start, forms r and solves the system with
 one LAPACK banded triangular solve, and serves both variants and both
 adjoints (the adjoint solves with the conjugate-transposed band).  The
 Balakrishnan quadrature is a fixed sum of such recursions, hence one linear
-time-invariant filter on the grid: ``fractional_power`` builds its impulse
-responses once per (h, N, theta) for both variants, keeps them in a small
-bounded cache of read-only arrays, and applies them by FFT convolution
-(``_conv.full_convolve``).  The build forms each power E^k of a node as
-E^(qB) E^j with B ~ sqrt(N), one small two-row matrix product per block q,
-and the log-lambda trapezoid carries its step^2/12 end correction, so at
-theta in [0.25, 0.75] the quadrature error is below the rounding of the sum.
-The finite-difference stencils that ``HalfLineOperator.apply``,
-``riemann_liouville`` and the endpoint-corrected pairing apply are built
-once per grid spacing in ``_fd``; everything else
+time-invariant filter on the grid, applied by FFT convolution
+(``_conv.full_convolve``).  Every operand of that filter that does not
+depend on the data is built once per key in a small bounded cache of
+read-only arrays, bit for bit what a per-call build gives:
+
+- ``_grid_tables`` per (h, N), shared by every theta: the trapezoid nodes,
+  their taps and the powers E^k of each node as E^(qB) E^j with
+  B ~ sqrt(N) (the table of E^j and the block starts E^(qB)); 4 entries,
+  at most 3.3 MB each at N = 2^16;
+- ``_balakrishnan_kernel`` per (h, N, theta), for both variants: the
+  spectrum of the impulse response and the Dirichlet zero-start row, from
+  one two-row matrix product per block q; 16 entries of about 40 N bytes
+  (2.6 MB at N = 2^16);
+- ``_causal_weights`` per (h, N, theta), for ``riemann_liouville``: the
+  spectrum of its product-integration weights, the zero-start column and
+  Gamma(1 - theta); 4 entries of about 40 N bytes.
+
+So the kept operands take at most 13 + 42 + 10.5 MB at N = 2^16, and
+3.3 + 2.6 + 0.7 MB at N = 2^12.  The log-lambda trapezoid carries its
+step^2/12 end correction, so at theta in [0.25, 0.75] the quadrature error
+is below the rounding of the sum.  The finite-difference stencils that
+``HalfLineOperator.apply``, ``riemann_liouville`` and the endpoint-corrected
+pairing apply are built once per grid spacing in ``_fd``; everything else
 evaluates per call.  ``riemann_liouville`` shares no code with the
 Balakrishnan kernel, so the two stay independent representations; both
-differentiate through ``_fd``, whose stencils depend only on the grid.
+differentiate through ``_fd`` and convolve through ``_conv``, which depend
+only on the grid.
 Likewise the p = 2 sector norms come from a tridiagonal pencil assembled
 from the taps and the cell weights alone (``_pencil_norm``, certified by
 Sturm counts), and the power iteration through ``_resolvent_map`` is their
@@ -41,8 +55,7 @@ import numpy as np
 from scipy import special
 from scipy.linalg import eigh_tridiagonal, lapack
 
-from . import _fd
-from ._conv import full_convolve
+from . import _conv, _fd
 from .grid import (
     GridFunction,
     HALF_LINE,
@@ -374,20 +387,16 @@ _U_STEP = 0.2
 _DECAY_CUTOFF = 700.0
 
 
-def _exponential_sums(first: np.ndarray, rate: np.ndarray, log_e: np.ndarray,
-                      n: int) -> np.ndarray:
-    """Rows out[r, k] = sum_i first[r, i] (k = 0), sum_i rate[r, i] E_i^(k-1) (k >= 1).
+def _power_tables(log_e: np.ndarray, n: int) -> tuple[np.ndarray, tuple]:
+    """(table, starts) of the powers E_i^k, k = 0 .. n-2, E_i = exp(log_e[i])
+    with log_e non-increasing (lambdas ascending), in blocks of
+    B = ceil(sqrt(n - 1)) from E^(qB + j) = E^(qB) E^j (read-only).
 
-    E_i = exp(log_e[i]) with log_e non-increasing (lambdas ascending).  The
-    powers 0 .. n-2 come in blocks of B = ceil(sqrt(n - 1)) from
-    E^(qB + j) = E^(qB) E^j: one table of E^j (j < B) and, per block q, one
-    two-row product of the rates scaled by E^(qB) with that table.  A node
-    leaves the sums once E^(qB) passes e^-_DECAY_CUTOFF, and table entries
-    past it are 0; since log_e does not increase, the live nodes of a block
-    are a prefix.
+    table[i, j] = E_i^j for j < B; starts[q] = E_i^(qB) over the live prefix
+    of nodes i, those with E_i^(qB) at or above e^-_DECAY_CUTOFF (all nodes for
+    q = 0).  Table entries below the cutoff are 0; since log_e does not
+    increase, the live nodes of a block are a prefix.
     """
-    out = np.zeros((first.shape[0], n))
-    out[:, 0] = first.sum(axis=1)
     m = n - 1  # number of powers
     b = math.isqrt(m - 1) + 1
     table = np.empty((log_e.size, b))
@@ -396,45 +405,79 @@ def _exponential_sums(first: np.ndarray, rate: np.ndarray, log_e: np.ndarray,
     np.multiply(log_e[:, None], np.arange(1.0, b), out=powers)
     powers[powers < -_DECAY_CUTOFF] = -np.inf
     np.exp(powers, out=powers)
-    for start in range(0, m, b):
-        if start:
-            log_start = start * log_e
-            live = int(np.count_nonzero(log_start >= -_DECAY_CUTOFF))
-            scaled = rate[:, :live] * np.exp(log_start[:live])
-        else:
-            live, scaled = log_e.size, rate
-        width = min(b, m - start)
-        out[:, 1 + start:1 + start + width] = scaled @ table[:live, :width]
+    starts = [np.ones(log_e.size)]
+    for start in range(b, m, b):
+        log_start = start * log_e
+        live = int(np.count_nonzero(log_start >= -_DECAY_CUTOFF))
+        starts.append(np.exp(log_start[:live]))
+    for array in (table, *starts):
+        array.flags.writeable = False
+    return table, tuple(starts)
+
+
+def _exponential_sums(first: np.ndarray, rate: np.ndarray, tables: tuple,
+                      n: int) -> np.ndarray:
+    """Rows out[r, k] = sum_i first[r, i] (k = 0), sum_i rate[r, i] E_i^(k-1) (k >= 1),
+    with the powers of E from ``_power_tables(log_e, n)``: per block q, one
+    two-row product of the rates scaled by E^(qB) with the table.
+    """
+    table, starts = tables
+    out = np.zeros((first.shape[0], n))
+    out[:, 0] = first.sum(axis=1)
+    m, b = n - 1, table.shape[1]
+    for start, scale in zip(range(0, m, b), starts):
+        live, width = scale.size, min(b, m - start)
+        out[:, 1 + start:1 + start + width] = (rate[:, :live] * scale) @ table[:live, :width]
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def _balakrishnan_kernel(h: float, n: int, theta: float) -> np.ndarray:
-    """Impulse responses of the log-lambda trapezoid sum of resolvents (read-only).
+@functools.lru_cache(maxsize=4)
+def _grid_tables(h: float, n: int) -> tuple:
+    """(lam, (E, b0, b1), power tables) of the trapezoid nodes on a grid of
+    spacing h and n nodes (read-only).
+
+    Nothing here depends on theta, so every order on one grid shares it.  The
+    power tables of ``_power_tables`` hold about (B + the live block starts)
+    floats per node, at most 2 B, with B = ceil(sqrt(n - 1)): up to 3.3 MB at
+    n = 2^16, 0.8 MB at 2^12, so the four kept grids take at most 13 MB.
+    """
+    us = np.arange(-_U_RANGE, _U_RANGE + 1e-12, _U_STEP)
+    lam = np.exp(us)
+    taps = _taps(lam, h)  # real, since lam is
+    with np.errstate(divide="ignore"):  # E = 0 once lam h passes ~37
+        log_e = np.log(taps[0])
+    for array in (lam, *taps):
+        array.flags.writeable = False
+    return lam, taps, _power_tables(log_e, n)
+
+
+@functools.lru_cache(maxsize=16)
+def _balakrishnan_kernel(h: float, n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(spectrum of row 0, row 1) of the impulse responses of the log-lambda
+    trapezoid sum of resolvents (read-only).
 
     With c_lam the trapezoid weight times lam^theta, row 0 is
     sum_lam c_lam g_lam, where g_lam is the impulse response of one
     recursion with the taps (E, b0, b1) of ``_taps``: g[0] = b0,
     g[k] = (E b0 + b1) E^(k-1).  Both variants apply it, the minus variant
-    to reversed data.  Row 1, sum_lam c_lam b0 E^k, is the response to f_0
+    to reversed data, so it is kept as its ``_conv.spectrum``.  Row 1,
+    sum_lam c_lam b0 E^k, kept as an (n, 1) column, is the response to f_0
     that the zero initial value of the Dirichlet variant removes.  Both rows
     come from the taps and the trapezoid weights alone, summed by
-    ``_exponential_sums`` in blocks of about sqrt(N) powers, so a build takes
-    about 2 sqrt(N) exponentials per node where a power-by-power sum takes N.
+    ``_exponential_sums`` over the shared ``_grid_tables`` of the grid, so a
+    new theta on a known grid takes only the block products.  An entry takes
+    about 40 n bytes (2.6 MB at n = 2^16).
     """
-    us = np.arange(-_U_RANGE, _U_RANGE + 1e-12, _U_STEP)
-    lam = np.exp(us)
-    c = np.full(us.size, _U_STEP)
+    lam, (E, b0, b1), tables = _grid_tables(h, n)
+    c = np.full(lam.size, _U_STEP)
     c[[0, -1]] *= 0.5
     c *= lam ** theta
-    E, b0, b1 = _taps(lam, h)  # real, since lam is
-    with np.errstate(divide="ignore"):  # E = 0 once lam h passes ~37
-        log_e = np.log(E)
     first = c * b0
-    kernel = _exponential_sums(np.stack([first, first]),
-                               np.stack([c * (E * b0 + b1), first * E]), log_e, n)
-    kernel.flags.writeable = False
-    return kernel
+    rows = _exponential_sums(np.stack([first, first]),
+                             np.stack([c * (E * b0 + b1), first * E]), tables, n)
+    tail = rows[1][:, None].copy()
+    tail.flags.writeable = False
+    return _conv.spectrum(rows[0][:, None]), tail
 
 
 def fractional_power(op: HalfLineOperator, theta: float, f: GridFunction) -> GridFunction:
@@ -459,19 +502,44 @@ def fractional_power(op: HalfLineOperator, theta: float, f: GridFunction) -> Gri
         if float(np.max(np.abs(tr.entries))) > 1e-8 * scale:
             raise ValueError("input violates the zero boundary value of the domain")
     af = op.apply(f)
-    n = f.grid.n_points
-    kernel = _balakrishnan_kernel(f.grid.h, n, theta)
+    row0, row1 = _balakrishnan_kernel(f.grid.h, f.grid.n_points, theta)
     if op.variant == DIRICHLET:
-        acc = full_convolve(kernel[0][:, None], af.values)[:n]
-        acc -= kernel[1][:, None] * af.values[0][None, :]
+        acc = _conv.full_convolve(row0, af.values)
+        acc -= row1 * af.values[0][None, :]
     else:
-        acc = full_convolve(kernel[0][:, None], af.values[::-1])[:n][::-1]
+        acc = _conv.full_convolve(row0, af.values[::-1])[::-1]
     eps_end = math.exp(-_U_RANGE)
     big_end = math.exp(_U_RANGE)
     end = _U_STEP ** 2 / 12.0
     acc += eps_end ** theta * (1.0 / theta + end * theta) * f.values
     acc += big_end ** (theta - 1.0) * (1.0 / (1.0 - theta) + end * (1.0 - theta)) * af.values
     return GridFunction(f.grid, (math.sin(math.pi * theta) / math.pi) * acc)
+
+
+@functools.lru_cache(maxsize=4)
+def _causal_weights(h: float, n: int, theta: float) -> tuple:
+    """(spectrum of A + B_shift, B_shift, Gamma(1 - theta)) of ``riemann_liouville``
+    on a grid of spacing h and n nodes (read-only; the weights as (n, 1) columns).
+
+    Cell [t_j, t_{j+1}] contributes A(g) f'_j + B(g) f'_{j+1} to node i,
+    g = i - j >= 1; B_shift[g'] = B(g' + 1) aligns B to the source index of
+    f'_{j+1}.  An entry takes about 40 n bytes (2.6 MB at n = 2^16).
+    """
+    g = np.arange(0, n, dtype=float)
+    tb = g * h
+    ta = np.maximum(g - 1.0, 0.0) * h
+    one, two = 1.0 - theta, 2.0 - theta
+    pow1 = tb ** one - ta ** one
+    pow2 = tb ** two - ta ** two
+    A = (pow2 / two - ta * pow1 / one) / h
+    B = (tb * pow1 / one - pow2 / two) / h
+    A[0] = 0.0
+    B_shift = np.empty_like(B)
+    B_shift[:-1] = B[1:]
+    B_shift[-1] = 0.0
+    shift = B_shift[:, None]
+    shift.flags.writeable = False
+    return _conv.spectrum((A + B_shift)[:, None]), shift, special.gamma(one)
 
 
 def riemann_liouville(f: GridFunction, theta: float) -> GridFunction:
@@ -482,31 +550,17 @@ def riemann_liouville(f: GridFunction, theta: float) -> GridFunction:
         (1/Gamma(1-theta)) * integral_0^t (t-s)^{-theta} f'(s) ds,
 
     with f' by 8th-order local differences and the weakly singular convolution
-    by product integration that is exact for piecewise-linear f'.
+    by product integration that is exact for piecewise-linear f', whose
+    weights ``_causal_weights`` keeps per (h, N, theta).
     """
     _check_theta(theta)
     _require_kind(f, HALF_LINE, "riemann_liouville")
-    grid = f.grid
-    h = grid.h
-    n = grid.n_points
-    df = _fd.derivative_array(f.values, h)
-    g = np.arange(0, n, dtype=float)
-    tb = g * h
-    ta = np.maximum(g - 1.0, 0.0) * h
-    one, two = 1.0 - theta, 2.0 - theta
-    pow1 = tb ** one - ta ** one
-    pow2 = tb ** two - ta ** two
-    # cell [t_j, t_{j+1}] contributes A(g) f'_j + B(g) f'_{j+1}, g = i - j >= 1
-    A = (pow2 / two - ta * pow1 / one) / h
-    B = (tb * pow1 / one - pow2 / two) / h
-    A[0] = 0.0
-    B_shift = np.empty_like(B)
-    B_shift[:-1] = B[1:]  # B(g'+1) aligned to the source index of f'_{j+1}
-    B_shift[-1] = 0.0
+    weights, shift, gamma = _causal_weights(f.grid.h, f.grid.n_points, theta)
+    df = _fd.derivative_array(f.values, f.grid.h)
     # f'(0) feeds only the left endpoint of the first cell, so its B_shift
     # term (the one zero-start correction) is taken back out
-    out = full_convolve((A + B_shift)[:, None], df)[:n] - B_shift[:, None] * df[0][None, :]
-    return GridFunction(grid, out / special.gamma(one))
+    out = _conv.full_convolve(weights, df) - shift * df[0][None, :]
+    return GridFunction(f.grid, out / gamma)
 
 
 def domain_norm_ratio(op: HalfLineOperator, theta: float, f: GridFunction) -> float:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fracspace.grid import (
     DegenerateInputError,
@@ -415,6 +415,32 @@ class TestDerivativeStencil:
                 got = _fd.derivative_at(v, h, index, order, accuracy, one_sided)
                 ref = _derivative_at_per_call(v, h, index, order, accuracy, one_sided)
                 assert np.array_equal(got, ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(9, 300), fiber=st.sampled_from([None, 1, 3]),
+           complex_values=st.booleans(), h=st.floats(1e-3, 2.0),
+           stencil=st.sampled_from(_CALLER_STENCILS),
+           side=st.sampled_from([None, "right", "left"]), where=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_stencil_products_equal_tensordot(self, n, fiber, complex_values, h, stencil,
+                                              side, where, seed):
+        # the products ``w @ values`` are bit-identical to the tensordot
+        # contraction they replaced, for 1-D and (N, n) values
+        rng = np.random.default_rng(seed)
+        shape = (n,) if fiber is None else (n, fiber)
+        v = rng.standard_normal(shape)
+        if complex_values:
+            v = v + 1j * rng.standard_normal(shape)
+        order, accuracy = stencil
+        n_pts = order + accuracy
+        assume(n_pts <= n)
+        lo_index = {"right": 0, "left": n_pts - 1}.get(side, 0)
+        hi_index = {"right": n - n_pts, "left": n - 1}.get(side, n - 1)
+        index = lo_index + round(where * (hi_index - lo_index))
+        got = _fd.derivative_at(v, h, index, order, accuracy, side)
+        assert np.array_equal(got, _derivative_at_per_call(v, h, index, order, accuracy, side))
+        if fiber is not None:
+            assert np.array_equal(_fd.derivative_array(v, h), _derivative_array_per_call(v, h))
 
     def test_cached_stencils_are_read_only(self):
         w = _fd._stencil(0.1, -4, 9, 1)

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -26,6 +27,8 @@ from fracspace.opcalc import (
     domain_norm_ratio,
     sectoriality_probe,
     _balakrishnan_kernel,
+    _causal_weights,
+    _grid_tables,
     _op_norm_singular_value,
     _pencil_norm,
     _resolvent_map,
@@ -479,6 +482,19 @@ _PER_LAMBDA_CASES = [
 ]
 
 
+def _clear_fractional_power_caches():
+    """Empty every cache that ``fractional_power`` and ``riemann_liouville`` read."""
+    for cache in (_grid_tables, _balakrishnan_kernel, _causal_weights):
+        cache.cache_clear()
+
+
+# the calls of one benchmark fracpower-xcheck pass, in its order, one input
+# per grid: (N, theta, also the causal oracle), over 3 grids and 11 keys
+_XCHECK_ORDER = ([(4096, theta, True) for theta in (0.25, 0.5, 0.75)]
+                 + [(n, theta, False) for theta in (0.5, 0.3, 0.7)
+                    for n in (1024, 2048, 4096)])
+
+
 class TestExponentialSums:
     @settings(max_examples=40, deadline=None)
     @given(n=st.sampled_from([2, 3, 17, 1024, 4097]), seed=st.integers(0, 2 ** 32 - 1),
@@ -494,7 +510,7 @@ class TestExponentialSums:
         rng = np.random.default_rng(seed)
         first = rng.standard_normal((2, log_e.size))
         rate = 10.0 ** rng.uniform(-30.0, 30.0, (2, log_e.size))
-        out = opcalc._exponential_sums(first, rate, log_e, n)
+        out = opcalc._exponential_sums(first, rate, opcalc._power_tables(log_e, n), n)
         assert out.shape == (2, n)
         assert np.allclose(out[:, 0], first.sum(axis=1), rtol=1e-14, atol=0.0)
         # sum_i rate_i E_i^k in extended precision, E^0 = 1 also where E = 0
@@ -529,33 +545,60 @@ class TestFractionalPowerKernel:
         # theta = 0.9 (large end); with them the two agree to rounding
         g = Grid(40.0, 4096, HALF_LINE)
         f = generate_test_family(g, 72, 1, support=(0.1, 0.5))[0]
-        _balakrishnan_kernel.cache_clear()
+        _clear_fractional_power_caches()
         out = fractional_power(OP_D, theta, f)
         monkeypatch.setattr(opcalc, "_U_RANGE", 120.0)
-        _balakrishnan_kernel.cache_clear()
+        _clear_fractional_power_caches()
         wide = fractional_power(OP_D, theta, f)
-        _balakrishnan_kernel.cache_clear()  # no range-120 kernel outlives the test
+        _clear_fractional_power_caches()  # no range-120 table or kernel outlives the test
         assert _relative(out, wide) < 1e-12
 
     def test_grids_differing_in_h_do_not_share_a_kernel(self):
-        _balakrishnan_kernel.cache_clear()
+        _clear_fractional_power_caches()
         for half_width in (40.0, 30.0):
             g = Grid(half_width, 1024, HALF_LINE)
             f = generate_test_family(g, 69, 1, support=(0.1, 0.5))[0]
             ref = _reference_fractional_power(OP_D, 0.5, f)
             out = fractional_power(OP_D, 0.5, f).values
             assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
-        info = _balakrishnan_kernel.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
+        for cache in (_grid_tables, _balakrishnan_kernel):
+            info = cache.cache_info()
+            assert (info.misses, info.currsize) == (2, 2)
 
     def test_both_variants_share_one_kernel(self):
         g = Grid(40.0, 1024, HALF_LINE)
         f = generate_test_family(g, 71, 1, support=(0.1, 0.5))[0]
-        _balakrishnan_kernel.cache_clear()
+        _clear_fractional_power_caches()
         fractional_power(OP_D, 0.5, f)
         fractional_power(OP_M, 0.5, f)
         info = _balakrishnan_kernel.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    def test_cached_operands_equal_a_cold_build(self):
+        # interleaved as in a benchmark pass: every call equals the same call
+        # with every cache emptied first, and the three grids build their
+        # tables once for the 11 (h, N, theta) keys
+        inputs = {n: generate_test_family(Grid(40.0, n, HALF_LINE), 73, 1,
+                                          support=(0.1, 0.5), fiber_dim=2)[0]
+                  for n in (1024, 2048, 4096)}
+
+        calls = []
+        for n, theta, oracle in _XCHECK_ORDER:
+            f = inputs[n]
+            calls += [functools.partial(fractional_power, op, theta, f) for op in (OP_D, OP_M)]
+            if oracle:
+                calls.append(functools.partial(riemann_liouville, f, theta))
+        cold = []
+        for call in calls:
+            _clear_fractional_power_caches()
+            cold.append(call().values)
+        _clear_fractional_power_caches()
+        warm = [call().values for call in calls]
+        assert len(warm) == 27
+        assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
+        assert _grid_tables.cache_info().misses == 3
+        assert _balakrishnan_kernel.cache_info().misses == 11
+        assert _causal_weights.cache_info().misses == 3
 
     def test_repeated_calls_identical_and_cache_read_only(self):
         g = Grid(40.0, 1024, HALF_LINE)
@@ -566,10 +609,19 @@ class TestFractionalPowerKernel:
             first.values[:] = 1e6  # the caller's array, not the cache
             again = fractional_power(op, 0.5, f)
             assert np.array_equal(again.values, kept)
-            kernel = _balakrishnan_kernel(g.h, g.n_points, 0.5)
-            assert not kernel.flags.writeable
+        oracle = riemann_liouville(f, 0.5)
+        kept = oracle.values.copy()
+        oracle.values[:] = 1e6
+        assert np.array_equal(riemann_liouville(f, 0.5).values, kept)
+        lam, taps, (table, starts) = _grid_tables(g.h, g.n_points)
+        spectrum, tail = _balakrishnan_kernel(g.h, g.n_points, 0.5)
+        weights, shift, _ = _causal_weights(g.h, g.n_points, 0.5)
+        cached = [lam, *taps, table, *starts, spectrum, tail, weights, shift]
+        assert len(starts) == 32  # blocks of 32 powers over 1023
+        for array in cached:
+            assert not array.flags.writeable
             with pytest.raises(ValueError):
-                kernel[0, 0] = 0.0
+                array[(0,) * array.ndim] = 0.0
 
 
 class TestRiemannLiouville:
