@@ -56,7 +56,8 @@ def derivative_at(values: np.ndarray, h: float, index: int, order: int,
                   accuracy: int, one_sided: str | None = None) -> np.ndarray:
     """f^(order) at node ``index`` from samples, to the given accuracy order.
 
-    values has shape (N,) or (N, n); one_sided forces a stencil entirely to the
+    values has shape (N,) or (N, n), the result is a scalar or has shape
+    (n,); one_sided forces a stencil entirely to the
     'right' or 'left' of the node and raises ValueError when that stencil
     runs past the ends.  A centered stencil is shifted inward near the ends.
     """
