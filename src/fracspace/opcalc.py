@@ -475,9 +475,9 @@ def _balakrishnan_kernel(h: float, n: int, theta: float) -> tuple[np.ndarray, np
     first = c * b0
     rows = _exponential_sums(np.stack([first, first]),
                              np.stack([c * (E * b0 + b1), first * E]), tables, n)
-    tail = rows[1][:, None].copy()
-    tail.flags.writeable = False
-    return _conv.spectrum(rows[0][:, None]), tail
+    row1 = rows[1][:, None].copy()
+    row1.flags.writeable = False
+    return _conv.spectrum(rows[0][:, None]), row1
 
 
 def fractional_power(op: HalfLineOperator, theta: float, f: GridFunction) -> GridFunction:
@@ -502,12 +502,12 @@ def fractional_power(op: HalfLineOperator, theta: float, f: GridFunction) -> Gri
         if float(np.max(np.abs(tr.entries))) > 1e-8 * scale:
             raise ValueError("input violates the zero boundary value of the domain")
     af = op.apply(f)
-    row0, row1 = _balakrishnan_kernel(f.grid.h, f.grid.n_points, theta)
+    spectrum, row1 = _balakrishnan_kernel(f.grid.h, f.grid.n_points, theta)
     if op.variant == DIRICHLET:
-        acc = _conv.full_convolve(row0, af.values)
+        acc = _conv.full_convolve(spectrum, af.values)
         acc -= row1 * af.values[0][None, :]
     else:
-        acc = _conv.full_convolve(row0, af.values[::-1])[::-1]
+        acc = _conv.full_convolve(spectrum, af.values[::-1])[::-1]
     eps_end = math.exp(-_U_RANGE)
     big_end = math.exp(_U_RANGE)
     end = _U_STEP ** 2 / 12.0

@@ -614,9 +614,9 @@ class TestFractionalPowerKernel:
         oracle.values[:] = 1e6
         assert np.array_equal(riemann_liouville(f, 0.5).values, kept)
         lam, taps, (table, starts) = _grid_tables(g.h, g.n_points)
-        spectrum, tail = _balakrishnan_kernel(g.h, g.n_points, 0.5)
+        spectrum, row1 = _balakrishnan_kernel(g.h, g.n_points, 0.5)
         weights, shift, _ = _causal_weights(g.h, g.n_points, 0.5)
-        cached = [lam, *taps, table, *starts, spectrum, tail, weights, shift]
+        cached = [lam, *taps, table, *starts, spectrum, row1, weights, shift]
         assert len(starts) == 32  # blocks of 32 powers over 1023
         for array in cached:
             assert not array.flags.writeable
