@@ -1,0 +1,138 @@
+"""Compare the suite reports of two git revisions.
+
+    python3 scripts/compare_reports.py BASE [HEAD] --seeds 1,5,10,42 --rtol 1e-12
+
+Checks out BASE and HEAD (default ``HEAD``) into two temporary git worktrees,
+runs ``fracspace run all --seed S --out DIR`` in each for every seed, and
+removes the worktrees afterwards.  Each pair of reports is compared in
+``config_hash``, ``warnings``, ``cases`` and ``refinement`` (not
+``runtime_s``), place by place: every float (a case's value, reference and
+tolerance, the values its params record, a level's value and stability
+ratio) within the relative tolerance ``rtol``, |a - b| <= rtol max(|a|, |b|)
+with NaN equal only to NaN; everything else (strings, integers, pass flags,
+keys, lengths) with ``==``.
+
+Prints the largest relative difference of each suite over all seeds and
+every field that differs, and exits 1 when any does, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+#: the report fields compared (``runtime_s`` is not)
+COMPARED = ("config_hash", "warnings", "cases", "refinement")
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def _run_reports(tree: Path, seeds, out: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for seed in seeds:
+        run = subprocess.run([sys.executable, "-m", "fracspace.cli", "run", "all",
+                              "--seed", str(seed), "--out", str(out / str(seed))],
+                             cwd=tree, env=env, capture_output=True, text=True)
+        if run.returncode not in (0, 1):  # 1: a tolerance failed, still a report
+            raise RuntimeError(f"fracspace run all --seed {seed} in {tree} exited "
+                               f"{run.returncode}: {run.stderr.strip()}")
+
+
+def _relative(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|); 0 for equal values and for two NaNs, inf when
+    only one is NaN or only one is infinite."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if math.isfinite(scale) else math.inf
+
+
+def _leaves(a, b, path: str):
+    """(path, a, b, relative difference) for every pair of floats at the same
+    place in two JSON trees, and (path, a, b, None) for every other pair of
+    places that differ: strings, integers, booleans, keys or lengths."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in a:
+            yield from _leaves(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _leaves(x, y, f"{path}[{i}]")
+    elif isinstance(a, float) and isinstance(b, float):
+        yield path, a, b, _relative(a, b)
+    elif type(a) is not type(b) or a != b:
+        yield path, a, b, None
+
+
+def _compare(base: dict, head: dict, rtol: float, where: str) -> tuple[float, list]:
+    """(largest relative difference between floats, differences) of two reports."""
+    worst, diffs = 0.0, []
+    for key in COMPARED:
+        for path, a, b, rel in _leaves(base[key], head[key], key):
+            if rel is None:
+                diffs.append(f"{where} {path}: {a!r} != {b!r}")
+                continue
+            worst = max(worst, rel)
+            if not rel <= rtol:
+                diffs.append(f"{where} {path}: {a!r} vs {b!r} (rel {rel:.3g})")
+    return worst, diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base")
+    parser.add_argument("head", nargs="?", default="HEAD")
+    parser.add_argument("--seeds", default="1,5,10,42",
+                        help="comma-separated seeds (default 1,5,10,42)")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="relative tolerance on report values (default 0)")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    revisions = [_git("rev-parse", "--verify", f"{rev}^{{commit}}")
+                 for rev in (args.base, args.head)]
+    scratch = Path(tempfile.mkdtemp(prefix="compare-reports-"))
+    worst, diffs = {}, []
+    try:
+        for name, rev in zip(("base", "head"), revisions):
+            _git("worktree", "add", "--detach", str(scratch / name), rev)
+            _run_reports(scratch / name, seeds, scratch / f"{name}-reports")
+        for seed in seeds:
+            base_dir, head_dir = (scratch / f"{name}-reports" / str(seed)
+                                  for name in ("base", "head"))
+            names = sorted(p.stem for p in base_dir.glob("*.json"))
+            head_names = sorted(p.stem for p in head_dir.glob("*.json"))
+            if names != head_names:
+                diffs.append(f"seed {seed}: suites {names} != {head_names}")
+            for suite in sorted(set(names) & set(head_names)):
+                base = json.loads((base_dir / f"{suite}.json").read_text())
+                head = json.loads((head_dir / f"{suite}.json").read_text())
+                rel, found = _compare(base, head, args.rtol, f"seed {seed} {suite}")
+                worst[suite] = max(worst.get(suite, 0.0), rel)
+                diffs += found
+    finally:
+        for name in ("base", "head"):
+            if (scratch / name).exists():
+                _git("worktree", "remove", "--force", str(scratch / name))
+        shutil.rmtree(scratch, ignore_errors=True)
+    print(f"base {revisions[0][:12]}  head {revisions[1][:12]}  seeds {args.seeds}  "
+          f"rtol {args.rtol:g}")
+    for suite, rel in sorted(worst.items()):
+        print(f"  {suite:28s} largest relative difference {rel:.3g}")
+    for line in diffs:
+        print(line)
+    print(f"{len(diffs)} difference(s)")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,13 +4,15 @@ and smoothness norms.
 Convention, fixed once for the whole package: the transform is
 fhat(xi) = integral f(x) exp(-i xi x) dx with inverse carrying 1/(2 pi).
 On a full-line grid the discrete frequencies are xi_k = pi k / L,
-k = -N/2 .. N/2 - 1, and a multiplier acts as ifft(m(xi) * fft(f)).
+k = -N/2 .. N/2 - 1, and a multiplier acts as ifft(m(xi) * fft(f)), the
+circular convolution ``_conv.convolve`` with the symbol values as spectrum.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import _conv
 from .grid import (
     FULL_LINE,
     GridFunction,
@@ -54,16 +56,12 @@ def _multiplied(mvals, f: GridFunction) -> np.ndarray:
     """ifft(m_i(xi) fft(f)) for the values m_i(xi) of every symbol on f's grid
     (``_symbol_values``), stacked: shape (k, N, n).
 
-    One boundary-decay check and one forward FFT serve all symbols, and each
-    product is formed as for a single symbol, so slice i equals the values of
-    ``apply_multiplier(m_i, f)`` bit for bit.
+    One boundary-decay check and one forward FFT (``_conv.convolve`` with the
+    stacked symbol values as its spectrum) serve all symbols, and slice i
+    equals the values of ``apply_multiplier(m_i, f)`` bit for bit.
     """
     warn_if_boundary_heavy(f, "apply_multiplier")
-    spec = np.fft.fft(f.values, axis=0)
-    prods = np.empty((len(mvals),) + spec.shape, dtype=np.complex128)
-    for v, out in zip(mvals, prods):
-        np.multiply(spec, v[:, None], out=out)
-    return np.fft.ifft(prods, axis=1)
+    return _conv.convolve(np.stack(mvals)[:, :, None], f.values)
 
 
 def apply_multiplier(m, f: GridFunction) -> GridFunction:

@@ -257,13 +257,12 @@ class GridFunction:
         data = np.asarray(rows)
         x = data[:, 0]
         n_points = len(x)
-        h = x[1] - x[0]
-        if not np.allclose(np.diff(x), h, rtol=0, atol=1e-12 * (1 + abs(x[-1]))):
-            raise ValueError("CSV nodes are not uniformly spaced")
         if x[0] < 0:
-            grid = Grid(-x[0], n_points, FULL_LINE)
+            grid = Grid(float(-x[0]), n_points, FULL_LINE)
         else:
-            grid = Grid(h * n_points, n_points, HALF_LINE)
+            grid = Grid(float((x[1] - x[0]) * n_points), n_points, HALF_LINE)
+        if not np.allclose(x, grid.points, rtol=0, atol=1e-12 * (1 + abs(x[-1]))):
+            raise ValueError(f"CSV nodes are not the uniform nodes of {grid}")
         n = (len(header) - 1) // 2
         values = data[:, 1::2] + 1j * data[:, 2::2]
         if values.shape != (n_points, n):

@@ -5,9 +5,9 @@ constants from the Schur test.
 Two operators skip work that cannot change their result.  ``bessel_kernel``
 sums its log-time trapezoid only over the window of nodes whose integrand can
 be nonzero in double precision for some point of the call; every dropped node
-contributes exactly 0.0.  The dense path of ``hardy_hilbert_apply`` takes the
-spectra of its two Hankel kernels from a bounded cache keyed by the number of
-nodes, and sums both correlations before a single inverse transform.
+contributes exactly 0.0.  The dense path of ``hardy_hilbert_apply`` is one
+``_conv.convolve`` with its two-sided Hankel kernel, whose spectrum a bounded
+cache keeps per number of nodes.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 from scipy import integrate, special
 
+from . import _conv
 from .grid import (
     AdmissibilityError,
     GridFunction,
@@ -249,39 +249,38 @@ def hardy_hilbert_apply(h: GridFunction, nodes: np.ndarray | None = None) -> Gri
         return GridFunction(grid, out)
 
     # dense evaluation: the cell weights depend on x_i + y_j = (i + j) h only,
-    # so both sums are Hankel products, i.e. correlations; with the data
-    # reversed, out[i] is entry i + n - 2 of the linear convolution
-    kap_hat, mu_hat = _hankel_spectra(n)
-    size = kap_hat.shape[0]
-    spectrum = (kap_hat[:, None] * sp_fft.fft(left[::-1], size, axis=0)
-                + mu_hat[:, None] * sp_fft.fft(slope[::-1], size, axis=0))
-    out = sp_fft.ifft(spectrum, axis=0)[n - 2: 2 * n - 2].copy()
+    # so out[i] is a Hankel product, i.e. a convolution with the data reversed
+    spectrum, first, last = _hankel_kernel(n)
+    v = h.values
+    out = _conv.convolve(spectrum, v[::-1]) - first * v[0] - last * v[-1]
     if singular_origin:
         out[0, :] = row(0.5 * hh)
     return GridFunction(grid, out)
 
 
 @functools.lru_cache(maxsize=8)
-def _hankel_spectra(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Length-``next_fast_len(2n)`` spectra of the Hankel kernels of the dense
-    ``hardy_hilbert_apply`` on n nodes (read-only).
+def _hankel_kernel(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(spectrum at size 2n, first, last) of the dense ``hardy_hilbert_apply``
+    on n nodes (read-only; the end columns of shape (n, 1)).
 
-    kap[m] = log(1 + 1/m) and mu[m] = 1 - m kap[m], with kap[0] = 0 and
-    mu[0] = 1 (the x = 0 limits), for m = i + j <= 2n - 3 (node i < n, cell
-    j < n - 1).  Their linear convolution with the n - 1 reversed data
-    samples has entries 0 .. 3n-5, of which n-2 .. 2n-3 are kept.  A
-    circular convolution of length L >= 2n - 2 folds entry k >= L onto
-    k - L <= n - 3, below the kept range, and leaves the kept entries alone,
-    so the 3n - 4 points of the linear convolution are not needed.
+    With kap[m] = log(1 + 1/m) and mu[m] = 1 - m kap[m] (kap[0] = 0 and
+    mu[0] = 1, the x = 0 limits), cell j < n - 1 adds
+    kap[i + j] v_j + mu[i + j] (v_{j+1} - v_j) to node i, so
+    out_i = sum_{j<n} K[i + j] v_j - mu[i - 1] v_0 - (kap - mu)[i + n - 1] v_{n-1}
+    with K[m] = kap[m] - mu[m] + mu[m - 1] and mu[-1] = 0.  With the samples
+    reversed, the sum is the convolution with the two-sided kernel
+    K[d + n - 1], d = -(n - 1) .. n - 1, whose 2n - 1 taps a circular
+    convolution of length 2n holds without aliasing.
     """
-    m = np.arange(2 * n - 2, dtype=float)
+    m = np.arange(2 * n - 1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         kap = np.log1p(1.0 / m)
         mu = 1.0 - m * kap
     kap[0] = 0.0
     mu[0] = 1.0
-    size = sp_fft.next_fast_len(2 * n, real=False)
-    spectra = sp_fft.fft(kap, size), sp_fft.fft(mu, size)
-    for spectrum in spectra:
-        spectrum.flags.writeable = False
-    return spectra
+    shifted = np.concatenate(([0.0], mu[:-1]))  # mu[m - 1]
+    first, last = shifted[:n, None], (kap - mu)[n - 1:, None]
+    first.flags.writeable = last.flags.writeable = False
+    taps = kap - mu + shifted
+    kernel = np.concatenate((taps[n - 1:], [0.0], taps[:n - 1]))
+    return _conv.spectrum(kernel[:, None], 2 * n), first, last

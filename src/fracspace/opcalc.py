@@ -11,10 +11,10 @@ the data reversal and the zero start, forms r and solves the system with
 one LAPACK banded triangular solve, and serves both variants and both
 adjoints (the adjoint solves with the conjugate-transposed band).  The
 Balakrishnan quadrature is a fixed sum of such recursions, hence one linear
-time-invariant filter on the grid, applied by FFT convolution
-(``_conv.full_convolve``).  Every operand of that filter that does not
-depend on the data is built once per key in a small bounded cache of
-read-only arrays, bit for bit what a per-call build gives:
+time-invariant filter on the grid, applied as ``_conv.convolve`` with a
+kernel spectrum of size 2N (the linear convolution).  Every operand of that
+filter that does not depend on the data is built once per key in a small
+bounded cache of read-only arrays, bit for bit what a per-call build gives:
 
 - ``_grid_tables`` per (h, N), shared by every theta: the trapezoid nodes,
   their taps and the powers E^k of each node as E^(qB) E^j with
@@ -460,9 +460,9 @@ def _balakrishnan_kernel(h: float, n: int, theta: float) -> tuple[np.ndarray, np
     sum_lam c_lam g_lam, where g_lam is the impulse response of one
     recursion with the taps (E, b0, b1) of ``_taps``: g[0] = b0,
     g[k] = (E b0 + b1) E^(k-1).  Both variants apply it, the minus variant
-    to reversed data, so it is kept as its ``_conv.spectrum``.  Row 1,
-    sum_lam c_lam b0 E^k, kept as an (n, 1) column, is the response to f_0
-    that the zero initial value of the Dirichlet variant removes.  Both rows
+    to reversed data, so it is kept as its ``_conv.spectrum`` at size 2n.
+    Row 1, sum_lam c_lam b0 E^k, kept as an (n, 1) column, is the response
+    to f_0 that the zero initial value of the Dirichlet variant removes.  Both rows
     come from the taps and the trapezoid weights alone, summed by
     ``_exponential_sums`` over the shared ``_grid_tables`` of the grid, so a
     new theta on a known grid takes only the block products.  An entry takes
@@ -477,7 +477,7 @@ def _balakrishnan_kernel(h: float, n: int, theta: float) -> tuple[np.ndarray, np
                              np.stack([c * (E * b0 + b1), first * E]), tables, n)
     row1 = rows[1][:, None].copy()
     row1.flags.writeable = False
-    return _conv.spectrum(rows[0][:, None]), row1
+    return _conv.spectrum(rows[0][:, None], 2 * n), row1
 
 
 def fractional_power(op: HalfLineOperator, theta: float, f: GridFunction) -> GridFunction:
@@ -504,10 +504,10 @@ def fractional_power(op: HalfLineOperator, theta: float, f: GridFunction) -> Gri
     af = op.apply(f)
     spectrum, row1 = _balakrishnan_kernel(f.grid.h, f.grid.n_points, theta)
     if op.variant == DIRICHLET:
-        acc = _conv.full_convolve(spectrum, af.values)
+        acc = _conv.convolve(spectrum, af.values)
         acc -= row1 * af.values[0][None, :]
     else:
-        acc = _conv.full_convolve(spectrum, af.values[::-1])[::-1]
+        acc = _conv.convolve(spectrum, af.values[::-1])[::-1]
     eps_end = math.exp(-_U_RANGE)
     big_end = math.exp(_U_RANGE)
     end = _U_STEP ** 2 / 12.0
@@ -518,8 +518,9 @@ def fractional_power(op: HalfLineOperator, theta: float, f: GridFunction) -> Gri
 
 @functools.lru_cache(maxsize=4)
 def _causal_weights(h: float, n: int, theta: float) -> tuple:
-    """(spectrum of A + B_shift, B_shift, Gamma(1 - theta)) of ``riemann_liouville``
-    on a grid of spacing h and n nodes (read-only; the weights as (n, 1) columns).
+    """(spectrum of A + B_shift at size 2n, B_shift, Gamma(1 - theta)) of
+    ``riemann_liouville`` on a grid of spacing h and n nodes (read-only; the
+    weights as (n, 1) columns).
 
     Cell [t_j, t_{j+1}] contributes A(g) f'_j + B(g) f'_{j+1} to node i,
     g = i - j >= 1; B_shift[g'] = B(g' + 1) aligns B to the source index of
@@ -539,7 +540,7 @@ def _causal_weights(h: float, n: int, theta: float) -> tuple:
     B_shift[-1] = 0.0
     shift = B_shift[:, None]
     shift.flags.writeable = False
-    return _conv.spectrum((A + B_shift)[:, None]), shift, special.gamma(one)
+    return _conv.spectrum((A + B_shift)[:, None], 2 * n), shift, special.gamma(one)
 
 
 def riemann_liouville(f: GridFunction, theta: float) -> GridFunction:
@@ -559,7 +560,7 @@ def riemann_liouville(f: GridFunction, theta: float) -> GridFunction:
     df = _fd.derivative_array(f.values, f.grid.h)
     # f'(0) feeds only the left endpoint of the first cell, so its B_shift
     # term (the one zero-start correction) is taken back out
-    out = _conv.full_convolve(weights, df) - shift * df[0][None, :]
+    out = _conv.convolve(weights, df) - shift * df[0][None, :]
     return GridFunction(f.grid, out / gamma)
 
 

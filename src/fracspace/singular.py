@@ -15,10 +15,11 @@ therefore assembles one length-N kernel from the difference-quotient weights
 (the Richardson mixture of its levels and the periodic far-field image sum,
 whose images on the two sides share one folded sum of powers; past the first
 few images that sum is one Taylor polynomial in the offset) and applies it
-with one FFT pair.  That kernel depends only on (N, h, sigma), so its
-spectrum is computed once per key and kept, read-only, in a small bounded
-in-process cache; c_sigma is likewise computed once per sigma.  The kernel
-never uses |xi|^sigma, so the two representations stay independent.
+with ``_conv.convolve`` at size N.  That kernel depends only on (N, h,
+sigma), so its spectrum is computed once per key and kept, read-only, in a
+small bounded in-process cache; c_sigma is likewise computed once per sigma.
+The kernel never uses |xi|^sigma, so the two representations stay
+independent.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import math
 import numpy as np
 from scipy import integrate
 
+from . import _conv
 from .grid import FULL_LINE, GridFunction, _require_kind, warn_if_boundary_heavy
 
 
@@ -101,12 +103,6 @@ def _pair_kernel(n: int, ms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     kernel[-ms] = coeffs
     kernel[0] = -2.0 * np.sum(coeffs)
     return kernel
-
-
-def _circular_apply(values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """Circular convolution of each column of ``values`` with the kernel whose
-    FFT is ``spectrum``."""
-    return np.fft.ifft(np.fft.fft(values, axis=0) * spectrum[:, None], axis=0)
 
 
 # periodic images summed explicitly on each side of the far field
@@ -188,7 +184,7 @@ def _far_field_kernel(n: int, h: float, sigma: float) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _singular_kernel(n: int, h: float, sigma: float) -> np.ndarray:
     """FFT of the circular kernel of the extrapolated annulus integral,
-    without c_sigma (read-only).
+    without c_sigma, as an (n, 1) ``_conv.spectrum`` (read-only).
 
     The trapezoid levels over m = k..n/4 (inner radius r = k h, k = 1, 2, 4,
     both ends halved) are mixed by two Richardson stages, and the far-field
@@ -207,9 +203,7 @@ def _singular_kernel(n: int, h: float, sigma: float) -> np.ndarray:
     mix = np.array([(1.0 + a) * (1.0 + b), -(1.0 + b) * a - b * (1.0 + a), a * b])
     kernel = _pair_kernel(n, ms, mix @ levels)
     kernel += _far_field_kernel(n, h, sigma)
-    spectrum = np.fft.fft(kernel)
-    spectrum.flags.writeable = False
-    return spectrum
+    return _conv.spectrum(kernel[:, None], n)
 
 
 def fractional_laplacian_singular(f: GridFunction, sigma: float) -> GridFunction:
@@ -229,5 +223,5 @@ def fractional_laplacian_singular(f: GridFunction, sigma: float) -> GridFunction
     grid = f.grid
     warn_if_boundary_heavy(f, "fractional_laplacian_singular")
     spectrum = _singular_kernel(grid.n_points, grid.h, sigma)
-    return GridFunction(grid, c_sigma(sigma) * _circular_apply(f.values, spectrum))
+    return GridFunction(grid, c_sigma(sigma) * _conv.convolve(spectrum, f.values))
 

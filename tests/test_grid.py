@@ -240,6 +240,7 @@ class TestCsvRoundTrip:
         f.to_csv(path)
         back = GridFunction.from_csv(path)
         assert back.grid == f.grid
+        assert type(back.grid.half_width) is float
         assert np.array_equal(back.values, f.values)
 
     @settings(max_examples=25, deadline=None)
@@ -250,6 +251,7 @@ class TestCsvRoundTrip:
         f.to_csv(path)
         back = GridFunction.from_csv(path)
         assert back.grid == f.grid
+        assert type(back.grid.half_width) is float
         assert np.array_equal(back.values, f.values)
 
 

@@ -354,9 +354,9 @@ class TestCli:
         assert rc == 2  # full-line input is invalid for this operator
 
 
-def _csv_rows(tmp_path, n_rows):
+def _csv_rows(tmp_path, nodes):
     path = tmp_path / "f.csv"
-    rows = ["x,re_0,im_0"] + [f"{0.04 * i!r},1.0,0.0" for i in range(n_rows)]
+    rows = ["x,re_0,im_0"] + [f"{float(x)!r},1.0,0.0" for x in nodes]
     path.write_text("\n".join(rows) + "\n")
     return str(path)
 
@@ -392,11 +392,19 @@ BAD_INPUTS = {
     "config-missing": lambda tmp: ["run", "c-sigma", "--config", str(tmp / "none.json")],
     "in-missing": lambda tmp: ["apply", "bessel-potential", "--in", str(tmp / "none.csv"),
                                "--out", str(tmp / "o.csv"), "--params", '{"s": 1}'],
-    "csv-one-row": lambda tmp: ["apply", "bessel-potential", "--in", _csv_rows(tmp, 1),
+    "csv-one-row": lambda tmp: ["apply", "bessel-potential", "--in", _csv_rows(tmp, [0.0]),
                                 "--out", str(tmp / "o.csv"), "--params", '{"s": 1}'],
     "csv-not-power-of-two": lambda tmp: ["apply", "bessel-potential",
-                                         "--in", _csv_rows(tmp, 1000),
+                                         "--in", _csv_rows(tmp, 0.04 * np.arange(1000)),
                                          "--out", str(tmp / "o.csv"), "--params", '{"s": 1}'],
+    # uniform nodes that are not those of any grid: -1 .. 14 is not
+    # Grid(1.0, 16).points (spacing 0.125), and a half line starts at 0
+    "csv-nodes-not-symmetric": lambda tmp: [
+        "apply", "bessel-potential", "--in", _csv_rows(tmp, np.arange(-1.0, 15.0)),
+        "--out", str(tmp / "o.csv"), "--params", '{"s": 1}'],
+    "csv-nodes-not-from-zero": lambda tmp: [
+        "apply", "hardy-hilbert", "--in", _csv_rows(tmp, np.arange(5.0, 21.0)),
+        "--out", str(tmp / "o.csv")],
     "param-null": lambda tmp: ["apply", "riemann-liouville", "--in", _half_line_csv(tmp),
                                "--out", str(tmp / "o.csv"), "--params", '{"theta": null}'],
     "config-unknown-tolerance": lambda tmp: [

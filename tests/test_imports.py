@@ -12,7 +12,7 @@ import fracspace
 def test_package_does_not_import_scipy_signal():
     # SciPy's signal-processing subpackage pulls in stats, interpolate and
     # ndimage and used to dominate the package's cold start; the resolvents
-    # and convolutions need only scipy.linalg.lapack and scipy.fft
+    # need only scipy.linalg.lapack, and every convolution is numpy.fft's
     src = str(Path(fracspace.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import fracspace; "
             "loaded = sorted(m for m in sys.modules if m.startswith('scipy.signal')); "
@@ -20,6 +20,30 @@ def test_package_does_not_import_scipy_signal():
     run = subprocess.run([sys.executable, "-c", code, src],
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, f"scipy.signal loaded by 'import fracspace': {run.stdout}{run.stderr}"
+
+
+def test_one_fft_product_on_numpy_fft():
+    # _conv.convolve is the one place that multiplies a kept spectrum into
+    # transformed data: no module imports scipy.fft or a transform by name
+    # (np.fft is reached as a module attribute, which tests count through),
+    # and an inverse transform appears only there and in the zero-padding
+    # interpolation of halfline._upsampled_values
+    package = Path(fracspace.__file__).resolve().parent
+    imports, inverse = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports += [f"{path.name}: {a.name}" for a in node.names if "fft" in a.name]
+            elif isinstance(node, ast.ImportFrom):
+                imports += [f"{path.name}: {node.module}.{a.name}" for a in node.names
+                            if "fft" in f"{node.module}.{a.name}"]
+        for top in tree.body:
+            if any(isinstance(node, ast.Attribute) and node.attr == "ifft"
+                   for node in ast.walk(top)):
+                inverse.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert imports == []
+    assert inverse == {"_conv.convolve", "halfline._upsampled_values"}
 
 
 def _unused_top_level_imports(path: Path) -> list[str]:

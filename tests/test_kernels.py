@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import fft as sp_fft
 from scipy import integrate, special
 
 from fracspace import kernels
@@ -217,8 +216,8 @@ class TestHardyHilbert:
     @pytest.mark.parametrize("origin", ["zero", "nonzero"])
     def test_dense_path_matches_node_path(self, n, origin):
         # the node path evaluates every row directly; the dense path takes
-        # circular correlations of length next_fast_len(2n), so an aliased
-        # output would show here
+        # one circular convolution of length 2n with a two-sided kernel, so
+        # an aliased output would show here
         g = Grid(40.0, n, HALF_LINE)
         t = g.points
         rng = np.random.default_rng(n)
@@ -235,8 +234,10 @@ class TestHardyHilbert:
         assert np.all(np.abs(dense - direct) <= 1e-12 * np.abs(direct))
 
     def test_cached_spectra_are_read_only_and_short(self):
-        kap_hat, mu_hat = kernels._hankel_spectra(1024)
-        for spectrum in (kap_hat, mu_hat):
-            assert spectrum.shape == (sp_fft.next_fast_len(2048, real=False),)
-            assert not spectrum.flags.writeable
-        assert kernels._hankel_spectra(1024)[0] is kap_hat
+        # one spectrum of length 2n and the two end columns, kept per n
+        spectrum, first, last = kernels._hankel_kernel(1024)
+        assert spectrum.shape == (2048, 1)
+        assert first.shape == last.shape == (1024, 1)
+        for array in (spectrum, first, last):
+            assert not array.flags.writeable
+        assert kernels._hankel_kernel(1024)[0] is spectrum
