@@ -13,7 +13,12 @@ Runs in one process, in this order:
    ``REPEATS`` further calls.  ``fractional_power_second_theta`` runs right
    after ``fractional_power``, at another theta: its first call finds the
    grid's exponential tables built and shows what a new order on a known
-   grid costs.
+   grid costs.  ``bessel_kernel`` runs once, on the 800-point near mesh of
+   ``kernel_bound_check``, whose size does not depend on N.
+
+Each entry also records ``traced_peak_mb``, the ``tracemalloc`` peak (in
+10^6 bytes) of one more call, result included, made on its own after the
+timed calls so that no timing is traced.
 
 The file also records the environment (code and library versions, the git
 revision and whether the tree differed from it, CPU count, thread
@@ -32,6 +37,7 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -43,9 +49,10 @@ import scipy  # noqa: E402
 
 import fracspace  # noqa: E402
 from fracspace import _fd  # noqa: E402
+from fracspace.fourier import spectral_derivative  # noqa: E402
 from fracspace.grid import FULL_LINE, HALF_LINE, Grid, PowerWeight, weighted_lp_norm  # noqa: E402
 from fracspace.harness import SUITES, SuiteConfig, generate_test_family, run_suite  # noqa: E402
-from fracspace.kernels import hardy_hilbert_apply  # noqa: E402
+from fracspace.kernels import bessel_kernel, hardy_hilbert_apply  # noqa: E402
 from fracspace.opcalc import (  # noqa: E402
     DIRICHLET,
     HalfLineOperator,
@@ -74,7 +81,10 @@ OPERATORS = {
                                       lambda f: fractional_laplacian_singular(f, 0.5)),
     "hardy_hilbert_apply": (HALF_LINE, hardy_hilbert_apply),
     "weighted_lp_norm": (FULL_LINE, lambda f: weighted_lp_norm(f, 2.0, PowerWeight(0.5))),
+    "spectral_derivative": (FULL_LINE, spectral_derivative),
 }
+#: the finer near-origin mesh of ``kernels.kernel_bound_check``
+NEAR_MESH = np.logspace(-6.0, np.log10(2.0), 800)
 
 
 def _git(*args: str) -> str | None:
@@ -124,16 +134,31 @@ def _ms(call, f) -> float:
     return 1e3 * (time.perf_counter() - start)
 
 
+def _traced_peak_mb(call, arg) -> float:
+    """tracemalloc peak of one call, its result included, in 10^6 bytes."""
+    tracemalloc.start()
+    try:
+        call(arg)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def _row(call, arg) -> dict:
+    first = _ms(call, arg)
+    return {"first_ms": first,
+            "best_ms": min(_ms(call, arg) for _ in range(REPEATS)),
+            "traced_peak_mb": _traced_peak_mb(call, arg)}
+
+
 def operator_timings() -> dict:
     timings = {}
     for name, (kind, call) in OPERATORS.items():
-        rows = {}
-        for n in SIZES:
-            f = generate_test_family(Grid(HALF_WIDTH, n, kind), SUITE_SEED, 1)[0]
-            first = _ms(call, f)
-            rows[str(n)] = {"first_ms": first,
-                            "best_ms": min(_ms(call, f) for _ in range(REPEATS))}
-        timings[name] = rows
+        timings[name] = {
+            str(n): _row(call, generate_test_family(Grid(HALF_WIDTH, n, kind), SUITE_SEED, 1)[0])
+            for n in SIZES}
+    timings["bessel_kernel"] = {"near_mesh_800": _row(lambda x: bessel_kernel(0.5, x),
+                                                      NEAR_MESH)}
     return timings
 
 

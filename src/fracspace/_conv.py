@@ -8,6 +8,12 @@ circular kernel of ``singular``); at size 2N, the linear convolution of an
 N-point kernel (``opcalc``) or of the 2N - 1 taps of a two-sided kernel
 (the Hardy operator of ``kernels``) with N data points.  Grids are powers
 of two, so both sizes are.
+
+A product whose spectrum broadcasts to the shape of the data's transform
+(one kernel or symbol for every column) is formed in the transform's own
+buffer, and the inverse transform writes into that buffer too, so a call
+allocates one transform-sized array; stacked spectra allocate the stacked
+product.  The data is never written.
 """
 
 from __future__ import annotations
@@ -32,5 +38,7 @@ def convolve(spectrum: np.ndarray, data: np.ndarray) -> np.ndarray:
     (m, size, 1) gives m convolutions of shape (n, k).
     """
     size = spectrum.shape[-2]
-    product = spectrum * np.fft.fft(data, size, axis=-2)
-    return np.fft.ifft(product, axis=-2)[..., :data.shape[-2], :]
+    product = np.fft.fft(data, size, axis=-2)
+    in_place = np.broadcast_shapes(spectrum.shape, product.shape) == product.shape
+    product = np.multiply(spectrum, product, out=product if in_place else None)
+    return np.fft.ifft(product, axis=-2, out=product)[..., :data.shape[-2], :]

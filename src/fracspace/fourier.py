@@ -39,8 +39,13 @@ def frac_laplacian_symbol(sigma: float):
 
 
 def derivative_symbol(order: int = 1):
+    """(i xi)^order, raised in place."""
     order = _integer("order", order, 0)
-    return lambda xi: (1j * np.asarray(xi)) ** order
+
+    def symbol(xi):
+        values = 1j * np.asarray(xi)
+        return np.power(values, order, out=values)
+    return symbol
 
 
 def _symbol_values(symbols, grid) -> list:
@@ -67,10 +72,14 @@ def _multiplied(mvals, f: GridFunction) -> np.ndarray:
 def apply_multiplier(m, f: GridFunction) -> GridFunction:
     """ifft(m(xi) fft(f)) on a full-line grid, fiberwise.
 
-    Warns when f has not decayed at the boundary (the grid periodizes).
+    Warns when f has not decayed at the boundary (the grid periodizes).  The
+    symbol values are an (N, 1) spectrum, so ``_conv.convolve`` forms the
+    product in the transform's buffer.
     """
     _require_kind(f, FULL_LINE, "apply_multiplier")
-    return GridFunction(f.grid, _multiplied(_symbol_values([m], f.grid), f)[0])
+    values, = _symbol_values([m], f.grid)
+    warn_if_boundary_heavy(f, "apply_multiplier")
+    return GridFunction(f.grid, _conv.convolve(values[:, None], f.values))
 
 
 def bessel_potential(f: GridFunction, s: float) -> GridFunction:

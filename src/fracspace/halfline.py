@@ -4,9 +4,10 @@ projections, retraction operators, and the inequality probes attached to them.
 
 The reflection extension uses scaling factors lambda_j = j (j = 1..2m+2).
 With integer factors every reflected sample f(-lambda_j x) lands exactly on a
-grid node, so the forward extension and the support projection are pure index
-gathers with no interpolation error; interpolation only enters the dual
-operator, which samples at -x/lambda_j.  Non-integer factors are rejected.
+grid node, so the forward extension and the support projection read each
+scaled reflection as a strided slice of the samples, with no interpolation
+error; interpolation only enters the dual operator, which samples at
+-x/lambda_j from one FFT of its input.  Non-integer factors are rejected.
 """
 
 from __future__ import annotations
@@ -133,14 +134,17 @@ def restrict_minus(F: GridFunction) -> GridFunction:
 
 
 def _gathered_reflection(values: np.ndarray, coeffs: ReflectionCoefficients,
-                         m_index: np.ndarray) -> np.ndarray:
-    """sum_j b_j f(lambda_j * t_m) for integer lambda_j, values zero past the end."""
-    n = values.shape[0]
-    out = np.zeros((len(m_index), values.shape[1]), dtype=np.complex128)
+                         out: np.ndarray) -> np.ndarray:
+    """Add sum_j b_j f(lambda_j t_m) to out[m - 1] for m = 1..len(out), with
+    integer lambda_j and values zero past the end; returns ``out``.
+
+    Each scaled reflection is the strided slice values[lambda_j::lambda_j],
+    cut to len(out) rows.
+    """
     for lam, b in zip(coeffs.lambdas, coeffs.bs):
-        src = m_index * int(lam)
-        valid = src < n
-        out[valid] += b * values[src[valid]]
+        j = int(lam)
+        scaled = values[j::j][:out.shape[0]]
+        out[:scaled.shape[0]] += b * scaled
     return out
 
 
@@ -156,17 +160,17 @@ def reflect_extend(f: GridFunction, coeffs: ReflectionCoefficients) -> GridFunct
     zero = full.zero_index
     out = np.zeros((full.n_points, f.fiber_dim), dtype=np.complex128)
     out[zero:, :] = f.values
-    m_index = np.arange(1, zero + 1)  # x = -m h
-    out[zero - 1:: -1, :] = _gathered_reflection(f.values, coeffs, m_index)
+    # row zero - m holds x = -m h, m = 1..zero
+    _gathered_reflection(f.values, coeffs, out[zero - 1:: -1, :])
     return GridFunction(full, out)
 
 
-def _upsampled_values(F: GridFunction, factor: int) -> np.ndarray:
-    """Trigonometric interpolant of F on the ``factor``-fold refined lattice."""
-    n = F.grid.n_points
-    spec = np.fft.fft(F.values, axis=0)
+def _upsampled_values(spec: np.ndarray, factor: int) -> np.ndarray:
+    """Trigonometric interpolant on the ``factor``-fold refined lattice of the
+    samples whose FFT (along axis 0) is ``spec``."""
+    n = spec.shape[0]
     nyq = n // 2
-    padded = np.zeros((factor * n, F.fiber_dim), dtype=np.complex128)
+    padded = np.zeros((factor * n, spec.shape[1]), dtype=np.complex128)
     padded[:nyq] = spec[:nyq]
     padded[nyq] = 0.5 * spec[nyq]
     padded[factor * n - nyq] = 0.5 * spec[nyq]
@@ -179,17 +183,19 @@ def reflect_extend_dual(g: GridFunction, coeffs: ReflectionCoefficients) -> Grid
 
     Off-grid values of g come from its trigonometric interpolant: the points
     -x/lambda_j live on the lambda_j-fold refined lattice, where that
-    interpolant is an exact FFT upsampling.
+    interpolant is an exact FFT upsampling of the one FFT of g.
     """
     _require_kind(g, FULL_LINE, "reflect_extend_dual")
     grid = g.grid
     n = grid.n_points
     zero = grid.zero_index
+    spec = np.fft.fft(g.values, axis=0)
     acc = g.values[zero:, :].copy()
     for lam, b in zip(coeffs.lambdas, coeffs.bs):
         j = int(lam)
-        up = _upsampled_values(g, j) if j > 1 else g.values
-        acc += (b / lam) * up[j * zero - np.arange(n - zero)]
+        up = _upsampled_values(spec, j) if j > 1 else g.values
+        # row j * zero - k holds -x_k / lambda_j, k = 0..n - zero - 1
+        acc += (b / lam) * up[j * zero: j * zero - (n - zero): -1]
     out = np.zeros_like(g.values)
     out[zero:, :] = acc
     return GridFunction(grid, out)
@@ -273,8 +279,8 @@ def support_projection(F: GridFunction, coeffs: ReflectionCoefficients) -> GridF
     # left side: F(x) - (E_- minus)(x) = 0 exactly for x < 0
     out[:zero, :] = 0.0
     # right side: subtract sum_j b_j (restriction)(lambda_j x)
-    m_index = np.arange(1, grid.n_points - zero)
-    out[zero + 1:, :] -= _gathered_reflection(minus.values, coeffs, m_index)
+    out[zero + 1:, :] -= _gathered_reflection(minus.values, coeffs,
+                                              np.zeros_like(out[zero + 1:, :]))
     # node 0: the mirrored restriction vanishes there by convention
     return GridFunction(grid, out)
 

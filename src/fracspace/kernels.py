@@ -3,11 +3,13 @@ half-line kernel operator with kernel 1/(x + y), and the associated sharp
 constants from the Schur test.
 
 Two operators skip work that cannot change their result.  ``bessel_kernel``
-sums its log-time trapezoid only over the window of nodes whose integrand can
-be nonzero in double precision for some point of the call; every dropped node
-contributes exactly 0.0.  The dense path of ``hardy_hilbert_apply`` is one
-``_conv.convolve`` with its two-sided Hankel kernel, whose spectrum a bounded
-cache keeps per number of nodes.
+evaluates its points in blocks of ``_BLOCK`` and sums each block's log-time
+trapezoid only over the window of nodes whose integrand can be nonzero in
+double precision for some point of that block; every dropped node
+contributes exactly 0.0, and the working memory is one block times its
+window, not every point times every node.  The dense path of
+``hardy_hilbert_apply`` is one ``_conv.convolve`` with its two-sided Hankel
+kernel, whose spectrum a bounded cache keeps per number of nodes.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ _EXP_U = np.exp(_U_GRID)
 _EXP_MINUS_U = np.exp(-_U_GRID)
 # exp(x) is exactly 0.0 in double precision for x below about -745.13
 _UNDERFLOW = -746.0
+# points per block of ``bessel_kernel``, each with its own live window
+_BLOCK = 64
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -43,6 +47,24 @@ def _exponent(r2: np.ndarray, a: float, sl: slice) -> np.ndarray:
     """Log-integrand -e^u - (r2/4) e^{-u} + a u at the nodes ``sl``, one row per r2."""
     return (-_EXP_U[None, sl] - 0.25 * r2[:, None] * _EXP_MINUS_U[None, sl]
             + a * _U_GRID[None, sl])
+
+
+def _window_sums(r2: np.ndarray, a: float) -> np.ndarray:
+    """Trapezoid sums of exp(_exponent) for the positive r2 of one block, over
+    the live window of the block's smallest r2; 0.0 where no node is live.
+
+    The window bound is the same expression as the integrand, so rounding
+    keeps it an upper bound, and a NaN bound keeps every node (and the NaN
+    result).  A one-point block takes its integrand from the bound row; the
+    exponential is taken in place.
+    """
+    bound = _exponent(np.min(r2, keepdims=True), a, slice(None))[0]
+    live = np.flatnonzero(~(bound <= _UNDERFLOW))
+    if live.size == 0:
+        return np.zeros_like(r2)
+    sl = slice(max(live[0] - 1, 0), live[-1] + 2)
+    logs = bound[None, sl] if r2.size == 1 else _exponent(r2, a, sl)
+    return _trapezoid(np.exp(logs, out=logs), dx=_U_GRID[1] - _U_GRID[0], axis=1)
 
 
 def bessel_kernel(s: float, x) -> np.ndarray | float:
@@ -56,13 +78,14 @@ def bessel_kernel(s: float, x) -> np.ndarray | float:
     is a point or an array of points.
 
     The integral is the trapezoid rule in u = log t on the nodes ``_U_GRID``,
-    restricted to their live window: the exponent is concave in u and
-    decreasing in |x|, so the nodes where it exceeds ``_UNDERFLOW`` at the
-    smallest nonzero |x| of the call form one interval that holds every
-    nonzero term of every point.  The window keeps one (zero) node beyond
-    each end, so the kept terms and their weights are those of the
-    full-range rule; only the summation grouping differs.  When no node is
-    live the value is exactly 0.0.
+    taken for the nonzero points in blocks of ``_BLOCK``, each restricted to
+    its live window: the exponent is concave in u and decreasing in |x|, so
+    the nodes where it exceeds ``_UNDERFLOW`` at the smallest nonzero |x| of
+    the block form one interval that holds every nonzero term of every point
+    of the block.  The window keeps one (zero) node beyond each end, so the
+    kept terms and their weights are those of the full-range rule; only the
+    summation grouping differs.  When no node is live the value is exactly
+    0.0.
     """
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
@@ -75,19 +98,11 @@ def bessel_kernel(s: float, x) -> np.ndarray | float:
         if s <= 1:
             raise ValueError("the kernel is singular at the origin for s <= 1")
         out[zero] = c * special.gamma((s - 1) / 2.0)
-    if np.any(~zero):
-        r2_live = r2_flat[~zero]
-        a = (s - 1) / 2.0
-        # same expression as the integrand, so rounding keeps it an upper
-        # bound; a NaN bound keeps every node (and the NaN result)
-        bound = _exponent(np.min(r2_live, keepdims=True), a, slice(None))[0]
-        live = np.flatnonzero(~(bound <= _UNDERFLOW))
-        if live.size == 0:
-            out[~zero] = 0.0
-        else:
-            sl = slice(max(live[0] - 1, 0), live[-1] + 2)
-            vals = np.exp(_exponent(r2_live, a, sl))
-            out[~zero] = c * _trapezoid(vals, dx=_U_GRID[1] - _U_GRID[0], axis=1)
+    nonzero = np.flatnonzero(~zero)
+    a = (s - 1) / 2.0
+    for start in range(0, nonzero.size, _BLOCK):
+        block = nonzero[start:start + _BLOCK]
+        out[block] = c * _window_sums(r2_flat[block], a)
     return float(out[0]) if r2.ndim == 0 else out.reshape(r2.shape)
 
 

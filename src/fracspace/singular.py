@@ -133,6 +133,12 @@ def _image_series(sigma: float) -> list[float]:
     return coeffs
 
 
+def _scaled_power(values: np.ndarray, h: float, e: float) -> np.ndarray:
+    """(values h)^e, formed in ``values``, which it returns."""
+    values *= h
+    return np.power(values, e, out=values)
+
+
 def _far_field_kernel(n: int, h: float, sigma: float) -> np.ndarray:
     """Circular kernel of the far field, integral over |h| > R of
     (f(x+h) - f(x)) / |h|^(1+sigma) dh with R = (n // 4) h = L/2, f understood
@@ -149,33 +155,47 @@ def _far_field_kernel(n: int, h: float, sigma: float) -> np.ndarray:
     j = 1 .. _NEAR_IMAGES - 1 are explicit powers, and the rest is
     (n h)^(-1-sigma) times the polynomial of ``_image_series`` in x = q / n
     (exact, n being a power of two), evaluated by Horner's rule, so a build
-    takes eight powers per node.
+    takes eight powers per node.  Every power but the kernel's own first one
+    is formed in one reused buffer.
     """
-    big_r = (n // 4) * h
-    m = np.arange(n, dtype=float)
+    quarter = n // 4
+    big_r = quarter * h
     expo = -1.0 - sigma
     q = np.arange(n + 1, dtype=float)
-    x = q / n
+    m = q[:n]
     coeffs = _image_series(sigma)
+    # x = q / n for Horner's rule, then the buffer of every power
+    buf = q / n
     folded = np.full(n + 1, coeffs[-1])
     for c in coeffs[-2::-1]:
-        folded *= x
+        folded *= buf
         folded += c
     folded *= (n * h) ** expo
     # the far images' polynomial first, then the near images, j descending
     for j in range(_NEAR_IMAGES - 1, 0, -1):
-        folded += ((q + j * n) * h) ** expo
-    kernel = ((m + _N_IMAGES * n) * h) ** expo
+        folded += _scaled_power(np.add(q, j * n, out=buf), h, expo)
+    kernel = _scaled_power(m + _N_IMAGES * n, h, expo)
     kernel += folded[:n]
     kernel += folded[n:0:-1]
-    # 0 <= m < n, so only the images j = -1, 0 reach within R + h/4
-    for d in ((n - m) * h, m * h):
-        term = np.where(d > big_r + 0.25 * h, np.where(d > 0, d, 1.0) ** expo, 0.0)
-        kernel += np.where(np.abs(d - big_r) < 0.25 * h, 0.5 * big_r ** expo, term)
+    # 0 <= m < n, so only the images j = -1, 0 reach within R + h/4: image
+    # -1 at (n - m) h counts for m < n - quarter, image 0 at m h for
+    # m > quarter, and each is halved where it lies at R
+    half = 0.5 * big_r ** expo
+    near = buf[:n - quarter]
+    kernel[:n - quarter] += _scaled_power(np.subtract(n, m[:n - quarter], out=near), h, expo)
+    kernel[n - quarter] += half
+    near = buf[quarter + 1:n]
+    near[:] = m[quarter + 1:]
+    kernel[quarter + 1:] += _scaled_power(near, h, expo)
+    kernel[quarter] += half
     # analytic tails of the image sum (both signs of j)
     jn = (_N_IMAGES + 0.5) * n
-    kernel += ((m + jn) * h) ** (-sigma) / (sigma * n * h)
-    kernel += ((jn - m) * h) ** (-sigma) / (sigma * n * h)
+    scale = sigma * n * h
+    part = buf[:n]
+    np.add(m, jn, out=part)
+    kernel += np.divide(_scaled_power(part, h, -sigma), scale, out=part)
+    np.subtract(jn, m, out=part)
+    kernel += np.divide(_scaled_power(part, h, -sigma), scale, out=part)
     kernel *= h
     kernel[0] -= (2.0 / sigma) * big_r ** (-sigma)
     return kernel

@@ -1,5 +1,7 @@
 """``_conv``: a kept spectrum times transformed data, against direct sums."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +65,37 @@ class TestConvolve:
         assert stacked.shape == (count, n, fiber_dim)
         for spectrum, values in zip(spectra, stacked):
             assert np.array_equal(_conv.convolve(spectrum, data), values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=lengths, fiber_dim=fibers, seed=seeds, count=st.sampled_from([None, 1, 3]),
+           factor=st.sampled_from([1, 2]))
+    def test_data_is_not_written(self, n, fiber_dim, seed, count, factor):
+        rng = np.random.default_rng(seed)
+        shape = (factor * n, 1) if count is None else (count, factor * n, 1)
+        spectrum = _samples(rng, shape, True)
+        data = _samples(rng, (n, fiber_dim), True)
+        kept = data.copy()
+        _conv.convolve(spectrum, data)
+        assert np.array_equal(data, kept)
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    @pytest.mark.parametrize("fiber_dim", [1, 3])
+    def test_one_transform_buffer(self, factor, fiber_dim):
+        # the product and the inverse transform reuse the forward transform's
+        # buffer: one (size, k) complex array, not two
+        n = 2 ** 14
+        rng = np.random.default_rng(3)
+        spectrum = _conv.spectrum(rng.standard_normal((n, 1)), factor * n)
+        data = _samples(rng, (n, fiber_dim), True)
+        buffer = factor * n * fiber_dim * 16
+        tracemalloc.start()
+        try:
+            out = _conv.convolve(spectrum, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, fiber_dim)
+        assert peak < 1.25 * buffer
 
     def test_spectrum_is_read_only(self):
         spectrum = _conv.spectrum(np.ones((16, 1)), 32)

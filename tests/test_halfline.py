@@ -159,6 +159,64 @@ class TestReflectExtend:
             assert abs((factor - 1.0) * d_right) <= 1e-8 * scale
 
 
+def _masked_gather(values, coeffs, m_index):
+    """sum_j b_j f(lambda_j t_m) by index arrays and masks, values zero past the end."""
+    out = np.zeros((len(m_index), values.shape[1]), dtype=np.complex128)
+    for lam, b in zip(coeffs.lambdas, coeffs.bs):
+        src = m_index * int(lam)
+        valid = src < values.shape[0]
+        out[valid] += b * values[src[valid]]
+    return out
+
+
+class TestSlicedGathers:
+    """The strided-slice reflections equal index-array gathers bit for bit."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(half_width=half_widths, n=grid_sizes, fiber_dim=fiber_dims, seed=seeds,
+           m=st.integers(0, 4))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # undecayed random data
+    def test_reflect_extend(self, half_width, n, fiber_dim, seed, m):
+        f = random_function(Grid(half_width, n, HALF_LINE), fiber_dim, seed)
+        coeffs = solve_reflection_coefficients(m)
+        zero = n  # the full-line companion has 2n nodes
+        ref = np.zeros((2 * n, fiber_dim), dtype=np.complex128)
+        ref[zero:] = f.values
+        ref[zero - 1::-1] = _masked_gather(f.values, coeffs, np.arange(1, zero + 1))
+        assert np.array_equal(reflect_extend(f, coeffs).values, ref)
+
+    @settings(max_examples=50, deadline=None)
+    @given(half_width=half_widths, n=grid_sizes, fiber_dim=fiber_dims, seed=seeds,
+           m=st.integers(0, 4))
+    def test_support_projection(self, half_width, n, fiber_dim, seed, m):
+        F = random_function(Grid(half_width, 2 * n, FULL_LINE), fiber_dim, seed)
+        coeffs = solve_reflection_coefficients(m)
+        zero = n
+        ref = F.values.copy()
+        ref[:zero] = 0.0
+        ref[zero + 1:] -= _masked_gather(restrict_minus(F).values, coeffs,
+                                         np.arange(1, zero))
+        assert np.array_equal(support_projection(F, coeffs).values, ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(half_width=half_widths, n=grid_sizes, fiber_dim=fiber_dims, seed=seeds,
+           m=st.integers(0, 2))
+    def test_dual_takes_one_forward_transform(self, half_width, n, fiber_dim, seed, m):
+        # reference: a fresh FFT of g for every lambda_j >= 2, gathered by index
+        g = random_function(Grid(half_width, n, FULL_LINE), fiber_dim, seed)
+        coeffs = solve_reflection_coefficients(m)
+        zero = g.grid.zero_index
+        acc = g.values[zero:].copy()
+        for lam, b in zip(coeffs.lambdas, coeffs.bs):
+            j = int(lam)
+            up = halfline._upsampled_values(np.fft.fft(g.values, axis=0), j) \
+                if j > 1 else g.values
+            acc += (b / lam) * up[j * zero - np.arange(n - zero)]
+        ref = np.zeros_like(g.values)
+        ref[zero:] = acc
+        assert np.array_equal(reflect_extend_dual(g, coeffs).values, ref)
+
+
 class TestReflectExtendDual:
     def test_duality_pairing(self):
         gfull = Grid(40.0, 4096, FULL_LINE)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,59 @@ class TestBesselKernelWindow:
 
     def test_nan_propagates(self):
         assert math.isnan(bessel_kernel(1.0, math.nan))
+
+
+def _mixed_points(with_origin: bool) -> np.ndarray:
+    """More than two blocks of points, shuffled: a log mesh reaching 1e-6,
+    points past total underflow, a NaN and, when asked, the origin."""
+    rng = np.random.default_rng(7)
+    parts = [np.logspace(-6, 1.5, 2 * kernels._BLOCK + 17), [2000.0, -5000.0, 900.0],
+             [math.nan], [0.0, -0.0] if with_origin else []]
+    x = np.concatenate(parts)
+    x *= rng.choice([-1.0, 1.0], x.size)
+    return rng.permutation(x)
+
+
+def _single_window(s: float, x: np.ndarray) -> np.ndarray:
+    """Every nonzero point summed over one live window, that of the smallest
+    nonzero |x| of the whole call (the origin is left out)."""
+    r2 = x[x != 0.0] ** 2
+    c = (4.0 * math.pi) ** -0.5 / special.gamma(s / 2.0)
+    return c * kernels._window_sums(r2, (s - 1.0) / 2.0)
+
+
+class TestBesselKernelBlocks:
+    """Blocks of ``_BLOCK`` points, each over its own live window."""
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 2.5])
+    def test_blocked_points_match_one_point_calls(self, s):
+        x = _mixed_points(with_origin=s > 1.0)
+        got = bessel_kernel(s, x)
+        one = np.array([bessel_kernel(s, float(v)) for v in x])
+        assert got.shape == x.shape
+        exact = np.isnan(x) | (x == 0.0) | (np.abs(x) >= 900.0)
+        assert np.array_equal(got[exact], one[exact], equal_nan=True)
+        assert np.all(got[np.abs(x) >= 900.0] == 0.0)
+        rest = ~exact
+        assert np.all(np.abs(got[rest] - one[rest]) <= 4 * np.spacing(one[rest]))
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.5])
+    def test_blocked_points_match_single_window(self, s):
+        x = _mixed_points(with_origin=False)
+        x = x[~np.isnan(x)]  # a NaN would widen the single window to every node
+        got = bessel_kernel(s, x)
+        ref = _single_window(s, x)
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+
+    def test_kernel_bound_check_working_set(self):
+        # one block times its window (64 x ~850 nodes), not 800 x ~850
+        tracemalloc.start()
+        try:
+            kernel_bound_check(0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestKernelBounds:
