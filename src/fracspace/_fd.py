@@ -57,9 +57,9 @@ def derivative_at(values: np.ndarray, h: float, index: int, order: int,
     """f^(order) at node ``index`` from samples, to the given accuracy order.
 
     values has shape (N,) or (N, n), the result is a scalar or has shape
-    (n,); one_sided forces a stencil entirely to the
-    'right' or 'left' of the node and raises ValueError when that stencil
-    runs past the ends.  A centered stencil is shifted inward near the ends.
+    (n,); one_sided='right' forces a stencil entirely to the right of the
+    node and raises ValueError when that stencil runs past the end.  A
+    centered stencil is shifted inward near the ends.
     """
     n_pts = order + accuracy
     n = values.shape[0]
@@ -67,8 +67,6 @@ def derivative_at(values: np.ndarray, h: float, index: int, order: int,
         raise ValueError(f"the stencil needs {n_pts} nodes, got {n}")
     if one_sided == "right":
         lo = index
-    elif one_sided == "left":
-        lo = index - n_pts + 1
     else:
         lo = max(0, min(index - n_pts // 2, n - n_pts))
     if lo < 0 or lo + n_pts > n:

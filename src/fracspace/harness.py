@@ -430,6 +430,14 @@ def _suite_bessel_kernel(cfg: SuiteConfig, report: SuiteReport) -> None:
             report.add_case({"p": p, "gamma": gamma, "s": s, "side": side,
                              "shell_ratio": ratio},
                             ratio, 1.0, 0.0, passed=ok)
+    # the independent side: the inverse Fourier transform of the symbol
+    for s in (0.5, 1.0, 2.0):
+        symbol = fourier.bessel_symbol(-s)
+        err = max(abs(kernels.bessel_kernel(s, x)
+                      - integrate.quad(symbol, 0.0, np.inf, weight="cos", wvar=x)[0] / math.pi)
+                  for x in (0.1, 0.5, 1.0, 2.0, 5.0))
+        report.add_case({"s": s, "what": "vs inverse transform of the symbol"},
+                        float(err), 0.0, tol)
     meshes = (100, 200, 400)
     report.add_refinement(meshes, [
         float(np.max(np.abs(kernels.bessel_kernel(2.0, xs) - np.exp(-xs) / 2)))

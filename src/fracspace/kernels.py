@@ -2,14 +2,9 @@
 half-line kernel operator with kernel 1/(x + y), and the associated sharp
 constants from the Schur test.
 
-Two operators skip work that cannot change their result.  ``bessel_kernel``
-evaluates its points in blocks of ``_BLOCK`` and sums each block's log-time
-trapezoid only over the window of nodes whose integrand can be nonzero in
-double precision for some point of that block; every dropped node
-contributes exactly 0.0, and the working memory is one block times its
-window, not every point times every node.  The dense path of
-``hardy_hilbert_apply`` is one ``_conv.convolve`` with its two-sided Hankel
-kernel, whose spectrum a bounded cache keeps per number of nodes.
+The dense path of ``hardy_hilbert_apply`` is one ``_conv.convolve`` with its
+two-sided Hankel kernel, whose spectrum a bounded cache keeps per number of
+nodes.
 """
 
 from __future__ import annotations
@@ -31,79 +26,43 @@ from .grid import (
     dual_exponent,
 )
 
-# log-time quadrature for the subordination integral: t = exp(u), trapezoid.
-_U_GRID = np.arange(-80.0, 50.0 + 1e-9, 0.05)
-_EXP_U = np.exp(_U_GRID)
-_EXP_MINUS_U = np.exp(-_U_GRID)
-# exp(x) is exactly 0.0 in double precision for x below about -745.13
-_UNDERFLOW = -746.0
-# points per block of ``bessel_kernel``, each with its own live window
-_BLOCK = 64
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
-def _exponent(r2: np.ndarray, a: float, sl: slice) -> np.ndarray:
-    """Log-integrand -e^u - (r2/4) e^{-u} + a u at the nodes ``sl``, one row per r2."""
-    return (-_EXP_U[None, sl] - 0.25 * r2[:, None] * _EXP_MINUS_U[None, sl]
-            + a * _U_GRID[None, sl])
-
-
-def _window_sums(r2: np.ndarray, a: float) -> np.ndarray:
-    """Trapezoid sums of exp(_exponent) for the positive r2 of one block, over
-    the live window of the block's smallest r2; 0.0 where no node is live.
-
-    The window bound is the same expression as the integrand, so rounding
-    keeps it an upper bound, and a NaN bound keeps every node (and the NaN
-    result).  A one-point block takes its integrand from the bound row; the
-    exponential is taken in place.
-    """
-    bound = _exponent(np.min(r2, keepdims=True), a, slice(None))[0]
-    live = np.flatnonzero(~(bound <= _UNDERFLOW))
-    if live.size == 0:
-        return np.zeros_like(r2)
-    sl = slice(max(live[0] - 1, 0), live[-1] + 2)
-    logs = bound[None, sl] if r2.size == 1 else _exponent(r2, a, sl)
-    return _trapezoid(np.exp(logs, out=logs), dx=_U_GRID[1] - _U_GRID[0], axis=1)
-
 
 def bessel_kernel(s: float, x) -> np.ndarray | float:
-    """Kernel G_s of the order-s smoothing operator on the line, from the
-    heat subordination
+    """Kernel G_s of the order-s smoothing operator on the line, in closed form
 
-        G_s(x) = C_s * integral_0^inf e^{-t} e^{-x^2/(4t)} t^{(s-1)/2} dt/t,
+        G_s(x) = (|x|/2)^nu K_nu(|x|) / (sqrt(pi) Gamma(s/2)),  nu = (s - 1)/2,
 
-    with C_s = (4 pi)^{-1/2} / Gamma(s/2) so that the kernel has unit mass
-    (the multiplier (1 + xi^2)^{-s/2} equals one at frequency zero).  ``x``
-    is a point or an array of points.
+    with K_nu the modified Bessel function of the second kind (Aronszajn and
+    Smith 1961; Stein, *Singular Integrals*, V.3).  The kernel has unit mass:
+    its Fourier transform is the multiplier (1 + xi^2)^{-s/2}.  ``x`` is a
+    point or an array of points.
 
-    The integral is the trapezoid rule in u = log t on the nodes ``_U_GRID``,
-    taken for the nonzero points in blocks of ``_BLOCK``, each restricted to
-    its live window: the exponent is concave in u and decreasing in |x|, so
-    the nodes where it exceeds ``_UNDERFLOW`` at the smallest nonzero |x| of
-    the block form one interval that holds every nonzero term of every point
-    of the block.  The window keeps one (zero) node beyond each end, so the
-    kept terms and their weights are those of the full-range rule; only the
-    summation grouping differs.  When no node is live the value is exactly
-    0.0.
+    K_nu e^{|x|} comes from ``special.kve`` and e^{-|x|} multiplies it, on a
+    1-d view of |x|, so an array call equals per-point calls bit for bit.  At
+    x = 0 the value is (4 pi)^{-1/2} Gamma(nu) / Gamma(s/2) for s > 1 (the
+    kernel is singular there for s <= 1); where e^{-|x|} underflows, and at
+    x = +-inf, it is exactly 0.0.  NaN propagates; a non-finite value at a
+    finite x (orders so large that the factors overflow) raises ValueError.
     """
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
-    r2 = np.asarray(x, dtype=float) ** 2
+    r = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
     c = (4.0 * math.pi) ** -0.5 / special.gamma(s / 2.0)
-    r2_flat = np.atleast_1d(r2)
-    out = np.empty_like(r2_flat)
-    zero = r2_flat == 0.0
-    if np.any(zero):
+    nu = (s - 1) / 2.0
+    out = np.zeros_like(r)
+    zero = r == 0.0
+    if zero.any():
         if s <= 1:
             raise ValueError("the kernel is singular at the origin for s <= 1")
-        out[zero] = c * special.gamma((s - 1) / 2.0)
-    nonzero = np.flatnonzero(~zero)
-    a = (s - 1) / 2.0
-    for start in range(0, nonzero.size, _BLOCK):
-        block = nonzero[start:start + _BLOCK]
-        out[block] = c * _window_sums(r2_flat[block], a)
-    return float(out[0]) if r2.ndim == 0 else out.reshape(r2.shape)
+        out[zero] = c * special.gamma(nu)
+    decay = np.exp(-r)
+    live = ~zero & (decay != 0.0)
+    rl = r[live]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[live] = (rl / 2.0) ** nu * special.kve(nu, rl) * decay[live] * (2.0 * c)
+    if (np.isfinite(r) & ~np.isfinite(out)).any():
+        raise ValueError(f"the order-{s} kernel is not finite in double precision")
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
 _ENVELOPE_TAIL = "exponential-tail"

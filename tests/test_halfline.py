@@ -142,9 +142,12 @@ class TestReflectExtend:
         zero = ext.grid.zero_index
         h = ext.grid.h
         # direct stencil comparison where float differencing can resolve it
+        # (the left-sided derivative of order n is (-1)^n times the
+        # right-sided one of the reversed samples)
         for order in range(min(2 * m + 2, 3)):
             right = _fd.derivative_at(ext.values, h, zero, order, 6, "right")
-            left = _fd.derivative_at(ext.values, h, zero, order, 6, "left")
+            left = (-1) ** order * _fd.derivative_at(
+                ext.values[::-1], h, ext.grid.n_points - 1 - zero, order, 6, "right")
             scale = max(1.0, abs(complex(right[0])))
             assert abs(complex(right[0] - left[0])) <= 1e-8 * scale
         # all matched orders: the left side's derivative is exactly
@@ -398,8 +401,6 @@ def _derivative_at_per_call(values, h, index, order, accuracy, one_sided=None):
     n = values.shape[0]
     if one_sided == "right":
         lo = index
-    elif one_sided == "left":
-        lo = index - n_pts + 1
     else:
         lo = max(0, min(index - n_pts // 2, n - n_pts))
     offsets = np.arange(lo, lo + n_pts)
@@ -430,25 +431,24 @@ class TestDerivativeStencil:
     def test_input_shorter_than_stencil_rejected(self):
         # order 1 at accuracy 8 needs 9 nodes; 9 suffice, 5 raise ValueError
         # (not an IndexError from reading past the end)
-        for one_sided, index in ((None, 4), ("right", 0), ("left", 8)):
+        for one_sided, index in ((None, 4), ("right", 0)):
             d = _fd.derivative_at(np.arange(9.0), 0.1, index, 1, accuracy=8,
                                   one_sided=one_sided)
             assert d == pytest.approx(10.0, rel=1e-10)
-        for one_sided in (None, "right", "left"):
+        for one_sided in (None, "right"):
             with pytest.raises(ValueError, match="9 nodes"):
                 _fd.derivative_at(np.ones(5), 0.1, 0, 1, accuracy=8, one_sided=one_sided)
 
     def test_one_sided_stencil_past_the_end_rejected(self):
-        # not shifted into the array: a shifted "left" stencil at node 4 of a
-        # function that is 0 on nodes 0-4 used nodes 0-8 and returned 0.0286
-        for one_sided in ("right", "left"):
-            with pytest.raises(ValueError, match="does not fit"):
-                _fd.derivative_at(np.arange(9.0), 0.1, 4, 1, accuracy=8,
-                                  one_sided=one_sided)
-        x = 0.1 * np.arange(20)
-        v = np.where(x > 0.4, (x - 0.4) ** 2, 0.0)
+        # not shifted into the array: a shifted stencil at node 15 of a
+        # function that is 0 on nodes 15-19 would use nodes 11-19 and
+        # return a nonzero derivative
         with pytest.raises(ValueError, match="does not fit"):
-            _fd.derivative_at(v, 0.1, 4, 1, accuracy=8, one_sided="left")
+            _fd.derivative_at(np.arange(9.0), 0.1, 4, 1, accuracy=8, one_sided="right")
+        x = 0.1 * np.arange(20)
+        v = np.where(x < 1.5, (x - 1.5) ** 2, 0.0)
+        with pytest.raises(ValueError, match="does not fit"):
+            _fd.derivative_at(v, 0.1, 15, 1, accuracy=8, one_sided="right")
 
     @pytest.mark.parametrize("h", [40.0 / 1024, 0.1, 1.0 / 3.0])
     @pytest.mark.parametrize("n", [9, 16, 4096])
@@ -461,12 +461,12 @@ class TestDerivativeStencil:
                                       _derivative_array_per_call(v, h))
             for (order, accuracy), one_sided, index in (
                     (oa, side, index) for oa in _CALLER_STENCILS
-                    for side, indices in (("right", (0, 1)), ("left", (n - 1,)),
+                    for side, indices in (("right", (0, 1)),
                                           (None, (0, 1, n // 2, n - 1)))
                     for index in indices):
                 n_pts = order + accuracy
-                lo = {"right": index, "left": index - n_pts + 1}.get(one_sided, 0)
-                if n_pts > n or lo < 0 or lo + n_pts > n:
+                lo = index if one_sided == "right" else 0
+                if n_pts > n or lo + n_pts > n:
                     with pytest.raises(ValueError):
                         _fd.derivative_at(v, h, index, order, accuracy, one_sided)
                     continue
@@ -478,7 +478,7 @@ class TestDerivativeStencil:
     @given(n=st.integers(9, 300), fiber=st.sampled_from([None, 1, 3]),
            complex_values=st.booleans(), h=st.floats(1e-3, 2.0),
            stencil=st.sampled_from(_CALLER_STENCILS),
-           side=st.sampled_from([None, "right", "left"]), where=st.floats(0.0, 1.0),
+           side=st.sampled_from([None, "right"]), where=st.floats(0.0, 1.0),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_stencil_products_equal_tensordot(self, n, fiber, complex_values, h, stencil,
                                               side, where, seed):
@@ -492,9 +492,8 @@ class TestDerivativeStencil:
         order, accuracy = stencil
         n_pts = order + accuracy
         assume(n_pts <= n)
-        lo_index = {"right": 0, "left": n_pts - 1}.get(side, 0)
-        hi_index = {"right": n - n_pts, "left": n - 1}.get(side, n - 1)
-        index = lo_index + round(where * (hi_index - lo_index))
+        hi_index = n - n_pts if side == "right" else n - 1
+        index = round(where * hi_index)
         got = _fd.derivative_at(v, h, index, order, accuracy, side)
         assert np.array_equal(got, _derivative_at_per_call(v, h, index, order, accuracy, side))
         if fiber is not None:

@@ -73,88 +73,86 @@ def _full_range_trapezoid(s, x):
     return c * trapezoid(np.exp(expo), dx=u[1] - u[0], axis=1)
 
 
-class TestBesselKernelWindow:
-    """The live-window trapezoid equals the full-range one."""
+class TestBesselKernelClosedForm:
+    """The closed form against elementary forms, the subordination integral
+    and itself point by point."""
+
+    @pytest.mark.parametrize("s, form", [
+        (2.0, lambda x: np.exp(-x) / 2.0),
+        (4.0, lambda x: (1.0 + x) * np.exp(-x) / 4.0),
+        (6.0, lambda x: (3.0 + 3.0 * x + x ** 2) * np.exp(-x) / 16.0),
+    ])
+    def test_matches_elementary_forms(self, s, form):
+        # checked where e^-x is a normal double (x < 708.4): in the subnormal
+        # range neither side keeps more than a few digits
+        x = np.linspace(1e-3, 740.0, 4001)
+        ref = form(x)
+        normal = np.exp(-x) >= np.finfo(float).tiny
+        assert x[normal][-1] > 708.0
+        got = bessel_kernel(s, x)
+        assert np.all(np.abs(got[normal] - ref[normal]) <= 4e-15 * ref[normal])
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 2.0, 2.5])
     @pytest.mark.parametrize("x", [
-        np.logspace(-6, math.log10(2.0), 400),
-        np.linspace(2.0, 40.0, 400),
-        np.linspace(700.0, 800.0, 101),   # the last nodes underflow here
-    ])
+        np.logspace(-6, math.log10(2.0), 400),   # near the origin
+        np.linspace(2.0, 40.0, 400),             # the exponential tail
+    ], ids=["near", "tail"])
     def test_matches_full_range_trapezoid(self, s, x):
-        got = bessel_kernel(s, x)
         ref = _full_range_trapezoid(s, x)
-        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+        assert np.all(np.abs(bessel_kernel(s, x) - ref) <= 2e-13 * ref)
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 2.0, 2.5])
     def test_scalar_matches_full_range_trapezoid(self, s):
         got = bessel_kernel(s, 0.7)
         assert isinstance(got, float)
-        assert got == pytest.approx(_full_range_trapezoid(s, 0.7)[0], rel=1e-14, abs=0.0)
-
-    @pytest.mark.parametrize("s", [0.3, 1.0, 2.5])
-    def test_total_underflow_is_exact_zero(self, s):
-        assert _full_range_trapezoid(s, 2000.0)[0] == 0.0
-        assert bessel_kernel(s, 2000.0) == 0.0
-        out = bessel_kernel(s, np.array([2000.0, 5000.0]))
-        assert out.tolist() == [0.0, 0.0]
+        assert got == pytest.approx(_full_range_trapezoid(s, 0.7)[0], rel=2e-13, abs=0.0)
 
     def test_mixed_mesh_keeps_small_and_large_points(self):
         x = np.array([1e-6, 1.0, 40.0, 2000.0])
         got = bessel_kernel(0.5, x)
         ref = _full_range_trapezoid(0.5, x)
         assert got[-1] == 0.0
-        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+        assert np.all(np.abs(got - ref) <= 2e-13 * ref)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 2.5])
+    def test_array_call_equals_point_calls(self, s):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([np.logspace(-6, 1.5, 151), [700.0, 745.0, 2000.0],
+                            [math.inf, math.nan], [0.0, -0.0] if s > 1.0 else []])
+        x = rng.permutation(x * rng.choice([-1.0, 1.0], x.size))
+        got = bessel_kernel(s, x)
+        one = np.array([bessel_kernel(s, float(v)) for v in x])
+        assert isinstance(bessel_kernel(s, 0.7), float)
+        assert got.shape == x.shape
+        assert np.array_equal(got, one, equal_nan=True)
+        assert np.array_equal(bessel_kernel(s, x.reshape(2, -1)), got.reshape(2, -1),
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("s", [0.3, 1.0, 2.5])
+    def test_exact_zero_far_out_and_at_infinity(self, s):
+        for x in (2000.0, -2000.0, math.inf, -math.inf):
+            assert bessel_kernel(s, x) == 0.0
+        out = bessel_kernel(s, np.array([2000.0, -2000.0, math.inf, -math.inf]))
+        assert out.tolist() == [0.0] * 4
 
     def test_nan_propagates(self):
         assert math.isnan(bessel_kernel(1.0, math.nan))
+        assert math.isnan(bessel_kernel(400.0, math.nan))
 
+    @pytest.mark.parametrize("x", [1e-3, 1.0, 10.0, np.array([0.5, 2.0])])
+    def test_overflowing_order_rejected(self, x):
+        # Gamma(s/2) overflows: the subordination sum returned NaN at every x
+        with pytest.raises(ValueError, match="not finite"):
+            bessel_kernel(400.0, x)
 
-def _mixed_points(with_origin: bool) -> np.ndarray:
-    """More than two blocks of points, shuffled: a log mesh reaching 1e-6,
-    points past total underflow, a NaN and, when asked, the origin."""
-    rng = np.random.default_rng(7)
-    parts = [np.logspace(-6, 1.5, 2 * kernels._BLOCK + 17), [2000.0, -5000.0, 900.0],
-             [math.nan], [0.0, -0.0] if with_origin else []]
-    x = np.concatenate(parts)
-    x *= rng.choice([-1.0, 1.0], x.size)
-    return rng.permutation(x)
-
-
-def _single_window(s: float, x: np.ndarray) -> np.ndarray:
-    """Every nonzero point summed over one live window, that of the smallest
-    nonzero |x| of the whole call (the origin is left out)."""
-    r2 = x[x != 0.0] ** 2
-    c = (4.0 * math.pi) ** -0.5 / special.gamma(s / 2.0)
-    return c * kernels._window_sums(r2, (s - 1.0) / 2.0)
-
-
-class TestBesselKernelBlocks:
-    """Blocks of ``_BLOCK`` points, each over its own live window."""
-
-    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 2.5])
-    def test_blocked_points_match_one_point_calls(self, s):
-        x = _mixed_points(with_origin=s > 1.0)
-        got = bessel_kernel(s, x)
-        one = np.array([bessel_kernel(s, float(v)) for v in x])
-        assert got.shape == x.shape
-        exact = np.isnan(x) | (x == 0.0) | (np.abs(x) >= 900.0)
-        assert np.array_equal(got[exact], one[exact], equal_nan=True)
-        assert np.all(got[np.abs(x) >= 900.0] == 0.0)
-        rest = ~exact
-        assert np.all(np.abs(got[rest] - one[rest]) <= 4 * np.spacing(one[rest]))
-
-    @pytest.mark.parametrize("s", [0.5, 1.0, 2.5])
-    def test_blocked_points_match_single_window(self, s):
-        x = _mixed_points(with_origin=False)
-        x = x[~np.isnan(x)]  # a NaN would widen the single window to every node
-        got = bessel_kernel(s, x)
-        ref = _single_window(s, x)
-        assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+    def test_underflowing_power_near_origin_rejected(self):
+        # (|x|/2)^nu underflows while K_nu overflows; G_200 is about 2.83e-2 there
+        assert bessel_kernel(200.0, 1.0) == pytest.approx(2.8244043e-2, rel=1e-6)
+        for x in (1e-3, np.array([1.0, 1e-4])):
+            with pytest.raises(ValueError, match="not finite"):
+                bessel_kernel(200.0, x)
 
     def test_kernel_bound_check_working_set(self):
-        # one block times its window (64 x ~850 nodes), not 800 x ~850
         tracemalloc.start()
         try:
             kernel_bound_check(0.5)
