@@ -2,11 +2,17 @@
 
     python3 scripts/bench_layers.py --label NAME
 
-Runs in one process, in this order:
+Runs, in this order:
 
-1. every verification suite as ``fracspace run all --seed 42`` runs it, from
-   a fresh interpreter, recording each report's ``runtime_s``;
-2. each operator at N in {2^10, 2^12, 2^14, 2^16} on a grid of half width
+1. ``import fracspace`` in ``COLD_STARTS`` fresh interpreters; the
+   ``cold_start`` block records the median wall time of the import, the
+   median ``ru_maxrss`` after it (in MiB, as the benchmark's
+   ``peak_rss_mb``), the median number of loaded modules, and whether
+   ``scipy.integrate`` or ``scipy.optimize`` loaded in any run;
+2. in this process, every verification suite as ``fracspace run all --seed
+   42`` runs it, from a fresh interpreter, recording each report's
+   ``runtime_s``;
+3. each operator at N in {2^10, 2^12, 2^14, 2^16} on a grid of half width
    ``HALF_WIDTH`` (a width the suites do not use, so no cache the suites
    filled serves the operators): the milliseconds of its first call at that
    N, which includes building any per-(N, h) cache, and the best of
@@ -34,6 +40,7 @@ import fnmatch
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -67,6 +74,22 @@ HALF_WIDTH = 32.0
 REPEATS = 5
 SUITE_SEED = 42
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+COLD_STARTS = 5
+HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize")
+#: run by a fresh interpreter: times ``import fracspace`` and prints what it cost
+_COLD_START = f"""
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+start = time.perf_counter()
+import fracspace
+wall = time.perf_counter() - start
+print(json.dumps({{
+    "import_s": wall,
+    "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    "modules": len(sys.modules),
+    "loaded": {{m: m in sys.modules for m in {HEAVY_SCIPY!r}}},
+}}))
+"""
 
 _OP = HalfLineOperator(DIRICHLET, 2.0, 0.0)
 
@@ -162,10 +185,24 @@ def operator_timings() -> dict:
     return timings
 
 
+def cold_start() -> dict:
+    """Median cost of ``import fracspace`` over ``COLD_STARTS`` fresh interpreters."""
+    runs = [json.loads(subprocess.run([sys.executable, "-c", _COLD_START, str(ROOT / "src")],
+                                      capture_output=True, text=True, check=True,
+                                      timeout=120).stdout)
+            for _ in range(COLD_STARTS)]
+    return {"runs": COLD_STARTS,
+            "import_s": statistics.median(r["import_s"] for r in runs),
+            "maxrss_mb": statistics.median(r["maxrss_mb"] for r in runs),
+            "modules": statistics.median(r["modules"] for r in runs),
+            "loaded": {m: any(r["loaded"][m] for r in runs) for m in HEAVY_SCIPY}}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     args = parser.parse_args(argv)
+    cold = cold_start()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         suites = suite_runtimes()
@@ -174,7 +211,8 @@ def main(argv=None) -> int:
         "label": args.label,
         "environment": environment(),
         "settings": {"sizes": list(SIZES), "half_width": HALF_WIDTH, "repeats": REPEATS,
-                     "suite_seed": SUITE_SEED},
+                     "suite_seed": SUITE_SEED, "cold_starts": COLD_STARTS},
+        "cold_start": cold,
         "suites_runtime_s": suites,
         "suites_total_s": sum(suites.values()),
         "operators_ms": operators,

@@ -59,8 +59,11 @@ def derivative_at(values: np.ndarray, h: float, index: int, order: int,
     values has shape (N,) or (N, n), the result is a scalar or has shape
     (n,); one_sided='right' forces a stencil entirely to the right of the
     node and raises ValueError when that stencil runs past the end.  A
-    centered stencil is shifted inward near the ends.
+    centered stencil (one_sided=None) is shifted inward near the ends; any
+    other one_sided raises ValueError.
     """
+    if one_sided not in (None, "right"):
+        raise ValueError(f"one_sided must be None or 'right', got {one_sided!r}")
     n_pts = order + accuracy
     n = values.shape[0]
     if n < n_pts:

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-from . import _conv
+from . import _conv, _quad
 from .grid import (
     AdmissibilityError,
     GridFunction,
@@ -121,28 +121,27 @@ def kernel_weighted_tail_integrals(s: float, p: float, gamma: float) -> np.ndarr
 
     Returns the integrals of |G_s|^{p'} |x|^{gamma'} over [eps/4, eps] for
     eps = 1e-1 * 4^{-j}, j = 0..5; their ratios decide convergence (ratios < 1) versus
-    divergence (ratios > 1) of the weighted norm as the mesh refines.
+    divergence (ratios > 1) of the weighted norm as the mesh refines.  The
+    shells are adjacent panels of one Gauss-Legendre rule in log x
+    (``_quad.log_panels``), so G_s is evaluated once, on all their nodes.
     """
     pp = dual_exponent(p)
     gamma_dual = PowerWeight(gamma).dual(p).gamma  # dual() checks admissibility
-    out = []
-    for j in range(6):
-        eps = 1e-1 * 4.0 ** (-j)
-        val, _ = integrate.quad(
-            lambda x: bessel_kernel(s, x) ** pp * x ** gamma_dual,
-            eps / 4.0, eps, limit=200)
-        out.append(val)
-    return np.asarray(out)
+    edges = 1e-1 * 4.0 ** -np.arange(6.0, -1.0, -1.0)
+    shells = _quad.log_panels(lambda x: bessel_kernel(s, x) ** pp * x ** gamma_dual, edges)
+    return shells[::-1]
 
 
 def _split_power_quadrature(e: float) -> float:
-    """Adaptive quadrature of integral_0^inf z^e / (1 + z) dz for -1 < e < 0.
-
-    Split at 1 and map [1, inf) back to (0, 1] by z -> 1/z.
+    """integral_0^inf z^e / (1 + z) dz for -1 < e < 0, split at 1 with
+    [1, inf) mapped back to (0, 1] by z -> 1/z: the two integrals of
+    z^e / (1 + z) and t^(-1-e) / (1 + t) over (0, 1], each by Gauss-Jacobi
+    with the endpoint power as its weight (``_quad.power_weighted``).
     """
-    head, _ = integrate.quad(lambda z: z ** e / (1.0 + z), 0.0, 1.0, limit=200)
-    tail, _ = integrate.quad(lambda t: t ** (-e - 1.0) / (1.0 + t), 0.0, 1.0, limit=200)
-    return head + tail
+    def reciprocal(z):
+        return 1.0 / (1.0 + z)
+
+    return _quad.power_weighted(reciprocal, e) + _quad.power_weighted(reciprocal, -1.0 - e)
 
 
 def check_schur_exponents(p: float, beta: float) -> None:
@@ -160,7 +159,8 @@ def check_schur_exponents(p: float, beta: float) -> None:
 
 
 def schur_constant(p: float, beta: float) -> float:
-    """Adaptive quadrature of integral_0^inf z^(beta - 1/p) / (1 + z) dz.
+    """integral_0^inf z^(beta - 1/p) / (1 + z) dz by fixed Gauss-Jacobi rules
+    (``_split_power_quadrature``), never by the closed form.
 
     Requires the exponent windows of ``check_schur_exponents``.
     Cross-checked by callers against pi / sin(pi (beta + 1/p')).

@@ -6,8 +6,11 @@ transform: the annulus-truncated integral
     I_{r,R} f(x) = integral_{r < |h| < R} (f(x+h) - f(x)) / |h|^(1+sigma) dh
 
 converges, after multiplication by the normalizing constant c_sigma, to the
-spectral operator as r -> 0 and R -> inf.  This module computes c_sigma by
-split quadrature and the extrapolated limit.
+spectral operator as r -> 0 and R -> inf.  This module computes c_sigma and
+the extrapolated limit.  c_sigma = 1/J with J the integral at |xi| = 1: a
+Taylor series on (0, 1) and, beyond, the fixed cosine-transform rule of
+``_quad`` (Gauss-Legendre panels between the zeros of the cosine, summed by
+Levin's u-transform, certified by its last two estimates).
 
 A sum of weighted symmetric differences f(x+mh) + f(x-mh) - 2 f(x) over
 integer offsets m is a circular convolution with an even kernel.  The limit
@@ -28,9 +31,8 @@ import functools
 import math
 
 import numpy as np
-from scipy import integrate
 
-from . import _conv
+from . import _conv, _quad
 from .grid import FULL_LINE, GridFunction, _require_kind, warn_if_boundary_heavy
 
 
@@ -50,27 +52,19 @@ def _cos_minus_one_series(r: float, sigma: float, xi: float) -> float:
 
 
 def _cos_tail(r: float, sigma: float, xi: float) -> float:
-    """integral_r^inf cos(xi h) h^(-1-sigma) dh, decade by decade with a cos weight."""
-    total = 0.0
-    a = r
-    while True:
-        b = 10.0 * a
-        chunk, _ = integrate.quad(lambda t: t ** (-1.0 - sigma), a, b,
-                                  weight="cos", wvar=xi, limit=400)
-        total += chunk
-        a = b
-        # integration by parts bounds the remainder by ~2 a^(-1-sigma)/xi
-        if 2.0 * a ** (-1.0 - sigma) / xi < 1e-16 or a > 1e12:
-            break
-    return total
+    """integral_r^inf cos(xi h) h^(-1-sigma) dh by ``_quad.cos_transform``:
+    Gauss-Legendre panels between the zeros of cos(xi h), the half-periods
+    summed by Levin's u-transform; it raises ArithmeticError unless its last
+    two accelerated estimates agree."""
+    return _quad.cos_transform(lambda t: t ** (-1.0 - sigma), r, xi)
 
 
 def symbol_integral(xi: float, sigma: float, split: float = 1.0) -> float:
     """integral_R (cos(xi h) - 1) / |h|^(1+sigma) dh (= the symbol up to 1/c).
 
-    Split quadrature: a Taylor series for the smooth part on (0, split) and
-    cosine-weighted quadrature per decade on (split, inf), both doubled for
-    the two signs of h.
+    A 12-term Taylor series on (0, split) and, on (split, inf), the fixed
+    cosine-transform rule of ``_cos_tail`` less the closed-form integral of
+    the -1; both are doubled for the two signs of h.
     """
     check_sigma(sigma)
     xi = abs(float(xi))
@@ -87,8 +81,9 @@ def c_sigma(sigma: float) -> float:
     """The negative constant with |xi|^sigma = c * integral (e^{i h xi} - 1)/|h|^{1+sigma} dh
     on the line (d = 1).
 
-    Computed as 1/J with J the integral at |xi| = 1; J < 0, hence c < 0.
-    The quadrature runs once per sigma (bounded in-process cache).
+    Computed as 1/J with J = ``symbol_integral(1, sigma)``, a Taylor series
+    plus a certified fixed-order cosine transform; J < 0, hence c < 0.  J is
+    computed once per sigma (bounded in-process cache).
     """
     return 1.0 / symbol_integral(1.0, sigma)
 

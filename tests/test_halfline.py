@@ -450,6 +450,13 @@ class TestDerivativeStencil:
         with pytest.raises(ValueError, match="does not fit"):
             _fd.derivative_at(v, 0.1, 15, 1, accuracy=8, one_sided="right")
 
+    @pytest.mark.parametrize("side", ["left", "both", "Right", True])
+    def test_other_sides_rejected(self, side):
+        # only None (centered) and "right" exist; a "left" once fell through
+        # to the centered stencil (200.0 for x^2 sampled at 0.1 j, node 10)
+        with pytest.raises(ValueError, match="one_sided"):
+            _fd.derivative_at(np.arange(20.0) ** 2, 0.1, 10, 1, 8, side)
+
     @pytest.mark.parametrize("h", [40.0 / 1024, 0.1, 1.0 / 3.0])
     @pytest.mark.parametrize("n", [9, 16, 4096])
     def test_cached_stencils_equal_per_call_build(self, h, n):

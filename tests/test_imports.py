@@ -22,6 +22,44 @@ def test_package_does_not_import_scipy_signal():
     assert run.returncode == 0, f"scipy.signal loaded by 'import fracspace': {run.stdout}{run.stderr}"
 
 
+# scipy.integrate loads scipy.optimize and scipy.sparse.linalg with it (18 MB
+# of maximum resident memory and 246 modules of every cold start); the
+# package's integrals take fixed rules from fracspace._quad instead, and
+# tests keep quad as an oracle
+HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize")
+
+
+def test_package_does_not_import_scipy_integrate_or_optimize():
+    package = Path(fracspace.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names] + [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if any(name == m or name.startswith(m + ".") for m in HEAVY_SCIPY)]
+    assert found == []
+
+
+def test_quadrature_suites_load_no_scipy_integrate():
+    # the suites that compute c_sigma, the Bessel-kernel integrals and the
+    # Schur constants run at their defaults without loading either module
+    src = str(Path(fracspace.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fracspace\n"
+            "from fracspace.harness import SuiteConfig, run_suite\n"
+            "failed = [name for name in ('c-sigma', 'bessel-kernel', 'schur-constants')\n"
+            "          if not run_suite(SuiteConfig(suite=name)).passed]\n"
+            f"loaded = sorted(m for m in {HEAVY_SCIPY!r} if m in sys.modules)\n"
+            "print(failed, loaded); sys.exit(bool(failed or loaded))")
+    run = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, f"{run.stdout}{run.stderr}"
+
+
 def test_one_fft_product_on_numpy_fft():
     # _conv.convolve is the one place that multiplies a kept spectrum into
     # transformed data: no module imports scipy.fft or a transform by name
