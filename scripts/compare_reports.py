@@ -6,11 +6,14 @@ Checks out BASE and HEAD (default ``HEAD``) into two temporary git worktrees,
 runs ``fracspace run all --seed S --out DIR`` in each for every seed, and
 removes the worktrees afterwards.  Each pair of reports is compared in
 ``config_hash``, ``warnings``, ``cases`` and ``refinement`` (not
-``runtime_s``), place by place: every float (a case's value, reference and
-tolerance, the values its params record, a level's value and stability
-ratio) within the relative tolerance ``rtol``, |a - b| <= rtol max(|a|, |b|)
-with NaN equal only to NaN; everything else (strings, integers, pass flags,
-keys, lengths) with ``==``.
+``runtime_s``).  Cases pair by key: their ``params`` (inputs only, compared
+exactly) and the index of the repeat among cases with equal params; a case
+whose key is in one report only is one "appeared" or "disappeared" line.  A
+pair of cases is compared in ``value``, ``reference``, ``tol``, ``pass`` and
+``measured``, refinement levels place by place.  Every float is compared
+within the relative tolerance ``rtol``, |a - b| <= rtol max(|a|, |b|) with NaN
+equal only to NaN; everything else (strings such as "Infinity", integers,
+pass flags, keys, lengths) with ``==``.
 
 Prints the largest relative difference of each suite over all seeds and
 every field that differs, and exits 1 when any does, else 0.
@@ -26,11 +29,15 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-#: the report fields compared (``runtime_s`` is not)
-COMPARED = ("config_hash", "warnings", "cases", "refinement")
+#: the report fields compared place by place (``cases`` pair by key, and
+#: ``runtime_s`` is not compared)
+PLACED = ("config_hash", "warnings", "refinement")
+#: the fields of a case compared once its params have paired it
+CASE_FIELDS = ("value", "reference", "tol", "pass", "measured")
 
 
 def _git(*args: str) -> str:
@@ -74,11 +81,36 @@ def _leaves(a, b, path: str):
         yield path, a, b, None
 
 
+def _keyed(cases: list) -> dict:
+    """Cases by key: their params as canonical JSON and the index of the
+    repeat among the cases with equal params."""
+    keyed, seen = {}, Counter()
+    for case in cases:
+        params = json.dumps(case["params"], sort_keys=True)
+        keyed[params, seen[params]] = case
+        seen[params] += 1
+    return keyed
+
+
+def _label(key: tuple) -> str:
+    params, repeat = key
+    return f"cases[{params}]" + (f"[repeat {repeat}]" if repeat else "")
+
+
 def _compare(base: dict, head: dict, rtol: float, where: str) -> tuple[float, list]:
     """(largest relative difference between floats, differences) of two reports."""
     worst, diffs = 0.0, []
-    for key in COMPARED:
-        for path, a, b, rel in _leaves(base[key], head[key], key):
+    base_cases, head_cases = _keyed(base["cases"]), _keyed(head["cases"])
+    trees = [(key, base[key], head[key]) for key in PLACED]
+    for key, case in base_cases.items():
+        if key not in head_cases:
+            diffs.append(f"{where} {_label(key)} disappeared")
+            continue
+        trees.append((_label(key), {f: case.get(f) for f in CASE_FIELDS},
+                      {f: head_cases[key].get(f) for f in CASE_FIELDS}))
+    diffs += [f"{where} {_label(key)} appeared" for key in head_cases if key not in base_cases]
+    for name, a_tree, b_tree in trees:
+        for path, a, b, rel in _leaves(a_tree, b_tree, name):
             if rel is None:
                 diffs.append(f"{where} {path}: {a!r} != {b!r}")
                 continue

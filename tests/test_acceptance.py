@@ -11,7 +11,7 @@ from fracspace.harness import SuiteConfig, run_suite
 
 CRITERIA = [
     (1, "frac-laplacian-xcheck",
-     "spectral vs singular-integral fractional Laplacian, 1e-3, monotone in N"),
+     "spectral vs singular-integral fractional Laplacian, 1e-3, decreasing in N"),
     (2, "c-sigma",
      "normalizing constant: sign, homogeneity 1e-6, oracle agreement 1e-8"),
     (3, "bessel-kernel",
@@ -21,7 +21,8 @@ CRITERIA = [
     (5, "reflection-extension",
      "coefficients, polynomial reproduction 1e-9, restriction, duality 1e-8"),
     (6, "traces",
-     "polynomial traces, trace/coextension identity, projections, 1e-8"),
+     "polynomial traces, trace/coextension identity, projections, 1e-8; "
+     "one-sided mollification error shrinks"),
     (7, "pointwise-multiplier",
      "indicator norm-ratio sups stable 10%; derivative commutation 1e-6"),
     (8, "hardy-gn",
@@ -31,7 +32,7 @@ CRITERIA = [
      "certified, <= sec(phi_max)"),
     (10, "fractional-domains",
      "fractional power vs causal oracle 1e-10; domain-norm bands stable 10%; "
-     "theta -> 1 band gap shrinking to 1e-2"),
+     "theta -> 1 band gap shrinks; theta -> 1 band gap within 1e-2"),
     (11, "integration-by-parts",
      "closed-form residual 1e-8; random pairs 1e-7 relative"),
 ]

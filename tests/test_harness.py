@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,11 +16,20 @@ from fracspace.harness import (
     SuiteConfig,
     SuiteReport,
     _band_constant,
+    _shrinking_case,
     _stable,
     _sup,
     generate_test_family,
     run_suite,
 )
+
+
+def _strict_json(path):
+    """The JSON file at ``path``, read by a parser that rejects NaN and Infinity."""
+    def reject(token):
+        raise ValueError(f"{path} holds the non-JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestTestFamilies:
@@ -226,7 +236,7 @@ class TestReports:
         assert set(rec) == {"suite", "config_hash", "cases", "refinement",
                             "runtime_s", "warnings"}
         for case in rec["cases"]:
-            assert set(case) == {"params", "value", "reference", "tol", "pass"}
+            assert set(case) == {"params", "value", "reference", "tol", "pass", "measured"}
         lines = (tmp_path / "c-sigma_refinement.csv").read_text().strip().splitlines()
         assert lines[0] == "N,value,stability_ratio"
         assert len(lines) >= 4  # header + three refinement levels
@@ -234,16 +244,18 @@ class TestReports:
 
     def test_csv_rows_parse_back(self, tmp_path):
         report = SuiteReport("demo", "0" * 16)
-        params = {"what": "a, \"quoted\" case", "values": [1.0, 2.5], "p": 2.0}
-        report.add_case(params, 1.0, 1.0, 1e-3)
+        params = {"what": "a, \"quoted\" case", "p": 2.0}
+        report.add_case(params, 1.0, 1.0, 1e-3, measured={"values": [1.0, 2.5]})
         report.add_case({"theta": 0.5}, 2.0, 1.0, 1e-3)
         report.add_refinement((1024, 2048, 4096), (1.0, 0.5, 0.25))
         report.write(tmp_path)
         with open(tmp_path / "demo.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["params", "value", "reference", "tol", "pass"]
-        assert [len(r) for r in rows] == [5, 5, 5]
+        assert rows[0] == ["params", "value", "reference", "tol", "pass", "measured"]
+        assert [len(r) for r in rows] == [6, 6, 6]
         assert json.loads(rows[1][0]) == params
+        assert json.loads(rows[1][5]) == {"values": [1.0, 2.5]}
+        assert json.loads(rows[2][5]) == {}
         assert rows[1][4] == "True" and rows[2][4] == "False"
         with open(tmp_path / "demo_refinement.csv", newline="") as fh:
             ref_rows = list(csv.reader(fh))
@@ -270,7 +282,27 @@ class TestReports:
         assert json.loads((tmp_path / "warning-demo.json").read_text())["warnings"] == expected
         assert [str(w.message) for w in outer] == ["demo user warning"]
         header = (tmp_path / "warning-demo.csv").read_text().splitlines()[0]
-        assert header == "params,value,reference,tol,pass"
+        assert header == "params,value,reference,tol,pass,measured"
+
+    def test_non_finite_floats_written_as_strings(self, tmp_path):
+        # RFC 8259 has no NaN or Infinity token; the report holds the strings
+        # in memory too, so the file reads back as the same report
+        report = SuiteReport("demo", "0" * 16)
+        report.add_case({"what": "nan"}, math.nan, math.inf, math.inf,
+                        measured={"values": [1.0, -math.inf], "ratio": complex(math.nan, 1.0)})
+        report.add_refinement((1, 2, 3), (1.0, 2.0, math.inf))
+        report.write(tmp_path)
+        case = report.cases[0]
+        assert (case["value"], case["reference"], case["tol"]) == ("NaN", "Infinity", "Infinity")
+        assert case["measured"] == {"values": [1.0, "-Infinity"], "ratio": "NaN"}
+        assert [row["value"] for row in report.refinement] == [1.0, 2.0, "Infinity"]
+        assert [row["stability_ratio"] for row in report.refinement] == [None, 2.0, "Infinity"]
+        assert _strict_json(tmp_path / "demo.json") == asdict(report)
+
+    def test_a_float_past_jsonable_raises_instead_of_writing_a_bad_token(self, tmp_path):
+        report = SuiteReport("demo", "0" * 16, runtime_s=math.nan)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            report.write(tmp_path)
 
     def test_tolerance_override_keeps_the_other_defaults(self):
         # 1e-7 differs from both defaults (oracle 1e-8, homogeneity 1e-6)
@@ -512,6 +544,22 @@ class TestStabilityHelpers:
         assert _band_constant([1.0, math.inf]) == math.inf
         assert _band_constant([1.0, 4.0]) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("values, passed", [
+        ([3.0, 2.0, 1.0], True),
+        ([3.0, 2.0, 2.0], False),  # equal is not smaller
+        ([3.0, 1.0, 2.0], False),
+        ([3.0, math.nan, 1.0], False),
+        ([math.inf, 2.0, 1.0], False),
+    ])
+    def test_shrinking_case(self, values, passed):
+        report = SuiteReport("demo", "0" * 16)
+        _shrinking_case(report, {"what": "demo"}, values)
+        case = report.cases[0]
+        assert case["pass"] is passed
+        assert (case["value"], case["reference"], case["tol"]) == (
+            values[-1], "Infinity" if values[0] == math.inf else values[0], 0.0)
+        assert case["params"] == {"what": "demo"}
+
 
 _SMALL_N = (256, 512, 1024)
 
@@ -531,7 +579,7 @@ class TestRefinementLadders:
         report = run_suite(SuiteConfig(suite="hardy-gn", n_list=_SMALL_N))
         case = next(c for c in report.cases
                     if c["params"]["what"] == "Hardy ratio sup stable")
-        assert all(math.isnan(v) for v in case["params"]["values"])
+        assert case["measured"]["values"] == ["NaN"] * 3
         assert not case["pass"]
 
     def test_repeated_multiplier_entry_gives_one_case_each(self):
@@ -540,19 +588,24 @@ class TestRefinementLadders:
         cases = [c for c in report.cases
                  if c["params"]["what"] == "indicator norm-ratio sup stable"]
         assert len(cases) == 2
-        assert [len(c["params"]["values"]) for c in cases] == [3, 3]
-        assert cases[0]["params"]["values"] == cases[1]["params"]["values"]
+        assert [len(c["measured"]["values"]) for c in cases] == [3, 3]
+        assert cases[0]["measured"]["values"] == cases[1]["measured"]["values"]
         assert [row["N"] for row in report.refinement] == list(_SMALL_N)
 
     def test_theta_limit_gaps_shrink_toward_the_theta_one_band(self):
         report = run_suite(SuiteConfig(suite="fractional-domains", n_list=_SMALL_N,
                                        sweeps={"pgt": [[2.0, 0.5, 0.3]]}))
-        case = next(c for c in report.cases if c["params"]["what"].startswith("theta -> 1"))
-        gaps = case["params"]["values"]
-        assert list(case["params"]["thetas"]) == [0.9, 0.95, 0.99]
+        shrinks, within = [c for c in report.cases
+                           if c["params"]["what"].startswith("theta -> 1")]
+        gaps = shrinks["measured"]["values"]
+        assert shrinks["params"] == {"thetas": [0.9, 0.95, 0.99],
+                                     "what": "theta -> 1 band gap to the theta=1 band shrinks"}
         # three distinct bands against the theta = 1 band, not one number twice
-        assert 0.0 < gaps[2] < gaps[1] < gaps[0] and case["value"] == gaps[2]
-        assert case["pass"]
+        assert 0.0 < gaps[2] < gaps[1] < gaps[0] and shrinks["value"] == gaps[2]
+        assert shrinks["reference"] == gaps[0] and shrinks["pass"]
+        assert within["params"]["what"] == "theta -> 1 band gap within 1e-2"
+        assert (within["value"], within["reference"], within["tol"]) == (gaps[2], 0.0, 1e-2)
+        assert within["measured"]["theta1_band"] > 1.0 and within["pass"]
 
     def test_domain_refinement_rows_come_from_the_first_entry(self):
         report = run_suite(SuiteConfig(suite="fractional-domains", n_list=_SMALL_N,
@@ -560,7 +613,7 @@ class TestRefinementLadders:
         case = next(c for c in report.cases
                     if c["params"]["what"] == "domain-norm band constant stable")
         assert [row["N"] for row in report.refinement] == list(_SMALL_N)
-        assert [row["value"] for row in report.refinement] == case["params"]["values"]
+        assert [row["value"] for row in report.refinement] == case["measured"]["values"]
 
     @pytest.mark.parametrize("seed", [5, 10])
     def test_hardy_dilation_sups_invariant_against_the_homogeneous_norm(self, seed):
@@ -570,6 +623,32 @@ class TestRefinementLadders:
         report = run_suite(SuiteConfig(suite="hardy-gn", seed=seed))
         case = next(c for c in report.cases
                     if c["params"]["what"] == "Hardy sup bounded under dilation")
-        values = case["params"]["values"]
+        values = case["measured"]["values"]
         assert len(values) == 3 and case["pass"]
-        assert case["tol"] == 0.10 * values[0]
+        assert case["tol"] == 0.10
+
+
+@pytest.fixture(scope="module")
+def small_runs(tmp_path_factory):
+    """Every suite at N in {256, 512, 1024}, seeds 1 and 2: seed -> (reports, report dir)."""
+    runs = {}
+    for seed in (1, 2):
+        out = tmp_path_factory.mktemp(f"reports-seed{seed}")
+        runs[seed] = ([run_suite(SuiteConfig(suite=name, n_list=_SMALL_N, seed=seed,
+                                             out_dir=str(out))) for name in SUITES], out)
+    return runs
+
+
+def test_case_params_do_not_depend_on_the_seed(small_runs):
+    # params hold only inputs, so they key a case across seeds and revisions;
+    # every measured number is in "measured"
+    (one, _), (two, _) = small_runs[1], small_runs[2]
+    assert ([[c["params"] for c in report.cases] for report in one]
+            == [[c["params"] for c in report.cases] for report in two])
+
+
+def test_written_reports_are_strict_json_and_match_the_report(small_runs):
+    # schur-constants holds an infinite reference (the gamma = 1 Schur bound)
+    for reports, out in small_runs.values():
+        for report in reports:
+            assert _strict_json(out / f"{report.suite}.json") == asdict(report)
