@@ -32,7 +32,6 @@ from .fourier import (
     wkp_seminorm,
 )
 from .kernels import (
-    KernelBoundReport,
     bessel_kernel,
     hardy_hilbert_apply,
     kernel_bound_check,
@@ -77,7 +76,7 @@ from .harness import SuiteConfig, SuiteReport, generate_test_family, run_suite
 __all__ = [
     "AdmissibilityError", "DegenerateInputError", "DIRICHLET", "FULL_LINE",
     "Grid", "GridFunction", "GridMismatchError", "HALF_LINE",
-    "HalfLineOperator", "KernelBoundReport", "MINUS", "PowerWeight",
+    "HalfLineOperator", "MINUS", "PowerWeight",
     "ReflectionCoefficients", "ResolutionError", "SectorProbe", "SuiteConfig",
     "SuiteReport", "TraceVector", "apply_multiplier", "bessel_kernel",
     "bessel_potential", "c_sigma", "coextend", "domain_norm_ratio",

@@ -43,15 +43,15 @@ def _op_hardy_hilbert(f):
     return kernels.hardy_hilbert_apply(f)
 
 
-def _op_resolvent(f, variant=opcalc.DIRICHLET, p=2.0, gamma=0.0,
-                  re_lambda=1.0, im_lambda=0.0):
-    op = opcalc.HalfLineOperator(variant, p, gamma)
-    return opcalc.resolvent(op, complex(re_lambda, im_lambda), f)
+# the resolvent and the fractional power do not read the weight of the
+# operator, so p and gamma are not --params keys
+def _op_resolvent(f, variant=opcalc.DIRICHLET, re_lambda=1.0, im_lambda=0.0):
+    return opcalc.resolvent(opcalc.HalfLineOperator(variant),
+                            complex(re_lambda, im_lambda), f)
 
 
-def _op_fractional_power(f, theta, variant=opcalc.DIRICHLET, p=2.0, gamma=0.0):
-    op = opcalc.HalfLineOperator(variant, p, gamma)
-    return opcalc.fractional_power(op, theta, f)
+def _op_fractional_power(f, theta, variant=opcalc.DIRICHLET):
+    return opcalc.fractional_power(opcalc.HalfLineOperator(variant), theta, f)
 
 
 # operator -> function of the input; its keyword parameters are the

@@ -8,7 +8,11 @@ with at least three resolution levels, and wall-clock time.  A report is
 deterministic given (config, seed, floating-point environment).  Refinement
 studies measure over one ladder of grid sizes (``_ladder``) and judge each sweep
 entry's values with one of two verdicts: ``_stable_case`` (they agree within
-rtol) or ``_shrinking_case`` (they decrease strictly).
+rtol) or ``_shrinking_case`` (they decrease strictly).  This module is the only
+code that turns measurements into pass flags: the operator modules return
+numbers (``kernels.kernel_bound_check`` its envelope sups, which
+``_stable_case`` judges), and every family maximum is ``_sup``, which keeps a
+NaN that ``max`` would drop.
 
 A case is ``{params, value, reference, tol, pass, measured}``: ``params`` holds
 only its inputs, so it keys the case across seeds and revisions, and
@@ -273,9 +277,12 @@ class SuiteReport:
         return bool(passed)
 
     def add_refinement(self, levels, values) -> None:
+        """One row per level; the first row's ``stability_ratio`` is None, and
+        a ratio after an exact 0.0 is infinite (NaN for 0 / 0)."""
         prev = None
         for level, value in zip(levels, values, strict=True):
-            ratio = (value / prev) if prev else None
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = None if prev is None else np.float64(value) / prev
             self.refinement.append({"N": level, "value": _jsonable(value),
                                     "stability_ratio": _jsonable(ratio)})
             prev = value
@@ -430,10 +437,8 @@ def _suite_bessel_kernel(cfg: SuiteConfig, report: SuiteReport) -> None:
         mass = 2.0 * float(np.sum(_quad.log_panels(lambda t: kernels.bessel_kernel(s, t),
                                                    mass_edges)))
         report.add_case({"s": s, "what": "unit mass"}, mass, 1.0, tol)
-        for rep in kernels.kernel_bound_check(s):
-            report.add_case({"s": s, "regime": rep.regime},
-                            1.0 if rep.pass_flag else 0.0, 1.0, 0.0,
-                            passed=rep.pass_flag, measured={"sup_ratio": rep.sup_ratio})
+        for regime, sups in kernels.kernel_bound_check(s).items():
+            _stable_case(report, {"s": s, "regime": regime}, sups, 0.05)
         g = kernels.bessel_kernel(s, np.logspace(-6, 1.5, 300))
         report.add_case({"s": s, "what": "positivity on sample mesh"},
                         float(np.min(g)), 0.0, 0.0, passed=bool(np.all(g > 0)))
@@ -451,8 +456,8 @@ def _suite_bessel_kernel(cfg: SuiteConfig, report: SuiteReport) -> None:
     # the certified cosine-transform rule
     for s in (0.5, 1.0, 2.0):
         symbol = fourier.bessel_symbol(-s)
-        err = max(abs(kernels.bessel_kernel(s, x) - _quad.cos_transform(symbol, 0.0, x) / math.pi)
-                  for x in (0.1, 0.5, 1.0, 2.0, 5.0))
+        err = _sup(abs(kernels.bessel_kernel(s, x) - _quad.cos_transform(symbol, 0.0, x) / math.pi)
+                   for x in (0.1, 0.5, 1.0, 2.0, 5.0))
         report.add_case({"s": s, "what": "vs inverse transform of the symbol"},
                         float(err), 0.0, tol)
     meshes = (100, 200, 400)
@@ -467,10 +472,6 @@ def _suite_schur(cfg: SuiteConfig, report: SuiteReport) -> None:
         val = kernels.schur_constant(p, beta)
         report.add_case({"p": p, "beta": beta, "what": "quadrature vs closed form"},
                         val, kernels.schur_closed_form(p, beta), tol)
-    for beta in (-0.3, 0.0, 0.25):
-        report.add_case({"p": 2.0, "beta": beta, "what": "companion integral equality"},
-                        kernels.schur_constant(2.0, beta),
-                        kernels.schur_companion_constant(2.0, beta), tol)
     # operator-norm probe against the Schur bound
     rng = np.random.default_rng(cfg.seed)
     gammas = (-0.5, 0.0, 1.0)
@@ -501,18 +502,16 @@ def _suite_reflection(cfg: SuiteConfig, report: SuiteReport) -> None:
     tol_poly = cfg.tolerances["poly"]
     grid = Grid(cfg.half_width, 8192, HALF_LINE)
     t = grid.points
+    xg = grid.companion(FULL_LINE).points
+    mask = (xg < 0) & (xg >= -1.0)
     for m in (0, 1, 2):
         cm = halfline.solve_reflection_coefficients(m)
         plateau_top = 2 * m + 3.0
         win = plateau(t, 0.0, plateau_top, 3 * plateau_top)
-        worst = 0.0
-        for n_deg in range(2 * m + 2):
-            f = GridFunction(grid, t ** n_deg * win)
-            ext = halfline.reflect_extend(f, cm)
-            xg = ext.grid.points
-            mask = (xg < 0) & (xg >= -1.0)
-            worst = max(worst, float(np.max(np.abs(
-                ext.values[mask, 0] - xg[mask] ** n_deg))))
+        exts = (halfline.reflect_extend(GridFunction(grid, t ** n_deg * win), cm)
+                for n_deg in range(2 * m + 2))
+        worst = _sup(float(np.max(np.abs(ext.values[mask, 0] - xg[mask] ** n_deg)))
+                     for n_deg, ext in enumerate(exts))
         report.add_case({"m": m, "what": "polynomial reproduction deg<=2m+1"},
                         worst, 0.0, tol_poly)
     # restriction identity and zero extension, exact
@@ -575,15 +574,13 @@ def _suite_traces(cfg: SuiteConfig, report: SuiteReport) -> None:
                     float(np.max(np.abs(halfline.trace(fv, 2).entries))), 0.0, 0.0)
     # projection: vanishing trace and idempotence
     fam = generate_test_family(grid, cfg.seed + 3, 20, "boundary-touching")
-    worst_tr, worst_idem = 0.0, 0.0
-    for f in fam:
-        p1 = halfline.project_H0(f, 2)
-        worst_tr = max(worst_tr, float(np.max(np.abs(halfline.trace(p1, 2).entries))))
-        p2 = halfline.project_H0(p1, 2)
-        worst_idem = max(worst_idem, float(np.max(np.abs(p2.values - p1.values))))
+    projected = [halfline.project_H0(f, 2) for f in fam]
     report.add_case({"what": "projection kills the trace (20 inputs)"},
-                    worst_tr, 0.0, tol)
-    report.add_case({"what": "projection idempotent"}, worst_idem, 0.0, tol)
+                    _sup(float(np.max(np.abs(halfline.trace(p1, 2).entries)))
+                         for p1 in projected), 0.0, tol)
+    report.add_case({"what": "projection idempotent"},
+                    _sup(float(np.max(np.abs(halfline.project_H0(p1, 2).values - p1.values)))
+                         for p1 in projected), 0.0, tol)
     # projection followed by one-sided mollification: the error shrinks with the scale
     gfine = Grid(cfg.half_width, 8192, FULL_LINE)
     f = generate_test_family(gfine, cfg.seed + 3, 1, "boundary-touching")[0]
@@ -621,12 +618,10 @@ def _suite_pointwise_multiplier(cfg: SuiteConfig, report: SuiteReport) -> None:
             lambda g: generate_test_family(g, cfg.seed + k, 20, "zero-trace-k", trace_order=k),
             lambda fam: [_sup(halfline.multiplier_norm_ratio(f, k - 0.2, 2.0, 0.0)
                               for f in fam)])
-        worst = 0.0
-        for f in fam[:10]:
-            for j in range(1, k + 1):
-                lhs = fourier.spectral_derivative(halfline.indicator_multiply(f), j)
-                rhs = halfline.indicator_multiply(fourier.spectral_derivative(f, j))
-                worst = max(worst, weighted_lp_norm(lhs - rhs, 2.0, w))
+        worst = _sup(weighted_lp_norm(
+            fourier.spectral_derivative(halfline.indicator_multiply(f), j)
+            - halfline.indicator_multiply(fourier.spectral_derivative(f, j)), 2.0, w)
+            for f in fam[:10] for j in range(1, k + 1))
         report.add_case({"k": k, "what": "derivative commutation in L2"},
                         worst, 0.0, tol_comm)
         _stable_case(report, {"k": k, "s": k - 0.2,
@@ -682,11 +677,9 @@ def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
     x = grid.points
     u = GridFunction(grid, np.exp(-x ** 2) * (1.0 + 0.3 * np.cos(2.0 * x)))
     r0 = halfline.gn_check(u, 1, 2, 2.0, 0.0)
-    worst = 0.0
-    for lam in (0.5, 2.0, 4.0):
-        ul = GridFunction(grid, np.exp(-(lam * x) ** 2)
-                          * (1.0 + 0.3 * np.cos(2.0 * lam * x)))
-        worst = max(worst, abs(halfline.gn_check(ul, 1, 2, 2.0, 0.0) - r0))
+    worst = _sup(abs(halfline.gn_check(GridFunction(
+        grid, np.exp(-(lam * x) ** 2) * (1.0 + 0.3 * np.cos(2.0 * lam * x))),
+        1, 2, 2.0, 0.0) - r0) for lam in (0.5, 2.0, 4.0))
     report.add_case({"what": "GN scale invariance at gamma=0"}, worst, 0.0, tol_scale)
 
 
@@ -726,45 +719,44 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
     gr = Grid(cfg.half_width, 2 ** 16, HALF_LINE)
     fam = generate_test_family(gr, cfg.seed, 20, support=(0.05, 0.45))
     rng = np.random.default_rng(cfg.seed + 1)
-    worst_d, worst_m = 0.0, 0.0
-    for f in fam:
-        lam = complex(rng.uniform(1.0, 4.0), rng.uniform(-2.0, 2.0))
+    lams = [complex(rng.uniform(1.0, 4.0), rng.uniform(-2.0, 2.0)) for _ in fam]
+    coeffs = halfline.solve_reflection_coefficients(2)
+
+    def residual_d(f: GridFunction, lam: complex) -> float:
         ud = opcalc.resolvent(op, lam, f)
         du = fourier.spectral_derivative(halfline.zero_extend(ud))
-        res_d = halfline.restrict_plus(du) + lam * ud - f
-        worst_d = max(worst_d, weighted_lp_norm(res_d, 2.0, w0)
-                      / weighted_lp_norm(f, 2.0, w0))
+        res = halfline.restrict_plus(du) + lam * ud - f
+        return weighted_lp_norm(res, 2.0, w0) / weighted_lp_norm(f, 2.0, w0)
+
+    def residual_m(f: GridFunction, lam: complex) -> float:
         uq = opcalc.resolvent(opm, lam, f)
-        coeffs = halfline.solve_reflection_coefficients(2)
         dq = fourier.spectral_derivative(halfline.reflect_extend(uq, coeffs))
-        res_m = -1.0 * halfline.restrict_plus(dq) + lam * uq - f
-        worst_m = max(worst_m, weighted_lp_norm(res_m, 2.0, w0)
-                      / weighted_lp_norm(f, 2.0, w0))
-    report.add_case({"what": "dirichlet ODE residual (20 random)"},
-                    worst_d, 0.0, tol_res)
-    report.add_case({"what": "minus ODE residual (20 random)"},
-                    worst_m, 0.0, tol_res)
-    # contraction bound on the positive axis, read from the certified
-    # upper end of the pencil bracket
-    g2 = Grid(cfg.half_width, 2048, HALF_LINE)
-    real_axis = [opcalc._pencil_norm(op, complex(r), g2)
-                 for r in (1e-3, 1e-1, 1.0, 1e1, 1e3)]
-    top = max(math.sqrt(hi) for _, (_, hi), _ in real_axis)
-    report.add_case({"what": "real-lambda norm <= 1 (p=2, gamma=0)"},
-                    top, 1.0, 1e-6,
-                    passed=top <= 1.0 + 1e-6 and all(c for _, _, c in real_axis))
+        res = -1.0 * halfline.restrict_plus(dq) + lam * uq - f
+        return weighted_lp_norm(res, 2.0, w0) / weighted_lp_norm(f, 2.0, w0)
+
+    for variant, residual in (("dirichlet", residual_d), ("minus", residual_m)):
+        report.add_case({"what": f"{variant} ODE residual (20 random)"},
+                        _sup(residual(f, lam) for f, lam in zip(fam, lams)), 0.0, tol_res)
     # sector probe supremum, stable across N
     angle = 3.0 * math.pi / 4.0 - 0.1
     radii = [4.0 ** k for k in range(-5, 6)]
 
     def probe(grid: Grid) -> list:
-        """Supremum, largest upper bound, count of uncertified or outside-bracket entries."""
+        """Supremum, largest upper bound, largest upper bound on the real axis,
+        count of uncertified or outside-bracket entries."""
         result = opcalc.sectoriality_probe(op, grid, [angle], radii)[0]
         finite = [e for e in result.entries if e["certified"] is not None]
         return [result.supremum, _sup(e["bracket"][1] for e in finite),
+                _sup(e["bracket"][1] for e in finite if e["im_lambda"] == 0.0),
                 sum(not e["certified"] or e["power_lower"] > e["bracket"][1] for e in finite)]
 
-    (sups, uppers, bads), _ = _ladder(cfg, HALF_LINE, lambda g: g, probe)
+    (sups, uppers, real_uppers, bads), _ = _ladder(cfg, HALF_LINE, lambda g: g, probe)
+    # contraction on the positive axis: the upper bracket ends at phi = 0,
+    # whose certificates the "entries certified" case counts
+    top = _sup(real_uppers)
+    report.add_case({"what": "real-lambda norm <= 1 (p=2, gamma=0)"},
+                    top, 1.0, 1e-6, passed=top <= 1.0 + 1e-6,
+                    measured={"values": real_uppers})
     report.add_refinement(cfg.n_list, sups)
     _stable_case(report, {"angle": angle, "what": "sector-probe sup stable"}, sups, 0.05)
     report.add_case({"what": "sector-probe entries certified, power bound inside bracket"},
@@ -773,9 +765,9 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
     # norm on every L^p is the kernel's L^1 norm |lam| / Re lam, reached by the
     # symbol at xi = -Im lam, so the sector supremum is sec(phi_max)
     secant = 1.0 / math.cos(math.pi - angle)
+    top = _sup(uppers)
     report.add_case({"angle": angle, "what": "sector-probe sup <= sec(phi_max)"},
-                    max(uppers), secant, 0.0, passed=max(uppers) <= secant,
-                    measured={"values": uppers})
+                    top, secant, 0.0, passed=top <= secant, measured={"values": uppers})
     _shrinking_case(report, {"angle": angle,
                              "what": "sector-probe gap to sec(phi_max) shrinks with N"},
                     [secant - v for v in sups])
@@ -796,16 +788,16 @@ def _suite_fractional_domains(cfg: SuiteConfig, report: SuiteReport) -> None:
                      for op, (_, _, theta) in zip(ops, pgt)])
     # the fractional power against the causal-derivative oracle, finest grid
     fam = generate_test_family(fam_b[0].grid, cfg.seed, 20, support=(0.1, 0.5))
+
+    def oracle_gap(f: GridFunction, theta: float) -> float:
+        b = opcalc.riemann_liouville(f, theta)
+        return (weighted_lp_norm(opcalc.fractional_power(op0, theta, f) - b, 2.0, w0)
+                / weighted_lp_norm(b, 2.0, w0))
+
     for theta in (0.25, 0.5, 0.75):
-        sup = 0.0
-        for f in fam:
-            a = opcalc.fractional_power(op0, theta, f)
-            b = opcalc.riemann_liouville(f, theta)
-            sup = max(sup, weighted_lp_norm(a - b, 2.0, w0)
-                      / weighted_lp_norm(b, 2.0, w0))
         report.add_case({"theta": theta,
                          "what": "fractional power vs causal-derivative oracle"},
-                        sup, 0.0, tol_rl)
+                        _sup(oracle_gap(f, theta) for f in fam), 0.0, tol_rl)
     for (p, gamma, theta), values in zip(pgt, bands):
         _stable_case(report, {"p": p, "gamma": gamma, "theta": theta,
                               "what": "domain-norm band constant stable"}, values, stab)
@@ -836,10 +828,9 @@ def _suite_integration_by_parts(cfg: SuiteConfig, report: SuiteReport) -> None:
     fam_u = generate_test_family(grid, cfg.seed, 20)
     fam_v = generate_test_family(grid, cfg.seed + 1, 20)
     w0 = PowerWeight(0.0)
-    worst = 0.0
-    for fu, fv in zip(fam_u, fam_v):
-        scale = (fourier.wkp_norm(fu, 1, 2.0, w0) * fourier.wkp_norm(fv, 1, 2.0, w0))
-        worst = max(worst, opcalc.integration_by_parts_check(fu, fv) / scale)
+    worst = _sup(opcalc.integration_by_parts_check(fu, fv)
+                 / (fourier.wkp_norm(fu, 1, 2.0, w0) * fourier.wkp_norm(fv, 1, 2.0, w0))
+                 for fu, fv in zip(fam_u, fam_v))
     report.add_case({"what": "random windowed pairs, residual / (W1 norms)"},
                     worst, 0.0, tol_rand)
     (residuals,), _ = _ladder(cfg, HALF_LINE, lambda g: GridFunction(g, np.exp(-g.points)),

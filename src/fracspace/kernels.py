@@ -1,6 +1,7 @@
-"""The convolution kernel of (1 - Laplacian)^(-s/2), its envelope bounds, the
-half-line kernel operator with kernel 1/(x + y), and the associated sharp
-constants from the Schur test.
+"""The convolution kernel of (1 - Laplacian)^(-s/2) and its sups over the
+claimed envelope bounds, the half-line kernel operator with kernel
+1/(x + y), and the associated sharp constants from the Schur test.  This
+module measures; the harness decides which measurements pass.
 
 The dense path of ``hardy_hilbert_apply`` is one ``_conv.convolve`` with its
 two-sided Hankel kernel, whose spectrum a bounded cache keeps per number of
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -71,16 +71,6 @@ _ENVELOPE_NEAR = {"algebraic": "near-origin |x|^(s-d)",
                   "flat": "near-origin constant"}
 
 
-@dataclass(frozen=True)
-class KernelBoundReport:
-    """Supremum of G_s over the claimed envelope in each regime of |x|."""
-
-    s: float
-    regime: str
-    sup_ratio: float
-    pass_flag: bool
-
-
 def _near_envelope(s: float, x: np.ndarray) -> tuple[str, np.ndarray]:
     if s < 1.0:
         return _ENVELOPE_NEAR["algebraic"], np.abs(x) ** (s - 1.0)
@@ -89,17 +79,17 @@ def _near_envelope(s: float, x: np.ndarray) -> tuple[str, np.ndarray]:
     return _ENVELOPE_NEAR["flat"], np.ones_like(x)
 
 
-def kernel_bound_check(s: float) -> list[KernelBoundReport]:
-    """Check the two-regime envelopes of G_s (d = 1) on meshes of 400 and 800 points.
+def kernel_bound_check(s: float) -> dict[str, list[float]]:
+    """Sup of G_s / envelope (d = 1) in each regime of |x|, on meshes of 400
+    and 800 points: {regime: [sup on 400 points, sup on 800]}.
 
-    Each report passes when the observed ratio sup G_s / envelope is finite and
-    moves by less than 5 percent under that mesh doubling.
+    The regimes are the exponential tail |x| >= 2 under exp(-|x|/2) and the
+    near-origin range under the envelope of ``_near_envelope``; the harness
+    judges whether each pair of sups is stable.
     """
-    reports = []
-    # |x| >= 2: exponential tail envelope exp(-|x|/2)
+    sups = {}
     for regime, lo, hi, log_mesh in ((_ENVELOPE_TAIL, 2.0, 40.0, False),
                                      ("near", 1e-6, 2.0, True)):
-        sups = []
         for n in (400, 800):
             if log_mesh:
                 x = np.logspace(math.log10(lo), math.log10(hi), n)
@@ -110,10 +100,8 @@ def kernel_bound_check(s: float) -> list[KernelBoundReport]:
                 name, env = _ENVELOPE_TAIL, np.exp(-x / 2.0)
             else:
                 name, env = _near_envelope(s, x)
-            sups.append(float(np.max(g / env)))
-        stable = math.isfinite(sups[1]) and abs(sups[1] - sups[0]) <= 0.05 * sups[0]
-        reports.append(KernelBoundReport(s, name, sups[1], stable))
-    return reports
+            sups.setdefault(name, []).append(float(np.max(g / env)))
+    return sups
 
 
 def kernel_weighted_tail_integrals(s: float, p: float, gamma: float) -> np.ndarray:
@@ -173,15 +161,6 @@ def schur_closed_form(p: float, beta: float) -> float:
     """pi / sin(pi (beta + 1/p')), the closed form matching ``schur_constant``."""
     pp = dual_exponent(p)
     return math.pi / math.sin(math.pi * (beta + 1.0 / pp))
-
-
-def schur_companion_constant(p: float, beta: float) -> float:
-    """The second Schur-test integral, integral_0^inf z^(-beta - 1/p)/(1+z) dz."""
-    e = -beta - 1.0 / p
-    if not (-1.0 < e < 0.0):
-        raise AdmissibilityError(
-            f"beta={beta} makes the exponent {e} non-integrable for p={p}")
-    return _split_power_quadrature(e)
 
 
 def hardy_hilbert_apply(h: GridFunction, nodes: np.ndarray | None = None) -> GridFunction:

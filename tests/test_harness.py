@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fracspace.grid import FULL_LINE, Grid, GridFunction, HALF_LINE, plateau
-from fracspace import cli, fourier, halfline
+from fracspace import cli, fourier, halfline, kernels, opcalc
 from fracspace.halfline import trace
 from fracspace.harness import (
     ConfigError,
@@ -291,12 +291,18 @@ class TestReports:
         report.add_case({"what": "nan"}, math.nan, math.inf, math.inf,
                         measured={"values": [1.0, -math.inf], "ratio": complex(math.nan, 1.0)})
         report.add_refinement((1, 2, 3), (1.0, 2.0, math.inf))
+        # only a ladder's first row has no ratio; one after an exact zero is
+        # infinite, or NaN for 0 / 0
+        report.add_refinement((1, 2, 3), (0.0, 1.0, math.inf))
+        report.add_refinement((1, 2, 3), (0.0, 0.0, 1.0))
         report.write(tmp_path)
         case = report.cases[0]
         assert (case["value"], case["reference"], case["tol"]) == ("NaN", "Infinity", "Infinity")
         assert case["measured"] == {"values": [1.0, "-Infinity"], "ratio": "NaN"}
-        assert [row["value"] for row in report.refinement] == [1.0, 2.0, "Infinity"]
-        assert [row["stability_ratio"] for row in report.refinement] == [None, 2.0, "Infinity"]
+        assert [row["value"] for row in report.refinement] == [
+            1.0, 2.0, "Infinity", 0.0, 1.0, "Infinity", 0.0, 0.0, 1.0]
+        assert [row["stability_ratio"] for row in report.refinement] == [
+            None, 2.0, "Infinity", None, "Infinity", "Infinity", None, "NaN", "Infinity"]
         assert _strict_json(tmp_path / "demo.json") == asdict(report)
 
     def test_a_float_past_jsonable_raises_instead_of_writing_a_bad_token(self, tmp_path):
@@ -360,7 +366,7 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "fractional-power" in err and "thta" in err
-        assert all(key in err for key in ("theta", "variant", "p=2.0", "gamma=0.0"))
+        assert "takes --params (theta, variant='dirichlet-derivative')" in err
 
     @pytest.mark.parametrize("order", [2, 2.0])
     def test_apply_integral_order(self, tmp_path, order):
@@ -457,6 +463,13 @@ BAD_INPUTS = {
     "param-hardy-weight": lambda tmp: ["apply", "hardy-hilbert", "--in", _half_line_csv(tmp),
                                        "--out", str(tmp / "o.csv"),
                                        "--params", '{"p": 2.0, "gamma": 0.5}'],
+    # nor do the resolvent and the fractional power of d/dt
+    "param-resolvent-weight": lambda tmp: ["apply", "resolvent", "--in", _half_line_csv(tmp),
+                                           "--out", str(tmp / "o.csv"),
+                                           "--params", '{"p": 3, "gamma": 1.5}'],
+    "param-fractional-power-weight": lambda tmp: [
+        "apply", "fractional-power", "--in", _half_line_csv(tmp), "--out", str(tmp / "o.csv"),
+        "--params", '{"theta": 0.5, "p": 3, "gamma": 1.5}'],
     # integer parameters: no truncation of a fraction, no boolean as 0 or 1
     "param-order-fractional": lambda tmp: ["apply", "derivative", "--in", _full_line_csv(tmp),
                                            "--out", str(tmp / "o.csv"),
@@ -652,3 +665,55 @@ def test_written_reports_are_strict_json_and_match_the_report(small_runs):
     for reports, out in small_runs.values():
         for report in reports:
             assert _strict_json(out / f"{report.suite}.json") == asdict(report)
+
+
+def test_contraction_case_reads_the_real_axis_of_the_probe_ladder(small_runs):
+    # one phi = 0 upper bracket end per grid of the sector-probe ladder; the
+    # case's value is the largest of them
+    reports, _ = small_runs[1]
+    report = next(r for r in reports if r.suite == "resolvent-sectoriality")
+    case = next(c for c in report.cases
+                if c["params"]["what"] == "real-lambda norm <= 1 (p=2, gamma=0)")
+    op = opcalc.HalfLineOperator(opcalc.DIRICHLET)
+    angle = 3.0 * math.pi / 4.0 - 0.1
+    radii = [4.0 ** k for k in range(-5, 6)]
+    ends = []
+    for n in _SMALL_N:
+        probe = opcalc.sectoriality_probe(op, Grid(40.0, n, HALF_LINE), [angle], radii)[0]
+        real = [e for e in probe.entries if e["im_lambda"] == 0.0]
+        assert len(real) == len(radii) and all(e["certified"] for e in real)
+        ends.append(max(e["bracket"][1] for e in real))
+    assert case["measured"]["values"] == ends
+    assert case["value"] == max(ends) and case["pass"]
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_envelope_cases_hold_the_kernel_sups(small_runs, s):
+    # one case per envelope regime, judged by _stable_case: the two mesh sups
+    # are the measurement, the finer one the value
+    reports, _ = small_runs[1]
+    report = next(r for r in reports if r.suite == "bessel-kernel")
+    sups = kernels.kernel_bound_check(s)
+    cases = [c for c in report.cases
+             if c["params"].get("s") == s and "regime" in c["params"]]
+    assert [c["params"]["regime"] for c in cases] == list(sups)
+    for case in cases:
+        values = sups[case["params"]["regime"]]
+        assert case["measured"] == {"values": values}
+        assert (case["value"], case["reference"], case["tol"]) == (values[-1], values[0], 0.05)
+        assert case["pass"]
+
+
+def test_drifting_envelope_sups_fail_their_case(monkeypatch):
+    # the 5% stability rule is the harness's: a pair of sups that moves by more,
+    # or holds a NaN, fails its regime's case and no other
+    def fake(s):
+        return {"exponential-tail": [1.0, 1.06], "near-origin": [1.0, math.nan]}
+
+    monkeypatch.setattr(kernels, "kernel_bound_check", fake)
+    report = run_suite(SuiteConfig(suite="bessel-kernel", n_list=_SMALL_N))
+    verdicts = {(c["params"]["s"], c["params"]["regime"]): c["pass"]
+                for c in report.cases if "regime" in c["params"]}
+    assert verdicts == {(s, regime): False for s in (0.5, 1.0, 2.0)
+                        for regime in ("exponential-tail", "near-origin")}
+    assert not report.passed

@@ -320,3 +320,16 @@ def test_one_grid_size_ladder():
                     for n in ast.walk(node.iter))
              and [fn.name for fn in owners] != ["_ladder"]]
     assert loops == []
+
+
+def test_no_running_maximum_in_harness():
+    # a family maximum goes through harness._sup, which keeps a NaN; a
+    # running ``x = max(x, ...)`` from 0.0 drops it
+    tree = dict(_package_modules())["harness"]
+    running = [f"harness.py:{node.lineno}"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+               and isinstance(node.value.func, ast.Name) and node.value.func.id == "max"
+               and {t.id for t in node.targets if isinstance(t, ast.Name)}
+               & {a.id for a in node.value.args if isinstance(a, ast.Name)}]
+    assert running == []

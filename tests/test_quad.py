@@ -19,7 +19,6 @@ from fracspace.kernels import (
     bessel_kernel,
     kernel_weighted_tail_integrals,
     schur_closed_form,
-    schur_companion_constant,
     schur_constant,
 )
 from fracspace.singular import c_sigma, symbol_integral
@@ -105,12 +104,6 @@ class TestPowerWeighted:
         val = schur_constant(p, beta)
         assert val == pytest.approx(schur_closed_form(p, beta), rel=1e-12)
         assert val == pytest.approx(self._quad_oracle(beta - 1.0 / p), rel=1e-11)
-
-    @pytest.mark.parametrize("beta", [-0.3, 0.0, 0.25])
-    def test_companion_constant(self, beta):
-        val = schur_companion_constant(2.0, beta)
-        assert val == pytest.approx(schur_closed_form(2.0, beta), rel=1e-12)
-        assert val == pytest.approx(self._quad_oracle(-beta - 0.5), rel=1e-11)
 
     @pytest.mark.parametrize("e", [-0.9, -0.5, -0.1])
     def test_unit_weight(self, e):
