@@ -19,7 +19,10 @@ Runs, in this order:
    ``REPEATS`` further calls.  ``fractional_power_second_theta`` runs right
    after ``fractional_power``, at another theta: its first call finds the
    grid's exponential tables built and shows what a new order on a known
-   grid costs.  ``bessel_kernel`` runs once, on the 800-point near mesh of
+   grid costs.  Each operator is also timed at every N on the complex
+   input (1 - 0.5i) f, right after its real input f; that entry is
+   ``<name>_complex``, and its first call finds the caches the real calls
+   built.  ``bessel_kernel`` runs once, on the 800-point near mesh of
    ``kernel_bound_check``, whose size does not depend on N.
 
 Each entry also records ``traced_peak_mb``, the ``tracemalloc`` peak (in
@@ -177,9 +180,11 @@ def _row(call, arg) -> dict:
 def operator_timings() -> dict:
     timings = {}
     for name, (kind, call) in OPERATORS.items():
-        timings[name] = {
-            str(n): _row(call, generate_test_family(Grid(HALF_WIDTH, n, kind), SUITE_SEED, 1)[0])
-            for n in SIZES}
+        timings[name], timings[name + "_complex"] = {}, {}
+        for n in SIZES:
+            f = generate_test_family(Grid(HALF_WIDTH, n, kind), SUITE_SEED, 1)[0]
+            timings[name][str(n)] = _row(call, f)
+            timings[name + "_complex"][str(n)] = _row(call, (1.0 - 0.5j) * f)
     timings["bessel_kernel"] = {"near_mesh_800": _row(lambda x: bessel_kernel(0.5, x),
                                                       NEAR_MESH)}
     return timings

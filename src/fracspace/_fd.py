@@ -82,15 +82,17 @@ def derivative_at(values: np.ndarray, h: float, index: int, order: int,
 def derivative_array(values: np.ndarray, h: float) -> np.ndarray:
     """First derivative of values of shape (N, n) at every node, to order 8,
     by 9-node stencils: centered, shifted one-sided at the 4 nodes nearest
-    each end.  Local and therefore safe for functions that have not decayed
-    at the grid boundary, unlike spectral differentiation on a periodized domain.
+    each end; real values give float64, complex ones complex128.  Local and
+    therefore safe for functions that have not decayed at the grid boundary,
+    unlike spectral differentiation on a periodized domain.
     """
     n_pts, half = 9, 4
     n = values.shape[0]
-    out = np.empty_like(np.asarray(values, dtype=complex))
+    dtype = np.result_type(values, np.float64)
+    out = np.empty(values.shape, dtype=dtype)
     # interior: one centered stencil, applied by correlation
     w = _stencil(h, -half, n_pts, 1)
-    interior = np.zeros((n - 2 * half, values.shape[1]), dtype=complex)
+    interior = np.zeros((n - 2 * half, values.shape[1]), dtype=dtype)
     for j, wj in enumerate(w):
         if wj != 0.0:
             interior += wj * values[j: j + n - 2 * half]

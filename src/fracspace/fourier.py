@@ -6,6 +6,13 @@ fhat(xi) = integral f(x) exp(-i xi x) dx with inverse carrying 1/(2 pi).
 On a full-line grid the discrete frequencies are xi_k = pi k / L,
 k = -N/2 .. N/2 - 1, and a multiplier acts as ifft(m(xi) * fft(f)), the
 circular convolution ``_conv.convolve`` with the symbol values as spectrum.
+
+That spectrum is a half spectrum (k = 0 .. N/2), so a symbol must map real
+samples to real samples: m(-xi_k) == conj m(xi_k) exactly for 0 < k < N/2,
+which ``_symbol_values`` checks (the grid frequencies are exactly symmetric,
+so every even real symbol and (i xi)^order pass).  The Nyquist entry,
+m(-pi N / (2 L)), contributes only its real part: an odd-order derivative
+drops the Nyquist mode.
 """
 
 from __future__ import annotations
@@ -49,17 +56,27 @@ def derivative_symbol(order: int = 1):
 
 
 def _symbol_values(symbols, grid) -> list:
-    """Each symbol m_i on the frequencies of a full-line grid."""
+    """Each symbol m_i on the frequencies xi_k, k = 0 .. N/2, of a full-line
+    grid: the half spectrum of ``_conv.convolve``.
+
+    Raises ValueError unless every m_i is finite on the grid frequencies and
+    m_i(-xi_k) == conj m_i(xi_k) for 0 < k < N/2.
+    """
     xi = grid.frequencies()
+    nyq = grid.n_points // 2
     mvals = [np.asarray(m(xi)) for m in symbols]
     if not all(np.all(np.isfinite(v)) for v in mvals):
         raise ValueError("multiplier takes non-finite values on the grid frequencies")
-    return mvals
+    if not all(np.array_equal(v[1:nyq], np.conj(v[:nyq:-1])) for v in mvals):
+        raise ValueError("multiplier is not Hermitian on the grid frequencies: "
+                         "m(-xi) != conj m(xi) maps real samples to complex ones")
+    # copies, so that the full-grid values are freed before the transforms
+    return [v[:nyq + 1].copy() for v in mvals]
 
 
 def _multiplied(mvals, f: GridFunction) -> np.ndarray:
-    """ifft(m_i(xi) fft(f)) for the values m_i(xi) of every symbol on f's grid
-    (``_symbol_values``), stacked: shape (k, N, n).
+    """ifft(m_i(xi) fft(f)) for the half-spectrum values m_i(xi) of every
+    symbol on f's grid (``_symbol_values``), stacked: shape (k, N, n).
 
     One boundary-decay check and one forward FFT (``_conv.convolve`` with the
     stacked symbol values as its spectrum) serve all symbols, and slice i
@@ -72,9 +89,10 @@ def _multiplied(mvals, f: GridFunction) -> np.ndarray:
 def apply_multiplier(m, f: GridFunction) -> GridFunction:
     """ifft(m(xi) fft(f)) on a full-line grid, fiberwise.
 
-    Warns when f has not decayed at the boundary (the grid periodizes).  The
-    symbol values are an (N, 1) spectrum, so ``_conv.convolve`` forms the
-    product in the transform's buffer.
+    Warns when f has not decayed at the boundary (the grid periodizes), and
+    raises ValueError for a symbol that is not Hermitian (``_symbol_values``).
+    The symbol values are an (N/2 + 1, 1) half spectrum, so ``_conv.convolve``
+    forms the product in the transform's buffer.
     """
     _require_kind(f, FULL_LINE, "apply_multiplier")
     values, = _symbol_values([m], f.grid)

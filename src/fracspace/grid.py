@@ -2,7 +2,8 @@
 
 The continuum objects are functions on the line or the half line with values
 in C^n, measured in L^p against the weight |x|^gamma.  Everything here is the
-discrete stand-in: a uniform grid, complex samples on it, and quadrature rules
+discrete stand-in: a uniform grid, samples on it (float64 for real data,
+complex128 for complex data), and quadrature rules
 whose weight factors are integrated in closed form over grid cells so that the
 singularity of |x|^gamma at the origin never has to be sampled.
 """
@@ -184,19 +185,29 @@ def dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _samples(values) -> np.ndarray:
+    """``values`` as complex128 when complex, else as float64 (real, integer
+    and boolean input), without a copy when it already is one of those."""
+    v = np.asarray(values)
+    return v.astype(np.complex128 if np.iscomplexobj(v) else np.float64, copy=False)
+
+
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex C^n-valued samples on a grid.
+    """C^n-valued samples on a grid, stored real when the data is real.
 
-    ``values`` always has shape (N, n); scalar data may be passed as a flat
-    array and is reshaped.  All entries must be finite.
+    ``values`` always has shape (N, n) and dtype float64 for real or integer
+    input, complex128 for complex input (``_samples``); arithmetic with a
+    complex scalar or complex samples gives a complex result.  Scalar data
+    may be passed as a flat array and is reshaped.  All entries must be
+    finite.
     """
 
     grid: Grid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = _samples(self.values)
         if v.ndim == 1:
             v = v[:, None]
         if v.ndim != 2 or v.shape[0] != self.grid.n_points:
@@ -246,6 +257,8 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction":
+        """Read what ``to_csv`` writes; the samples are real (float64) when
+        every imaginary column is zero."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
@@ -264,10 +277,10 @@ class GridFunction:
         if not np.allclose(x, grid.points, rtol=0, atol=1e-12 * (1 + abs(x[-1]))):
             raise ValueError(f"CSV nodes are not the uniform nodes of {grid}")
         n = (len(header) - 1) // 2
-        values = data[:, 1::2] + 1j * data[:, 2::2]
-        if values.shape != (n_points, n):
+        values, imag = data[:, 1::2], data[:, 2::2]
+        if values.shape != (n_points, n) or imag.shape != (n_points, n):
             raise ValueError("CSV data block has inconsistent shape")
-        return cls(grid, values)
+        return cls(grid, values + 1j * imag if np.any(imag) else values)
 
 
 def _require_kind(f: GridFunction, kind: str, who: str) -> None:

@@ -32,6 +32,7 @@ from .grid import (
     _fiber_norms,
     _integer,
     _require_kind,
+    _samples,
     plateau,
     warn_if_boundary_heavy,
     weighted_lp_norm,
@@ -107,7 +108,7 @@ def zero_extend(f: GridFunction) -> GridFunction:
     """Place the half-line samples on [0, L) of a full-line grid, zero on x < 0."""
     _require_kind(f, HALF_LINE, "zero_extend")
     full = f.grid.companion(FULL_LINE)
-    out = np.zeros((full.n_points, f.fiber_dim), dtype=np.complex128)
+    out = np.zeros((full.n_points, f.fiber_dim), dtype=f.values.dtype)
     out[full.zero_index:, :] = f.values
     return GridFunction(full, out)
 
@@ -127,7 +128,7 @@ def restrict_minus(F: GridFunction) -> GridFunction:
     """
     _require_kind(F, FULL_LINE, "restrict_minus")
     half = F.grid.companion(HALF_LINE)
-    out = np.zeros((half.n_points, F.fiber_dim), dtype=np.complex128)
+    out = np.zeros((half.n_points, F.fiber_dim), dtype=F.values.dtype)
     zero = F.grid.zero_index
     out[1:, :] = F.values[zero - 1:: -1, :][: half.n_points - 1]
     return GridFunction(half, out)
@@ -158,24 +159,37 @@ def reflect_extend(f: GridFunction, coeffs: ReflectionCoefficients) -> GridFunct
     warn_if_boundary_heavy(f, "reflect_extend")
     full = f.grid.companion(FULL_LINE)
     zero = full.zero_index
-    out = np.zeros((full.n_points, f.fiber_dim), dtype=np.complex128)
+    out = np.zeros((full.n_points, f.fiber_dim), dtype=f.values.dtype)
     out[zero:, :] = f.values
     # row zero - m holds x = -m h, m = 1..zero
     _gathered_reflection(f.values, coeffs, out[zero - 1:: -1, :])
     return GridFunction(full, out)
 
 
+def _real_columns(values: np.ndarray) -> np.ndarray:
+    """Real ``values`` as they are; complex ``values`` as float64 columns, the
+    real and imaginary part of each column side by side (a view when the
+    last axis is contiguous, else a copy)."""
+    if not np.iscomplexobj(values):
+        return values
+    if values.strides[-1] != values.itemsize:
+        values = values.copy()
+    return values.view(np.float64)
+
+
 def _upsampled_values(spec: np.ndarray, factor: int) -> np.ndarray:
-    """Trigonometric interpolant on the ``factor``-fold refined lattice of the
-    samples whose FFT (along axis 0) is ``spec``."""
-    n = spec.shape[0]
-    nyq = n // 2
-    padded = np.zeros((factor * n, spec.shape[1]), dtype=np.complex128)
+    """Trigonometric interpolant on the ``factor``-fold refined lattice (factor
+    >= 2) of the real samples whose ``rfft`` (along axis 0) is ``spec``.
+
+    The Nyquist row of the n samples splits evenly between the frequencies
+    +-n/2 of the refined lattice, where both are inner rows.
+    """
+    nyq = spec.shape[0] - 1
+    size = 2 * nyq * factor
+    padded = np.zeros((size // 2 + 1, spec.shape[1]), dtype=spec.dtype)
     padded[:nyq] = spec[:nyq]
     padded[nyq] = 0.5 * spec[nyq]
-    padded[factor * n - nyq] = 0.5 * spec[nyq]
-    padded[factor * n - nyq + 1:] = spec[nyq + 1:]
-    return np.fft.ifft(padded, axis=0) * factor
+    return np.fft.irfft(padded, size, axis=0) * factor
 
 
 def reflect_extend_dual(g: GridFunction, coeffs: ReflectionCoefficients) -> GridFunction:
@@ -183,17 +197,18 @@ def reflect_extend_dual(g: GridFunction, coeffs: ReflectionCoefficients) -> Grid
 
     Off-grid values of g come from its trigonometric interpolant: the points
     -x/lambda_j live on the lambda_j-fold refined lattice, where that
-    interpolant is an exact FFT upsampling of the one FFT of g.
+    interpolant is an exact FFT upsampling of the one ``rfft`` of g (of its
+    real and imaginary columns, for complex g).
     """
     _require_kind(g, FULL_LINE, "reflect_extend_dual")
     grid = g.grid
     n = grid.n_points
     zero = grid.zero_index
-    spec = np.fft.fft(g.values, axis=0)
+    spec = np.fft.rfft(_real_columns(g.values), axis=0)
     acc = g.values[zero:, :].copy()
     for lam, b in zip(coeffs.lambdas, coeffs.bs):
         j = int(lam)
-        up = _upsampled_values(spec, j) if j > 1 else g.values
+        up = _upsampled_values(spec, j).view(g.values.dtype) if j > 1 else g.values
         # row j * zero - k holds -x_k / lambda_j, k = 0..n - zero - 1
         acc += (b / lam) * up[j * zero: j * zero - (n - zero): -1]
     out = np.zeros_like(g.values)
@@ -217,7 +232,7 @@ class TraceVector:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.atleast_2d(np.asarray(self.entries, dtype=np.complex128))
+        e = np.atleast_2d(_samples(self.entries))
         if e.shape[0] != self.order + 1:
             raise ValueError(f"need {self.order + 1} entries, got {e.shape[0]}")
         if not np.all(np.isfinite(e)):
@@ -241,7 +256,7 @@ def trace(f: GridFunction, k: int) -> TraceVector:
     else:
         if zero < k + 4 or grid.n_points - zero < k + 4:
             raise ResolutionError("not enough nodes on each side of 0")
-    entries = np.empty((k + 1, f.fiber_dim), dtype=np.complex128)
+    entries = np.empty((k + 1, f.fiber_dim), dtype=f.values.dtype)
     for j in range(k + 1):
         entries[j] = _fd.derivative_at(f.values, grid.h, zero, j,
                                        accuracy=k + 3, one_sided=one_sided)
@@ -254,7 +269,7 @@ def coextend(t: TraceVector, grid: Grid) -> GridFunction:
         raise ValueError("coextension implemented for k <= 6")
     x = grid.points
     chi = plateau(x, 0.0, 1.0, 2.0)  # 1 on [-1, 1], supported in [-2, 2]
-    vals = np.zeros((grid.n_points, t.entries.shape[1]), dtype=np.complex128)
+    vals = np.zeros((grid.n_points, t.entries.shape[1]), dtype=t.entries.dtype)
     for j in range(t.order + 1):
         vals += (x ** j / math.factorial(j) * chi)[:, None] * t.entries[j][None, :]
     return GridFunction(grid, vals)

@@ -72,7 +72,8 @@ def generate_test_family(grid: Grid, seed: int, count: int,
                          support: tuple[float, float] | None = None,
                          trace_order: int = 0,
                          fiber_dim: int = 1) -> list[GridFunction]:
-    """Deterministic pseudo-random test functions of a named kind.
+    """Deterministic pseudo-random real test functions (float64 samples) of
+    a named kind.
 
     smooth-compact   bump/Gaussian superpositions supported strictly inside
                      the fractional window ``support`` (default (0.1, 0.9) of
@@ -99,9 +100,9 @@ def generate_test_family(grid: Grid, seed: int, count: int,
         damp = (x / (1.0 + x ** 2 / half_len ** 2) ** 0.5) ** (trace_order + 6)
     out = []
     for _ in range(count):
-        vals = np.zeros((grid.n_points, fiber_dim), dtype=np.complex128)
+        vals = np.zeros((grid.n_points, fiber_dim))
         for c in range(fiber_dim):
-            profile = np.zeros_like(x, dtype=np.complex128)
+            profile = np.zeros_like(x)
             for _ in range(rng.integers(2, 5)):
                 if kind == "boundary-touching":
                     center = rng.uniform(-0.15, 0.15) * grid.half_width

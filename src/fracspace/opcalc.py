@@ -21,15 +21,15 @@ bounded cache of read-only arrays, bit for bit what a per-call build gives:
   B ~ sqrt(N) (the table of E^j and the block starts E^(qB)); 4 entries,
   at most 3.3 MB each at N = 2^16;
 - ``_balakrishnan_kernel`` per (h, N, theta), for both variants: the
-  spectrum of the impulse response and the Dirichlet zero-start row, from
-  one two-row matrix product per block q; 16 entries of about 40 N bytes
-  (2.6 MB at N = 2^16);
+  half spectrum of the impulse response and the Dirichlet zero-start row,
+  from one two-row matrix product per block q; 16 entries of about 24 N
+  bytes (1.6 MB at N = 2^16);
 - ``_causal_weights`` per (h, N, theta), for ``riemann_liouville``: the
-  spectrum of its product-integration weights, the zero-start column and
-  Gamma(1 - theta); 4 entries of about 40 N bytes.
+  half spectrum of its product-integration weights, the zero-start column
+  and Gamma(1 - theta); 4 entries of about 24 N bytes.
 
-So the kept operands take at most 13 + 42 + 10.5 MB at N = 2^16, and
-3.3 + 2.6 + 0.7 MB at N = 2^12.  The log-lambda trapezoid carries its
+So the kept operands take at most 13 + 25 + 6.3 MB at N = 2^16, and
+3.3 + 1.6 + 0.4 MB at N = 2^12.  The log-lambda trapezoid carries its
 step^2/12 end correction, so at theta in [0.25, 0.75] the quadrature error
 is below the rounding of the sum.  The finite-difference stencils that
 ``HalfLineOperator.apply``, ``riemann_liouville`` and the endpoint-corrected
@@ -456,13 +456,14 @@ def _balakrishnan_kernel(h: float, n: int, theta: float) -> tuple[np.ndarray, np
     sum_lam c_lam g_lam, where g_lam is the impulse response of one
     recursion with the taps (E, b0, b1) of ``_taps``: g[0] = b0,
     g[k] = (E b0 + b1) E^(k-1).  Both variants apply it, the minus variant
-    to reversed data, so it is kept as its ``_conv.spectrum`` at size 2n.
+    to reversed data, so it is kept as its ``_conv.spectrum`` at size 2n (a
+    half spectrum of n + 1 rows).
     Row 1, sum_lam c_lam b0 E^k, kept as an (n, 1) column, is the response
     to f_0 that the zero initial value of the Dirichlet variant removes.  Both rows
     come from the taps and the trapezoid weights alone, summed by
     ``_exponential_sums`` over the shared ``_grid_tables`` of the grid, so a
     new theta on a known grid takes only the block products.  An entry takes
-    about 40 n bytes (2.6 MB at n = 2^16).
+    about 24 n bytes (1.6 MB at n = 2^16).
     """
     lam, (E, b0, b1), tables = _grid_tables(h, n)
     c = np.full(lam.size, _U_STEP)
@@ -519,7 +520,7 @@ def _causal_weights(h: float, n: int, theta: float) -> tuple:
 
     Cell [t_j, t_{j+1}] contributes A(g) f'_j + B(g) f'_{j+1} to node i,
     g = i - j >= 1; B_shift[g'] = B(g' + 1) aligns B to the source index of
-    f'_{j+1}.  An entry takes about 40 n bytes (2.6 MB at n = 2^16).
+    f'_{j+1}.  An entry takes about 24 n bytes (1.6 MB at n = 2^16).
     """
     g = np.arange(0, n, dtype=float)
     tb = g * h

@@ -199,7 +199,7 @@ def _far_field_kernel(n: int, h: float, sigma: float) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _singular_kernel(n: int, h: float, sigma: float) -> np.ndarray:
     """FFT of the circular kernel of the extrapolated annulus integral,
-    without c_sigma, as an (n, 1) ``_conv.spectrum`` (read-only).
+    without c_sigma, as an (n/2 + 1, 1) ``_conv.spectrum`` (read-only).
 
     The trapezoid levels over m = k..n/4 (inner radius r = k h, k = 1, 2, 4,
     both ends halved) are mixed by two Richardson stages, and the far-field

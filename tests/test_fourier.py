@@ -76,6 +76,48 @@ class TestApplyMultiplier:
             apply_multiplier(np.ones_like, f)
 
 
+class TestHermitianSymbols:
+    def test_non_hermitian_symbol_rejected(self):
+        # m(-xi) != conj m(xi) would map real samples to complex ones
+        f = gaussian(Grid(40.0, 1024, FULL_LINE))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            apply_multiplier(lambda xi: (xi > 0) * 1.0, f)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_derivative_of_real_data_is_real(self, order):
+        # equal to the real part of the complex FFT product
+        g = Grid(40.0, 2048, FULL_LINE)
+        f = gaussian(g)
+        out = spectral_derivative(f, order).values
+        assert out.dtype == np.float64
+        symbol = derivative_symbol(order)(g.frequencies())
+        full = np.fft.ifft(symbol[:, None] * np.fft.fft(f.values, axis=0), axis=0)
+        tol = 1e-14 * np.max(np.abs(symbol))  # rounding grows with |xi|^order
+        assert np.max(np.abs(out - full.real)) < tol
+        assert np.max(np.abs(full.imag)) < tol
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_nyquist_mode_keeps_the_real_part_of_the_symbol(self, order):
+        # (i xi)^order at xi = -pi N / (2 L): an odd order drops the mode,
+        # an even one scales it by the real symbol value
+        g = Grid(10.0, 64, FULL_LINE)
+        mode = (-1.0) ** np.arange(64)
+        with pytest.warns(RuntimeWarning):
+            out = spectral_derivative(GridFunction(g, mode), order).values[:, 0]
+        nyquist = -math.pi * 32 / 10.0
+        expected = 0.0 if order % 2 else (1j * nyquist) ** order
+        assert np.allclose(out, np.real(expected) * mode, rtol=1e-13, atol=1e-12)
+
+    def test_complex_data_takes_the_same_symbol(self):
+        g = Grid(40.0, 1024, FULL_LINE)
+        f = gaussian(g)
+        z = GridFunction(g, f.values * (1.0 - 2.0j))
+        out = fractional_laplacian_spectral(z, 0.7).values
+        assert out.dtype == np.complex128
+        ref = fractional_laplacian_spectral(f, 0.7).values * (1.0 - 2.0j)
+        assert np.max(np.abs(out - ref)) < 1e-14
+
+
 class TestBesselPotential:
     def test_order_zero_is_identity(self):
         g = Grid(40.0, 2048, FULL_LINE)
@@ -265,12 +307,13 @@ class TestTransformSweep:
         f = generate_test_family(Grid(40.0, n, FULL_LINE), seed, 1, fiber_dim=fiber_dim)[0]
         stacked = fourier._multiplied(fourier._symbol_values(symbols, f.grid), f)
         assert stacked.shape == (len(symbols), n, fiber_dim)
-        spec = np.fft.fft(f.values, axis=0)
+        spec = np.fft.rfft(f.values, axis=0)
+        half = n // 2 + 1
         for m, values in zip(symbols, stacked):
             assert np.array_equal(apply_multiplier(m, f).values, values)
-            # the former one-symbol formula
-            former = np.fft.ifft(spec * m(f.grid.frequencies())[:, None], axis=0)
-            assert np.array_equal(former, values)
+            # the one-symbol formula on the half spectrum
+            single = np.fft.irfft(spec * m(f.grid.frequencies())[:half, None], n, axis=0)
+            assert np.array_equal(single, values)
 
     @settings(max_examples=30, deadline=None)
     @given(kind=st.sampled_from([FULL_LINE, HALF_LINE]), n=sweep_sizes,

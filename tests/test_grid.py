@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from fracspace import fourier, halfline, kernels, opcalc, singular
@@ -47,6 +47,30 @@ class TestGrid:
         vals[3] = np.nan
         with pytest.raises(ValueError):
             GridFunction(g, vals)
+
+
+class TestSampleDtype:
+    @pytest.mark.parametrize("values, dtype", [
+        (np.arange(64), np.float64),
+        (np.arange(64) > 3, np.float64),
+        (np.ones(64, dtype=np.float32), np.float64),
+        (np.ones(64), np.float64),
+        (np.ones(64, dtype=np.complex64), np.complex128),
+        (np.ones(64) + 0j, np.complex128),
+    ], ids=["int", "bool", "float32", "float64", "complex64", "complex128"])
+    def test_real_input_stays_real(self, values, dtype):
+        f = GridFunction(Grid(10.0, 64), values)
+        assert f.values.dtype == dtype and f.values.shape == (64, 1)
+        assert np.array_equal(f.values[:, 0], values)
+
+    def test_arithmetic_with_complex_promotes(self):
+        g = Grid(10.0, 64)
+        f = GridFunction(g, np.arange(64.0))
+        z = GridFunction(g, 1j * np.arange(64.0))
+        assert (2.0 * f).values.dtype == (f - f).values.dtype == np.float64
+        assert (f * 1j).values.dtype == (1j * f).values.dtype == np.complex128
+        assert (f + z).values.dtype == np.complex128
+        assert np.array_equal((f * (1 + 2j)).values, f.values * (1 + 2j))
 
 
 class TestCachedTables:
@@ -231,27 +255,40 @@ class TestMollify:
             mollify(f, 64)
 
 
+def _csv_input(grid: Grid, fiber_dim: int, seed: int, complex_data: bool) -> GridFunction:
+    f = random_function(grid, fiber_dim, seed)
+    return f if complex_data else GridFunction(grid, f.values.real)
+
+
 class TestCsvRoundTrip:
+    # real samples come back real (every imaginary column is zero), complex
+    # ones complex, bit for bit
     @settings(max_examples=25, deadline=None)
-    @given(half_width=half_widths, n=grid_sizes, fiber_dim=fiber_dims, seed=seeds)
-    def test_full_line_round_trip(self, tmp_path_factory, half_width, n, fiber_dim, seed):
-        f = random_function(Grid(half_width, n, FULL_LINE), fiber_dim, seed)
+    @given(half_width=half_widths, n=grid_sizes, fiber_dim=fiber_dims, seed=seeds,
+           complex_data=st.booleans())
+    def test_full_line_round_trip(self, tmp_path_factory, half_width, n, fiber_dim, seed,
+                                  complex_data):
+        f = _csv_input(Grid(half_width, n, FULL_LINE), fiber_dim, seed, complex_data)
         path = tmp_path_factory.mktemp("csv") / "f.csv"
         f.to_csv(path)
         back = GridFunction.from_csv(path)
         assert back.grid == f.grid
         assert type(back.grid.half_width) is float
+        assert back.values.dtype == f.values.dtype
         assert np.array_equal(back.values, f.values)
 
     @settings(max_examples=25, deadline=None)
-    @given(half_width=half_widths, n=grid_sizes, fiber_dim=fiber_dims, seed=seeds)
-    def test_half_line_round_trip(self, tmp_path_factory, half_width, n, fiber_dim, seed):
-        f = random_function(Grid(half_width, n, HALF_LINE), fiber_dim, seed)
+    @given(half_width=half_widths, n=grid_sizes, fiber_dim=fiber_dims, seed=seeds,
+           complex_data=st.booleans())
+    def test_half_line_round_trip(self, tmp_path_factory, half_width, n, fiber_dim, seed,
+                                  complex_data):
+        f = _csv_input(Grid(half_width, n, HALF_LINE), fiber_dim, seed, complex_data)
         path = tmp_path_factory.mktemp("csv") / "h.csv"
         f.to_csv(path)
         back = GridFunction.from_csv(path)
         assert back.grid == f.grid
         assert type(back.grid.half_width) is float
+        assert back.values.dtype == f.values.dtype
         assert np.array_equal(back.values, f.values)
 
 
@@ -330,3 +367,68 @@ def test_operator_rejects_input_it_cannot_honour(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+_FULL_GRID = Grid(40.0, 1024, FULL_LINE)
+_HALF_GRID = _FULL_GRID.companion(HALF_LINE)
+_XF, _TH = _FULL_GRID.points, _HALF_GRID.points
+# decayed inputs; the half-line ones vanish at t = 0 (the Dirichlet domain)
+_REAL_FULL = np.stack([np.exp(-_XF ** 2), _XF * np.exp(-(_XF - 1.0) ** 2)], axis=1)
+_REAL_HALF = np.stack([_TH ** 2 * np.exp(-_TH), np.sin(_TH) * _TH * np.exp(-_TH)], axis=1)
+_OP_MINUS = opcalc.HalfLineOperator(opcalc.MINUS)
+
+# every operator that builds samples from its input, on a full-line (True)
+# or half-line (False) input
+SAMPLE_OPERATORS = {
+    "zero_extend": (False, halfline.zero_extend),
+    "restrict_plus": (True, halfline.restrict_plus),
+    "restrict_minus": (True, halfline.restrict_minus),
+    "reflect_extend": (False, lambda f: halfline.reflect_extend(f, _C1)),
+    "reflect_extend_dual": (True, lambda f: halfline.reflect_extend_dual(f, _C1)),
+    "indicator_multiply": (True, halfline.indicator_multiply),
+    "support_projection": (True, lambda f: halfline.support_projection(f, _C1)),
+    "project_H0": (False, lambda f: halfline.project_H0(f, 2)),
+    "mollify": (True, lambda f: mollify(f, 2)),
+    "bessel_potential": (True, lambda f: fourier.bessel_potential(f, 0.5)),
+    "spectral_derivative": (True, lambda f: fourier.spectral_derivative(f, 3)),
+    "fractional_laplacian_singular": (
+        True, lambda f: singular.fractional_laplacian_singular(f, 0.5)),
+    "hardy_hilbert_apply": (False, kernels.hardy_hilbert_apply),
+    "apply": (False, _OP.apply),
+    "fractional_power-dirichlet": (False, lambda f: opcalc.fractional_power(_OP, 0.5, f)),
+    "fractional_power-minus": (False, lambda f: opcalc.fractional_power(_OP_MINUS, 0.5, f)),
+    "riemann_liouville": (False, lambda f: opcalc.riemann_liouville(f, 0.5)),
+}
+
+
+# the largest |symbol| of an operator that amplifies high frequencies: the
+# rounding of its transforms reaches the output multiplied by it
+_GAINS = {"spectral_derivative": np.max(np.abs(_FULL_GRID.frequencies())) ** 3}
+
+
+@pytest.mark.parametrize("name", SAMPLE_OPERATORS)
+def test_operators_keep_real_data_real(name):
+    # real in, float64 out; complex in, complex128 out, equal to the
+    # operator applied to the real and the imaginary part up to rounding
+    full, operator = SAMPLE_OPERATORS[name]
+    grid, real = (_FULL_GRID, _REAL_FULL) if full else (_HALF_GRID, _REAL_HALF)
+    imag = real[::-1] if full else np.roll(real, 1, axis=1)
+    out_re = operator(GridFunction(grid, real)).values
+    out_im = operator(GridFunction(grid, imag)).values
+    out = operator(GridFunction(grid, real + 1j * imag)).values
+    assert out_re.dtype == out_im.dtype == np.float64
+    assert out.dtype == np.complex128
+    scale = max(np.max(np.abs(out_re)), np.max(np.abs(out_im)))
+    gain = _GAINS.get(name, 0.0)
+    bound = 1e-13 * scale + 4 * np.finfo(float).eps * gain * np.max(np.abs(real))
+    assert np.max(np.abs(out - (out_re + 1j * out_im))) <= bound
+
+
+def test_only_a_complex_number_makes_real_data_complex():
+    f = GridFunction(_HALF_GRID, _REAL_HALF)
+    assert opcalc.resolvent(_OP, 1.0 + 0.5j, f).values.dtype == np.complex128
+    assert fourier.transform_values(GridFunction(_FULL_GRID, _REAL_FULL))[1].dtype \
+        == np.complex128
+    trace = halfline.trace(f, 2)
+    assert trace.entries.dtype == np.float64
+    assert halfline.coextend(trace, _HALF_GRID).values.dtype == np.float64

@@ -205,19 +205,30 @@ class TestSlicedGathers:
     @given(half_width=half_widths, n=grid_sizes, fiber_dim=fiber_dims, seed=seeds,
            m=st.integers(0, 2))
     def test_dual_takes_one_forward_transform(self, half_width, n, fiber_dim, seed, m):
-        # reference: a fresh FFT of g for every lambda_j >= 2, gathered by index
+        # reference: a fresh FFT of the real and imaginary parts of g for
+        # every lambda_j >= 2, gathered by index
         g = random_function(Grid(half_width, n, FULL_LINE), fiber_dim, seed)
         coeffs = solve_reflection_coefficients(m)
         zero = g.grid.zero_index
         acc = g.values[zero:].copy()
         for lam, b in zip(coeffs.lambdas, coeffs.bs):
             j = int(lam)
-            up = halfline._upsampled_values(np.fft.fft(g.values, axis=0), j) \
-                if j > 1 else g.values
+            up = g.values
+            if j > 1:
+                parts = [halfline._upsampled_values(np.fft.rfft(part, axis=0), j)
+                         for part in (g.values.real, g.values.imag)]
+                up = parts[0] + 1j * parts[1]
             acc += (b / lam) * up[j * zero - np.arange(n - zero)]
         ref = np.zeros_like(g.values)
         ref[zero:] = acc
         assert np.array_equal(reflect_extend_dual(g, coeffs).values, ref)
+
+    def test_complex_columns_are_a_view_when_contiguous(self):
+        data = np.ones((16, 2), dtype=np.complex128)[::-1]
+        assert np.shares_memory(halfline._real_columns(data), data)
+        assert halfline._real_columns(data).shape == (16, 4)
+        transposed = np.ones((2, 16), dtype=np.complex128).T
+        assert not np.shares_memory(halfline._real_columns(transposed), transposed)
 
 
 class TestReflectExtendDual:
@@ -738,8 +749,8 @@ class TestSweeps:
         triples = _multiplier_triples()
         assert (len(triples), len(_GN_PAIRS)) == (9, 7)
         forward = []
-        fft = np.fft.fft
-        monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: forward.append(1) or fft(*a, **kw))
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **kw: forward.append(1) or rfft(*a, **kw))
         multiplier_norm_ratios(f, triples)
         assert len(forward) == 2
         forward.clear()

@@ -107,9 +107,9 @@ def _per_member_family(grid, seed, count, kind, support=None, trace_order=0, fib
     mid, half_len = 0.5 * (lo + hi), 0.5 * (hi - lo)
     out = []
     for _ in range(count):
-        vals = np.zeros((grid.n_points, fiber_dim), dtype=np.complex128)
+        vals = np.zeros((grid.n_points, fiber_dim))
         for c in range(fiber_dim):
-            profile = np.zeros_like(x, dtype=np.complex128)
+            profile = np.zeros_like(x)
             for _ in range(rng.integers(2, 5)):
                 if kind == "boundary-touching":
                     center = rng.uniform(-0.15, 0.15) * grid.half_width

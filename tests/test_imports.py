@@ -63,11 +63,12 @@ def test_quadrature_suites_load_no_scipy_integrate():
 def test_one_fft_product_on_numpy_fft():
     # _conv.convolve is the one place that multiplies a kept spectrum into
     # transformed data: no module imports scipy.fft or a transform by name
-    # (np.fft is reached as a module attribute, which tests count through),
-    # and an inverse transform appears only there and in the zero-padding
-    # interpolation of halfline._upsampled_values
+    # (np.fft is reached as a module attribute, which tests count through);
+    # the inverse transforms are irfft, there and in the zero-padding
+    # interpolation of halfline._upsampled_values, and ifft, for complex
+    # data in _conv.convolve only
     package = Path(fracspace.__file__).resolve().parent
-    imports, inverse = [], set()
+    imports, inverse = [], {}
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -77,11 +78,13 @@ def test_one_fft_product_on_numpy_fft():
                 imports += [f"{path.name}: {node.module}.{a.name}" for a in node.names
                             if "fft" in f"{node.module}.{a.name}"]
         for top in tree.body:
-            if any(isinstance(node, ast.Attribute) and node.attr == "ifft"
-                   for node in ast.walk(top)):
-                inverse.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr.startswith(("ifft", "irfft")):
+                    inverse.setdefault(node.attr, set()).add(
+                        f"{path.stem}.{getattr(top, 'name', top.lineno)}")
     assert imports == []
-    assert inverse == {"_conv.convolve", "halfline._upsampled_values"}
+    assert inverse == {"ifft": {"_conv.convolve"},
+                       "irfft": {"_conv.convolve", "halfline._upsampled_values"}}
 
 
 def _unused_top_level_imports(path: Path) -> list[str]:

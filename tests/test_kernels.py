@@ -281,9 +281,9 @@ class TestHardyHilbert:
         assert np.all(np.abs(dense - direct) <= 1e-12 * np.abs(direct))
 
     def test_cached_spectra_are_read_only_and_short(self):
-        # one spectrum of length 2n and the two end columns, kept per n
+        # one half spectrum of size 2n and the two end columns, kept per n
         spectrum, first, last = kernels._hankel_kernel(1024)
-        assert spectrum.shape == (2048, 1)
+        assert spectrum.shape == (1025, 1)
         assert first.shape == last.shape == (1024, 1)
         for array in (spectrum, first, last):
             assert not array.flags.writeable

@@ -462,7 +462,7 @@ def _reference_fractional_power(op, theta, f):
     u_range, u_step = opcalc._U_RANGE, opcalc._U_STEP
     af = op.apply(f)
     us = np.arange(-u_range, u_range + 1e-12, u_step)
-    acc = np.zeros_like(f.values)
+    acc = np.zeros_like(f.values, dtype=complex)
     for i, u in enumerate(us):
         lam = math.exp(u)
         wt = u_step if 0 < i < len(us) - 1 else 0.5 * u_step
