@@ -352,9 +352,8 @@ def hardy_embedding_check(f: GridFunction, s: float, p: float, gamma: float) -> 
 def critical_line_distance(s: float, p: float, gamma: float) -> float:
     """Distance from s to the nearest shifted trace-critical value k + (1+gamma)/p."""
     base = (1.0 + gamma) / p
-    k = round(s - base)
-    candidates = [abs(s - (kk + base)) for kk in (k - 1, k, k + 1) if kk >= 0]
-    return min(candidates) if candidates else math.inf
+    k = max(0, round(s - base))
+    return abs(s - (k + base))
 
 
 @functools.lru_cache(maxsize=32)

@@ -135,9 +135,9 @@ _ALL_N = (1024, 2048, 4096)
 
 @dataclass
 class SuiteConfig:
-    """Grid sizes, seed, and the sweeps and tolerances of one verification
-    suite; ``sweeps`` and ``tolerances`` override the suite's defaults in
-    ``SUITES`` key by key."""
+    """Grid sizes, seed and sweeps of one verification suite; ``sweeps``
+    overrides the suite's default sweeps in ``SUITES`` key by key.  Each suite
+    states its tolerances in its own code; no configuration sets them."""
 
     suite: str
     half_width: float = 40.0
@@ -145,7 +145,6 @@ class SuiteConfig:
     seed: int = 42
     out_dir: str | None = None
     sweeps: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
 
     @classmethod
     def from_json(cls, suite: str, path) -> "SuiteConfig":
@@ -174,13 +173,11 @@ class SuiteConfig:
         if any(fine <= coarse for coarse, fine in zip(self.n_list, self.n_list[1:])):
             # the suites read the last size as the finest grid
             raise ConfigError(f"grid sizes must be strictly ascending, got {list(self.n_list)}")
-        _, sweeps, tolerances = SUITES[self.suite]
-        for kind, given, read in (("sweep", self.sweeps, sweeps),
-                                  ("tolerance", self.tolerances, tolerances)):
-            unread = sorted(set(given) - set(read))
-            if unread:
-                raise ConfigError(f"suite {self.suite} reads no {kind} keys {unread}; "
-                                  f"it reads {sorted(read)}")
+        _, sweeps = SUITES[self.suite]
+        unread = sorted(set(self.sweeps) - set(sweeps))
+        if unread:
+            raise ConfigError(f"suite {self.suite} reads no sweep keys {unread}; "
+                              f"it reads {sorted(sweeps)}")
         for key, values in self.sweeps.items():
             # the entries of a sweep have the shape of its default's entries
             want = _shape(sweeps[key][0])
@@ -189,9 +186,6 @@ class SuiteConfig:
                 entries = "numbers" if want == 0 else f"lists of {want} numbers"
                 raise ConfigError(f"sweep {key} must be a non-empty list of {entries}, "
                                   f"got {values!r}")
-        for key, tol in self.tolerances.items():
-            if _shape(tol) != 0 or not (math.isfinite(tol) and tol >= 0):
-                raise ConfigError(f"tolerance {key} must be a finite number >= 0, got {tol!r}")
         for key, check in _ENTRY_CHECKS.items():
             for entry in self.sweeps.get(key, ()):
                 try:
@@ -202,17 +196,13 @@ class SuiteConfig:
     def shared(self) -> "SuiteConfig":
         """This configuration as one of several suites that share it (``run all``).
 
-        Drops the sweep and tolerance keys that only other suites read; keys
-        that no suite reads stay, so ``validate`` still rejects them.
+        Drops the sweep keys that only other suites read; keys that no suite
+        reads stay, so ``validate`` still rejects them.
         """
-        def narrow(given: dict, column: int) -> dict:
-            read_here = SUITES[self.suite][column]
-            read_anywhere = {k for entry in SUITES.values() for k in entry[column]}
-            return {k: v for k, v in given.items()
-                    if k in read_here or k not in read_anywhere}
-
-        return replace(self, sweeps=narrow(self.sweeps, 1),
-                       tolerances=narrow(self.tolerances, 2))
+        read_here = SUITES[self.suite][1]
+        read_anywhere = {k for _, sweeps in SUITES.values() for k in sweeps}
+        return replace(self, sweeps={k: v for k, v in self.sweeps.items()
+                                     if k in read_here or k not in read_anywhere})
 
     def hash(self) -> str:
         """Hash of the computation the config asks for; where the report is
@@ -311,16 +301,18 @@ class SuiteReport:
 
 
 def _jsonable(v):
-    """``v`` as strict JSON: numbers as floats (the real part of a complex one),
-    a non-finite float as "NaN", "Infinity" or "-Infinity", lists and dict
-    values entry by entry."""
+    """``v`` as strict JSON: real numbers as floats, a non-finite float as
+    "NaN", "Infinity" or "-Infinity", lists and dict values entry by entry.
+    A complex number raises TypeError: a report holds real numbers only."""
     if v is None or isinstance(v, (bool, str)):
         return v
     if isinstance(v, dict):
         return {key: _jsonable(u) for key, u in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(u) for u in v]
-    f = float(np.real(v)) if np.iscomplexobj(v) else float(v)
+    if np.iscomplexobj(v):
+        raise TypeError(f"a report holds real numbers, got the complex value {v!r}")
+    f = float(v)
     if math.isfinite(f):
         return f
     return "NaN" if math.isnan(f) else ("Infinity" if f > 0 else "-Infinity")
@@ -386,7 +378,7 @@ def _shrinking_case(report: SuiteReport, params: dict, values) -> None:
 
 def _suite_frac_laplacian(cfg: SuiteConfig, report: SuiteReport) -> None:
     sigmas = cfg.sweeps["sigma"]
-    tol = cfg.tolerances["rel_l2"]
+    tol = 1e-3
     w0 = PowerWeight(0.0)
 
     def rel(f: GridFunction, sigma: float) -> float:
@@ -406,8 +398,8 @@ def _suite_frac_laplacian(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 def _suite_c_sigma(cfg: SuiteConfig, report: SuiteReport) -> None:
     sigmas = cfg.sweeps["sigma"]
-    tol_h = cfg.tolerances["homogeneity"]
-    tol_o = cfg.tolerances["oracle"]
+    tol_h = 1e-6
+    tol_o = 1e-8
     for sigma in sigmas:
         c = singular.c_sigma(sigma)
         report.add_case({"sigma": sigma, "what": "c < 0"}, c, 0.0, 0.0,
@@ -426,7 +418,7 @@ def _suite_c_sigma(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_bessel_kernel(cfg: SuiteConfig, report: SuiteReport) -> None:
-    tol = cfg.tolerances["kernel"]
+    tol = 1e-6
     xs = np.linspace(0.1, 10.0, 199)
     g2 = kernels.bessel_kernel(2.0, xs)
     report.add_case({"what": "G_2 = exp(-|x|)/2 on [0.1, 10]"},
@@ -468,7 +460,7 @@ def _suite_bessel_kernel(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_schur(cfg: SuiteConfig, report: SuiteReport) -> None:
-    tol = cfg.tolerances["closed_form"]
+    tol = 1e-8
     for p, beta in cfg.sweeps["p_beta"]:
         val = kernels.schur_constant(p, beta)
         report.add_case({"p": p, "beta": beta, "what": "quadrature vs closed form"},
@@ -500,7 +492,7 @@ def _suite_reflection(cfg: SuiteConfig, report: SuiteReport) -> None:
     c0 = halfline.solve_reflection_coefficients(0)
     report.add_case({"what": "m=0 coefficients"}, list(c0.bs), [3.0, -2.0], 0.0,
                     passed=c0.bs == (3.0, -2.0))
-    tol_poly = cfg.tolerances["poly"]
+    tol_poly = 1e-9
     grid = Grid(cfg.half_width, 8192, HALF_LINE)
     t = grid.points
     xg = grid.companion(FULL_LINE).points
@@ -526,7 +518,7 @@ def _suite_reflection(cfg: SuiteConfig, report: SuiteReport) -> None:
     report.add_case({"what": "extension of zero"},
                     float(np.max(np.abs(ez.values))), 0.0, 0.0)
     # duality, with refinement
-    tol_dual = cfg.tolerances["duality"]
+    tol_dual = 1e-8
     c1 = halfline.solve_reflection_coefficients(1)
 
     def duality_gap(fh: GridFunction, gg: GridFunction) -> float:
@@ -545,7 +537,7 @@ def _suite_reflection(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_traces(cfg: SuiteConfig, report: SuiteReport) -> None:
-    tol = cfg.tolerances["trace"]
+    tol = 1e-8
     grid = Grid(cfg.half_width, 4096, FULL_LINE)
     x = grid.points
     win = plateau(x, 0.0, 3.0, 9.0)
@@ -601,8 +593,8 @@ def _suite_traces(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_pointwise_multiplier(cfg: SuiteConfig, report: SuiteReport) -> None:
-    stab = cfg.tolerances["stability"]
-    tol_comm = cfg.tolerances["commutation"]
+    stab = 0.10
+    tol_comm = 1e-6
     spg = cfg.sweeps["spg"]
     sups, _ = _ladder(cfg, FULL_LINE,
                       lambda g: generate_test_family(g, cfg.seed, 50, "boundary-touching"),
@@ -631,8 +623,8 @@ def _suite_pointwise_multiplier(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
-    stab = cfg.tolerances["stability"]
-    tol_scale = cfg.tolerances["scale_invariance"]
+    stab = 0.10
+    tol_scale = 1e-6
     # Hardy embedding ratio
 
     def hardy_sup(fam) -> float:
@@ -649,7 +641,7 @@ def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
     # which both sides scale as lam^(s - (1+gamma)/p), so the sup is invariant.
     # On the grid the dilated samples are the family sampled lam times
     # coarser, so the sups move only by the refinement error over spacings
-    # h .. 4h: the ladder's band ``stability``, at most 0.3
+    # h .. 4h: the ladder's band ``stab``
 
     def dilate(f: GridFunction, lam: int) -> GridFunction:
         idx = lam * np.arange(grid.n_points) - (lam - 1) * grid.zero_index
@@ -666,7 +658,7 @@ def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
     dilated_sups = [_sup(homogeneous_ratio(dilate(f, lam)) for f in fam) for lam in (1, 2, 4)]
     _stable_case(report, {"s": 0.4, "p": 2, "gamma": 0.5,
                           "what": "Hardy sup bounded under dilation"},
-                 dilated_sups, min(stab, 0.3))
+                 dilated_sups, stab)
     # Gagliardo-Nirenberg, one family per N
     sups_gn, _ = _ladder(cfg, FULL_LINE, lambda g: generate_test_family(g, cfg.seed + 7, 50),
                          lambda fam: [_sup(r) for r in zip(
@@ -685,8 +677,8 @@ def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
-    tol_ode = cfg.tolerances["ode"]
-    tol_res = cfg.tolerances["residual"]
+    tol_ode = 1e-8
+    tol_res = 1e-6
     w0 = PowerWeight(0.0)
     op = opcalc.HalfLineOperator(opcalc.DIRICHLET, 2.0, 0.0)
     opm = opcalc.HalfLineOperator(opcalc.MINUS, 2.0, 0.0)
@@ -775,8 +767,8 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_fractional_domains(cfg: SuiteConfig, report: SuiteReport) -> None:
-    tol_rl = cfg.tolerances["rl_match"]
-    stab = cfg.tolerances["stability"]
+    tol_rl = 1e-10
+    stab = 0.10
     w0 = PowerWeight(0.0)
     op0 = opcalc.HalfLineOperator(opcalc.DIRICHLET, 2.0, 0.0)
     # domain-norm ratio bands: one family per N serves every (p, gamma, theta)
@@ -816,8 +808,8 @@ def _suite_fractional_domains(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_integration_by_parts(cfg: SuiteConfig, report: SuiteReport) -> None:
-    tol = cfg.tolerances["closed_form"]
-    tol_rand = cfg.tolerances["random"]
+    tol = 1e-8
+    tol_rand = 1e-7
     grid = Grid(cfg.half_width, 4096, HALF_LINE)
     t = grid.points
     u = GridFunction(grid, np.exp(-t))
@@ -860,29 +852,23 @@ def _multiplier_triples() -> tuple:
     return tuple(triples)
 
 
-# name -> (suite, default sweeps, default tolerances); a config may set only
-# these keys, and run_suite hands the suite the defaults updated by them
+# name -> (suite, default sweeps); a config may set only these sweep keys, and
+# run_suite hands the suite the defaults updated by them
 SUITES = {
-    "frac-laplacian-xcheck": (_suite_frac_laplacian, {"sigma": (0.3, 0.5, 0.7)},
-                              {"rel_l2": 1e-3}),
-    "c-sigma": (_suite_c_sigma, {"sigma": tuple(round(0.1 * k, 1) for k in range(1, 10))},
-                {"homogeneity": 1e-6, "oracle": 1e-8}),
-    "bessel-kernel": (_suite_bessel_kernel, {}, {"kernel": 1e-6}),
+    "frac-laplacian-xcheck": (_suite_frac_laplacian, {"sigma": (0.3, 0.5, 0.7)}),
+    "c-sigma": (_suite_c_sigma, {"sigma": tuple(round(0.1 * k, 1) for k in range(1, 10))}),
+    "bessel-kernel": (_suite_bessel_kernel, {}),
     "schur-constants": (_suite_schur, {"p_beta": (
         (2.0, -0.3), (2.0, -0.1), (2.0, 0.0), (2.0, 0.2), (2.0, 0.45),
-        (1.5, -0.2), (1.5, 0.2), (2.5, 0.1), (3.0, -0.25), (4.0, 0.1))},
-                        {"closed_form": 1e-8}),
-    "reflection-extension": (_suite_reflection, {}, {"poly": 1e-9, "duality": 1e-8}),
-    "traces": (_suite_traces, {}, {"trace": 1e-8}),
-    "pointwise-multiplier": (_suite_pointwise_multiplier, {"spg": _multiplier_triples()},
-                             {"stability": 0.10, "commutation": 1e-6}),
-    "hardy-gn": (_suite_hardy_gn, {}, {"stability": 0.10, "scale_invariance": 1e-6}),
-    "resolvent-sectoriality": (_suite_resolvent, {}, {"ode": 1e-8, "residual": 1e-6}),
+        (1.5, -0.2), (1.5, 0.2), (2.5, 0.1), (3.0, -0.25), (4.0, 0.1))}),
+    "reflection-extension": (_suite_reflection, {}),
+    "traces": (_suite_traces, {}),
+    "pointwise-multiplier": (_suite_pointwise_multiplier, {"spg": _multiplier_triples()}),
+    "hardy-gn": (_suite_hardy_gn, {}),
+    "resolvent-sectoriality": (_suite_resolvent, {}),
     "fractional-domains": (_suite_fractional_domains,
-                           {"pgt": ((2.0, 0.0, 0.5), (2.0, 0.5, 0.3), (2.0, 0.5, 0.7))},
-                           {"rl_match": 1e-10, "stability": 0.10}),
-    "integration-by-parts": (_suite_integration_by_parts, {},
-                             {"closed_form": 1e-8, "random": 1e-7}),
+                           {"pgt": ((2.0, 0.0, 0.5), (2.0, 0.5, 0.3), (2.0, 0.5, 0.7))}),
+    "integration-by-parts": (_suite_integration_by_parts, {}),
 }
 
 
@@ -894,9 +880,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     """
     config.validate()
     report = SuiteReport(config.suite, config.hash())
-    suite, sweeps, tolerances = SUITES[config.suite]
-    merged = replace(config, sweeps={**sweeps, **config.sweeps},
-                     tolerances={**tolerances, **config.tolerances})
+    suite, sweeps = SUITES[config.suite]
+    merged = replace(config, sweeps={**sweeps, **config.sweeps})
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)

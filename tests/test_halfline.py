@@ -820,3 +820,16 @@ class TestCriticalLineGuard:
         assert critical_line_distance(1.5, 2.0, 0.0) == pytest.approx(0.0)
         assert critical_line_distance(0.3, 2.0, 0.0) == pytest.approx(0.2)
         assert critical_line_distance(0.8, 2.0, 0.5) == pytest.approx(0.05)
+        # far below the first line (1 + gamma)/p = 0.5 the distance is to it
+        assert critical_line_distance(-1.2, 2.0, 0.0) == pytest.approx(1.7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.floats(-20.0, 20.0), p=st.floats(1.05, 6.0),
+           frac=st.floats(0.01, 0.99))
+    def test_is_the_nearest_line(self, s, p, frac):
+        gamma = -1.0 + frac * p  # -1 < gamma < p - 1: an admissible weight
+        base = (1.0 + gamma) / p
+        candidates = [abs(s - (k + base)) for k in range(0, 25)]
+        d = critical_line_distance(s, p, gamma)
+        assert d in candidates
+        assert d <= min(candidates) + 1e-12

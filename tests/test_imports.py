@@ -4,9 +4,11 @@ import ast
 import subprocess
 import sys
 import tomllib
+from dataclasses import fields
 from pathlib import Path
 
 import fracspace
+from fracspace.harness import SUITES, SuiteConfig
 
 
 def test_package_does_not_import_scipy_signal():
@@ -336,3 +338,15 @@ def test_no_running_maximum_in_harness():
                and {t.id for t in node.targets if isinstance(t, ast.Name)}
                & {a.id for a in node.value.args if isinstance(a, ast.Name)}]
     assert running == []
+
+
+def test_suite_tolerances_are_pinned():
+    # a configuration holds run inputs only; each suite writes its gates as
+    # literals, so no config, file or caller can loosen one
+    assert {f.name for f in fields(SuiteConfig)} == {
+        "suite", "half_width", "n_list", "seed", "out_dir", "sweeps"}
+    assert all(len(row) == 2 for row in SUITES.values())
+    tree = dict(_package_modules())["harness"]
+    reads = [f"harness.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "tolerances"]
+    assert reads == []
