@@ -11,9 +11,11 @@ exactly) and the index of the repeat among cases with equal params; a case
 whose key is in one report only is one "appeared" or "disappeared" line.  A
 pair of cases is compared in ``value``, ``reference``, ``tol``, ``pass`` and
 ``measured``, refinement levels place by place.  Every float is compared
-within the relative tolerance ``rtol``, |a - b| <= rtol max(|a|, |b|) with NaN
-equal only to NaN; everything else (strings such as "Infinity", integers,
-pass flags, keys, lengths) with ``==``.
+within the relative tolerance ``rtol`` and the absolute floor ``atol``,
+|a - b| <= max(rtol max(|a|, |b|), atol) with NaN equal only to NaN (the
+floor lets a residual that is a small difference of O(1) quantities move at
+rounding level); everything else (strings such as "Infinity", integers, pass
+flags, keys, lengths) with ``==``.
 
 Prints the largest relative difference of each suite over all seeds and
 every field that differs, and exits 1 when any does, else 0.
@@ -97,7 +99,8 @@ def _label(key: tuple) -> str:
     return f"cases[{params}]" + (f"[repeat {repeat}]" if repeat else "")
 
 
-def _compare(base: dict, head: dict, rtol: float, where: str) -> tuple[float, list]:
+def _compare(base: dict, head: dict, rtol: float, where: str,
+             atol: float = 0.0) -> tuple[float, list]:
     """(largest relative difference between floats, differences) of two reports."""
     worst, diffs = 0.0, []
     base_cases, head_cases = _keyed(base["cases"]), _keyed(head["cases"])
@@ -115,7 +118,7 @@ def _compare(base: dict, head: dict, rtol: float, where: str) -> tuple[float, li
                 diffs.append(f"{where} {path}: {a!r} != {b!r}")
                 continue
             worst = max(worst, rel)
-            if not rel <= rtol:
+            if not (rel <= rtol or abs(a - b) <= atol):
                 diffs.append(f"{where} {path}: {a!r} vs {b!r} (rel {rel:.3g})")
     return worst, diffs
 
@@ -128,6 +131,8 @@ def main(argv=None) -> int:
                         help="comma-separated seeds (default 1,5,10,42)")
     parser.add_argument("--rtol", type=float, default=0.0,
                         help="relative tolerance on report values (default 0)")
+    parser.add_argument("--atol", type=float, default=0.0,
+                        help="absolute floor on report value differences (default 0)")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
     revisions = [_git("rev-parse", "--verify", f"{rev}^{{commit}}")
@@ -148,7 +153,7 @@ def main(argv=None) -> int:
             for suite in sorted(set(names) & set(head_names)):
                 base = json.loads((base_dir / f"{suite}.json").read_text())
                 head = json.loads((head_dir / f"{suite}.json").read_text())
-                rel, found = _compare(base, head, args.rtol, f"seed {seed} {suite}")
+                rel, found = _compare(base, head, args.rtol, f"seed {seed} {suite}", args.atol)
                 worst[suite] = max(worst.get(suite, 0.0), rel)
                 diffs += found
     finally:
@@ -157,7 +162,7 @@ def main(argv=None) -> int:
                 _git("worktree", "remove", "--force", str(scratch / name))
         shutil.rmtree(scratch, ignore_errors=True)
     print(f"base {revisions[0][:12]}  head {revisions[1][:12]}  seeds {args.seeds}  "
-          f"rtol {args.rtol:g}")
+          f"rtol {args.rtol:g}  atol {args.atol:g}")
     for suite, rel in sorted(worst.items()):
         print(f"  {suite:28s} largest relative difference {rel:.3g}")
     for line in diffs:

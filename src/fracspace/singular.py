@@ -16,9 +16,9 @@ A sum of weighted symmetric differences f(x+mh) + f(x-mh) - 2 f(x) over
 integer offsets m is a circular convolution with an even kernel.  The limit
 therefore assembles one length-N kernel from the difference-quotient weights
 (the Richardson mixture of its levels and the periodic far-field image sum,
-whose images on the two sides share one folded sum of powers; past the first
-few images that sum is one Taylor polynomial in the offset) and applies it
-with ``_conv.convolve`` at size N.  That kernel depends only on (N, h,
+whose images beyond the nearest two and closed-form tails are one Taylor
+polynomial in the offset, so a build takes one power per node) and applies
+it with ``_conv.convolve`` at size N.  That kernel depends only on (N, h,
 sigma), so its spectrum is computed once per key and kept, read-only, in a
 small bounded in-process cache; c_sigma is likewise computed once per sigma.
 The kernel never uses |xi|^sigma, so the two representations stay
@@ -102,36 +102,49 @@ def _pair_kernel(n: int, ms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 # periodic images summed explicitly on each side of the far field
 _N_IMAGES = 64
-# images j = 1 .. _NEAR_IMAGES - 1 of the folded sum are explicit, the rest one
-# polynomial of _SERIES_TERMS terms: its first dropped term is below 2^-60 of
-# the sum for every sigma in (0, 1)
-_NEAR_IMAGES = 4
-_SERIES_TERMS = 32
+# terms kept of the far field's polynomial in d, even (a polynomial in d^2)
+# and odd (d times one): at |d| = 1/2 the first term each drops is below
+# 2^-60 of the sum for every sigma in (0, 1)
+_EVEN_TERMS = 21
+_ODD_TERMS = 3
 
 
-def _image_series(sigma: float) -> list[float]:
-    """Coefficients a_k (k = 0 .. _SERIES_TERMS - 1) of the Taylor polynomial
-    sum_k a_k x^k of sum_{j=_NEAR_IMAGES}^{_N_IMAGES-1} (j + x)^(-1-sigma) on 0 <= x <= 1.
+@functools.lru_cache(maxsize=32)
+def _far_series(sigma: float) -> np.ndarray:
+    """Rows (images, tails) of the Taylor coefficients in d, order k = 0 ..
+    2 _EVEN_TERMS - 1, of the far field's two smooth parts at x = 1/2 + d:
+    the images sum_{a=1.5}^{63.5} ((a + d)^e + (a - d)^e) + (64.5 + d)^e
+    (e = -1-sigma) and the tails (65 + d)^(-sigma) + (64 - d)^(-sigma).
 
-    a_k = binom(-1-sigma, k) sum_j j^(-1-sigma-k), each sum of powers exactly
-    rounded (``math.fsum``).  The series in x / j converges geometrically
-    with ratio at most 1/_NEAR_IMAGES and alternates in sign.
+    Each is binom(e, k) or binom(-sigma, k) times an exactly rounded sum of
+    powers (``math.fsum``).  A pair of images gives only even k, each term at
+    most 1/9 of the one before ((d/a)^2 with a >= 3/2); the other three
+    terms give ratios of at most 1/128.
     """
     expo = -1.0 - sigma
-    j = np.arange(_NEAR_IMAGES, _N_IMAGES, dtype=float)
-    powers = j ** (expo - np.arange(_SERIES_TERMS)[:, None])
-    coeffs = []
-    binom = 1.0
-    for k, row in enumerate(powers.tolist()):
-        coeffs.append(binom * math.fsum(row))
-        binom *= (expo - k) / (k + 1)
-    return coeffs
+    pairs = np.arange(1.5, _N_IMAGES)
+    last = _N_IMAGES + 0.5
+    out = np.empty((2, 2 * _EVEN_TERMS))
+    b_image = b_tail = 1.0
+    for k in range(out.shape[1]):
+        image = [last ** (expo - k)]
+        if k % 2 == 0:
+            image += (2.0 * pairs ** (expo - k)).tolist()
+        out[0, k] = b_image * math.fsum(image)
+        out[1, k] = b_tail * math.fsum([(last + 0.5) ** (-sigma - k),
+                                        (-1.0) ** k * (last - 0.5) ** (-sigma - k)])
+        b_image *= (expo - k) / (k + 1)
+        b_tail *= (-sigma - k) / (k + 1)
+    return out
 
 
-def _scaled_power(values: np.ndarray, h: float, e: float) -> np.ndarray:
-    """(values h)^e, formed in ``values``, which it returns."""
-    values *= h
-    return np.power(values, e, out=values)
+def _horner(u: np.ndarray, coeffs: list) -> np.ndarray:
+    """sum_i coeffs[i] u^i by Horner's rule, formed in place in one new array."""
+    out = np.full(u.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= u
+        out += c
+    return out
 
 
 def _far_field_kernel(n: int, h: float, sigma: float) -> np.ndarray:
@@ -143,56 +156,33 @@ def _far_field_kernel(n: int, h: float, sigma: float) -> np.ndarray:
     The f(x+h) part sums the cut power kernel over periodic images, explicitly
     up to 64 copies on each side and closed-form (midpoint-corrected integral)
     beyond; the -f(x) part is the closed-form weight at index 0.  For
-    0 <= m < n, image j >= 1 lies at (m + j n) h and image -(j + 1) at
-    ((n - m) + j n) h, so both sides read one folded sum
-    S(q) = sum_{j=1}^{63} ((q + j n) h)^(-1-sigma) over q = 0..n, at q = m and
-    at q = n - m; image 64 is added on its own.  In S the images
-    j = 1 .. _NEAR_IMAGES - 1 are explicit powers, and the rest is
-    (n h)^(-1-sigma) times the polynomial of ``_image_series`` in x = q / n
-    (exact, n being a power of two), evaluated by Horner's rule, so a build
-    takes eight powers per node.  Every power but the kernel's own first one
-    is formed in one reused buffer.
+    0 <= m < n only the images j = -1, 0 reach within R + h/4: they read one
+    table of (k h)^(-1-sigma) over k = n/4 .. n, at k = n - m and k = m.
+    Every other image and both tails are smooth in d = m/n - 1/2 (exact, n
+    being a power of two): image j >= 1 lies at n h (j + 1/2 + d) and image
+    -(j + 1) at n h (j + 1/2 - d), so there the kernel is (n h)^(-1-sigma)
+    times the images' polynomial of ``_far_series`` plus
+    (n h)^(-sigma) / (sigma n h) times the tails' one.  Their sum is
+    evaluated in three buffers by Horner's rule in u = d^2 (_EVEN_TERMS
+    terms) plus d times _ODD_TERMS terms: no power per node beyond the table.
     """
     quarter = n // 4
-    big_r = quarter * h
     expo = -1.0 - sigma
-    q = np.arange(n + 1, dtype=float)
-    m = q[:n]
-    coeffs = _image_series(sigma)
-    # x = q / n for Horner's rule, then the buffer of every power
-    buf = q / n
-    folded = np.full(n + 1, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        folded *= buf
-        folded += c
-    folded *= (n * h) ** expo
-    # the far images' polynomial first, then the near images, j descending
-    for j in range(_NEAR_IMAGES - 1, 0, -1):
-        folded += _scaled_power(np.add(q, j * n, out=buf), h, expo)
-    kernel = _scaled_power(m + _N_IMAGES * n, h, expo)
-    kernel += folded[:n]
-    kernel += folded[n:0:-1]
-    # 0 <= m < n, so only the images j = -1, 0 reach within R + h/4: image
-    # -1 at (n - m) h counts for m < n - quarter, image 0 at m h for
-    # m > quarter, and each is halved where it lies at R
-    half = 0.5 * big_r ** expo
-    near = buf[:n - quarter]
-    kernel[:n - quarter] += _scaled_power(np.subtract(n, m[:n - quarter], out=near), h, expo)
-    kernel[n - quarter] += half
-    near = buf[quarter + 1:n]
-    near[:] = m[quarter + 1:]
-    kernel[quarter + 1:] += _scaled_power(near, h, expo)
-    kernel[quarter] += half
-    # analytic tails of the image sum (both signs of j)
-    jn = (_N_IMAGES + 0.5) * n
-    scale = sigma * n * h
-    part = buf[:n]
-    np.add(m, jn, out=part)
-    kernel += np.divide(_scaled_power(part, h, -sigma), scale, out=part)
-    np.subtract(jn, m, out=part)
-    kernel += np.divide(_scaled_power(part, h, -sigma), scale, out=part)
+    images, tails = _far_series(sigma)
+    coeffs = (n * h) ** expo * images + (n * h) ** (-sigma) / (sigma * n * h) * tails
+    d = np.arange(-(n // 2), n // 2) / n
+    u = d * d
+    d *= _horner(u, coeffs[1:2 * _ODD_TERMS:2].tolist())
+    kernel = _horner(u, coeffs[::2].tolist())
+    kernel += d
+    # image 0 at m h counts for m > quarter, image -1 at (n - m) h for
+    # m < n - quarter, and each is halved where it lies at R
+    near = (np.arange(quarter, n + 1) * h) ** expo
+    kernel[quarter + 1:] += near[1:n - quarter]
+    kernel[:n - quarter] += near[:0:-1]
+    kernel[[quarter, n - quarter]] += 0.5 * near[0]
     kernel *= h
-    kernel[0] -= (2.0 / sigma) * big_r ** (-sigma)
+    kernel[0] -= (2.0 / sigma) * (quarter * h) ** (-sigma)
     return kernel
 
 
@@ -202,8 +192,10 @@ def _singular_kernel(n: int, h: float, sigma: float) -> np.ndarray:
     without c_sigma, as an (n/2 + 1, 1) ``_conv.spectrum`` (read-only).
 
     The trapezoid levels over m = k..n/4 (inner radius r = k h, k = 1, 2, 4,
-    both ends halved) are mixed by two Richardson stages, and the far-field
-    image kernel of ``_far_field_kernel`` is added once.
+    both ends halved) share one table of (m h)^(-1-sigma) and are mixed by
+    two Richardson stages; the far-field image kernel of
+    ``_far_field_kernel``, whose table covers the offsets n/4 .. n, is added
+    once, so a build takes one power per node.
     """
     m_top = n // 4  # R = L/2 exactly
     ms = np.arange(1, m_top + 1)

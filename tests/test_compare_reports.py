@@ -3,6 +3,7 @@ by their params and repeat index, not by position."""
 
 import copy
 import importlib.util
+import math
 from pathlib import Path
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_reports.py"
@@ -29,8 +30,8 @@ BASE = _report([
 ])
 
 
-def _compare(head, rtol=0.0):
-    return compare_reports._compare(BASE, head, rtol, "demo")
+def _compare(head, rtol=0.0, atol=0.0):
+    return compare_reports._compare(BASE, head, rtol, "demo", atol)
 
 
 def test_an_inserted_case_appears_and_the_others_stay_matched():
@@ -77,3 +78,31 @@ def test_non_finite_strings_compare_equal_and_differ_from_floats():
     head["cases"][0]["reference"] = 4.0
     _, diffs = compare_reports._compare(base, head, 1.0, "demo")
     assert diffs == ["demo cases[{\"what\": \"bound\"}].reference: 'Infinity' != 4.0"]
+
+
+def test_absolute_floor_passes_a_rounding_move_of_a_small_residual():
+    # a residual of 7.3e-8 moved by 1e-15: relative 1.4e-8, absolute 1e-15
+    base = _report([_case({"what": "residual"}, 7.3e-8)])
+    head = copy.deepcopy(base)
+    head["cases"][0]["value"] = 7.3e-8 + 1e-15
+    for atol in (0.0, 1e-16):
+        _, diffs = compare_reports._compare(base, head, 1e-12, "demo", atol)
+        assert len(diffs) == 1 and ".value" in diffs[0]
+    worst, diffs = compare_reports._compare(base, head, 1e-12, "demo", 1e-14)
+    assert diffs == [] and worst > 1e-12
+
+
+def test_absolute_floor_defaults_to_zero():
+    head = copy.deepcopy(BASE)
+    head["cases"][1]["value"] = 2e-9 + 1e-20
+    assert len(_compare(head)[1]) == 1
+    assert _compare(head, atol=1e-19)[1] == []
+
+
+def test_absolute_floor_keeps_non_finite_values_apart():
+    base = _report([_case({"what": "bound"}, 1.0)])
+    for value in (math.inf, math.nan):
+        head = copy.deepcopy(base)
+        head["cases"][0]["value"] = value
+        _, diffs = compare_reports._compare(base, head, 0.0, "demo", 1e300)
+        assert len(diffs) == 1 and ".value" in diffs[0]

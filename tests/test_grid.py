@@ -184,6 +184,40 @@ class TestWeightedNorm:
             weighted_lp_norm(f, 0.5, PowerWeight(0.0))
 
 
+def _sum_of_squares(values):
+    return np.sqrt(np.sum(np.abs(values) ** 2, axis=-1))
+
+
+class TestFiberNorms:
+    @settings(max_examples=50, deadline=None)
+    @given(n=grid_sizes, stack=st.sampled_from([None, 1, 3]), is_complex=st.booleans(),
+           seed=seeds)
+    def test_one_column_is_the_sum_of_squares_form(self, n, stack, is_complex, seed):
+        # magnitudes in [1e-150, 1e150], where every |v|^2 is a normal float
+        rng = np.random.default_rng(seed)
+        shape = (n, 1) if stack is None else (stack, n, 1)
+
+        def part():
+            signs = rng.choice([-1.0, 1.0], shape)
+            return signs * 10.0 ** rng.uniform(-150.0, 150.0, shape)
+
+        values = part() + 1j * part() if is_complex else part()
+        out = grid_module._fiber_norms(values)
+        assert out.shape == shape[:-1]
+        assert np.array_equal(out, _sum_of_squares(values))
+
+    def test_one_column_below_the_squares_range_is_exact(self):
+        for values in (np.array([[1e-200], [-1e-200]]), np.array([[1e-200j], [-1e-200]])):
+            assert np.array_equal(grid_module._fiber_norms(values), [1e-200, 1e-200])
+            assert np.all(_sum_of_squares(values) == 0.0)
+
+    @pytest.mark.parametrize("shape", [(64, 2), (64, 3), (2, 64, 3)])
+    def test_several_columns_are_the_sum_of_squares_form(self, shape):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.array_equal(grid_module._fiber_norms(values), _sum_of_squares(values))
+
+
 class TestDualPairing:
     def test_indicator_pairing(self):
         g = Grid(32.0, 4096, FULL_LINE)

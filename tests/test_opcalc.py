@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, signal
+from scipy.linalg import eigh_tridiagonal
 
 from fracspace.grid import (
     Grid,
@@ -29,6 +30,7 @@ from fracspace.opcalc import (
     _balakrishnan_kernel,
     _causal_weights,
     _grid_tables,
+    _negative_definite,
     _op_norm_singular_value,
     _pencil_norm,
     _resolvent_map,
@@ -312,13 +314,53 @@ class TestPencilNorm:
 
     def test_unconverged_root_is_not_certified(self, monkeypatch):
         # one Newton step from mu = 0 stops well below the root, so the
-        # upper Sturm count still finds a pencil eigenvalue above the bracket
+        # upper end's factorization still finds a pencil eigenvalue above it
         g = Grid(40.0, 1024, HALF_LINE)
         lam = 4.0 * cmath.exp(0.6j)
         assert _pencil_norm(OP_D, lam, g)[2]
         monkeypatch.setattr("fracspace.opcalc._NEWTON_MAX", 1)
         iterates, _, certified = _pencil_norm(OP_D, lam, g)
         assert len(iterates) == 2 and not certified
+
+
+def _no_eigenvalue_above_zero(d, e):
+    """The eigenvalue count the certificate used before: none in (0, inf)."""
+    return eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                            select_range=(0.0, np.inf)).size == 0
+
+
+class TestNegativeDefinite:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([2, 16, 256, 1024]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_agrees_with_eigenvalue_count_on_random_shifts(self, n, seed):
+        # shifts spread from far off the top eigenvalue to within 1e-10 of it
+        rng = np.random.default_rng(seed)
+        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+        top = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                               select_range=(n - 1, n - 1))[0]
+        scale = max(abs(top), 1.0)
+        offsets = rng.choice([-1.0, 1.0], 12) * 10.0 ** rng.uniform(-10.0, 1.0, 12)
+        for shift in top + scale * offsets:
+            assert _negative_definite(d - shift, e) is _no_eigenvalue_above_zero(d - shift, e)
+
+    @pytest.mark.parametrize("variant", [DIRICHLET, MINUS])
+    def test_agrees_with_eigenvalue_count_at_the_bracket_ends(self, variant, monkeypatch):
+        # the shifted pencils the certificate factors, at both ends of each bracket
+        seen = []
+
+        def spy(d, e):
+            seen.append((d.copy(), e.copy()))
+            return _negative_definite(d, e)
+
+        monkeypatch.setattr("fracspace.opcalc._negative_definite", spy)
+        g = Grid(40.0, 1024, HALF_LINE)
+        for gamma in (-0.5, 0.5):
+            op = HalfLineOperator(variant, 2.0, gamma)
+            for lam in _probed_lambdas(radius_step=2):
+                _pencil_norm(op, lam, g)
+        assert len(seen) >= 2 * len(_probed_lambdas(radius_step=2))
+        for d, e in seen:
+            assert _negative_definite(d, e) is _no_eigenvalue_above_zero(d, e)
 
 
 class TestSectorialityProbe:

@@ -7,9 +7,9 @@ from scipy import integrate, special
 from fracspace.grid import FULL_LINE, Grid, GridFunction, PowerWeight, weighted_lp_norm
 from fracspace import fourier
 from fracspace.singular import (
+    _EVEN_TERMS,
     _N_IMAGES,
-    _NEAR_IMAGES,
-    _SERIES_TERMS,
+    _ODD_TERMS,
     _far_field_kernel,
     _singular_kernel,
     c_sigma,
@@ -183,8 +183,8 @@ class TestFractionalLaplacianSingular:
     @pytest.mark.parametrize("n", [1024, 4096, 16384])
     @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
     def test_far_field_kernel_matches_image_sum(self, n, sigma, half_width):
-        # only the images j = -1, 0 pass through the cut, and the folded sum
-        # adds the others in its own order (most of them as one polynomial):
+        # only the images j = -1, 0 pass through the cut, and one polynomial
+        # in the offset sums the others and the tails in its own order:
         # every index agrees within 8 ulps with the exactly rounded sum of all
         # 131 reference terms
         h = Grid(half_width, n, FULL_LINE).h
@@ -197,14 +197,30 @@ class TestFractionalLaplacianSingular:
 
     @pytest.mark.parametrize("sigma", [1e-9, 1.0 - 1e-9])
     def test_first_dropped_series_term_below_rounding(self, sigma):
-        # at x = 1, where the series in x / j converges slowest, the first
-        # term the polynomial drops is below 2^-60 of the far images' sum
+        # at |d| = 1/2, where the series in d converges slowest, the first
+        # even and the first odd term the polynomial drops are each below
+        # 2^-60 of the far images' and tails' sum (image 64 and the tails
+        # nearly cancel in an odd coefficient, so it is summed with its signs)
         expo = -1.0 - sigma
-        images = range(_NEAR_IMAGES, _N_IMAGES)
-        total = math.fsum((j + 1.0) ** expo for j in images)
-        dropped = abs(special.binom(expo, _SERIES_TERMS)) * math.fsum(
-            float(j) ** (expo - _SERIES_TERMS) for j in images)
-        assert dropped < 2.0 ** -60 * total
+        pairs = [j + 0.5 for j in range(1, _N_IMAGES)]
+        last = _N_IMAGES + 0.5
+
+        def terms(d):
+            images = [(a + d) ** expo + (a - d) ** expo for a in pairs]
+            return images + [(last + d) ** expo, (last + 0.5 + d) ** -sigma / sigma,
+                             (last - 0.5 - d) ** -sigma / sigma]
+
+        def dropped(k):
+            images = [2.0 * a ** (expo - k) for a in pairs] if k % 2 == 0 else []
+            b_image, b_tail = special.binom(expo, k), special.binom(-sigma, k) / sigma
+            parts = [b_image * x for x in images + [last ** (expo - k)]]
+            parts += [b_tail * (last + 0.5) ** (-sigma - k),
+                      b_tail * (-1.0) ** k * (last - 0.5) ** (-sigma - k)]
+            return 0.5 ** k * abs(math.fsum(parts))
+
+        total = min(math.fsum(terms(0.5)), math.fsum(terms(-0.5)))
+        assert dropped(2 * _EVEN_TERMS) < 2.0 ** -60 * total
+        assert dropped(2 * _ODD_TERMS + 1) < 2.0 ** -60 * total
 
     def test_repeated_calls_identical(self):
         g = Grid(40.0, 2048, FULL_LINE)
