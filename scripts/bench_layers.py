@@ -4,11 +4,14 @@
 
 Runs, in this order:
 
-1. ``import fracspace`` in ``COLD_STARTS`` fresh interpreters; the
-   ``cold_start`` block records the median wall time of the import, the
-   median ``ru_maxrss`` after it (in MiB, as the benchmark's
-   ``peak_rss_mb``), the median number of loaded modules, and whether
-   ``scipy.integrate`` or ``scipy.optimize`` loaded in any run;
+1. ``import fracspace`` in ``COLD_STARTS`` fresh interpreters, from a
+   temporary copy of ``src`` without ``__pycache__`` whose bytecode cache one
+   untimed import has written (``"bytecode_cache": "warm"``), so the
+   checkout's caches neither help nor are touched; the ``cold_start`` block
+   records the median wall time of the import, the median ``ru_maxrss``
+   after it (in MiB, as the benchmark's ``peak_rss_mb``), the median number
+   of loaded modules, and whether ``scipy.integrate`` or ``scipy.optimize``
+   loaded in any run;
 2. in this process, every verification suite as ``fracspace run all --seed
    42`` runs it, from a fresh interpreter, recording each report's
    ``runtime_s``;
@@ -43,9 +46,11 @@ import fnmatch
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -191,12 +196,19 @@ def operator_timings() -> dict:
 
 
 def cold_start() -> dict:
-    """Median cost of ``import fracspace`` over ``COLD_STARTS`` fresh interpreters."""
-    runs = [json.loads(subprocess.run([sys.executable, "-c", _COLD_START, str(ROOT / "src")],
-                                      capture_output=True, text=True, check=True,
-                                      timeout=120).stdout)
-            for _ in range(COLD_STARTS)]
-    return {"runs": COLD_STARTS,
+    """Median cost of ``import fracspace`` over ``COLD_STARTS`` fresh interpreters,
+    each reading the bytecode cache that an untimed first import wrote into a
+    copy of ``src``."""
+    # the cache must be written for the state recorded below to hold
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    with tempfile.TemporaryDirectory(prefix="cold-start-") as tmp:
+        src = shutil.copytree(ROOT / "src", Path(tmp) / "src",
+                              ignore=shutil.ignore_patterns("__pycache__"))
+        runs = [json.loads(subprocess.run([sys.executable, "-c", _COLD_START, str(src)],
+                                          capture_output=True, text=True, check=True,
+                                          timeout=120, env=env).stdout)
+                for _ in range(COLD_STARTS + 1)][1:]
+    return {"runs": COLD_STARTS, "bytecode_cache": "warm",
             "import_s": statistics.median(r["import_s"] for r in runs),
             "maxrss_mb": statistics.median(r["maxrss_mb"] for r in runs),
             "modules": statistics.median(r["modules"] for r in runs),

@@ -10,7 +10,6 @@ singularity of |x|^gamma at the origin never has to be sampled.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import numbers
@@ -241,33 +240,29 @@ class GridFunction:
 
     def to_csv(self, path) -> None:
         """Write ``x,re_0,im_0[,re_1,im_1,...]`` rows at full precision."""
-        x = self.grid.points
+        header, columns = ["x"], [self.grid.points]
+        for c in range(self.fiber_dim):
+            header += [f"re_{c}", f"im_{c}"]
+            columns += [self.values[:, c].real, self.values[:, c].imag]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["x"]
-            for c in range(self.fiber_dim):
-                header += [f"re_{c}", f"im_{c}"]
-            writer.writerow(header)
-            for i in range(self.grid.n_points):
-                row = [f"{x[i]:.17g}"]
-                for c in range(self.fiber_dim):
-                    row += [f"{self.values[i, c].real:.17g}",
-                            f"{self.values[i, c].imag:.17g}"]
-                writer.writerow(row)
+            np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                       newline="\r\n", header=",".join(header), comments="")
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction":
         """Read what ``to_csv`` writes; the samples are real (float64) when
         every imaginary column is zero."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            rows = [[float(entry) for entry in row] for row in reader if row]
-        if not header or header[0] != "x" or (len(header) - 1) % 2 != 0:
-            raise ValueError(f"malformed grid-function CSV header: {header}")
-        if len(rows) < 2:
-            raise ValueError(f"grid-function CSV needs at least two rows, got {len(rows)}")
-        data = np.asarray(rows)
+        with open(path) as fh:
+            line = fh.readline()
+            header = line.rstrip("\n").split(",") if line else []
+            if not header or header[0] != "x" or (len(header) - 1) % 2 != 0:
+                raise ValueError(f"malformed grid-function CSV header: {header}")
+            with warnings.catch_warnings():
+                # a file without data rows: the row count below rejects it
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        if len(data) < 2:
+            raise ValueError(f"grid-function CSV needs at least two rows, got {len(data)}")
         x = data[:, 0]
         n_points = len(x)
         if x[0] < 0:

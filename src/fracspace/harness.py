@@ -345,6 +345,12 @@ def _sup(values) -> float:
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
+def _rel_l2(a: GridFunction, b: GridFunction) -> float:
+    """||a - b|| / ||b|| in unweighted L^2."""
+    w0 = PowerWeight(0.0)
+    return weighted_lp_norm(a - b, 2.0, w0) / weighted_lp_norm(b, 2.0, w0)
+
+
 def _ladder(cfg: SuiteConfig, kind: str, inputs, measure):
     """Run ``measure(inputs(grid))`` on the grid of each size in ``cfg.n_list``,
     coarsest first (``validate`` holds the sizes ascending).  ``measure`` returns
@@ -379,15 +385,10 @@ def _shrinking_case(report: SuiteReport, params: dict, values) -> None:
 def _suite_frac_laplacian(cfg: SuiteConfig, report: SuiteReport) -> None:
     sigmas = cfg.sweeps["sigma"]
     tol = 1e-3
-    w0 = PowerWeight(0.0)
-
-    def rel(f: GridFunction, sigma: float) -> float:
-        spec = fourier.fractional_laplacian_spectral(f, sigma)
-        sing = singular.fractional_laplacian_singular(f, sigma)
-        return weighted_lp_norm(sing - spec, 2.0, w0) / weighted_lp_norm(spec, 2.0, w0)
-
     sups, _ = _ladder(cfg, FULL_LINE, lambda g: generate_test_family(g, cfg.seed, 20),
-                      lambda fam: [_sup(rel(f, sigma) for f in fam) for sigma in sigmas])
+                      lambda fam: [_sup(_rel_l2(singular.fractional_laplacian_singular(f, sigma),
+                                                fourier.fractional_laplacian_spectral(f, sigma))
+                                        for f in fam) for sigma in sigmas])
     for sigma, values in zip(sigmas, sups):
         report.add_case({"sigma": sigma, "N": cfg.n_list[-1], "what": "max rel L2"},
                         values[-1], 0.0, tol)
@@ -679,7 +680,6 @@ def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
 def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
     tol_ode = 1e-8
     tol_res = 1e-6
-    w0 = PowerWeight(0.0)
     op = opcalc.HalfLineOperator(opcalc.DIRICHLET, 2.0, 0.0)
     opm = opcalc.HalfLineOperator(opcalc.MINUS, 2.0, 0.0)
     # closed-form examples; the recursion is exact for piecewise-linear data,
@@ -706,30 +706,21 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
                     0.0, tol_ode)
     report.add_case({"what": "dirichlet boundary value exact"},
                     abs(complex(uf.values[0, 0])), 0.0, 0.0)
-    # residuals on random inputs (fine grid: the recursion output is only C^1,
-    # which spectral differentiation resolves at this resolution); inputs end
-    # at 0.45 L so the resolvents decay below the periodization guard by L
+    # ODE residuals (lam + A)u - f on random inputs, with A the operator's own
+    # 8th-order derivative
     gr = Grid(cfg.half_width, 2 ** 16, HALF_LINE)
     fam = generate_test_family(gr, cfg.seed, 20, support=(0.05, 0.45))
     rng = np.random.default_rng(cfg.seed + 1)
     lams = [complex(rng.uniform(1.0, 4.0), rng.uniform(-2.0, 2.0)) for _ in fam]
-    coeffs = halfline.solve_reflection_coefficients(2)
 
-    def residual_d(f: GridFunction, lam: complex) -> float:
-        ud = opcalc.resolvent(op, lam, f)
-        du = fourier.spectral_derivative(halfline.zero_extend(ud))
-        res = halfline.restrict_plus(du) + lam * ud - f
-        return weighted_lp_norm(res, 2.0, w0) / weighted_lp_norm(f, 2.0, w0)
+    def residual(operator: opcalc.HalfLineOperator, f: GridFunction, lam: complex) -> float:
+        u = opcalc.resolvent(operator, lam, f)
+        return _rel_l2(operator.apply(u) + lam * u, f)
 
-    def residual_m(f: GridFunction, lam: complex) -> float:
-        uq = opcalc.resolvent(opm, lam, f)
-        dq = fourier.spectral_derivative(halfline.reflect_extend(uq, coeffs))
-        res = -1.0 * halfline.restrict_plus(dq) + lam * uq - f
-        return weighted_lp_norm(res, 2.0, w0) / weighted_lp_norm(f, 2.0, w0)
-
-    for variant, residual in (("dirichlet", residual_d), ("minus", residual_m)):
-        report.add_case({"what": f"{variant} ODE residual (20 random)"},
-                        _sup(residual(f, lam) for f, lam in zip(fam, lams)), 0.0, tol_res)
+    for name, operator in (("dirichlet", op), ("minus", opm)):
+        report.add_case({"what": f"{name} ODE residual (20 random)"},
+                        _sup(residual(operator, f, lam) for f, lam in zip(fam, lams)),
+                        0.0, tol_res)
     # sector probe supremum, stable across N
     angle = 3.0 * math.pi / 4.0 - 0.1
     radii = [4.0 ** k for k in range(-5, 6)]
@@ -769,7 +760,6 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
 def _suite_fractional_domains(cfg: SuiteConfig, report: SuiteReport) -> None:
     tol_rl = 1e-10
     stab = 0.10
-    w0 = PowerWeight(0.0)
     op0 = opcalc.HalfLineOperator(opcalc.DIRICHLET, 2.0, 0.0)
     # domain-norm ratio bands: one family per N serves every (p, gamma, theta)
     pgt = cfg.sweeps["pgt"]
@@ -781,16 +771,12 @@ def _suite_fractional_domains(cfg: SuiteConfig, report: SuiteReport) -> None:
                      for op, (_, _, theta) in zip(ops, pgt)])
     # the fractional power against the causal-derivative oracle, finest grid
     fam = generate_test_family(fam_b[0].grid, cfg.seed, 20, support=(0.1, 0.5))
-
-    def oracle_gap(f: GridFunction, theta: float) -> float:
-        b = opcalc.riemann_liouville(f, theta)
-        return (weighted_lp_norm(opcalc.fractional_power(op0, theta, f) - b, 2.0, w0)
-                / weighted_lp_norm(b, 2.0, w0))
-
     for theta in (0.25, 0.5, 0.75):
         report.add_case({"theta": theta,
                          "what": "fractional power vs causal-derivative oracle"},
-                        _sup(oracle_gap(f, theta) for f in fam), 0.0, tol_rl)
+                        _sup(_rel_l2(opcalc.fractional_power(op0, theta, f),
+                                     opcalc.riemann_liouville(f, theta)) for f in fam),
+                        0.0, tol_rl)
     for (p, gamma, theta), values in zip(pgt, bands):
         _stable_case(report, {"p": p, "gamma": gamma, "theta": theta,
                               "what": "domain-norm band constant stable"}, values, stab)

@@ -326,6 +326,19 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.values, f.values)
 
 
+def test_csv_bytes(tmp_path):
+    # header, CRLF line ends and %.17g fields, imaginary columns of real data 0
+    g = Grid(16.0, 16, HALF_LINE)
+    values = g.points / 4
+    values[1], values[2] = 0.1, -1e-300
+    path = tmp_path / "h.csv"
+    GridFunction(g, values).to_csv(path)
+    rows = ["x,re_0,im_0", "0,0,0", "1,0.10000000000000001,0", "2,-1e-300,0", "3,0.75,0",
+            "4,1,0", "5,1.25,0", "6,1.5,0", "7,1.75,0", "8,2,0", "9,2.25,0", "10,2.5,0",
+            "11,2.75,0", "12,3,0", "13,3.25,0", "14,3.5,0", "15,3.75,0"]
+    assert path.read_bytes() == "".join(row + "\r\n" for row in rows).encode()
+
+
 _X = Grid(10.0, 64, FULL_LINE).points
 _T = Grid(10.0, 64, HALF_LINE).points
 _FULL = GridFunction(Grid(10.0, 64, FULL_LINE), np.exp(-_X ** 2))

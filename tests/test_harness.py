@@ -8,7 +8,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from fracspace.grid import FULL_LINE, Grid, GridFunction, HALF_LINE, plateau
+from fracspace.grid import (
+    FULL_LINE, Grid, GridFunction, HALF_LINE, PowerWeight, plateau, weighted_lp_norm)
 from fracspace import cli, fourier, halfline, kernels, opcalc
 from fracspace.halfline import trace
 from fracspace.harness import (
@@ -408,9 +409,9 @@ def _half_line_csv(tmp_path):
     return str(path)
 
 
-def _empty_file(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
+def _text_file(tmp_path, text):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
     return str(path)
 
 
@@ -458,8 +459,14 @@ BAD_INPUTS = {
                                   "--out", str(tmp / "o.csv"), "--params", '{"mm": 3}'],
     "params-not-object": lambda tmp: ["apply", "reflect-extend", "--in", _half_line_csv(tmp),
                                       "--out", str(tmp / "o.csv"), "--params", '"m"'],
-    "csv-empty": lambda tmp: ["apply", "zero-extend", "--in", _empty_file(tmp),
+    "csv-empty": lambda tmp: ["apply", "zero-extend", "--in", _text_file(tmp, ""),
                               "--out", str(tmp / "o.csv")],
+    "csv-header-only": lambda tmp: ["apply", "zero-extend",
+                                    "--in", _text_file(tmp, "x,re_0,im_0\r\n"),
+                                    "--out", str(tmp / "o.csv")],
+    "csv-ragged": lambda tmp: ["apply", "zero-extend",
+                               "--in", _text_file(tmp, "x,re_0,im_0\n0,1,0\n1,1\n2,1,0\n"),
+                               "--out", str(tmp / "o.csv")],
     "param-missing": lambda tmp: ["apply", "bessel-potential", "--in", _full_line_csv(tmp),
                                   "--out", str(tmp / "o.csv"), "--params", "{}"],
     "param-is-the-input": lambda tmp: ["apply", "reflect-extend", "--in", _half_line_csv(tmp),
@@ -686,6 +693,51 @@ def test_contraction_case_reads_the_real_axis_of_the_probe_ladder(small_runs):
         ends.append(max(e["bracket"][1] for e in real))
     assert case["measured"]["values"] == ends
     assert case["value"] == max(ends) and case["pass"]
+
+
+_RESIDUALS = ("dirichlet ODE residual (20 random)", "minus ODE residual (20 random)")
+
+
+def test_a_scaled_resolvent_fails_the_ode_residuals_and_no_probe_case(monkeypatch):
+    # the sector pencil is built from the taps, not from opcalc.resolvent
+    original = opcalc.resolvent
+
+    def scaled(op, lam, f):
+        u = original(op, lam, f)
+        return GridFunction(u.grid, (1 + 1e-3) * u.values)
+
+    monkeypatch.setattr(opcalc, "resolvent", scaled)
+    report = run_suite(SuiteConfig(suite="resolvent-sectoriality", n_list=_SMALL_N))
+    verdicts = {c["params"]["what"]: c["pass"] for c in report.cases}
+    assert [verdicts[what] for what in _RESIDUALS] == [False, False]
+    probes = [passed for what, passed in verdicts.items() if "sector-probe" in what]
+    assert len(probes) == 4 and all(probes)
+
+
+def test_ode_residuals_match_the_spectral_derivative_instrument():
+    # an independent instrument: extend u to the full line (zero extension
+    # for the Dirichlet variant, the order-2 reflection for the minus one,
+    # whose A is -d/dt), differentiate spectrally on 2^17 nodes, restrict
+    seed = 42
+    cfg = SuiteConfig(suite="resolvent-sectoriality", n_list=_SMALL_N, seed=seed)
+    values = {c["params"]["what"]: c["value"] for c in run_suite(cfg).cases}
+    fam = generate_test_family(Grid(cfg.half_width, 2 ** 16, HALF_LINE), seed, 20,
+                               support=(0.05, 0.45))
+    rng = np.random.default_rng(seed + 1)
+    lams = [complex(rng.uniform(1.0, 4.0), rng.uniform(-2.0, 2.0)) for _ in fam]
+    coeffs = halfline.solve_reflection_coefficients(2)
+    w0 = PowerWeight(0.0)
+    instruments = ((opcalc.DIRICHLET, halfline.zero_extend, 1.0),
+                   (opcalc.MINUS, lambda u: halfline.reflect_extend(u, coeffs), -1.0))
+    for what, (variant, extend, sign) in zip(_RESIDUALS, instruments):
+        op = opcalc.HalfLineOperator(variant)
+        residuals = []
+        for f, lam in zip(fam, lams):
+            u = opcalc.resolvent(op, lam, f)
+            du = halfline.restrict_plus(fourier.spectral_derivative(extend(u)))
+            residuals.append(weighted_lp_norm(sign * du + lam * u - f, 2.0, w0)
+                             / weighted_lp_norm(f, 2.0, w0))
+        assert values[what] == pytest.approx(max(residuals), rel=1e-6)
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])

@@ -340,6 +340,24 @@ def test_no_running_maximum_in_harness():
     assert running == []
 
 
+def test_one_relative_l2_formula_in_harness():
+    # every relative gap ||a - b|| / ||b|| is harness._rel_l2
+    def quotients(node):
+        return [n for n in ast.walk(node)
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)
+                and all(isinstance(side, ast.Call) and isinstance(side.func, ast.Name)
+                        and side.func.id == "weighted_lp_norm" for side in (n.left, n.right))
+                and n.left.args and isinstance(n.left.args[0], ast.BinOp)
+                and isinstance(n.left.args[0].op, ast.Sub)]
+
+    tree = dict(_package_modules())["harness"]
+    (rel_l2,) = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_rel_l2"]
+    assert len(quotients(rel_l2)) == 1
+    assert [f"harness.py:{n.lineno}" for node in tree.body if node is not rel_l2
+            for n in quotients(node)] == []
+
+
 def test_suite_tolerances_are_pinned():
     # a configuration holds run inputs only; each suite writes its gates as
     # literals, so no config, file or caller can loosen one
