@@ -155,7 +155,7 @@ def environment() -> dict:
 
 def suite_runtimes() -> dict:
     """runtime_s of each suite, configured as ``fracspace run all`` does."""
-    return {name: run_suite(SuiteConfig(suite=name, seed=SUITE_SEED).shared()).runtime_s
+    return {name: run_suite(SuiteConfig(suite=name, seed=SUITE_SEED)).runtime_s
             for name in SUITES}
 
 

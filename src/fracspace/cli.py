@@ -113,8 +113,6 @@ def _make_config(name: str, args) -> SuiteConfig:
         cfg.half_width = args.half_width
     if args.out:
         cfg.out_dir = args.out
-    if args.suite == "all":
-        cfg = cfg.shared()
     cfg.validate()
     return cfg
 

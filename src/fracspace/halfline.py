@@ -349,13 +349,6 @@ def hardy_embedding_check(f: GridFunction, s: float, p: float, gamma: float) -> 
     return weighted_lp_norm(f, p, target) / denom
 
 
-def critical_line_distance(s: float, p: float, gamma: float) -> float:
-    """Distance from s to the nearest shifted trace-critical value k + (1+gamma)/p."""
-    base = (1.0 + gamma) / p
-    k = max(0, round(s - base))
-    return abs(s - (k + base))
-
-
 @functools.lru_cache(maxsize=32)
 def _bessel_values(grid: Grid, s: float) -> np.ndarray:
     """The order-s Bessel symbol on the frequencies of a full-line grid

@@ -30,7 +30,7 @@ import math
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -135,16 +135,15 @@ _ALL_N = (1024, 2048, 4096)
 
 @dataclass
 class SuiteConfig:
-    """Grid sizes, seed and sweeps of one verification suite; ``sweeps``
-    overrides the suite's default sweeps in ``SUITES`` key by key.  Each suite
-    states its tolerances in its own code; no configuration sets them."""
+    """Grid sizes and seed of one verification suite.  Each suite states its
+    parameter table and its tolerances in its own code; no configuration sets
+    them."""
 
     suite: str
     half_width: float = 40.0
     n_list: tuple = _ALL_N
     seed: int = 42
     out_dir: str | None = None
-    sweeps: dict = field(default_factory=dict)
 
     @classmethod
     def from_json(cls, suite: str, path) -> "SuiteConfig":
@@ -173,36 +172,6 @@ class SuiteConfig:
         if any(fine <= coarse for coarse, fine in zip(self.n_list, self.n_list[1:])):
             # the suites read the last size as the finest grid
             raise ConfigError(f"grid sizes must be strictly ascending, got {list(self.n_list)}")
-        _, sweeps = SUITES[self.suite]
-        unread = sorted(set(self.sweeps) - set(sweeps))
-        if unread:
-            raise ConfigError(f"suite {self.suite} reads no sweep keys {unread}; "
-                              f"it reads {sorted(sweeps)}")
-        for key, values in self.sweeps.items():
-            # the entries of a sweep have the shape of its default's entries
-            want = _shape(sweeps[key][0])
-            if not (isinstance(values, (list, tuple)) and values
-                    and all(_shape(v) == want for v in values)):
-                entries = "numbers" if want == 0 else f"lists of {want} numbers"
-                raise ConfigError(f"sweep {key} must be a non-empty list of {entries}, "
-                                  f"got {values!r}")
-        for key, check in _ENTRY_CHECKS.items():
-            for entry in self.sweeps.get(key, ()):
-                try:
-                    check(entry)
-                except ValueError as exc:
-                    raise ConfigError(f"sweep {key} entry {entry!r}: {exc}") from None
-
-    def shared(self) -> "SuiteConfig":
-        """This configuration as one of several suites that share it (``run all``).
-
-        Drops the sweep keys that only other suites read; keys that no suite
-        reads stay, so ``validate`` still rejects them.
-        """
-        read_here = SUITES[self.suite][1]
-        read_anywhere = {k for _, sweeps in SUITES.values() for k in sweeps}
-        return replace(self, sweeps={k: v for k, v in self.sweeps.items()
-                                     if k in read_here or k not in read_anywhere})
 
     def hash(self) -> str:
         """Hash of the computation the config asks for; where the report is
@@ -211,39 +180,6 @@ class SuiteConfig:
         del record["out_dir"]
         canon = json.dumps(record, sort_keys=True, default=list)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def _check_triple(p, gamma, s) -> None:
-    PowerWeight(gamma).check_admissible(p)
-    if halfline.critical_line_distance(s, p, gamma) < 0.05 and s > 0:
-        raise ConfigError(
-            f"s={s} is within 0.05 of a critical trace line for "
-            f"(p, gamma)=({p}, {gamma})")
-
-
-def _check_pgt(p, gamma, theta) -> None:
-    # theta is an operator order, not a smoothness on the trace lines
-    PowerWeight(gamma).check_admissible(p)
-    opcalc.check_domain_theta(theta)
-
-
-# sweep key -> the range check of one of its entries (a ValueError rejects it);
-# sigma, p_beta and pgt's theta use the checks of the operators the suites call
-_ENTRY_CHECKS = {
-    "sigma": singular.check_sigma,
-    "p_beta": lambda entry: kernels.check_schur_exponents(*entry),
-    "spg": lambda entry: _check_triple(entry[1], entry[2], entry[0]),
-    "pgt": lambda entry: _check_pgt(*entry),
-}
-
-
-def _shape(entry) -> int | None:
-    """0 for a number, k for a list of k numbers, None for anything else."""
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return 0
-    if isinstance(entry, (list, tuple)) and entry and all(_shape(e) == 0 for e in entry):
-        return len(entry)
-    return None
 
 
 @dataclass
@@ -382,14 +318,17 @@ def _shrinking_case(report: SuiteReport, params: dict, values) -> None:
 # suites
 
 
+#: sigma of ``frac-laplacian-xcheck``
+_XCHECK_SIGMAS = (0.3, 0.5, 0.7)
+
+
 def _suite_frac_laplacian(cfg: SuiteConfig, report: SuiteReport) -> None:
-    sigmas = cfg.sweeps["sigma"]
     tol = 1e-3
     sups, _ = _ladder(cfg, FULL_LINE, lambda g: generate_test_family(g, cfg.seed, 20),
                       lambda fam: [_sup(_rel_l2(singular.fractional_laplacian_singular(f, sigma),
                                                 fourier.fractional_laplacian_spectral(f, sigma))
-                                        for f in fam) for sigma in sigmas])
-    for sigma, values in zip(sigmas, sups):
+                                        for f in fam) for sigma in _XCHECK_SIGMAS])
+    for sigma, values in zip(_XCHECK_SIGMAS, sups):
         report.add_case({"sigma": sigma, "N": cfg.n_list[-1], "what": "max rel L2"},
                         values[-1], 0.0, tol)
     worst_by_n = [_sup(at_n) for at_n in zip(*sups)]
@@ -397,11 +336,14 @@ def _suite_frac_laplacian(cfg: SuiteConfig, report: SuiteReport) -> None:
     _shrinking_case(report, {"what": "discrepancy decreases with N"}, worst_by_n)
 
 
+#: sigma of ``c-sigma``: 0.1 .. 0.9
+_C_SIGMAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
+
+
 def _suite_c_sigma(cfg: SuiteConfig, report: SuiteReport) -> None:
-    sigmas = cfg.sweeps["sigma"]
     tol_h = 1e-6
     tol_o = 1e-8
-    for sigma in sigmas:
+    for sigma in _C_SIGMAS:
         c = singular.c_sigma(sigma)
         report.add_case({"sigma": sigma, "what": "c < 0"}, c, 0.0, 0.0,
                         passed=c < 0.0)
@@ -460,9 +402,14 @@ def _suite_bessel_kernel(cfg: SuiteConfig, report: SuiteReport) -> None:
         for xs in (np.linspace(0.1, 10.0, n_mesh) for n_mesh in meshes)])
 
 
+#: (p, beta) of the Schur constants in ``schur-constants``
+_SCHUR_P_BETA = ((2.0, -0.3), (2.0, -0.1), (2.0, 0.0), (2.0, 0.2), (2.0, 0.45),
+                 (1.5, -0.2), (1.5, 0.2), (2.5, 0.1), (3.0, -0.25), (4.0, 0.1))
+
+
 def _suite_schur(cfg: SuiteConfig, report: SuiteReport) -> None:
     tol = 1e-8
-    for p, beta in cfg.sweeps["p_beta"]:
+    for p, beta in _SCHUR_P_BETA:
         val = kernels.schur_constant(p, beta)
         report.add_case({"p": p, "beta": beta, "what": "quadrature vs closed form"},
                         val, kernels.schur_closed_form(p, beta), tol)
@@ -593,15 +540,33 @@ def _suite_traces(cfg: SuiteConfig, report: SuiteReport) -> None:
                                   for b in backs])
 
 
+def _multiplier_triples() -> tuple:
+    """The (s, p, gamma) of ``pointwise-multiplier``: per (p, gamma), the
+    midpoint and the points 0.1 inside either end of -(gd + 1)/p' < s <
+    (gamma + 1)/p, with gd = -gamma/(p - 1) the dual weight."""
+    triples = []
+    for p, gamma in ((2.0, 0.0), (2.0, 0.5), (3.0, 1.0)):
+        gd = -gamma / (p - 1.0)
+        pd = dual_exponent(p)
+        lo = -(gd + 1.0) / pd + 0.05
+        hi = (gamma + 1.0) / p - 0.05
+        for s in (lo + 0.05, 0.5 * (lo + hi), hi - 0.05):
+            triples.append((round(s, 3), p, gamma))
+    return tuple(triples)
+
+
+_MULTIPLIER_TRIPLES = _multiplier_triples()
+
+
 def _suite_pointwise_multiplier(cfg: SuiteConfig, report: SuiteReport) -> None:
     stab = 0.10
     tol_comm = 1e-6
-    spg = cfg.sweeps["spg"]
     sups, _ = _ladder(cfg, FULL_LINE,
                       lambda g: generate_test_family(g, cfg.seed, 50, "boundary-touching"),
                       lambda fam: [_sup(r) for r in zip(
-                          *(halfline.multiplier_norm_ratios(f, spg) for f in fam))])
-    for (s, p, gamma), values in zip(spg, sups):
+                          *(halfline.multiplier_norm_ratios(f, _MULTIPLIER_TRIPLES)
+                            for f in fam))])
+    for (s, p, gamma), values in zip(_MULTIPLIER_TRIPLES, sups):
         _stable_case(report, {"s": s, "p": p, "gamma": gamma,
                               "what": "indicator norm-ratio sup stable"}, values, stab)
     # zero-trace windows and the derivative-commutation identity
@@ -621,6 +586,12 @@ def _suite_pointwise_multiplier(cfg: SuiteConfig, report: SuiteReport) -> None:
         _stable_case(report, {"k": k, "s": k - 0.2,
                               "what": "zero-trace window ratio sup stable"}, sups_k, stab)
     report.add_refinement(cfg.n_list, sups[0])
+
+
+#: (p, gamma) of the Gagliardo-Nirenberg study in ``hardy-gn``: the admissible
+#: pairs of gamma in {-0.5, 0, 1} and p in {1.5, 2, 3}
+_GN_PAIRS = tuple((p, gamma) for gamma in (-0.5, 0.0, 1.0) for p in (1.5, 2.0, 3.0)
+                  if -1.0 < gamma < p - 1.0)
 
 
 def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
@@ -730,7 +701,8 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
         count of uncertified or outside-bracket entries."""
         result = opcalc.sectoriality_probe(op, grid, [angle], radii)[0]
         finite = [e for e in result.entries if e["certified"] is not None]
-        return [result.supremum, _sup(e["bracket"][1] for e in finite),
+        return [_sup(e["norm_estimate"] for e in result.entries),
+                _sup(e["bracket"][1] for e in finite),
                 _sup(e["bracket"][1] for e in finite if e["im_lambda"] == 0.0),
                 sum(not e["certified"] or e["power_lower"] > e["bracket"][1] for e in finite)]
 
@@ -757,18 +729,21 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
                     [secant - v for v in sups])
 
 
+#: (p, gamma, theta) of the domain-norm bands in ``fractional-domains``
+_DOMAIN_PGT = ((2.0, 0.0, 0.5), (2.0, 0.5, 0.3), (2.0, 0.5, 0.7))
+
+
 def _suite_fractional_domains(cfg: SuiteConfig, report: SuiteReport) -> None:
     tol_rl = 1e-10
     stab = 0.10
     op0 = opcalc.HalfLineOperator(opcalc.DIRICHLET, 2.0, 0.0)
     # domain-norm ratio bands: one family per N serves every (p, gamma, theta)
-    pgt = cfg.sweeps["pgt"]
-    ops = [opcalc.HalfLineOperator(opcalc.DIRICHLET, p, gamma) for p, gamma, _ in pgt]
+    ops = [opcalc.HalfLineOperator(opcalc.DIRICHLET, p, gamma) for p, gamma, _ in _DOMAIN_PGT]
     bands, fam_b = _ladder(
         cfg, HALF_LINE,
         lambda g: generate_test_family(g, cfg.seed + 5, 50, support=(0.1, 0.6)),
         lambda fam: [_band_constant([opcalc.domain_norm_ratio(op, theta, f) for f in fam])
-                     for op, (_, _, theta) in zip(ops, pgt)])
+                     for op, (_, _, theta) in zip(ops, _DOMAIN_PGT)])
     # the fractional power against the causal-derivative oracle, finest grid
     fam = generate_test_family(fam_b[0].grid, cfg.seed, 20, support=(0.1, 0.5))
     for theta in (0.25, 0.5, 0.75):
@@ -777,7 +752,7 @@ def _suite_fractional_domains(cfg: SuiteConfig, report: SuiteReport) -> None:
                         _sup(_rel_l2(opcalc.fractional_power(op0, theta, f),
                                      opcalc.riemann_liouville(f, theta)) for f in fam),
                         0.0, tol_rl)
-    for (p, gamma, theta), values in zip(pgt, bands):
+    for (p, gamma, theta), values in zip(_DOMAIN_PGT, bands):
         _stable_case(report, {"p": p, "gamma": gamma, "theta": theta,
                               "what": "domain-norm band constant stable"}, values, stab)
     report.add_refinement(cfg.n_list, bands[0])
@@ -817,44 +792,19 @@ def _suite_integration_by_parts(cfg: SuiteConfig, report: SuiteReport) -> None:
     report.add_refinement(cfg.n_list, residuals)
 
 
-#: (p, gamma) of the Gagliardo-Nirenberg study in ``hardy-gn``: the admissible
-#: pairs of gamma in {-0.5, 0, 1} and p in {1.5, 2, 3}
-_GN_PAIRS = tuple((p, gamma) for gamma in (-0.5, 0.0, 1.0) for p in (1.5, 2.0, 3.0)
-                  if -1.0 < gamma < p - 1.0)
-
-
-def _multiplier_triples() -> tuple:
-    """Default (s, p, gamma) of ``pointwise-multiplier``: per (p, gamma), the
-    midpoint and the points 0.1 inside either end of -(gd + 1)/p' < s <
-    (gamma + 1)/p, with gd = -gamma/(p - 1) the dual weight."""
-    triples = []
-    for p, gamma in ((2.0, 0.0), (2.0, 0.5), (3.0, 1.0)):
-        gd = -gamma / (p - 1.0)
-        pd = dual_exponent(p)
-        lo = -(gd + 1.0) / pd + 0.05
-        hi = (gamma + 1.0) / p - 0.05
-        for s in (lo + 0.05, 0.5 * (lo + hi), hi - 0.05):
-            triples.append((round(s, 3), p, gamma))
-    return tuple(triples)
-
-
-# name -> (suite, default sweeps); a config may set only these sweep keys, and
-# run_suite hands the suite the defaults updated by them
+# name -> suite; each suite reads its parameter table from the constant next to it
 SUITES = {
-    "frac-laplacian-xcheck": (_suite_frac_laplacian, {"sigma": (0.3, 0.5, 0.7)}),
-    "c-sigma": (_suite_c_sigma, {"sigma": tuple(round(0.1 * k, 1) for k in range(1, 10))}),
-    "bessel-kernel": (_suite_bessel_kernel, {}),
-    "schur-constants": (_suite_schur, {"p_beta": (
-        (2.0, -0.3), (2.0, -0.1), (2.0, 0.0), (2.0, 0.2), (2.0, 0.45),
-        (1.5, -0.2), (1.5, 0.2), (2.5, 0.1), (3.0, -0.25), (4.0, 0.1))}),
-    "reflection-extension": (_suite_reflection, {}),
-    "traces": (_suite_traces, {}),
-    "pointwise-multiplier": (_suite_pointwise_multiplier, {"spg": _multiplier_triples()}),
-    "hardy-gn": (_suite_hardy_gn, {}),
-    "resolvent-sectoriality": (_suite_resolvent, {}),
-    "fractional-domains": (_suite_fractional_domains,
-                           {"pgt": ((2.0, 0.0, 0.5), (2.0, 0.5, 0.3), (2.0, 0.5, 0.7))}),
-    "integration-by-parts": (_suite_integration_by_parts, {}),
+    "frac-laplacian-xcheck": _suite_frac_laplacian,
+    "c-sigma": _suite_c_sigma,
+    "bessel-kernel": _suite_bessel_kernel,
+    "schur-constants": _suite_schur,
+    "reflection-extension": _suite_reflection,
+    "traces": _suite_traces,
+    "pointwise-multiplier": _suite_pointwise_multiplier,
+    "hardy-gn": _suite_hardy_gn,
+    "resolvent-sectoriality": _suite_resolvent,
+    "fractional-domains": _suite_fractional_domains,
+    "integration-by-parts": _suite_integration_by_parts,
 }
 
 
@@ -866,12 +816,10 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     """
     config.validate()
     report = SuiteReport(config.suite, config.hash())
-    suite, sweeps = SUITES[config.suite]
-    merged = replace(config, sweeps={**sweeps, **config.sweeps})
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
-        suite(merged, report)
+        SUITES[config.suite](config, report)
     report.runtime_s = time.perf_counter() - start
     suppressed = Counter(str(w.message) for w in caught
                          if issubclass(w.category, RuntimeWarning))

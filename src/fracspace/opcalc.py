@@ -205,10 +205,6 @@ class SectorProbe:
     angle: float
     entries: tuple = field(default_factory=tuple)
 
-    @property
-    def supremum(self) -> float:
-        return max((e["norm_estimate"] for e in self.entries), default=0.0)
-
 
 # power-iteration steps of the matrix-free lower bound
 _POWER_STEPS = 20

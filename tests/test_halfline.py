@@ -20,7 +20,6 @@ from fracspace.halfline import (
     ReflectionCoefficients,
     TraceVector,
     coextend,
-    critical_line_distance,
     factor_norm_upper,
     gn_check,
     gn_ratios,
@@ -40,8 +39,8 @@ from fracspace.halfline import (
 )
 from fracspace.harness import (
     _GN_PAIRS,
+    _MULTIPLIER_TRIPLES,
     SuiteConfig,
-    _multiplier_triples,
     generate_test_family,
     run_suite,
 )
@@ -741,12 +740,12 @@ class TestSweeps:
             assert ratio == float(fourier.wkp_seminorm(u, j, p, w) / denom)
 
     def test_one_forward_transform_per_input(self, monkeypatch):
-        # the default sweeps of pointwise-multiplier and hardy-gn: f and
+        # the pinned tables of pointwise-multiplier and hardy-gn: f and
         # 1_{x>=0} f once each for 9 triples, u once for 7 (p, gamma)
         g = Grid(40.0, 1024, FULL_LINE)
         f = generate_test_family(g, 3, 1, "boundary-touching")[0]
         u = generate_test_family(g, 4, 1)[0]
-        triples = _multiplier_triples()
+        triples = _MULTIPLIER_TRIPLES
         assert (len(triples), len(_GN_PAIRS)) == (9, 7)
         forward = []
         rfft = np.fft.rfft
@@ -766,7 +765,7 @@ class TestSweeps:
         return evaluations
 
     def test_each_symbol_evaluated_once(self, monkeypatch):
-        # 9 default triples: one evaluation each, shared by f and 1_{x>=0} f
+        # 9 pinned triples: one evaluation each, shared by f and 1_{x>=0} f
         # and by later calls on the same grid, and one boundary-decay check
         # per input
         g = Grid(40.0, 1024, FULL_LINE)
@@ -775,9 +774,9 @@ class TestSweeps:
         check = fourier.warn_if_boundary_heavy
         monkeypatch.setattr(fourier, "warn_if_boundary_heavy",
                             lambda *a: checks.append(1) or check(*a))
-        first = multiplier_norm_ratios(f, _multiplier_triples())
+        first = multiplier_norm_ratios(f, _MULTIPLIER_TRIPLES)
         assert (len(evaluations), len(checks)) == (9, 2)
-        assert multiplier_norm_ratios(f, _multiplier_triples()) == first
+        assert multiplier_norm_ratios(f, _MULTIPLIER_TRIPLES) == first
         assert (len(evaluations), len(checks)) == (9, 4)
 
     def test_cached_symbol_values_read_only(self):
@@ -786,7 +785,7 @@ class TestSweeps:
             values[0] = 0.0
 
     def test_multiplier_suite_evaluates_each_grid_and_order_once(self, monkeypatch):
-        # 9 default triples and the orders 0.8, 1.8 of the zero-trace windows,
+        # 9 pinned triples and the orders 0.8, 1.8 of the zero-trace windows,
         # on 3 grids: 33 evaluations where one per family member took 1,470
         evaluations = self._count_symbol_evaluations(monkeypatch)
         run_suite(SuiteConfig(suite="pointwise-multiplier", seed=42))
@@ -812,24 +811,3 @@ class TestHardyEmbedding:
         f = GridFunction(g, np.exp(-g.points ** 2))
         with pytest.raises(Exception):
             hardy_embedding_check(f, 0.9, 2.0, 0.0)  # gamma - sp < -1
-
-
-class TestCriticalLineGuard:
-    def test_distances(self):
-        assert critical_line_distance(0.5, 2.0, 0.0) == pytest.approx(0.0)
-        assert critical_line_distance(1.5, 2.0, 0.0) == pytest.approx(0.0)
-        assert critical_line_distance(0.3, 2.0, 0.0) == pytest.approx(0.2)
-        assert critical_line_distance(0.8, 2.0, 0.5) == pytest.approx(0.05)
-        # far below the first line (1 + gamma)/p = 0.5 the distance is to it
-        assert critical_line_distance(-1.2, 2.0, 0.0) == pytest.approx(1.7)
-
-    @settings(max_examples=200, deadline=None)
-    @given(s=st.floats(-20.0, 20.0), p=st.floats(1.05, 6.0),
-           frac=st.floats(0.01, 0.99))
-    def test_is_the_nearest_line(self, s, p, frac):
-        gamma = -1.0 + frac * p  # -1 < gamma < p - 1: an admissible weight
-        base = (1.0 + gamma) / p
-        candidates = [abs(s - (k + base)) for k in range(0, 25)]
-        d = critical_line_distance(s, p, gamma)
-        assert d in candidates
-        assert d <= min(candidates) + 1e-12

@@ -10,13 +10,18 @@ import pytest
 
 from fracspace.grid import (
     FULL_LINE, Grid, GridFunction, HALF_LINE, PowerWeight, plateau, weighted_lp_norm)
-from fracspace import cli, fourier, halfline, kernels, opcalc
+from fracspace import cli, fourier, halfline, kernels, opcalc, singular
 from fracspace.halfline import trace
 from fracspace.harness import (
     ConfigError,
     SUITES,
     SuiteConfig,
     SuiteReport,
+    _C_SIGMAS,
+    _DOMAIN_PGT,
+    _MULTIPLIER_TRIPLES,
+    _SCHUR_P_BETA,
+    _XCHECK_SIGMAS,
     _band_constant,
     _shrinking_case,
     _stable,
@@ -156,47 +161,12 @@ class TestConfig:
             with pytest.raises(ConfigError, match="ascending"):
                 SuiteConfig(suite="c-sigma", n_list=sizes).validate()
 
-    def test_inadmissible_sweep_rejected(self):
-        cfg = SuiteConfig(suite="pointwise-multiplier",
-                          sweeps={"spg": [(0.3, 2.0, 3.5)]})
-        with pytest.raises(ConfigError):
-            cfg.validate()
-
-    def test_critical_line_guard(self):
-        cfg = SuiteConfig(suite="pointwise-multiplier",
-                          sweeps={"spg": [(0.5, 2.0, 0.0)]})
-        with pytest.raises(ConfigError):
-            cfg.validate()
-
-    def test_pgt_default_theta_on_a_trace_line_runs(self, tmp_path, capsys):
-        # theta = 0.5 at (p, gamma) = (2, 0) is the suite's own default entry;
-        # theta is an operator order, so the trace-line guard does not apply
-        path = _config(tmp_path, {"sweeps": {"pgt": [[2.0, 0.0, 0.5]]},
-                                  "n_list": [256, 512, 1024]})
-        assert cli.main(["run", "fractional-domains", "--config", path,
-                         "--out", str(tmp_path)]) == 0
-        assert "[PASS] fractional-domains" in capsys.readouterr().out
-        with pytest.raises(ConfigError):
-            SuiteConfig(suite="fractional-domains", sweeps={"pgt": [(2.0, 1.5, 0.5)]}).validate()
-
-    def test_unread_sweep_keys_rejected(self):
-        for sweeps in ({"p": (2.0,)}, {"spg": [(0.3, 2.0, 0.0)]}):
-            with pytest.raises(ConfigError, match="reads no"):
-                SuiteConfig(suite="c-sigma", sweeps=sweeps).validate()
-        SuiteConfig(suite="c-sigma", sweeps={"sigma": (0.5,)}).validate()
-
-    def test_shared_config_keeps_the_keys_each_suite_reads(self):
-        # spg is read by another suite only; a key no suite reads stays for validate
-        cfg = SuiteConfig(suite="c-sigma", sweeps={"sigma": (0.5,), "spg": [(0.3, 2.0, 0.0)],
-                                                   "sigmaa": (0.5,)})
-        assert cfg.shared().sweeps == {"sigma": (0.5,), "sigmaa": (0.5,)}
-        assert SuiteConfig(suite="pointwise-multiplier", sweeps={"spg": [(0.3, 2.0, 0.0)]}) \
-            .shared().sweeps == {"spg": [(0.3, 2.0, 0.0)]}
-
     def test_a_config_file_sets_no_tolerance(self, tmp_path):
-        path = _config(tmp_path, {"tolerances": {"oracle": 1e-6}})
-        with pytest.raises(ConfigError, match="unknown config fields: \\['tolerances'\\]"):
-            SuiteConfig.from_json("c-sigma", path)
+        # nor a sweep: each suite pins its gates and its parameter table
+        for name, value in (("tolerances", {"oracle": 1e-6}), ("sweeps", {"sigma": [0.5]})):
+            path = _config(tmp_path, {name: value})
+            with pytest.raises(ConfigError, match=f"unknown config fields: \\['{name}'\\]"):
+                SuiteConfig.from_json("c-sigma", path)
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -213,13 +183,12 @@ class TestConfig:
             SuiteConfig.from_json("c-sigma", path)
 
     def test_json_multiplier_triples_run(self, tmp_path):
-        # JSON gives the triples as lists; the suite keys its results by them
+        # a JSON config sets the grid sizes; the cases are keyed by the pinned triples
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n_list": [256, 512, 1024],
-                                    "sweeps": {"spg": [[0.3, 2.0, 0.0]]}}))
+        path.write_text(json.dumps({"n_list": [256, 512, 1024]}))
         report = run_suite(SuiteConfig.from_json("pointwise-multiplier", path))
         assert [row["N"] for row in report.refinement] == [256, 512, 1024]
-        assert report.cases[0]["params"]["s"] == 0.3
+        assert report.cases[0]["params"]["s"] == _MULTIPLIER_TRIPLES[0][0]
 
     def test_hash_deterministic(self):
         a = SuiteConfig(suite="c-sigma").hash()
@@ -233,8 +202,7 @@ class TestConfig:
 
 class TestReports:
     def test_run_writes_reports(self, tmp_path):
-        cfg = SuiteConfig(suite="c-sigma", out_dir=str(tmp_path),
-                          sweeps={"sigma": (0.5,)})
+        cfg = SuiteConfig(suite="c-sigma", out_dir=str(tmp_path))
         report = run_suite(cfg)
         assert report.passed
         rec = json.loads((tmp_path / "c-sigma.json").read_text())
@@ -277,7 +245,7 @@ class TestReports:
             warnings.warn("demo user warning", UserWarning)
             report.add_case({"what": "ran"}, 0.0, 0.0, 0.0)
 
-        monkeypatch.setitem(SUITES, "warning-demo", (warning_suite, {}))
+        monkeypatch.setitem(SUITES, "warning-demo", warning_suite)
         cfg = SuiteConfig(suite="warning-demo", out_dir=str(tmp_path))
         with warnings.catch_warnings(record=True) as outer:
             warnings.simplefilter("always")
@@ -506,21 +474,9 @@ BAD_INPUTS = {
     "half-width-nan": lambda tmp: ["run", "traces", "--half-width", "nan"],
     "half-width-inf": lambda tmp: ["run", "bessel-kernel", "--half-width", "inf"],
     "n-repeated": lambda tmp: ["run", "c-sigma", "--n", "1024,1024,1024"],
-    # config shapes: sweep entries shaped like the defaults
-    "config-sweep-scalar": lambda tmp: [
-        "run", "c-sigma", "--config", _config(tmp, {"sweeps": {"sigma": 0.5}})],
-    "config-sweep-empty": lambda tmp: [
-        "run", "c-sigma", "--config", _config(tmp, {"sweeps": {"sigma": []}})],
-    "config-sweep-entry-short": lambda tmp: [
-        "run", "schur-constants", "--config", _config(tmp, {"sweeps": {"p_beta": [[2.0]]}})],
-    # sweep entries outside the range of the operator the suite calls
-    "config-sweep-sigma-above-one": lambda tmp: [
-        "run", "c-sigma", "--config", _config(tmp, {"sweeps": {"sigma": [1.5]}})],
-    "config-sweep-sigma-zero": lambda tmp: [
-        "run", "frac-laplacian-xcheck", "--config", _config(tmp, {"sweeps": {"sigma": [0.0]}})],
-    "config-sweep-p-beta-inadmissible": lambda tmp: [
-        "run", "schur-constants", "--config",
-        _config(tmp, {"sweeps": {"p_beta": [[2.0, 0.7]]}})],
+    # each suite pins its own parameter table
+    "config-sweeps-field": lambda tmp: [
+        "run", "c-sigma", "--config", _config(tmp, {"sweeps": {"sigma": [0.5]}})],
     # config integers: no boolean seed, no truncation of a fractional grid size
     "config-seed-boolean": lambda tmp: [
         "run", "c-sigma", "--config", _config(tmp, {"seed": True})],
@@ -528,10 +484,6 @@ BAD_INPUTS = {
         "run", "c-sigma", "--config", _config(tmp, {"n_list": [1024.7, 2048, 4096]})],
     "config-n-descending": lambda tmp: [
         "run", "frac-laplacian-xcheck", "--config", _config(tmp, {"n_list": [1024, 512, 256]})],
-    # theta outside the (0, 1] that domain_norm_ratio compares
-    "config-pgt-theta": lambda tmp: [
-        "run", "fractional-domains", "--config",
-        _config(tmp, {"sweeps": {"pgt": [[2.0, 0.0, 1.2]]}, "n_list": [256, 512, 1024]})],
 }
 
 
@@ -544,6 +496,39 @@ def test_bad_input_exits_2_with_one_line(make_argv, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("fracspace ")
     assert not (tmp_path / "o.csv").exists()
+
+
+class TestPinnedTables:
+    """Each suite's parameter table lies inside the ranges the paper fixes;
+    one test per entry, so a failure names the entry."""
+
+    @pytest.mark.parametrize("s, p, gamma", _MULTIPLIER_TRIPLES)
+    def test_multiplier_triple(self, s, p, gamma):
+        # (1 + gamma)/p - 1 < s < (1 + gamma)/p, and a positive s away from
+        # every trace-critical value k + (1 + gamma)/p
+        PowerWeight(gamma).check_admissible(p)
+        base = (1.0 + gamma) / p
+        assert base - 1.0 < s < base
+        if s > 0:
+            assert min(abs(s - (k + base)) for k in range(math.ceil(s) + 2)) >= 0.05
+
+    @pytest.mark.parametrize("p, beta", _SCHUR_P_BETA)
+    def test_schur_exponents(self, p, beta):
+        kernels.check_schur_exponents(p, beta)
+
+    @pytest.mark.parametrize("p, gamma, theta", _DOMAIN_PGT)
+    def test_domain_triple(self, p, gamma, theta):
+        # theta is an operator order: no trace-line rule applies to it
+        PowerWeight(gamma).check_admissible(p)
+        opcalc.check_domain_theta(theta)
+
+    @pytest.mark.parametrize("sigma", _XCHECK_SIGMAS)
+    def test_xcheck_sigma(self, sigma):
+        singular.check_sigma(sigma)
+
+    @pytest.mark.parametrize("sigma", _C_SIGMAS)
+    def test_c_sigma(self, sigma):
+        singular.check_sigma(sigma)
 
 
 class TestStabilityHelpers:
@@ -603,19 +588,19 @@ class TestRefinementLadders:
         assert case["measured"]["values"] == ["NaN"] * 3
         assert not case["pass"]
 
-    def test_repeated_multiplier_entry_gives_one_case_each(self):
-        report = run_suite(SuiteConfig(suite="pointwise-multiplier", n_list=_SMALL_N,
-                                       sweeps={"spg": [[0.3, 2, 0], [0.3, 2, 0]]}))
+    def test_one_multiplier_case_per_pinned_triple(self):
+        report = run_suite(SuiteConfig(suite="pointwise-multiplier", n_list=_SMALL_N))
         cases = [c for c in report.cases
                  if c["params"]["what"] == "indicator norm-ratio sup stable"]
-        assert len(cases) == 2
-        assert [len(c["measured"]["values"]) for c in cases] == [3, 3]
-        assert cases[0]["measured"]["values"] == cases[1]["measured"]["values"]
+        assert [(c["params"]["s"], c["params"]["p"], c["params"]["gamma"])
+                for c in cases] == list(_MULTIPLIER_TRIPLES)
+        assert all(len(c["measured"]["values"]) == 3 for c in cases)
+        # the refinement rows are the first triple's sups
         assert [row["N"] for row in report.refinement] == list(_SMALL_N)
+        assert [row["value"] for row in report.refinement] == cases[0]["measured"]["values"]
 
     def test_theta_limit_gaps_shrink_toward_the_theta_one_band(self):
-        report = run_suite(SuiteConfig(suite="fractional-domains", n_list=_SMALL_N,
-                                       sweeps={"pgt": [[2.0, 0.5, 0.3]]}))
+        report = run_suite(SuiteConfig(suite="fractional-domains", n_list=_SMALL_N))
         shrinks, within = [c for c in report.cases
                            if c["params"]["what"].startswith("theta -> 1")]
         gaps = shrinks["measured"]["values"]
@@ -629,8 +614,7 @@ class TestRefinementLadders:
         assert within["measured"]["theta1_band"] > 1.0 and within["pass"]
 
     def test_domain_refinement_rows_come_from_the_first_entry(self):
-        report = run_suite(SuiteConfig(suite="fractional-domains", n_list=_SMALL_N,
-                                       sweeps={"pgt": [[2.0, 0.5, 0.3]]}))
+        report = run_suite(SuiteConfig(suite="fractional-domains", n_list=_SMALL_N))
         case = next(c for c in report.cases
                     if c["params"]["what"] == "domain-norm band constant stable")
         assert [row["N"] for row in report.refinement] == list(_SMALL_N)

@@ -1,6 +1,7 @@
 """Import-time contract of the package."""
 
 import ast
+import inspect
 import subprocess
 import sys
 import tomllib
@@ -360,11 +361,12 @@ def test_one_relative_l2_formula_in_harness():
 
 def test_suite_tolerances_are_pinned():
     # a configuration holds run inputs only; each suite writes its gates as
-    # literals, so no config, file or caller can loosen one
+    # literals and reads its parameter table from a module constant, so no
+    # config, file or caller can loosen a gate or move a sweep entry
     assert {f.name for f in fields(SuiteConfig)} == {
-        "suite", "half_width", "n_list", "seed", "out_dir", "sweeps"}
-    assert all(len(row) == 2 for row in SUITES.values())
-    tree = dict(_package_modules())["harness"]
-    reads = [f"harness.py:{node.lineno}" for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "tolerances"]
+        "suite", "half_width", "n_list", "seed", "out_dir"}
+    assert all(inspect.isfunction(suite) for suite in SUITES.values())
+    reads = [f"{name}.py:{node.lineno}" for name, tree in _package_modules()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("tolerances", "sweeps")]
     assert reads == []

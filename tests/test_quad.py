@@ -14,7 +14,7 @@ from scipy import integrate
 
 from fracspace import _quad, fourier
 from fracspace.grid import PowerWeight, dual_exponent
-from fracspace.harness import SUITES
+from fracspace.harness import _SCHUR_P_BETA
 from fracspace.kernels import (
     bessel_kernel,
     kernel_weighted_tail_integrals,
@@ -99,7 +99,7 @@ class TestPowerWeighted:
         return (integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                 + integrate.quad(f, 1.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0])
 
-    @pytest.mark.parametrize("p, beta", SUITES["schur-constants"][1]["p_beta"])
+    @pytest.mark.parametrize("p, beta", _SCHUR_P_BETA)
     def test_schur_constant(self, p, beta):
         val = schur_constant(p, beta)
         assert val == pytest.approx(schur_closed_form(p, beta), rel=1e-12)
