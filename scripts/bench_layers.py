@@ -25,8 +25,8 @@ Runs, in this order:
    grid costs.  Each operator is also timed at every N on the complex
    input (1 - 0.5i) f, right after its real input f; that entry is
    ``<name>_complex``, and its first call finds the caches the real calls
-   built.  ``bessel_kernel`` runs once, on the 800-point near mesh of
-   ``kernel_bound_check``, whose size does not depend on N.
+   built.  ``bessel_kernel`` runs once, on an 800-point logarithmic mesh of
+   [1e-6, 2] near the origin, whose size does not depend on N.
 
 Each entry also records ``traced_peak_mb``, the ``tracemalloc`` peak (in
 10^6 bytes) of one more call, result included, made on its own after the
@@ -114,7 +114,8 @@ OPERATORS = {
     "weighted_lp_norm": (FULL_LINE, lambda f: weighted_lp_norm(f, 2.0, PowerWeight(0.5))),
     "spectral_derivative": (FULL_LINE, spectral_derivative),
 }
-#: the finer near-origin mesh of ``kernels.kernel_bound_check``
+#: 800 points from 1e-6 to 2, log-spaced: the kernel's near-origin range,
+#: kept so that the ``bessel_kernel`` entries of BENCH files stay comparable
 NEAR_MESH = np.logspace(-6.0, np.log10(2.0), 800)
 
 

@@ -34,7 +34,6 @@ from .fourier import (
 from .kernels import (
     bessel_kernel,
     hardy_hilbert_apply,
-    kernel_bound_check,
     schur_constant,
 )
 from .singular import (
@@ -84,13 +83,12 @@ __all__ = [
     "fractional_laplacian_singular", "fractional_laplacian_spectral",
     "fractional_power", "generate_test_family", "gn_check",
     "hardy_embedding_check", "hardy_hilbert_apply", "hsp_norm",
-    "indicator_multiply", "integration_by_parts_check", "kernel_bound_check",
-    "mollify", "project_H0", "reflect_extend", "reflect_extend_dual",
-    "resolvent", "restrict_minus", "restrict_plus", "riemann_liouville",
-    "run_suite", "schur_constant", "sectoriality_probe",
-    "solve_reflection_coefficients", "spectral_derivative",
-    "support_projection", "trace", "weighted_lp_norm", "wkp_norm",
-    "wkp_seminorm", "zero_extend",
+    "indicator_multiply", "integration_by_parts_check", "mollify",
+    "project_H0", "reflect_extend", "reflect_extend_dual", "resolvent",
+    "restrict_minus", "restrict_plus", "riemann_liouville", "run_suite",
+    "schur_constant", "sectoriality_probe", "solve_reflection_coefficients",
+    "spectral_derivative", "support_projection", "trace", "weighted_lp_norm",
+    "wkp_norm", "wkp_seminorm", "zero_extend",
 ]
 
 __version__ = "0.1.0"

@@ -1,13 +1,14 @@
 """A kept spectrum times transformed data: the package's one FFT product.
 
 Every operator whose kernel or symbol does not depend on the data keeps its
-transform (``spectrum``) and applies it with ``convolve``, one forward and
-one inverse ``numpy.fft`` transform per call.  At size N this is a Fourier
-multiplier (``fourier``, whose symbol values are the spectrum, and the
-circular kernel of ``singular``); at size 2N, the linear convolution of an
-N-point kernel (``opcalc``) or of the 2N - 1 taps of a two-sided kernel
-(the Hardy operator of ``kernels``) with N data points.  Grids are powers
-of two, so both sizes are.
+transform and applies it with ``convolve``, one forward and one inverse
+``numpy.fft`` transform per call: a kernel's transform is ``spectrum``, and
+a symbol's is its values on the grid frequencies, kept as a table per
+(symbol, grid) by ``fourier._symbol_values``.  At size N this is a Fourier
+multiplier (``fourier``) or the circular kernel of ``singular``; at size
+2N, the linear convolution of an N-point kernel (``opcalc``) or of the
+2N - 1 taps of a two-sided kernel (the Hardy operator of ``kernels``) with
+N data points.  Grids are powers of two, so both sizes are.
 
 Every kernel is real, so a spectrum is the half spectrum of ``rfft`` (rows
 0 .. size/2).  Real data takes ``rfft`` and ``irfft``, which reads only the

@@ -95,10 +95,10 @@ class Grid:
 
     def frequencies(self) -> np.ndarray:
         """Angular frequencies xi_k = pi k / L of the discrete transform (full
-        line); read-only, cached per grid."""
+        line), in fft order."""
         if self.kind != FULL_LINE:
             raise ValueError("frequencies are defined for full-line grids")
-        return _frequencies(self)
+        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.h)
 
     def cell_weights(self, gamma: float = 0.0) -> np.ndarray:
         """Closed-form integrals of |x|^gamma over the cells [x_i - h/2, x_i + h/2].
@@ -120,13 +120,6 @@ class Grid:
         if kind == FULL_LINE:
             return Grid(self.half_width, 2 * self.n_points, FULL_LINE)
         return Grid(self.half_width, self.n_points // 2, HALF_LINE)
-
-
-@functools.lru_cache(maxsize=32)
-def _frequencies(grid: Grid) -> np.ndarray:
-    xi = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.h)
-    xi.flags.writeable = False
-    return xi
 
 
 @functools.lru_cache(maxsize=32)

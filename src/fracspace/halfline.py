@@ -12,7 +12,6 @@ error; interpolation only enters the dual operator, which samples at
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +39,6 @@ from .grid import (
 from .fourier import (
     _multiplied,
     _seminorm_norms,
-    _symbol_values,
     bessel_symbol,
     hsp_norm,
 )
@@ -310,17 +308,19 @@ def factor_norm_upper(f: GridFunction, s: float, p: float, gamma: float) -> floa
 
 def gn_ratios(u: GridFunction, j: int, k: int, pg) -> list:
     """``gn_check`` for each (p, gamma) of ``pg``; the derivatives of u are
-    taken once for the whole sweep (one transform for a full-line u)."""
+    taken once for the whole sweep (one transform for a full-line u), and
+    the three fiber-norm arrays are raised to each distinct p once.  Each
+    norm is the cell-weight rule of ``_cell_weight_norm``, bit for bit."""
     if not 0 < j < k:
         raise ValueError(f"need 0 < j < k, got j={j}, k={k}")
-    num_mags, top_mags = _seminorm_norms(u, (j, k))
-    base_mags = u.fiber_norms()
-    ratios = []
+    mags = (*_seminorm_norms(u, (j, k)), u.fiber_norms())
+    powers, ratios = {}, []
     for p, gamma in pg:
-        w = PowerWeight(gamma)
-        num = _cell_weight_norm(num_mags, u.grid, p, w)
-        base = _cell_weight_norm(base_mags, u.grid, p, w)
-        top = _cell_weight_norm(top_mags, u.grid, p, w)
+        PowerWeight(gamma).check_integrable(p)
+        if p not in powers:
+            powers[p] = [m ** p for m in mags]
+        cw = u.grid.cell_weights(gamma)
+        num, top, base = (float(np.sum(mp * cw) ** (1.0 / p)) for mp in powers[p])
         denom = base ** (1.0 - j / k) * top ** (j / k)
         if denom == 0.0:
             raise DegenerateInputError("top-order seminorm vanishes (constant input)")
@@ -349,25 +349,16 @@ def hardy_embedding_check(f: GridFunction, s: float, p: float, gamma: float) -> 
     return weighted_lp_norm(f, p, target) / denom
 
 
-@functools.lru_cache(maxsize=32)
-def _bessel_values(grid: Grid, s: float) -> np.ndarray:
-    """The order-s Bessel symbol on the frequencies of a full-line grid
-    (read-only, cached per (grid, s))."""
-    values, = _symbol_values([bessel_symbol(s)], grid)
-    values.flags.writeable = False
-    return values
-
-
 def multiplier_norm_ratios(f: GridFunction, spg) -> list:
     """``multiplier_norm_ratio`` for each (s, p, gamma) of ``spg``.
 
-    The Bessel symbol values come from ``_bessel_values``, f and 1_{x>=0} f
-    are transformed once each for the whole sweep, and one array of fiber
+    f and 1_{x>=0} f are transformed once each for the whole sweep, both
+    with the kept Bessel symbol tables of f's grid, and one array of fiber
     norms per s serves every (p, gamma).
     """
-    mvals = [_bessel_values(f.grid, s) for s, _, _ in spg]
-    den_mags = _fiber_norms(_multiplied(mvals, f))
-    num_mags = _fiber_norms(_multiplied(mvals, indicator_multiply(f)))
+    symbols = [bessel_symbol(s) for s, _, _ in spg]
+    den_mags = _fiber_norms(_multiplied(symbols, f))
+    num_mags = _fiber_norms(_multiplied(symbols, indicator_multiply(f)))
     ratios = []
     for (_, p, gamma), den, num in zip(spg, den_mags, num_mags):
         w = PowerWeight(gamma)

@@ -10,9 +10,8 @@ studies measure over one ladder of grid sizes (``_ladder``) and judge each sweep
 entry's values with one of two verdicts: ``_stable_case`` (they agree within
 rtol) or ``_shrinking_case`` (they decrease strictly).  This module is the only
 code that turns measurements into pass flags: the operator modules return
-numbers (``kernels.kernel_bound_check`` its envelope sups, which
-``_stable_case`` judges), and every family maximum is ``_sup``, which keeps a
-NaN that ``max`` would drop.
+numbers, and every family maximum is ``_sup``, which keeps a NaN that ``max``
+would drop.
 
 A case is ``{params, value, reference, tol, pass, measured}``: ``params`` holds
 only its inputs, so it keys the case across seeds and revisions, and
@@ -96,6 +95,10 @@ def generate_test_family(grid: Grid, seed: int, count: int,
         master = plateau(x, 0.0, 0.3 * grid.half_width, 0.6 * grid.half_width)
     else:
         master = plateau(x, mid, 0.8 * half_len, half_len)
+    # the bumps are evaluated where the master window is non-zero only
+    live = np.flatnonzero(master)
+    window = slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
+    x, master = x[window], master[window]
     if kind == "zero-trace-k":
         damp = (x / (1.0 + x ** 2 / half_len ** 2) ** 0.5) ** (trace_order + 6)
     out = []
@@ -117,8 +120,8 @@ def generate_test_family(grid: Grid, seed: int, count: int,
             if kind == "zero-trace-k":
                 profile = profile * damp
             profile *= master
-            peak = np.max(np.abs(profile))
-            vals[:, c] = profile / peak if peak > 0 else profile
+            peak = np.max(np.abs(profile), initial=0.0)
+            vals[window, c] = profile / peak if peak > 0 else profile
         f = GridFunction(grid, vals)
         if kind == "zero-trace-k":
             f = halfline.project_H0(f, trace_order)
@@ -373,8 +376,6 @@ def _suite_bessel_kernel(cfg: SuiteConfig, report: SuiteReport) -> None:
         mass = 2.0 * float(np.sum(_quad.log_panels(lambda t: kernels.bessel_kernel(s, t),
                                                    mass_edges)))
         report.add_case({"s": s, "what": "unit mass"}, mass, 1.0, tol)
-        for regime, sups in kernels.kernel_bound_check(s).items():
-            _stable_case(report, {"s": s, "regime": regime}, sups, 0.05)
         g = kernels.bessel_kernel(s, np.logspace(-6, 1.5, 300))
         report.add_case({"s": s, "what": "positivity on sample mesh"},
                         float(np.min(g)), 0.0, 0.0, passed=bool(np.all(g > 0)))

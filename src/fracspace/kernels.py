@@ -1,7 +1,7 @@
-"""The convolution kernel of (1 - Laplacian)^(-s/2) and its sups over the
-claimed envelope bounds, the half-line kernel operator with kernel
-1/(x + y), and the associated sharp constants from the Schur test.  This
-module measures; the harness decides which measurements pass.
+"""The convolution kernel of (1 - Laplacian)^(-s/2) and its weighted
+integrability near 0, the half-line kernel operator with kernel 1/(x + y),
+and the associated sharp constants from the Schur test.  This module
+measures; the harness decides which measurements pass.
 
 The dense path of ``hardy_hilbert_apply`` is one ``_conv.convolve`` with its
 two-sided Hankel kernel, whose spectrum a bounded cache keeps per number of
@@ -63,45 +63,6 @@ def bessel_kernel(s: float, x) -> np.ndarray | float:
     if (np.isfinite(r) & ~np.isfinite(out)).any():
         raise ValueError(f"the order-{s} kernel is not finite in double precision")
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
-
-
-_ENVELOPE_TAIL = "exponential-tail"
-_ENVELOPE_NEAR = {"algebraic": "near-origin |x|^(s-d)",
-                  "log": "near-origin 1+log(2/|x|)",
-                  "flat": "near-origin constant"}
-
-
-def _near_envelope(s: float, x: np.ndarray) -> tuple[str, np.ndarray]:
-    if s < 1.0:
-        return _ENVELOPE_NEAR["algebraic"], np.abs(x) ** (s - 1.0)
-    if s == 1.0:
-        return _ENVELOPE_NEAR["log"], 1.0 + np.log(2.0 / np.abs(x))
-    return _ENVELOPE_NEAR["flat"], np.ones_like(x)
-
-
-def kernel_bound_check(s: float) -> dict[str, list[float]]:
-    """Sup of G_s / envelope (d = 1) in each regime of |x|, on meshes of 400
-    and 800 points: {regime: [sup on 400 points, sup on 800]}.
-
-    The regimes are the exponential tail |x| >= 2 under exp(-|x|/2) and the
-    near-origin range under the envelope of ``_near_envelope``; the harness
-    judges whether each pair of sups is stable.
-    """
-    sups = {}
-    for regime, lo, hi, log_mesh in ((_ENVELOPE_TAIL, 2.0, 40.0, False),
-                                     ("near", 1e-6, 2.0, True)):
-        for n in (400, 800):
-            if log_mesh:
-                x = np.logspace(math.log10(lo), math.log10(hi), n)
-            else:
-                x = np.linspace(lo, hi, n)
-            g = bessel_kernel(s, x)
-            if regime == _ENVELOPE_TAIL:
-                name, env = _ENVELOPE_TAIL, np.exp(-x / 2.0)
-            else:
-                name, env = _near_envelope(s, x)
-            sups.setdefault(name, []).append(float(np.max(g / env)))
-    return sups
 
 
 def kernel_weighted_tail_integrals(s: float, p: float, gamma: float) -> np.ndarray:

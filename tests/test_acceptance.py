@@ -15,7 +15,8 @@ CRITERIA = [
     (2, "c-sigma",
      "normalizing constant: sign, homogeneity 1e-6, oracle agreement 1e-8"),
     (3, "bessel-kernel",
-     "closed form, unit mass, envelope regimes, integrability threshold"),
+     "closed form, unit mass, positivity, integrability threshold, "
+     "inverse transform of the symbol 1e-6"),
     (4, "schur-constants",
      "quadrature vs closed form 1e-8; operator probe below the bound"),
     (5, "reflection-extension",

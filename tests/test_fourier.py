@@ -118,6 +118,68 @@ class TestHermitianSymbols:
         assert np.max(np.abs(out - ref)) < 1e-14
 
 
+KEPT_TABLE_OPERATORS = {
+    "bessel_potential": lambda f: bessel_potential(f, 0.7),
+    "fractional_laplacian_spectral": lambda f: fractional_laplacian_spectral(f, 0.4),
+    "spectral_derivative": lambda f: spectral_derivative(f, 2),
+    "apply_multiplier": lambda f: apply_multiplier(bessel_symbol(-1.3), f),
+}
+
+
+def _non_finite(xi):
+    values = np.ones_like(xi)
+    values[0] = np.inf
+    return values
+
+
+def _step(xi):
+    return (xi > 0) * 1.0
+
+
+class TestKeptTables:
+    """Each symbol table is built and checked once per (symbol, grid)."""
+
+    @pytest.mark.parametrize("name", KEPT_TABLE_OPERATORS)
+    def test_second_call_builds_no_table(self, name):
+        operator = KEPT_TABLE_OPERATORS[name]
+        f = gaussian(Grid(40.0, 1024, FULL_LINE))
+        fourier._symbol_values.cache_clear()
+        first = operator(f).values
+        assert fourier._symbol_values.cache_info().misses == 1
+        second = operator(GridFunction(f.grid, f.values.copy())).values
+        assert fourier._symbol_values.cache_info().misses == 1
+        assert second.tobytes() == first.tobytes()
+
+    def test_builders_return_one_function_per_parameter(self):
+        assert bessel_symbol(0.5) is bessel_symbol(0.5)
+        assert fourier.frac_laplacian_symbol(0.3) is fourier.frac_laplacian_symbol(0.3)
+        assert derivative_symbol(2) is derivative_symbol(2.0)
+        assert bessel_symbol(0.5) is not bessel_symbol(1.5)
+        with pytest.raises(ValueError):
+            derivative_symbol(True)
+
+    @pytest.mark.parametrize("symbol", [bessel_symbol(0.5), derivative_symbol(1)])
+    def test_tables_are_read_only(self, symbol):
+        grid = Grid(40.0, 1024, FULL_LINE)
+        table = fourier._symbol_values(symbol, grid)
+        assert fourier._symbol_values(symbol, grid) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+        assert np.array_equal(table, symbol(grid.frequencies())[:513])
+
+    @pytest.mark.parametrize("symbol, message", [(_step, "not Hermitian"),
+                                                 (_non_finite, "non-finite")])
+    def test_failed_checks_raise_on_every_call(self, symbol, message):
+        f = gaussian(Grid(40.0, 1024, FULL_LINE))
+        fourier._symbol_values.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                apply_multiplier(symbol, f)
+        info = fourier._symbol_values.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+
+
 class TestBesselPotential:
     def test_order_zero_is_identity(self):
         g = Grid(40.0, 2048, FULL_LINE)
@@ -305,7 +367,7 @@ class TestTransformSweep:
     @given(n=sweep_sizes, fiber_dim=sweep_fibers, seed=seeds, symbols=sweep_symbols)
     def test_apply_multiplier_is_a_slice_of_the_sweep(self, n, fiber_dim, seed, symbols):
         f = generate_test_family(Grid(40.0, n, FULL_LINE), seed, 1, fiber_dim=fiber_dim)[0]
-        stacked = fourier._multiplied(fourier._symbol_values(symbols, f.grid), f)
+        stacked = fourier._multiplied(symbols, f)
         assert stacked.shape == (len(symbols), n, fiber_dim)
         spec = np.fft.rfft(f.values, axis=0)
         half = n // 2 + 1

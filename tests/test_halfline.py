@@ -756,40 +756,31 @@ class TestSweeps:
         gn_ratios(u, 1, 2, _GN_PAIRS)
         assert len(forward) == 1
 
-    def _count_symbol_evaluations(self, monkeypatch) -> list:
-        halfline._bessel_values.cache_clear()
-        evaluations = []
-        symbol = halfline.bessel_symbol
-        monkeypatch.setattr(halfline, "bessel_symbol", lambda s: (
-            lambda xi: evaluations.append(s) or symbol(s)(xi)))
-        return evaluations
-
     def test_each_symbol_evaluated_once(self, monkeypatch):
-        # 9 pinned triples: one evaluation each, shared by f and 1_{x>=0} f
-        # and by later calls on the same grid, and one boundary-decay check
-        # per input
+        # 9 pinned triples: one table each, shared by f and 1_{x>=0} f and
+        # by later calls on the same grid, and one boundary-decay check per
+        # input
         g = Grid(40.0, 1024, FULL_LINE)
         f = generate_test_family(g, 3, 1, "boundary-touching")[0]
-        evaluations, checks = self._count_symbol_evaluations(monkeypatch), []
+        fourier._symbol_values.cache_clear()
+        checks = []
         check = fourier.warn_if_boundary_heavy
         monkeypatch.setattr(fourier, "warn_if_boundary_heavy",
                             lambda *a: checks.append(1) or check(*a))
         first = multiplier_norm_ratios(f, _MULTIPLIER_TRIPLES)
-        assert (len(evaluations), len(checks)) == (9, 2)
+        assert (fourier._symbol_values.cache_info().misses, len(checks)) == (9, 2)
         assert multiplier_norm_ratios(f, _MULTIPLIER_TRIPLES) == first
-        assert (len(evaluations), len(checks)) == (9, 4)
+        assert (fourier._symbol_values.cache_info().misses, len(checks)) == (9, 4)
 
-    def test_cached_symbol_values_read_only(self):
-        values = halfline._bessel_values(Grid(40.0, 1024, FULL_LINE), 0.5)
-        with pytest.raises(ValueError):
-            values[0] = 0.0
-
-    def test_multiplier_suite_evaluates_each_grid_and_order_once(self, monkeypatch):
-        # 9 pinned triples and the orders 0.8, 1.8 of the zero-trace windows,
-        # on 3 grids: 33 evaluations where one per family member took 1,470
-        evaluations = self._count_symbol_evaluations(monkeypatch)
-        run_suite(SuiteConfig(suite="pointwise-multiplier", seed=42))
-        assert len(evaluations) == 33
+    @pytest.mark.parametrize("suite, tables", [("pointwise-multiplier", 35), ("hardy-gn", 10)])
+    def test_suites_build_each_table_once(self, suite, tables):
+        # pointwise-multiplier: 9 pinned triples and the orders 0.8, 1.8 of
+        # the zero-trace windows on 3 grids, and the derivatives of the
+        # commutation case; one build per (symbol, grid), where one per
+        # family member took 1,470
+        fourier._symbol_values.cache_clear()
+        assert run_suite(SuiteConfig(suite=suite, seed=42)).passed
+        assert fourier._symbol_values.cache_info().misses == tables
 
 
 class TestHardyEmbedding:

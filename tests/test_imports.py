@@ -370,3 +370,15 @@ def test_suite_tolerances_are_pinned():
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in ("tolerances", "sweeps")]
     assert reads == []
+
+
+def test_grid_frequencies_read_by_the_table_build_and_the_oracle_only():
+    # every symbol is a table kept per (symbol, grid) by
+    # fourier._symbol_values, which alone evaluates and checks it on the
+    # grid frequencies; a read elsewhere would be a per-call evaluation
+    # (transform_values is the test oracle of the transform)
+    reads = sorted(f"{module}.{owners[0].name if owners else '<module>'}"
+                   for module, tree in _package_modules()
+                   for node, owners in _enclosed(tree, ast.Attribute)
+                   if node.attr == "frequencies" and isinstance(node.ctx, ast.Load))
+    assert reads == ["fourier._symbol_values", "fourier.transform_values"]

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from fracspace.grid import (
 from fracspace.kernels import (
     bessel_kernel,
     hardy_hilbert_apply,
-    kernel_bound_check,
     kernel_weighted_tail_integrals,
     schur_closed_form,
     schur_constant,
@@ -151,34 +149,8 @@ class TestBesselKernelClosedForm:
             with pytest.raises(ValueError, match="not finite"):
                 bessel_kernel(200.0, x)
 
-    def test_kernel_bound_check_working_set(self):
-        tracemalloc.start()
-        try:
-            kernel_bound_check(0.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
 
-
-class TestKernelBounds:
-    @pytest.mark.parametrize("s, regime_frag", [
-        (0.5, "|x|^(s-d)"),     # below the dimension: algebraic blow-up
-        (1.0, "log"),           # at the dimension: logarithmic envelope
-        (2.0, "constant"),      # above: bounded kernel
-    ])
-    def test_near_origin_regimes(self, s, regime_frag):
-        (tail, _), (near, sups) = kernel_bound_check(s).items()
-        assert tail == "exponential-tail" and regime_frag in near
-        assert len(sups) == 2 and all(math.isfinite(v) and v > 0 for v in sups)
-        assert abs(sups[1] - sups[0]) <= 0.05 * sups[0]
-
-    def test_exponential_tail(self):
-        for s in (0.5, 1.0, 2.0):
-            sups = kernel_bound_check(s)["exponential-tail"]
-            assert len(sups) == 2 and all(math.isfinite(v) and v > 0 for v in sups)
-            assert abs(sups[1] - sups[0]) <= 0.05 * sups[0]
-
+class TestWeightedIntegrability:
     @pytest.mark.parametrize("p, gamma", [(2.0, 0.0), (2.0, 0.5), (3.0, 1.0)])
     def test_weighted_integrability_threshold(self, p, gamma):
         crit = (1.0 + gamma) / p
