@@ -1,13 +1,12 @@
 """Command-line interface.
 
     fracspace list
-    fracspace run <suite>|all [--config path.json] [--out dir]
-                  [--n 1024,2048,4096] [--seed 42] [--half-width 40]
+    fracspace run <suite>|all [--out dir] [--n 1024,2048,4096] [--seed 42]
     fracspace apply <op> --in f.csv --out g.csv [--params '{...}']
 
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 bad input (usage,
-configuration, operator parameters, or a missing or malformed input file),
-reported as one line on stderr.
+grid sizes or seed, operator parameters, or a missing or malformed input
+file), reported as one line on stderr.  Every suite runs at half width 40.
 """
 
 from __future__ import annotations
@@ -77,18 +76,23 @@ APPLY_OPS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise into ``main``'s error boundary (argparse would print
+    a usage block and exit); the sub-parsers take this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fracspace",
-                                     description="verification CLI")
+    parser = _Parser(prog="fracspace", description="verification CLI")
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("list", help="enumerate verification suites")
     runp = sub.add_parser("run", help="run one suite (or 'all')")
     runp.add_argument("suite")
-    runp.add_argument("--config", help="JSON file with suite configuration")
     runp.add_argument("--out", help="report output directory")
     runp.add_argument("--n", help="comma-separated grid sizes, e.g. 1024,2048,4096")
-    runp.add_argument("--seed", type=int, default=None)
-    runp.add_argument("--half-width", type=float, default=None)
+    runp.add_argument("--seed", type=int, default=SuiteConfig.seed)
     appp = sub.add_parser("apply", help="apply one operator to a CSV grid function")
     appp.add_argument("op", choices=sorted(APPLY_OPS))
     appp.add_argument("--in", dest="inp", required=True)
@@ -98,21 +102,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _make_config(name: str, args) -> SuiteConfig:
-    if args.config:
-        cfg = SuiteConfig.from_json(name, args.config)
-    else:
-        cfg = SuiteConfig(suite=name)
+    cfg = SuiteConfig(name, seed=args.seed, out_dir=args.out)
     if args.n:
         try:
             cfg.n_list = tuple(int(s) for s in args.n.split(","))
         except ValueError:
             raise ConfigError(f"--n needs comma-separated integers, got {args.n!r}") from None
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.half_width is not None:
-        cfg.half_width = args.half_width
-    if args.out:
-        cfg.out_dir = args.out
     cfg.validate()
     return cfg
 
@@ -151,25 +146,29 @@ def _apply(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    # the one error boundary for bad input: usage errors, unreadable files,
+    # malformed JSON or CSV, invalid configurations and operator parameters
+    # exit 2 with one line; suites run outside it, so a failure inside one
+    # keeps its traceback
+    try:
+        args = parser.parse_args(argv)
+        if args.command == "apply":
+            return _apply(args)
+        if args.command == "run":
+            names = list(SUITES) if args.suite == "all" else [args.suite]
+            configs = [_make_config(name, args) for name in names]
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        # only a non-empty argv can fail; its first word names the command
+        print(f"fracspace {argv[0]}: {exc}", file=sys.stderr)
+        return 2
     if args.command == "list":
         for name in SUITES:
             print(name)
         return 0
     if args.command is None:
         parser.print_help()
-        return 2
-    # the one error boundary for bad input: unreadable files, malformed JSON
-    # or CSV, invalid configurations and operator parameters exit 2 with one
-    # line; suites run outside it, so a failure inside one keeps its traceback
-    try:
-        if args.command == "apply":
-            return _apply(args)
-        names = list(SUITES) if args.suite == "all" else [args.suite]
-        configs = [_make_config(name, args) for name in names]
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"fracspace {args.command}: {exc}", file=sys.stderr)
         return 2
     return _run(configs)
 

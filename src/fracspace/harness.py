@@ -29,7 +29,7 @@ import math
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
@@ -134,29 +134,22 @@ def generate_test_family(grid: Grid, seed: int, count: int,
 
 
 _ALL_N = (1024, 2048, 4096)
+# every suite grid has this half width: the suites place inputs, windows and
+# closed forms at absolute positions (t <= 18, a plateau from 20 to 35), so
+# a run cannot rescale its domain
+_HALF_WIDTH = 40.0
 
 
 @dataclass
 class SuiteConfig:
-    """Grid sizes and seed of one verification suite.  Each suite states its
-    parameter table and its tolerances in its own code; no configuration sets
-    them."""
+    """Grid sizes, seed and report directory of one suite run.  Each suite
+    states its parameter table, its tolerances and its domain (half width
+    ``_HALF_WIDTH``) in its own code; no configuration sets them."""
 
     suite: str
-    half_width: float = 40.0
     n_list: tuple = _ALL_N
     seed: int = 42
     out_dir: str | None = None
-
-    @classmethod
-    def from_json(cls, suite: str, path) -> "SuiteConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
-        bad = set(raw) - {f.name for f in fields(cls)}
-        if bad:
-            raise ConfigError(f"unknown config fields: {sorted(bad)}")
-        raw.pop("suite", None)
-        return cls(suite=suite, **raw)
 
     def validate(self) -> None:
         """Raise ConfigError unless the configuration can run; the seed and
@@ -165,9 +158,10 @@ class SuiteConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; see 'fracspace list'")
         try:
             self.seed = _integer("seed", self.seed, 0)
-            self.n_list = tuple(_integer("grid size", n, 0) for n in self.n_list)
-            for n in self.n_list:  # Grid holds the half-width and grid-size rules
-                Grid(self.half_width, n)
+            # from 32, so the half-line companion (N / 2 nodes) is a grid too
+            self.n_list = tuple(_integer("grid size", n, 32) for n in self.n_list)
+            for n in self.n_list:  # Grid holds the power-of-two rule
+                Grid(_HALF_WIDTH, n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if len(self.n_list) < 3:
@@ -298,7 +292,7 @@ def _ladder(cfg: SuiteConfig, kind: str, inputs, measure):
     """
     rows = []
     for n in cfg.n_list:
-        made = inputs(Grid(cfg.half_width, n, kind))
+        made = inputs(Grid(_HALF_WIDTH, n, kind))
         rows.append(measure(made))
     return [list(values) for values in zip(*rows)], made
 
@@ -419,8 +413,8 @@ def _suite_schur(cfg: SuiteConfig, report: SuiteReport) -> None:
     gammas = (-0.5, 0.0, 1.0)
 
     def bump_ratio(grid: Grid, gamma: float) -> float:
-        c = rng.uniform(0.05, 0.6) * cfg.half_width
-        wd = rng.uniform(0.01, 0.12) * cfg.half_width
+        c = rng.uniform(0.05, 0.6) * _HALF_WIDTH
+        wd = rng.uniform(0.01, 0.12) * _HALF_WIDTH
         h = GridFunction(grid, np.exp(-((grid.points - c) / wd) ** 2))
         w = PowerWeight(gamma)
         return (weighted_lp_norm(kernels.hardy_hilbert_apply(h), 2.0, w)
@@ -442,7 +436,7 @@ def _suite_reflection(cfg: SuiteConfig, report: SuiteReport) -> None:
     report.add_case({"what": "m=0 coefficients"}, list(c0.bs), [3.0, -2.0], 0.0,
                     passed=c0.bs == (3.0, -2.0))
     tol_poly = 1e-9
-    grid = Grid(cfg.half_width, 8192, HALF_LINE)
+    grid = Grid(_HALF_WIDTH, 8192, HALF_LINE)
     t = grid.points
     xg = grid.companion(FULL_LINE).points
     mask = (xg < 0) & (xg >= -1.0)
@@ -487,7 +481,7 @@ def _suite_reflection(cfg: SuiteConfig, report: SuiteReport) -> None:
 
 def _suite_traces(cfg: SuiteConfig, report: SuiteReport) -> None:
     tol = 1e-8
-    grid = Grid(cfg.half_width, 4096, FULL_LINE)
+    grid = Grid(_HALF_WIDTH, 4096, FULL_LINE)
     x = grid.points
     win = plateau(x, 0.0, 3.0, 9.0)
     f2 = GridFunction(grid, x ** 2 * win)
@@ -502,14 +496,14 @@ def _suite_traces(cfg: SuiteConfig, report: SuiteReport) -> None:
     # round trip at resolutions where the stencil conditioning allows 1e-8
     rng = np.random.default_rng(cfg.seed)
     for k, n in ((0, 4096), (1, 4096), (2, 2048), (3, 2048), (4, 1024)):
-        g = Grid(cfg.half_width, n, FULL_LINE)
+        g = Grid(_HALF_WIDTH, n, FULL_LINE)
         tv = halfline.TraceVector(
             k, rng.standard_normal((k + 1, 1)) + 1j * rng.standard_normal((k + 1, 1)))
         back = halfline.trace(halfline.coextend(tv, g), k)
         report.add_case({"k": k, "N": n, "what": "trace(coextend) identity"},
                         float(np.max(np.abs(back.entries - tv.entries))), 0.0, tol)
     # vanishing near 0 gives exactly zero trace
-    gh = Grid(cfg.half_width, 4096, HALF_LINE)
+    gh = Grid(_HALF_WIDTH, 4096, HALF_LINE)
     th = gh.points
     fv = GridFunction(gh, np.where(th > 1.0, np.exp(-(th - 5.0) ** 2), 0.0))
     report.add_case({"what": "zero trace for f vanishing on (0, delta)"},
@@ -524,7 +518,7 @@ def _suite_traces(cfg: SuiteConfig, report: SuiteReport) -> None:
                     _sup(float(np.max(np.abs(halfline.project_H0(p1, 2).values - p1.values)))
                          for p1 in projected), 0.0, tol)
     # projection followed by one-sided mollification: the error shrinks with the scale
-    gfine = Grid(cfg.half_width, 8192, FULL_LINE)
+    gfine = Grid(_HALF_WIDTH, 8192, FULL_LINE)
     f = generate_test_family(gfine, cfg.seed + 3, 1, "boundary-touching")[0]
     proj = halfline.project_H0(f, 2)
     conv = []
@@ -535,7 +529,7 @@ def _suite_traces(cfg: SuiteConfig, report: SuiteReport) -> None:
                     [float(c) for c in conv])
     sizes = (1024, 2048, 4096)
     tv = halfline.TraceVector(2, np.ones((3, 1)))
-    backs = [halfline.trace(halfline.coextend(tv, Grid(cfg.half_width, n, FULL_LINE)), 2)
+    backs = [halfline.trace(halfline.coextend(tv, Grid(_HALF_WIDTH, n, FULL_LINE)), 2)
              for n in sizes]
     report.add_refinement(sizes, [float(np.max(np.abs(b.entries - tv.entries)))
                                   for b in backs])
@@ -657,7 +651,7 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
     # closed-form examples; the recursion is exact for piecewise-linear data,
     # so the e^{-t} examples run on a fine grid where interpolation error
     # sits below the tolerance
-    g = Grid(cfg.half_width, 4096, HALF_LINE)
+    g = Grid(_HALF_WIDTH, 4096, HALF_LINE)
     t = g.points
     f1 = GridFunction(g, plateau(t, 0.0, 20.0, 35.0))
     u = opcalc.resolvent(op, 1.0, f1)
@@ -665,7 +659,7 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
     report.add_case({"what": "dirichlet lam=1 f=1 -> 1-exp(-t)"},
                     float(np.max(np.abs(u.values[mask, 0] - (1 - np.exp(-t[mask]))))),
                     0.0, tol_ode)
-    gf = Grid(cfg.half_width, 2 ** 17, HALF_LINE)
+    gf = Grid(_HALF_WIDTH, 2 ** 17, HALF_LINE)
     tf = gf.points
     uf = opcalc.resolvent(op, 1.0, GridFunction(gf, np.exp(-tf)))
     report.add_case({"what": "dirichlet lam=1 f=exp(-t) -> t exp(-t)"},
@@ -680,7 +674,7 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
                     abs(complex(uf.values[0, 0])), 0.0, 0.0)
     # ODE residuals (lam + A)u - f on random inputs, with A the operator's own
     # 8th-order derivative
-    gr = Grid(cfg.half_width, 2 ** 16, HALF_LINE)
+    gr = Grid(_HALF_WIDTH, 2 ** 16, HALF_LINE)
     fam = generate_test_family(gr, cfg.seed, 20, support=(0.05, 0.45))
     rng = np.random.default_rng(cfg.seed + 1)
     lams = [complex(rng.uniform(1.0, 4.0), rng.uniform(-2.0, 2.0)) for _ in fam]
@@ -772,7 +766,7 @@ def _suite_fractional_domains(cfg: SuiteConfig, report: SuiteReport) -> None:
 def _suite_integration_by_parts(cfg: SuiteConfig, report: SuiteReport) -> None:
     tol = 1e-8
     tol_rand = 1e-7
-    grid = Grid(cfg.half_width, 4096, HALF_LINE)
+    grid = Grid(_HALF_WIDTH, 4096, HALF_LINE)
     t = grid.points
     u = GridFunction(grid, np.exp(-t))
     report.add_case({"what": "u=v=exp(-t)"},

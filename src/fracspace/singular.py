@@ -135,6 +135,7 @@ def _far_series(sigma: float) -> np.ndarray:
                                         (-1.0) ** k * (last - 0.5) ** (-sigma - k)])
         b_image *= (expo - k) / (k + 1)
         b_tail *= (-sigma - k) / (k + 1)
+    out.flags.writeable = False
     return out
 
 

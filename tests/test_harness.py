@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -19,6 +20,7 @@ from fracspace.harness import (
     SuiteReport,
     _C_SIGMAS,
     _DOMAIN_PGT,
+    _HALF_WIDTH,
     _MULTIPLIER_TRIPLES,
     _SCHUR_P_BETA,
     _XCHECK_SIGMAS,
@@ -176,32 +178,14 @@ class TestConfig:
             with pytest.raises(ConfigError, match="ascending"):
                 SuiteConfig(suite="c-sigma", n_list=sizes).validate()
 
-    def test_a_config_file_sets_no_tolerance(self, tmp_path):
-        # nor a sweep: each suite pins its gates and its parameter table
-        for name, value in (("tolerances", {"oracle": 1e-6}), ("sweeps", {"sigma": [0.5]})):
-            path = _config(tmp_path, {name: value})
-            with pytest.raises(ConfigError, match=f"unknown config fields: \\['{name}'\\]"):
-                SuiteConfig.from_json("c-sigma", path)
+    def test_boolean_seed_rejected(self):
+        # a Python caller can still pass a boolean, which is not taken as 1
+        with pytest.raises(ConfigError, match="seed"):
+            SuiteConfig(suite="c-sigma", seed=True).validate()
 
-    def test_json_round_trip(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"half_width": 20.0, "seed": 7,
-                                    "n_list": [1024, 2048, 4096]}))
-        cfg = SuiteConfig.from_json("c-sigma", path)
-        assert cfg.half_width == 20.0 and cfg.seed == 7
-        cfg.validate()
-
-    def test_unknown_field_rejected(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"bogus": 1}))
-        with pytest.raises(ConfigError):
-            SuiteConfig.from_json("c-sigma", path)
-
-    def test_json_multiplier_triples_run(self, tmp_path):
-        # a JSON config sets the grid sizes; the cases are keyed by the pinned triples
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n_list": [256, 512, 1024]}))
-        report = run_suite(SuiteConfig.from_json("pointwise-multiplier", path))
+    def test_multiplier_triples_run(self):
+        # the caller sets the grid sizes; the cases are keyed by the pinned triples
+        report = run_suite(SuiteConfig(suite="pointwise-multiplier", n_list=(256, 512, 1024)))
         assert [row["N"] for row in report.refinement] == [256, 512, 1024]
         assert report.cases[0]["params"]["s"] == _MULTIPLIER_TRIPLES[0][0]
 
@@ -320,14 +304,26 @@ class TestCli:
     def test_unknown_suite_exit_code(self, capsys):
         assert cli.main(["run", "definitely-not-a-suite"]) == 2
 
-    def test_bad_config_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n_list": [7]}))
-        assert cli.main(["run", "c-sigma", "--config", str(path)]) == 2
-
     def test_run_single_suite(self, capsys):
         assert cli.main(["run", "c-sigma"]) == 0
         assert "[PASS] c-sigma" in capsys.readouterr().out
+
+    def test_flags_set_every_run_input(self, tmp_path, capsys):
+        rc = cli.main(["run", "pointwise-multiplier", "--n", "256,512,1024", "--seed", "7",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        rec = json.loads((tmp_path / "pointwise-multiplier.json").read_text())
+        assert rec["config_hash"] == SuiteConfig(
+            suite="pointwise-multiplier", n_list=(256, 512, 1024), seed=7).hash()
+        assert [row["N"] for row in rec["refinement"]] == [256, 512, 1024]
+
+    def test_run_flags_are_the_run_inputs(self):
+        # no flag sets a tolerance, a sweep or the domain: each suite pins them
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {opt for action in sub.choices["run"]._actions
+                   for opt in action.option_strings}
+        assert options == {"-h", "--help", "--n", "--seed", "--out"}
 
     def test_apply_round_trip(self, tmp_path):
         g = Grid(20.0, 256, FULL_LINE)
@@ -405,15 +401,8 @@ def _full_line_csv(tmp_path):
     return str(path)
 
 
-def _config(tmp_path, record):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(record))
-    return str(path)
-
-
 BAD_INPUTS = {
     "n-not-integer": lambda tmp: ["run", "c-sigma", "--n", "1024,abc"],
-    "config-missing": lambda tmp: ["run", "c-sigma", "--config", str(tmp / "none.json")],
     "in-missing": lambda tmp: ["apply", "bessel-potential", "--in", str(tmp / "none.csv"),
                                "--out", str(tmp / "o.csv"), "--params", '{"s": 1}'],
     "csv-one-row": lambda tmp: ["apply", "bessel-potential", "--in", _csv_rows(tmp, [0.0]),
@@ -431,13 +420,6 @@ BAD_INPUTS = {
         "--out", str(tmp / "o.csv")],
     "param-null": lambda tmp: ["apply", "riemann-liouville", "--in", _half_line_csv(tmp),
                                "--out", str(tmp / "o.csv"), "--params", '{"theta": null}'],
-    # a config sets no tolerance: the field is unknown, whatever it holds
-    "config-tolerances-field": lambda tmp: [
-        "run", "c-sigma", "--config", _config(tmp, {"tolerances": {"oracle": 1e-6}})],
-    "config-unknown-tolerance": lambda tmp: [
-        "run", "c-sigma", "--config", _config(tmp, {"tolerances": {"oracel": 1e-6}})],
-    "config-unknown-tolerance-all": lambda tmp: [
-        "run", "all", "--config", _config(tmp, {"tolerances": {"oracel": 1e-6}})],
     "param-unknown": lambda tmp: ["apply", "reflect-extend", "--in", _half_line_csv(tmp),
                                   "--out", str(tmp / "o.csv"), "--params", '{"mm": 3}'],
     "params-not-object": lambda tmp: ["apply", "reflect-extend", "--in", _half_line_csv(tmp),
@@ -486,19 +468,20 @@ BAD_INPUTS = {
                                            "--out", str(tmp / "o.csv"),
                                            "--params", '{"scale": 1.5}'],
     "seed-negative": lambda tmp: ["run", "traces", "--seed", "-1"],
-    "half-width-nan": lambda tmp: ["run", "traces", "--half-width", "nan"],
-    "half-width-inf": lambda tmp: ["run", "bessel-kernel", "--half-width", "inf"],
     "n-repeated": lambda tmp: ["run", "c-sigma", "--n", "1024,1024,1024"],
-    # each suite pins its own parameter table
-    "config-sweeps-field": lambda tmp: [
-        "run", "c-sigma", "--config", _config(tmp, {"sweeps": {"sigma": [0.5]}})],
-    # config integers: no boolean seed, no truncation of a fractional grid size
-    "config-seed-boolean": lambda tmp: [
-        "run", "c-sigma", "--config", _config(tmp, {"seed": True})],
-    "config-n-fractional": lambda tmp: [
-        "run", "c-sigma", "--config", _config(tmp, {"n_list": [1024.7, 2048, 4096]})],
-    "config-n-descending": lambda tmp: [
-        "run", "frac-laplacian-xcheck", "--config", _config(tmp, {"n_list": [1024, 512, 256]})],
+    # the half-line companion of a 16-node grid would have 8 nodes
+    "n-below-companion": lambda tmp: ["run", "reflection-extension", "--n", "16,32,64"],
+    "seed-not-integer": lambda tmp: ["run", "c-sigma", "--seed", "abc"],
+    "seed-fractional": lambda tmp: ["run", "c-sigma", "--seed", "1.5"],
+    # --n integers: no truncation of a fractional size, the finest grid last
+    "n-single": lambda tmp: ["run", "c-sigma", "--n", "7"],
+    "n-fractional": lambda tmp: ["run", "c-sigma", "--n", "1024.7,2048,4096"],
+    "n-not-power-of-two": lambda tmp: ["run", "c-sigma", "--n", "1000,2000,4000"],
+    "n-descending": lambda tmp: ["run", "frac-laplacian-xcheck", "--n", "1024,512,256"],
+    "n-descending-all": lambda tmp: ["run", "all", "--n", "1024,512,256"],
+    # every suite's domain is pinned, and flags are the one input path
+    "half-width-removed": lambda tmp: ["run", "c-sigma", "--half-width", "40"],
+    "config-removed": lambda tmp: ["run", "c-sigma", "--config", "c.json"],
 }
 
 
@@ -720,7 +703,7 @@ def test_ode_residuals_match_the_spectral_derivative_instrument():
     seed = 42
     cfg = SuiteConfig(suite="resolvent-sectoriality", n_list=_SMALL_N, seed=seed)
     values = {c["params"]["what"]: c["value"] for c in run_suite(cfg).cases}
-    fam = generate_test_family(Grid(cfg.half_width, 2 ** 16, HALF_LINE), seed, 20,
+    fam = generate_test_family(Grid(_HALF_WIDTH, 2 ** 16, HALF_LINE), seed, 20,
                                support=(0.05, 0.45))
     rng = np.random.default_rng(seed + 1)
     lams = [complex(rng.uniform(1.0, 4.0), rng.uniform(-2.0, 2.0)) for _ in fam]

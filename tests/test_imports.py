@@ -1,6 +1,7 @@
 """Import-time contract of the package."""
 
 import ast
+import importlib
 import inspect
 import subprocess
 import sys
@@ -207,9 +208,18 @@ def _members(tree: ast.Module):
                     yield node, item
 
 
+def _overrides_outside_package(module: str, cls: str, name: str) -> bool:
+    """Whether ``name`` overrides a member of a base class from outside the
+    package (``cli._Parser.error``), which that base's own code reads."""
+    live = getattr(importlib.import_module(f"fracspace.{module}"), cls)
+    return any(hasattr(base, name) for base in live.__mro__[1:]
+               if base.__module__.split(".")[0] != "fracspace")
+
+
 def test_every_method_is_read():
     # a method or property that no package code outside its own body loads
-    # is surface only tests reach; ``Other.name`` reads Other's member only
+    # is surface only tests reach; ``Other.name`` reads Other's member only,
+    # and an override of a base from outside the package is read by its base
     modules = _package_modules()
     classes = {cls.name for _, tree in modules for cls, _ in _members(tree)}
     loads = [(node.attr, node.value.id if isinstance(node.value, ast.Name) else None, owners)
@@ -220,7 +230,8 @@ def test_every_method_is_read():
               for module, tree in modules for cls, fn in _members(tree)
               if not any(attr == fn.name and fn not in owners
                          and (base == cls.name or base not in classes)
-                         for attr, base, owners in loads)]
+                         for attr, base, owners in loads)
+              and not _overrides_outside_package(module, cls.name, fn.name)]
     assert unread == []
 
 
@@ -363,13 +374,29 @@ def test_suite_tolerances_are_pinned():
     # a configuration holds run inputs only; each suite writes its gates as
     # literals and reads its parameter table from a module constant, so no
     # config, file or caller can loosen a gate or move a sweep entry
-    assert {f.name for f in fields(SuiteConfig)} == {
-        "suite", "half_width", "n_list", "seed", "out_dir"}
+    assert {f.name for f in fields(SuiteConfig)} == {"suite", "n_list", "seed", "out_dir"}
     assert all(inspect.isfunction(suite) for suite in SUITES.values())
     reads = [f"{name}.py:{node.lineno}" for name, tree in _package_modules()
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in ("tolerances", "sweeps")]
     assert reads == []
+
+
+def test_suite_grids_take_the_pinned_half_width():
+    # every suite places its inputs and closed forms at absolute positions,
+    # so each grid harness builds has half width harness._HALF_WIDTH, never
+    # one read from a config or a caller
+    def width(call):
+        given = call.args[:1] + [k.value for k in call.keywords if k.arg == "half_width"]
+        return given[0] if len(given) == 1 else None
+
+    tree = dict(_package_modules())["harness"]
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "Grid"]
+    assert calls
+    assert [f"harness.py:{call.lineno}" for call in calls
+            if not (isinstance(width(call), ast.Name) and width(call).id == "_HALF_WIDTH")] == []
 
 
 def test_grid_frequencies_read_by_the_table_build_and_the_oracle_only():

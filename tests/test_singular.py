@@ -11,6 +11,7 @@ from fracspace.singular import (
     _N_IMAGES,
     _ODD_TERMS,
     _far_field_kernel,
+    _far_series,
     _singular_kernel,
     c_sigma,
     fractional_laplacian_singular,
@@ -229,12 +230,15 @@ class TestFractionalLaplacianSingular:
         assert np.array_equal(fractional_laplacian_singular(f, 0.4).values, first)
 
     def test_cached_kernel_read_only(self):
-        # the cache holds the kernel's spectrum
+        # the caches hold the kernel's spectrum and its far-field series
         g = Grid(40.0, 1024, FULL_LINE)
         spectrum = _singular_kernel(g.n_points, g.h, 0.5)
         assert spectrum.dtype == np.complex128
         with pytest.raises(ValueError):
             spectrum[0] = 0.0
+        series = _far_series(0.5)
+        with pytest.raises(ValueError):
+            series[0, 0] = 0.0
 
     def test_one_kernel_per_grid_and_order(self):
         _singular_kernel.cache_clear()
