@@ -27,6 +27,9 @@ Runs, in this order:
    ``<name>_complex``, and its first call finds the caches the real calls
    built.  ``bessel_kernel`` runs once, on an 800-point logarithmic mesh of
    [1e-6, 2] near the origin, whose size does not depend on N.
+   ``sector_pencil`` is one certified sector norm (``opcalc._pencil_norm``)
+   at ``SECTOR_EDGE``; it reads only the grid of its input, so its
+   ``_complex`` entry times the same call again.
 
 Each entry also records ``traced_peak_mb``, the ``tracemalloc`` peak (in
 10^6 bytes) of one more call, result included, made on its own after the
@@ -42,8 +45,10 @@ printed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import fnmatch
 import json
+import math
 import os
 import platform
 import shutil
@@ -72,6 +77,7 @@ from fracspace.opcalc import (  # noqa: E402
     DIRICHLET,
     HalfLineOperator,
     fractional_power,
+    _pencil_norm,
     resolvent,
     riemann_liouville,
 )
@@ -100,6 +106,8 @@ print(json.dumps({{
 """
 
 _OP = HalfLineOperator(DIRICHLET, 2.0, 0.0)
+#: |lambda| = 4 on the edge of the sector that ``resolvent-sectoriality`` probes
+SECTOR_EDGE = 4.0 * cmath.exp(1j * (math.pi / 4 + 0.1))
 
 #: name -> (grid kind, call on one grid function)
 OPERATORS = {
@@ -113,6 +121,7 @@ OPERATORS = {
     "hardy_hilbert_apply": (HALF_LINE, hardy_hilbert_apply),
     "weighted_lp_norm": (FULL_LINE, lambda f: weighted_lp_norm(f, 2.0, PowerWeight(0.5))),
     "spectral_derivative": (FULL_LINE, spectral_derivative),
+    "sector_pencil": (HALF_LINE, lambda f: _pencil_norm(_OP, SECTOR_EDGE, f.grid)),
 }
 #: 800 points from 1e-6 to 2, log-spaced: the kernel's near-origin range,
 #: kept so that the ``bessel_kernel`` entries of BENCH files stay comparable

@@ -86,7 +86,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fracspace", description="verification CLI")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="enumerate verification suites")
     runp = sub.add_parser("run", help="run one suite (or 'all')")
     runp.add_argument("suite")
@@ -160,16 +160,14 @@ def main(argv=None) -> int:
             names = list(SUITES) if args.suite == "all" else [args.suite]
             configs = [_make_config(name, args) for name in names]
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        # only a non-empty argv can fail; its first word names the command
-        print(f"fracspace {argv[0]}: {exc}", file=sys.stderr)
+        # the first word of argv, when there is one, names the command
+        command = " ".join(["fracspace", *argv[:1]])
+        print(f"{command}: {exc}", file=sys.stderr)
         return 2
     if args.command == "list":
         for name in SUITES:
             print(name)
         return 0
-    if args.command is None:
-        parser.print_help()
-        return 2
     return _run(configs)
 
 

@@ -300,7 +300,10 @@ def weighted_lp_norm(f: GridFunction, p: float, w: PowerWeight) -> float:
 
     The quadrature multiplies each sampled fiber norm by the exact integral of
     the weight over that node's cell, so it is exact for functions that are
-    constant on cells and second-order accurate for smooth ones.
+    constant on cells and second-order accurate for smooth ones, except on
+    the half line when f(0) != 0: node 0's cell reaches over [-h/2, 0],
+    outside R_+, and the rule is then of order min(2, 1 + gamma) (ROADMAP
+    item 18).
     """
     return _cell_weight_norm(f.fiber_norms(), f.grid, p, w)
 

@@ -39,9 +39,11 @@ Balakrishnan kernel, so the two stay independent representations; both
 differentiate through ``_fd`` and convolve through ``_conv``, which depend
 only on the grid.
 Likewise the p = 2 sector norms come from a tridiagonal pencil assembled
-from the taps and the cell weights alone (``_pencil_norm``, certified by
-LDL^T factorizations), and the power iteration through ``_resolvent_map``
-is their independent lower bound.
+from the taps and the cell weights alone (``_pencil_norm``): bisection on
+the inertia that one LDL^T factorization reveals finds its root, and two
+more factorizations certify a bracket of relative half width 1e-6.  The
+power iteration through ``_resolvent_map`` is their independent lower
+bound.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.linalg import eigh_tridiagonal, lapack
+from scipy.linalg import lapack
 
 from . import _conv, _fd
 from .grid import (
@@ -193,9 +195,9 @@ class SectorProbe:
     For p = 2 each entry also records the certificate of its value:
     ``bracket`` (lower and upper end of the norm, from two LDL^T
     factorizations of the shifted tridiagonal pencil), ``certified`` (both
-    agree with the bracket), ``newton_steps`` and ``power_lower``, the
-    independent matrix-free lower bound, which never exceeds the bracket's
-    upper end.
+    agree with the bracket), ``steps`` (the LDL^T factorizations of the
+    bisection that found the value) and ``power_lower``, the independent
+    matrix-free lower bound, which never exceeds the bracket's upper end.
     All four are None for the entries without that certificate.
     """
 
@@ -210,8 +212,10 @@ class SectorProbe:
 _POWER_STEPS = 20
 # relative half width of the certified bracket on sigma^2
 _PENCIL_DELTA = 1e-6
-# cap on the Newton steps of the pencil root (it takes 2-6 on the probed sector)
-_NEWTON_MAX = 50
+# cap on the LDL^T factorizations of the pencil root's search: 52 bisections
+# within the root's binade after the doubling or halving that finds it, so
+# 54-65 in all on the probed sector
+_PENCIL_STEPS = 100
 
 
 def _op_norm_singular_value(op: HalfLineOperator, lam: complex, grid) -> float:
@@ -244,28 +248,30 @@ def _negative_definite(d: np.ndarray, e: np.ndarray) -> bool:
 
 
 def _pencil_norm(op: HalfLineOperator, lam: complex,
-                 grid) -> tuple[list, tuple[float, float], bool]:
+                 grid) -> tuple[float, tuple[float, float], bool, int]:
     """sigma_max(M)^2 for M = lam S^{1/2} L^{-1} P R S^{-1/2}, as
-    (Newton iterates, bracket, certified).
+    (value, bracket, certified, steps).
 
     S = diag(cell weights) (reversed for the minus variant), and L, R, P are
     the factors of ``_resolvent_map``.  sigma_max(M)^2 is the largest
     eigenvalue of the Hermitian tridiagonal pencil (G, B) with
     G = |lam|^2 P R S^{-1} R^H P and B = L S^{-1} L^H (positive definite);
     both are taken here after the congruence by S^{1/2}, which keeps the
-    eigenvalues and the inertia and puts B's diagonal near 1.
-    tau(mu) = lambda_max(G - mu B) is convex and decreasing with its root
-    at sigma_max^2, so Newton from mu = 0 rises monotonically to it; each
-    step takes the top eigenpair of the phase-symmetrized real tridiagonal
-    (same eigenvalues, eigenvector entries rotated by the phases of the
-    off-diagonal) and the slope -v^H B v.  By Sylvester's law of inertia
-    G - mu B is negative definite exactly when no pencil eigenvalue lies at
-    or above mu, so two LDL^T factorizations (``_negative_definite``)
-    certify the bracket mu (1 -+ _PENCIL_DELTA) of the last iterate: one
-    fails at the lower end, the other succeeds at the upper end.  The
-    certificate is exact for the assembled entries.  Measured at N = 65536,
-    gamma = 0.5 (Dirichlet, radii 4^k for k = -5, -3, ..., 5, arguments 0
-    and pi/4 + 0.1): all 12 entries certify, in 4-6 Newton steps.
+    eigenvalues and the inertia and puts B's diagonal near 1.  By
+    Sylvester's law of inertia G - mu B is negative definite exactly when
+    no pencil eigenvalue lies at or above mu, and one LDL^T factorization
+    decides that (``_negative_definite``, on the real tridiagonal with the
+    moduli of the off-diagonal, which has the same eigenvalues).  That test
+    alone finds the root, by bisection on the inertia (Barth, Martin and
+    Wilkinson, Numer. Math. 9, 1967): mu doubles from 1 until the test
+    holds, halves until it fails, and then bisects until the end where it
+    fails and the end where it holds are adjacent floats.  The value is the
+    lower end.  Two more factorizations certify the bracket
+    value (1 -+ _PENCIL_DELTA): one fails at the lower end, the other
+    succeeds at the upper end.  The certificate is exact for the assembled
+    entries.  ``steps`` counts the factorizations of the search, at most
+    ``_PENCIL_STEPS``.  Measured at N = 65536, gamma = 0.5 (Dirichlet, the
+    33 entries of the suite's sector): all certify, in 54-63 steps.
     """
     E, b0, b1 = _taps(lam, grid.h)
     cw = grid.cell_weights(op.gamma)
@@ -283,41 +289,31 @@ def _pencil_norm(op: HalfLineOperator, lam: complex,
     b_diag = np.ones(cw.size)
     b_diag[1:] += abs(E) ** 2 * q
     b_off = -E * rq
-    top = (cw.size - 1, cw.size - 1)
-
-    def shifted(mu):
-        off = g_off - mu * b_off
-        return g_diag - mu * b_diag, off, np.abs(off)
 
     def below(mu):
-        d, _, e = shifted(mu)
-        return _negative_definite(d, e)
+        return _negative_definite(g_diag - mu * b_diag, np.abs(g_off - mu * b_off))
 
-    mu, iterates = 0.0, [0.0]
-    for _ in range(_NEWTON_MAX):
-        d, off, e = shifted(mu)
-        tau, v = eigh_tridiagonal(d, e, select="i", select_range=top)
-        v = v[:, 0]
-        # the pencil's eigenvector is v_k times the phase of off_1 .. off_k,
-        # so conj(u_k) u_{k-1} = v_k v_{k-1} conj(off_k) / |off_k|
-        phase = np.divide(np.conj(off), e, out=np.ones_like(off), where=e > 0.0)
-        slope = float(b_diag @ (v * v) + 2.0 * np.real(np.sum(v[1:] * v[:-1] * b_off * phase)))
-        step = float(tau[0]) / slope
-        mu += max(step, 0.0)
-        iterates.append(mu)
-        if step <= _PENCIL_DELTA * mu:
-            break
-    bracket = (mu * (1.0 - _PENCIL_DELTA), mu * (1.0 + _PENCIL_DELTA))
+    # the root lies in [lo, hi): the test fails at lo (G is not negative
+    # definite, so it fails at 0) and holds at hi.  mu doubles until hi is
+    # found, halves until lo is, then bisects
+    lo, hi, mu, steps = 0.0, math.inf, 1.0, 0
+    while steps < _PENCIL_STEPS and lo < mu < hi:
+        steps += 1
+        if below(mu):
+            hi = mu
+        else:
+            lo = mu
+        mu = 2.0 * lo if hi == math.inf else 0.5 * hi if lo == 0.0 else 0.5 * (lo + hi)
+    bracket = (lo * (1.0 - _PENCIL_DELTA), lo * (1.0 + _PENCIL_DELTA))
     certified = not below(bracket[0]) and below(bracket[1])
-    return iterates, bracket, certified
+    return lo, bracket, certified, steps
 
 
 def _certified_entry(op: HalfLineOperator, lam: complex, grid) -> dict:
     """The p = 2 entry fields: the pencil value, its certificate and the power bound."""
-    iterates, (lo, hi), certified = _pencil_norm(op, lam, grid)
-    return {"norm_estimate": math.sqrt(iterates[-1]), "method": "singular-value",
-            "bracket": [math.sqrt(lo), math.sqrt(hi)],
-            "newton_steps": len(iterates) - 1,
+    value, (lo, hi), certified, steps = _pencil_norm(op, lam, grid)
+    return {"norm_estimate": math.sqrt(value), "method": "singular-value",
+            "bracket": [math.sqrt(lo), math.sqrt(hi)], "steps": steps,
             "power_lower": _op_norm_singular_value(op, lam, grid),
             "certified": certified}
 
@@ -334,14 +330,14 @@ def sectoriality_probe(op: HalfLineOperator, grid, angles, radii) -> list[Sector
     Only arguments 0 <= arg lam <= pi - angle are probed: A = +-d/dt and the
     cell weights are real, so the discrete map at conj(lam) is the complex
     conjugate of the map at lam and has the same norm; its pencil has the
-    same diagonals and conjugate off-diagonals, hence bit-identical
-    iterates and bracket.
+    same diagonals and conjugate off-diagonals, whose moduli are all that
+    the factorizations read, hence the same value, bracket and steps.
     """
     if op.p != 2.0:
         raise ValueError(f"sector probes need p = 2, got p = {op.p}")
     probes = []
     radii = np.asarray(list(radii), dtype=float)
-    no_certificate = dict.fromkeys(("bracket", "newton_steps", "power_lower", "certified"))
+    no_certificate = dict.fromkeys(("bracket", "steps", "power_lower", "certified"))
     for a in angles:
         if not 0.0 < a < math.pi:
             raise ValueError(f"angle must lie in (0, pi), got {a}")

@@ -496,6 +496,15 @@ def test_bad_input_exits_2_with_one_line(make_argv, tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_no_command_exits_2_with_one_line(capsys):
+    # a missing sub-command is a usage error like the others, not a help page
+    assert cli.main([]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fracspace")
+
+
 class TestPinnedTables:
     """Each suite's parameter table lies inside the ranges the paper fixes;
     one test per entry, so a failure names the entry."""
