@@ -294,6 +294,29 @@ class TestPencilNorm:
             assert abs(math.sqrt(value) - exact) <= 1e-10 * exact
             assert math.sqrt(lo) <= exact <= math.sqrt(hi)
 
+    @pytest.mark.parametrize("variant", [DIRICHLET, MINUS])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_search_bisects_to_adjacent_floats(self, variant, gamma, monkeypatch):
+        # the search doubles (or halves) from 1 to the power of two above
+        # (below) the root, then halves that one-binade bracket of 2^52
+        # intervals 52 times, so its step count follows from the value's
+        # exponent alone; two more factorizations certify the bracket
+        calls = []
+
+        def spy(d, e):
+            calls.append(None)
+            return _negative_definite(d, e)
+
+        monkeypatch.setattr("fracspace.opcalc._negative_definite", spy)
+        g = Grid(40.0, 1024, HALF_LINE)
+        op = HalfLineOperator(variant, 2.0, gamma)
+        for lam in _probed_lambdas():
+            calls.clear()
+            value, _, certified, steps = _pencil_norm(op, lam, g)
+            e = math.frexp(value)[1] - 1  # floor(log2(value))
+            assert certified and len(calls) == steps + 2
+            assert steps == 52 + (e + 2 if e >= 0 else 1 - e)
+
     def test_certified_at_n_65536(self):
         # the entries of the gamma = 0.5 sector whose roots sit nearest the
         # rounding of b0: lam = 4^-5 on the real axis and at the edge, 4^-3
