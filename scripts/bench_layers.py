@@ -71,7 +71,7 @@ import fracspace  # noqa: E402
 from fracspace import _fd  # noqa: E402
 from fracspace.fourier import spectral_derivative  # noqa: E402
 from fracspace.grid import FULL_LINE, HALF_LINE, Grid, PowerWeight, weighted_lp_norm  # noqa: E402
-from fracspace.harness import SUITES, SuiteConfig, generate_test_family, run_suite  # noqa: E402
+from fracspace.harness import SUITES, generate_test_family, run_suite  # noqa: E402
 from fracspace.kernels import bessel_kernel, hardy_hilbert_apply  # noqa: E402
 from fracspace.opcalc import (  # noqa: E402
     DIRICHLET,
@@ -165,8 +165,7 @@ def environment() -> dict:
 
 def suite_runtimes() -> dict:
     """runtime_s of each suite, configured as ``fracspace run all`` does."""
-    return {name: run_suite(SuiteConfig(suite=name, seed=SUITE_SEED)).runtime_s
-            for name in SUITES}
+    return {name: run_suite(name, SUITE_SEED).runtime_s for name in SUITES}
 
 
 def _ms(call, f) -> float:

@@ -70,14 +70,14 @@ from .opcalc import (
     riemann_liouville,
     sectoriality_probe,
 )
-from .harness import SuiteConfig, SuiteReport, generate_test_family, run_suite
+from .harness import SuiteReport, generate_test_family, run_suite
 
 __all__ = [
     "AdmissibilityError", "DegenerateInputError", "DIRICHLET", "FULL_LINE",
     "Grid", "GridFunction", "GridMismatchError", "HALF_LINE",
     "HalfLineOperator", "MINUS", "PowerWeight",
-    "ReflectionCoefficients", "ResolutionError", "SectorProbe", "SuiteConfig",
-    "SuiteReport", "TraceVector", "apply_multiplier", "bessel_kernel",
+    "ReflectionCoefficients", "ResolutionError", "SectorProbe", "SuiteReport",
+    "TraceVector", "apply_multiplier", "bessel_kernel",
     "bessel_potential", "c_sigma", "coextend", "domain_norm_ratio",
     "dual_exponent", "dual_pairing", "factor_norm_upper",
     "fractional_laplacian_singular", "fractional_laplacian_spectral",

@@ -1,12 +1,13 @@
 """Command-line interface.
 
     fracspace list
-    fracspace run <suite>|all [--out dir] [--n 1024,2048,4096] [--seed 42]
+    fracspace run <suite>|all [--out dir] [--seed 42]
     fracspace apply <op> --in f.csv --out g.csv [--params '{...}']
 
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 bad input (usage,
-grid sizes or seed, operator parameters, or a missing or malformed input
-file), reported as one line on stderr.  Every suite runs at half width 40.
+seed, operator parameters, or a missing or malformed input file), reported
+as one line on stderr.  A run is its suite and its seed: every suite runs at
+half width 40 on the grid sizes 1024, 2048, 4096.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 
 from .grid import GridFunction, mollify
 from . import fourier, halfline, kernels, opcalc, singular
-from .harness import ConfigError, SUITES, SuiteConfig, run_suite
+from .harness import SUITES, check_run, run_suite
 
 
 def _op_reflect_extend(f, m=1):
@@ -91,8 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="run one suite (or 'all')")
     runp.add_argument("suite")
     runp.add_argument("--out", help="report output directory")
-    runp.add_argument("--n", help="comma-separated grid sizes, e.g. 1024,2048,4096")
-    runp.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    runp.add_argument("--seed", type=int,
+                      default=inspect.signature(run_suite).parameters["seed"].default)
     appp = sub.add_parser("apply", help="apply one operator to a CSV grid function")
     appp.add_argument("op", choices=sorted(APPLY_OPS))
     appp.add_argument("--in", dest="inp", required=True)
@@ -101,24 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_config(name: str, args) -> SuiteConfig:
-    cfg = SuiteConfig(name, seed=args.seed, out_dir=args.out)
-    if args.n:
-        try:
-            cfg.n_list = tuple(int(s) for s in args.n.split(","))
-        except ValueError:
-            raise ConfigError(f"--n needs comma-separated integers, got {args.n!r}") from None
-    cfg.validate()
-    return cfg
-
-
-def _run(configs) -> int:
+def _run(names, seed: int, out_dir) -> int:
     any_fail = False
-    for cfg in configs:
-        report = run_suite(cfg)
+    for name in names:
+        report = run_suite(name, seed, out_dir)
         n_pass = sum(c["pass"] for c in report.cases)
         status = "PASS" if report.passed else "FAIL"
-        print(f"[{status}] {cfg.suite}: {n_pass}/{len(report.cases)} cases, "
+        print(f"[{status}] {name}: {n_pass}/{len(report.cases)} cases, "
               f"{report.runtime_s:.1f}s")
         any_fail |= not report.passed
     return 1 if any_fail else 0
@@ -149,7 +139,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     # the one error boundary for bad input: usage errors, unreadable files,
-    # malformed JSON or CSV, invalid configurations and operator parameters
+    # malformed JSON or CSV, unknown suites, bad seeds and operator parameters
     # exit 2 with one line; suites run outside it, so a failure inside one
     # keeps its traceback
     try:
@@ -158,7 +148,8 @@ def main(argv=None) -> int:
             return _apply(args)
         if args.command == "run":
             names = list(SUITES) if args.suite == "all" else [args.suite]
-            configs = [_make_config(name, args) for name in names]
+            for name in names:
+                check_run(name, args.seed)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         # the first word of argv, when there is one, names the command
         command = " ".join(["fracspace", *argv[:1]])
@@ -168,7 +159,7 @@ def main(argv=None) -> int:
         for name in SUITES:
             print(name)
         return 0
-    return _run(configs)
+    return _run(names, args.seed, args.out)
 
 
 if __name__ == "__main__":

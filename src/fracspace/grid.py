@@ -44,7 +44,7 @@ def _is_power_of_two(n: int) -> bool:
 
 
 def _integer(name: str, value, lower: int) -> int:
-    """``value`` as an int >= ``lower`` (orders, scales, sizes, seeds); a
+    """``value`` as an int >= ``lower`` (orders, scales, seeds); a
     boolean, a string or a non-integral number is rejected, not converted."""
     integral = isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer())

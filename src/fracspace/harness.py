@@ -4,9 +4,10 @@ and machine-readable reports.
 Each suite exercises one package-level guarantee (operator identities,
 inequality constants, convergence under grid refinement) and emits a
 :class:`SuiteReport` holding per-case pass/fail records, a refinement table
-with at least three resolution levels, and wall-clock time.  A report is
-deterministic given (config, seed, floating-point environment).  Refinement
-studies measure over one ladder of grid sizes (``_ladder``) and judge each sweep
+with at least three resolution levels, and wall-clock time.  A run is its
+suite name and its seed (``run_suite``), and its report is deterministic given
+those and the floating-point environment.  Refinement studies measure over one
+pinned ladder of grid sizes (``_ladder`` over ``_ALL_N``) and judge each sweep
 entry's values with one of two verdicts: ``_stable_case`` (they agree within
 rtol) or ``_shrinking_case`` (they decrease strictly).  This module is the only
 code that turns measurements into pass flags: the operator modules return
@@ -51,7 +52,7 @@ from . import _quad, fourier, halfline, kernels, opcalc, singular
 
 
 class ConfigError(ValueError):
-    """Raised for malformed suite configurations (CLI exit code 2)."""
+    """Raised for an unknown suite or a bad seed (CLI exit code 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -130,53 +131,16 @@ def generate_test_family(grid: Grid, seed: int, count: int,
 
 
 # ---------------------------------------------------------------------------
-# configuration and reports
+# pinned grids and reports
 
 
+# every refinement study runs on these grid sizes: the suites' gates are set
+# for them, and a coarser ladder fails cases that hold here
 _ALL_N = (1024, 2048, 4096)
 # every suite grid has this half width: the suites place inputs, windows and
 # closed forms at absolute positions (t <= 18, a plateau from 20 to 35), so
 # a run cannot rescale its domain
 _HALF_WIDTH = 40.0
-
-
-@dataclass
-class SuiteConfig:
-    """Grid sizes, seed and report directory of one suite run.  Each suite
-    states its parameter table, its tolerances and its domain (half width
-    ``_HALF_WIDTH``) in its own code; no configuration sets them."""
-
-    suite: str
-    n_list: tuple = _ALL_N
-    seed: int = 42
-    out_dir: str | None = None
-
-    def validate(self) -> None:
-        """Raise ConfigError unless the configuration can run; the seed and
-        the grid sizes are stored as ints."""
-        if self.suite not in SUITES:
-            raise ConfigError(f"unknown suite {self.suite!r}; see 'fracspace list'")
-        try:
-            self.seed = _integer("seed", self.seed, 0)
-            # from 32, so the half-line companion (N / 2 nodes) is a grid too
-            self.n_list = tuple(_integer("grid size", n, 32) for n in self.n_list)
-            for n in self.n_list:  # Grid holds the power-of-two rule
-                Grid(_HALF_WIDTH, n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if len(self.n_list) < 3:
-            raise ConfigError("need at least three grid sizes for refinement")
-        if any(fine <= coarse for coarse, fine in zip(self.n_list, self.n_list[1:])):
-            # the suites read the last size as the finest grid
-            raise ConfigError(f"grid sizes must be strictly ascending, got {list(self.n_list)}")
-
-    def hash(self) -> str:
-        """Hash of the computation the config asks for; where the report is
-        written (``out_dir``) does not enter."""
-        record = asdict(self)
-        del record["out_dir"]
-        canon = json.dumps(record, sort_keys=True, default=list)
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -284,14 +248,13 @@ def _rel_l2(a: GridFunction, b: GridFunction) -> float:
     return weighted_lp_norm(a - b, 2.0, w0) / weighted_lp_norm(b, 2.0, w0)
 
 
-def _ladder(cfg: SuiteConfig, kind: str, inputs, measure):
-    """Run ``measure(inputs(grid))`` on the grid of each size in ``cfg.n_list``,
-    coarsest first (``validate`` holds the sizes ascending).  ``measure`` returns
-    one value per sweep entry; the result is one list of values per entry and the
-    finest grid's inputs.
+def _ladder(kind: str, inputs, measure):
+    """Run ``measure(inputs(grid))`` on the grid of each size in ``_ALL_N``,
+    coarsest first.  ``measure`` returns one value per sweep entry; the result
+    is one list of values per entry and the finest grid's inputs.
     """
     rows = []
-    for n in cfg.n_list:
+    for n in _ALL_N:
         made = inputs(Grid(_HALF_WIDTH, n, kind))
         rows.append(measure(made))
     return [list(values) for values in zip(*rows)], made
@@ -319,17 +282,17 @@ def _shrinking_case(report: SuiteReport, params: dict, values) -> None:
 _XCHECK_SIGMAS = (0.3, 0.5, 0.7)
 
 
-def _suite_frac_laplacian(cfg: SuiteConfig, report: SuiteReport) -> None:
+def _suite_frac_laplacian(seed: int, report: SuiteReport) -> None:
     tol = 1e-3
-    sups, _ = _ladder(cfg, FULL_LINE, lambda g: generate_test_family(g, cfg.seed, 20),
+    sups, _ = _ladder(FULL_LINE, lambda g: generate_test_family(g, seed, 20),
                       lambda fam: [_sup(_rel_l2(singular.fractional_laplacian_singular(f, sigma),
                                                 fourier.fractional_laplacian_spectral(f, sigma))
                                         for f in fam) for sigma in _XCHECK_SIGMAS])
     for sigma, values in zip(_XCHECK_SIGMAS, sups):
-        report.add_case({"sigma": sigma, "N": cfg.n_list[-1], "what": "max rel L2"},
+        report.add_case({"sigma": sigma, "N": _ALL_N[-1], "what": "max rel L2"},
                         values[-1], 0.0, tol)
     worst_by_n = [_sup(at_n) for at_n in zip(*sups)]
-    report.add_refinement(cfg.n_list, worst_by_n)
+    report.add_refinement(_ALL_N, worst_by_n)
     _shrinking_case(report, {"what": "discrepancy decreases with N"}, worst_by_n)
 
 
@@ -337,7 +300,7 @@ def _suite_frac_laplacian(cfg: SuiteConfig, report: SuiteReport) -> None:
 _C_SIGMAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
 
-def _suite_c_sigma(cfg: SuiteConfig, report: SuiteReport) -> None:
+def _suite_c_sigma(seed: int, report: SuiteReport) -> None:
     tol_h = 1e-6
     tol_o = 1e-8
     for sigma in _C_SIGMAS:
@@ -352,12 +315,13 @@ def _suite_c_sigma(cfg: SuiteConfig, report: SuiteReport) -> None:
             val = c * singular.symbol_integral(xi, sigma)
             report.add_case({"sigma": sigma, "xi": xi, "what": "homogeneity"},
                             val, xi ** sigma, tol_h)
-    # refinement: series/tail split points must agree
-    report.add_refinement((0, 1, 2), [1.0 / singular.symbol_integral(1.0, 0.5, split=split)
-                                      for split in (0.5, 1.0, 2.0)])
+    # refinement: series/tail split points in (0, 1 / xi] must agree
+    splits = (0.25, 0.5, 1.0)
+    report.add_refinement(splits, [1.0 / singular.symbol_integral(1.0, 0.5, split=split)
+                                   for split in splits])
 
 
-def _suite_bessel_kernel(cfg: SuiteConfig, report: SuiteReport) -> None:
+def _suite_bessel_kernel(seed: int, report: SuiteReport) -> None:
     tol = 1e-6
     xs = np.linspace(0.1, 10.0, 199)
     g2 = kernels.bessel_kernel(2.0, xs)
@@ -402,14 +366,14 @@ _SCHUR_P_BETA = ((2.0, -0.3), (2.0, -0.1), (2.0, 0.0), (2.0, 0.2), (2.0, 0.45),
                  (1.5, -0.2), (1.5, 0.2), (2.5, 0.1), (3.0, -0.25), (4.0, 0.1))
 
 
-def _suite_schur(cfg: SuiteConfig, report: SuiteReport) -> None:
+def _suite_schur(seed: int, report: SuiteReport) -> None:
     tol = 1e-8
     for p, beta in _SCHUR_P_BETA:
         val = kernels.schur_constant(p, beta)
         report.add_case({"p": p, "beta": beta, "what": "quadrature vs closed form"},
                         val, kernels.schur_closed_form(p, beta), tol)
     # operator-norm probe against the Schur bound
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     gammas = (-0.5, 0.0, 1.0)
 
     def bump_ratio(grid: Grid, gamma: float) -> float:
@@ -420,7 +384,7 @@ def _suite_schur(cfg: SuiteConfig, report: SuiteReport) -> None:
         return (weighted_lp_norm(kernels.hardy_hilbert_apply(h), 2.0, w)
                 / weighted_lp_norm(h, 2.0, w))
 
-    sups, _ = _ladder(cfg, HALF_LINE, lambda g: g, lambda g: [
+    sups, _ = _ladder(HALF_LINE, lambda g: g, lambda g: [
         _sup(bump_ratio(g, gamma) for _ in range(50)) for gamma in gammas])
     for gamma, values in zip(gammas, sups):
         beta = gamma / 2.0
@@ -428,10 +392,10 @@ def _suite_schur(cfg: SuiteConfig, report: SuiteReport) -> None:
         bound = kernels.schur_closed_form(2.0, beta) if admissible else math.inf
         report.add_case({"gamma": gamma, "what": "probe <= Schur bound"},
                         values[-1], bound, 0.0, passed=values[-1] <= bound)
-    report.add_refinement(cfg.n_list, [_sup(at_n) for at_n in zip(*sups)])
+    report.add_refinement(_ALL_N, [_sup(at_n) for at_n in zip(*sups)])
 
 
-def _suite_reflection(cfg: SuiteConfig, report: SuiteReport) -> None:
+def _suite_reflection(seed: int, report: SuiteReport) -> None:
     c0 = halfline.solve_reflection_coefficients(0)
     report.add_case({"what": "m=0 coefficients"}, list(c0.bs), [3.0, -2.0], 0.0,
                     passed=c0.bs == (3.0, -2.0))
@@ -451,7 +415,7 @@ def _suite_reflection(cfg: SuiteConfig, report: SuiteReport) -> None:
         report.add_case({"m": m, "what": "polynomial reproduction deg<=2m+1"},
                         worst, 0.0, tol_poly)
     # restriction identity and zero extension, exact
-    f = generate_test_family(grid, cfg.seed, 1)[0]
+    f = generate_test_family(grid, seed, 1)[0]
     ext = halfline.reflect_extend(f, halfline.solve_reflection_coefficients(1))
     back = halfline.restrict_plus(ext)
     report.add_case({"what": "restriction identity exact"},
@@ -470,16 +434,16 @@ def _suite_reflection(cfg: SuiteConfig, report: SuiteReport) -> None:
         return abs(lhs - rhs)
 
     (errs_by_n,), _ = _ladder(
-        cfg, FULL_LINE,
-        lambda g: (generate_test_family(g.companion(HALF_LINE), cfg.seed + 1, 20),
-                   generate_test_family(g, cfg.seed + 2, 20)),
+        FULL_LINE,
+        lambda g: (generate_test_family(g.companion(HALF_LINE), seed + 1, 20),
+                   generate_test_family(g, seed + 2, 20)),
         lambda fams: [_sup(duality_gap(fh, gg) for fh, gg in zip(*fams))])
-    report.add_refinement(cfg.n_list, errs_by_n)
+    report.add_refinement(_ALL_N, errs_by_n)
     report.add_case({"what": "duality pairing identity (20 pairs)"},
                     errs_by_n[-1], 0.0, tol_dual)
 
 
-def _suite_traces(cfg: SuiteConfig, report: SuiteReport) -> None:
+def _suite_traces(seed: int, report: SuiteReport) -> None:
     tol = 1e-8
     grid = Grid(_HALF_WIDTH, 4096, FULL_LINE)
     x = grid.points
@@ -494,7 +458,7 @@ def _suite_traces(cfg: SuiteConfig, report: SuiteReport) -> None:
                     float(np.max(np.abs(halfline.trace(fe, 1).entries[:, 0] - 1.0))),
                     0.0, tol)
     # round trip at resolutions where the stencil conditioning allows 1e-8
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     for k, n in ((0, 4096), (1, 4096), (2, 2048), (3, 2048), (4, 1024)):
         g = Grid(_HALF_WIDTH, n, FULL_LINE)
         tv = halfline.TraceVector(
@@ -509,7 +473,7 @@ def _suite_traces(cfg: SuiteConfig, report: SuiteReport) -> None:
     report.add_case({"what": "zero trace for f vanishing on (0, delta)"},
                     float(np.max(np.abs(halfline.trace(fv, 2).entries))), 0.0, 0.0)
     # projection: vanishing trace and idempotence
-    fam = generate_test_family(grid, cfg.seed + 3, 20, "boundary-touching")
+    fam = generate_test_family(grid, seed + 3, 20, "boundary-touching")
     projected = [halfline.project_H0(f, 2) for f in fam]
     report.add_case({"what": "projection kills the trace (20 inputs)"},
                     _sup(float(np.max(np.abs(halfline.trace(p1, 2).entries)))
@@ -519,7 +483,7 @@ def _suite_traces(cfg: SuiteConfig, report: SuiteReport) -> None:
                          for p1 in projected), 0.0, tol)
     # projection followed by one-sided mollification: the error shrinks with the scale
     gfine = Grid(_HALF_WIDTH, 8192, FULL_LINE)
-    f = generate_test_family(gfine, cfg.seed + 3, 1, "boundary-touching")[0]
+    f = generate_test_family(gfine, seed + 3, 1, "boundary-touching")[0]
     proj = halfline.project_H0(f, 2)
     conv = []
     for scale in (4, 8, 12):
@@ -527,12 +491,10 @@ def _suite_traces(cfg: SuiteConfig, report: SuiteReport) -> None:
         conv.append(weighted_lp_norm(m - proj, 2.0, PowerWeight(0.0)))
     _shrinking_case(report, {"what": "one-sided mollify convergence (reported)"},
                     [float(c) for c in conv])
-    sizes = (1024, 2048, 4096)
     tv = halfline.TraceVector(2, np.ones((3, 1)))
-    backs = [halfline.trace(halfline.coextend(tv, Grid(_HALF_WIDTH, n, FULL_LINE)), 2)
-             for n in sizes]
-    report.add_refinement(sizes, [float(np.max(np.abs(b.entries - tv.entries)))
-                                  for b in backs])
+    (errs,), _ = _ladder(FULL_LINE, lambda g: g, lambda g: [float(np.max(np.abs(
+        halfline.trace(halfline.coextend(tv, g), 2).entries - tv.entries)))])
+    report.add_refinement(_ALL_N, errs)
 
 
 def _multiplier_triples() -> tuple:
@@ -553,11 +515,11 @@ def _multiplier_triples() -> tuple:
 _MULTIPLIER_TRIPLES = _multiplier_triples()
 
 
-def _suite_pointwise_multiplier(cfg: SuiteConfig, report: SuiteReport) -> None:
+def _suite_pointwise_multiplier(seed: int, report: SuiteReport) -> None:
     stab = 0.10
     tol_comm = 1e-6
-    sups, _ = _ladder(cfg, FULL_LINE,
-                      lambda g: generate_test_family(g, cfg.seed, 50, "boundary-touching"),
+    sups, _ = _ladder(FULL_LINE,
+                      lambda g: generate_test_family(g, seed, 50, "boundary-touching"),
                       lambda fam: [_sup(r) for r in zip(
                           *(halfline.multiplier_norm_ratios(f, _MULTIPLIER_TRIPLES)
                             for f in fam))])
@@ -568,8 +530,8 @@ def _suite_pointwise_multiplier(cfg: SuiteConfig, report: SuiteReport) -> None:
     w = PowerWeight(0.0)
     for k in (1, 2):
         (sups_k,), fam = _ladder(
-            cfg, FULL_LINE,
-            lambda g: generate_test_family(g, cfg.seed + k, 20, "zero-trace-k", trace_order=k),
+            FULL_LINE,
+            lambda g: generate_test_family(g, seed + k, 20, "zero-trace-k", trace_order=k),
             lambda fam: [_sup(halfline.multiplier_norm_ratio(f, k - 0.2, 2.0, 0.0)
                               for f in fam)])
         worst = _sup(weighted_lp_norm(
@@ -580,7 +542,7 @@ def _suite_pointwise_multiplier(cfg: SuiteConfig, report: SuiteReport) -> None:
                         worst, 0.0, tol_comm)
         _stable_case(report, {"k": k, "s": k - 0.2,
                               "what": "zero-trace window ratio sup stable"}, sups_k, stab)
-    report.add_refinement(cfg.n_list, sups[0])
+    report.add_refinement(_ALL_N, sups[0])
 
 
 #: (p, gamma) of the Gagliardo-Nirenberg study in ``hardy-gn``: the admissible
@@ -589,7 +551,7 @@ _GN_PAIRS = tuple((p, gamma) for gamma in (-0.5, 0.0, 1.0) for p in (1.5, 2.0, 3
                   if -1.0 < gamma < p - 1.0)
 
 
-def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
+def _suite_hardy_gn(seed: int, report: SuiteReport) -> None:
     stab = 0.10
     tol_scale = 1e-6
     # Hardy embedding ratio
@@ -597,10 +559,10 @@ def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
     def hardy_sup(fam) -> float:
         return _sup(halfline.hardy_embedding_check(f, 0.4, 2.0, 0.5) for f in fam)
 
-    (sups,), fam = _ladder(cfg, FULL_LINE, lambda g: generate_test_family(g, cfg.seed, 50),
+    (sups,), fam = _ladder(FULL_LINE, lambda g: generate_test_family(g, seed, 50),
                            lambda fam: [hardy_sup(fam)])
     grid = fam[0].grid
-    report.add_refinement(cfg.n_list, sups)
+    report.add_refinement(_ALL_N, sups)
     _stable_case(report, {"s": 0.4, "p": 2, "gamma": 0.5, "what": "Hardy ratio sup stable"},
                  sups, stab)
     # rescaling study: dilating the whole family by lam (exact integer
@@ -627,7 +589,7 @@ def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
                           "what": "Hardy sup bounded under dilation"},
                  dilated_sups, stab)
     # Gagliardo-Nirenberg, one family per N
-    sups_gn, _ = _ladder(cfg, FULL_LINE, lambda g: generate_test_family(g, cfg.seed + 7, 50),
+    sups_gn, _ = _ladder(FULL_LINE, lambda g: generate_test_family(g, seed + 7, 50),
                          lambda fam: [_sup(r) for r in zip(
                              *(halfline.gn_ratios(f, 1, 2, _GN_PAIRS) for f in fam))])
     for (p, gamma), values in zip(_GN_PAIRS, sups_gn):
@@ -643,7 +605,7 @@ def _suite_hardy_gn(cfg: SuiteConfig, report: SuiteReport) -> None:
     report.add_case({"what": "GN scale invariance at gamma=0"}, worst, 0.0, tol_scale)
 
 
-def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
+def _suite_resolvent(seed: int, report: SuiteReport) -> None:
     tol_ode = 1e-8
     tol_res = 1e-6
     op = opcalc.HalfLineOperator(opcalc.DIRICHLET, 2.0, 0.0)
@@ -675,8 +637,8 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
     # ODE residuals (lam + A)u - f on random inputs, with A the operator's own
     # 8th-order derivative
     gr = Grid(_HALF_WIDTH, 2 ** 16, HALF_LINE)
-    fam = generate_test_family(gr, cfg.seed, 20, support=(0.05, 0.45))
-    rng = np.random.default_rng(cfg.seed + 1)
+    fam = generate_test_family(gr, seed, 20, support=(0.05, 0.45))
+    rng = np.random.default_rng(seed + 1)
     lams = [complex(rng.uniform(1.0, 4.0), rng.uniform(-2.0, 2.0)) for _ in fam]
 
     def residual(operator: opcalc.HalfLineOperator, f: GridFunction, lam: complex) -> float:
@@ -701,14 +663,14 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
                 _sup(e["bracket"][1] for e in finite if e["im_lambda"] == 0.0),
                 sum(not e["certified"] or e["power_lower"] > e["bracket"][1] for e in finite)]
 
-    (sups, uppers, real_uppers, bads), _ = _ladder(cfg, HALF_LINE, lambda g: g, probe)
+    (sups, uppers, real_uppers, bads), _ = _ladder(HALF_LINE, lambda g: g, probe)
     # contraction on the positive axis: the upper bracket ends at phi = 0,
     # whose certificates the "entries certified" case counts
     top = _sup(real_uppers)
     report.add_case({"what": "real-lambda norm <= 1 (p=2, gamma=0)"},
                     top, 1.0, 1e-6, passed=top <= 1.0 + 1e-6,
                     measured={"values": real_uppers})
-    report.add_refinement(cfg.n_list, sups)
+    report.add_refinement(_ALL_N, sups)
     _stable_case(report, {"angle": angle, "what": "sector-probe sup stable"}, sups, 0.05)
     report.add_case({"what": "sector-probe entries certified, power bound inside bracket"},
                     sum(bads), 0, 0)
@@ -728,19 +690,19 @@ def _suite_resolvent(cfg: SuiteConfig, report: SuiteReport) -> None:
 _DOMAIN_PGT = ((2.0, 0.0, 0.5), (2.0, 0.5, 0.3), (2.0, 0.5, 0.7))
 
 
-def _suite_fractional_domains(cfg: SuiteConfig, report: SuiteReport) -> None:
+def _suite_fractional_domains(seed: int, report: SuiteReport) -> None:
     tol_rl = 1e-10
     stab = 0.10
     op0 = opcalc.HalfLineOperator(opcalc.DIRICHLET, 2.0, 0.0)
     # domain-norm ratio bands: one family per N serves every (p, gamma, theta)
     ops = [opcalc.HalfLineOperator(opcalc.DIRICHLET, p, gamma) for p, gamma, _ in _DOMAIN_PGT]
     bands, fam_b = _ladder(
-        cfg, HALF_LINE,
-        lambda g: generate_test_family(g, cfg.seed + 5, 50, support=(0.1, 0.6)),
+        HALF_LINE,
+        lambda g: generate_test_family(g, seed + 5, 50, support=(0.1, 0.6)),
         lambda fam: [_band_constant([opcalc.domain_norm_ratio(op, theta, f) for f in fam])
                      for op, (_, _, theta) in zip(ops, _DOMAIN_PGT)])
     # the fractional power against the causal-derivative oracle, finest grid
-    fam = generate_test_family(fam_b[0].grid, cfg.seed, 20, support=(0.1, 0.5))
+    fam = generate_test_family(fam_b[0].grid, seed, 20, support=(0.1, 0.5))
     for theta in (0.25, 0.5, 0.75):
         report.add_case({"theta": theta,
                          "what": "fractional power vs causal-derivative oracle"},
@@ -750,7 +712,7 @@ def _suite_fractional_domains(cfg: SuiteConfig, report: SuiteReport) -> None:
     for (p, gamma, theta), values in zip(_DOMAIN_PGT, bands):
         _stable_case(report, {"p": p, "gamma": gamma, "theta": theta,
                               "what": "domain-norm band constant stable"}, values, stab)
-    report.add_refinement(cfg.n_list, bands[0])
+    report.add_refinement(_ALL_N, bands[0])
     # theta -> 1: the bands of A^theta approach the band of A itself
     def band(theta: float) -> float:
         return _band_constant([opcalc.domain_norm_ratio(op0, theta, f) for f in fam_b])
@@ -763,7 +725,7 @@ def _suite_fractional_domains(cfg: SuiteConfig, report: SuiteReport) -> None:
                     gaps[-1], 0.0, 1e-2, measured={"theta1_band": limit})
 
 
-def _suite_integration_by_parts(cfg: SuiteConfig, report: SuiteReport) -> None:
+def _suite_integration_by_parts(seed: int, report: SuiteReport) -> None:
     tol = 1e-8
     tol_rand = 1e-7
     grid = Grid(_HALF_WIDTH, 4096, HALF_LINE)
@@ -774,17 +736,17 @@ def _suite_integration_by_parts(cfg: SuiteConfig, report: SuiteReport) -> None:
     u0 = GridFunction(grid, t * np.exp(-t))
     report.add_case({"what": "u(0)=0 reduces to antisymmetry"},
                     opcalc.integration_by_parts_check(u0, u), 0.0, tol)
-    fam_u = generate_test_family(grid, cfg.seed, 20)
-    fam_v = generate_test_family(grid, cfg.seed + 1, 20)
+    fam_u = generate_test_family(grid, seed, 20)
+    fam_v = generate_test_family(grid, seed + 1, 20)
     w0 = PowerWeight(0.0)
     worst = _sup(opcalc.integration_by_parts_check(fu, fv)
                  / (fourier.wkp_norm(fu, 1, 2.0, w0) * fourier.wkp_norm(fv, 1, 2.0, w0))
                  for fu, fv in zip(fam_u, fam_v))
     report.add_case({"what": "random windowed pairs, residual / (W1 norms)"},
                     worst, 0.0, tol_rand)
-    (residuals,), _ = _ladder(cfg, HALF_LINE, lambda g: GridFunction(g, np.exp(-g.points)),
+    (residuals,), _ = _ladder(HALF_LINE, lambda g: GridFunction(g, np.exp(-g.points)),
                               lambda ug: [opcalc.integration_by_parts_check(ug, ug)])
-    report.add_refinement(cfg.n_list, residuals)
+    report.add_refinement(_ALL_N, residuals)
 
 
 # name -> suite; each suite reads its parameter table from the constant next to it
@@ -803,18 +765,32 @@ SUITES = {
 }
 
 
-def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Execute one named suite and return its report (writing files if asked).
+def check_run(suite: str, seed) -> int:
+    """The seed of a run of ``suite``, as an int; ConfigError unless the suite
+    is known and the seed is an integer >= 0."""
+    if suite not in SUITES:
+        raise ConfigError(f"unknown suite {suite!r}; see 'fracspace list'")
+    try:
+        return _integer("seed", seed, 0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def run_suite(suite: str, seed: int = 42, out_dir=None) -> SuiteReport:
+    """Execute one named suite and return its report, writing its files to
+    ``out_dir`` if one is given.  ``config_hash`` hashes the suite and the
+    seed, the whole input of the computation.
 
     RuntimeWarnings are not printed; the report counts every one by message.
     Warnings of other categories are passed on unchanged.
     """
-    config.validate()
-    report = SuiteReport(config.suite, config.hash())
+    seed = check_run(suite, seed)
+    canon = json.dumps({"seed": seed, "suite": suite}, sort_keys=True)
+    report = SuiteReport(suite, hashlib.sha256(canon.encode()).hexdigest()[:16])
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
-        SUITES[config.suite](config, report)
+        SUITES[suite](seed, report)
     report.runtime_s = time.perf_counter() - start
     suppressed = Counter(str(w.message) for w in caught
                          if issubclass(w.category, RuntimeWarning))
@@ -822,6 +798,6 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     for w in caught:
         if not issubclass(w.category, RuntimeWarning):
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    if config.out_dir:
-        report.write(config.out_dir)
+    if out_dir:
+        report.write(out_dir)
     return report

@@ -326,6 +326,8 @@ def sectoriality_probe(op: HalfLineOperator, grid, angles, radii) -> list[Sector
     ``_pencil_norm`` inside a certified bracket, with the power-iteration
     lower bound of ``_op_norm_singular_value`` recorded beside it.  Other p
     are rejected: no estimator here bounds their L^p norm from both sides.
+    So are radii that are not finite and positive, and angles outside
+    (0, pi).
 
     Only arguments 0 <= arg lam <= pi - angle are probed: A = +-d/dt and the
     cell weights are real, so the discrete map at conj(lam) is the complex
@@ -337,6 +339,8 @@ def sectoriality_probe(op: HalfLineOperator, grid, angles, radii) -> list[Sector
         raise ValueError(f"sector probes need p = 2, got p = {op.p}")
     probes = []
     radii = np.asarray(list(radii), dtype=float)
+    if not np.all(np.isfinite(radii) & (radii > 0.0)):
+        raise ValueError(f"radii must be finite and positive, got {radii.tolist()}")
     no_certificate = dict.fromkeys(("bracket", "steps", "power_lower", "certified"))
     for a in angles:
         if not 0.0 < a < math.pi:

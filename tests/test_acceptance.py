@@ -7,7 +7,7 @@ suite itself, prints one PASS/FAIL line, and fails if any case failed.
 
 import pytest
 
-from fracspace.harness import SuiteConfig, run_suite
+from fracspace.harness import run_suite
 
 CRITERIA = [
     (1, "frac-laplacian-xcheck",
@@ -42,7 +42,7 @@ CRITERIA = [
 @pytest.mark.parametrize("number, suite, summary",
                          CRITERIA, ids=[c[1] for c in CRITERIA])
 def test_acceptance_criterion(number, suite, summary):
-    report = run_suite(SuiteConfig(suite=suite))
+    report = run_suite(suite)
     n_pass = sum(c["pass"] for c in report.cases)
     status = "PASS" if report.passed else "FAIL"
     print(f"criterion {number:2d} [{status}] {suite}: {n_pass}/{len(report.cases)} "

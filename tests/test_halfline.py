@@ -40,7 +40,6 @@ from fracspace.halfline import (
 from fracspace.harness import (
     _GN_PAIRS,
     _MULTIPLIER_TRIPLES,
-    SuiteConfig,
     generate_test_family,
     run_suite,
 )
@@ -779,7 +778,7 @@ class TestSweeps:
         # commutation case; one build per (symbol, grid), where one per
         # family member took 1,470
         fourier._symbol_values.cache_clear()
-        assert run_suite(SuiteConfig(suite=suite, seed=42)).passed
+        assert run_suite(suite, 42).passed
         assert fourier._symbol_values.cache_info().misses == tables
 
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import math
 import re
@@ -16,8 +17,8 @@ from fracspace.halfline import trace
 from fracspace.harness import (
     ConfigError,
     SUITES,
-    SuiteConfig,
     SuiteReport,
+    _ALL_N,
     _C_SIGMAS,
     _DOMAIN_PGT,
     _HALF_WIDTH,
@@ -161,48 +162,39 @@ def _per_member_family(grid, seed, count, kind, support=None, trace_order=0, fib
     return out
 
 
+def _config_hash(suite, seed):
+    canon = json.dumps({"seed": seed, "suite": suite}, sort_keys=True)
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
 class TestConfig:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError):
-            SuiteConfig(suite="nope").validate()
-
-    def test_bad_grid_sizes_rejected(self):
-        cfg = SuiteConfig(suite="c-sigma", n_list=(1000, 2000, 4000))
-        with pytest.raises(ConfigError):
-            cfg.validate()
-        cfg = SuiteConfig(suite="c-sigma", n_list=(1024,))
-        with pytest.raises(ConfigError):
-            cfg.validate()
-        # the suites read the last size as the finest grid
-        for sizes in ((1024, 512, 256), (256, 1024, 512), (256, 512, 512, 1024)):
-            with pytest.raises(ConfigError, match="ascending"):
-                SuiteConfig(suite="c-sigma", n_list=sizes).validate()
+            run_suite("nope")
 
     def test_boolean_seed_rejected(self):
         # a Python caller can still pass a boolean, which is not taken as 1
         with pytest.raises(ConfigError, match="seed"):
-            SuiteConfig(suite="c-sigma", seed=True).validate()
+            run_suite("c-sigma", seed=True)
 
     def test_multiplier_triples_run(self):
-        # the caller sets the grid sizes; the cases are keyed by the pinned triples
-        report = run_suite(SuiteConfig(suite="pointwise-multiplier", n_list=(256, 512, 1024)))
-        assert [row["N"] for row in report.refinement] == [256, 512, 1024]
+        # the ladder is pinned; the cases are keyed by the pinned triples
+        report = run_suite("pointwise-multiplier")
+        assert [row["N"] for row in report.refinement] == list(_ALL_N)
         assert report.cases[0]["params"]["s"] == _MULTIPLIER_TRIPLES[0][0]
 
-    def test_hash_deterministic(self):
-        a = SuiteConfig(suite="c-sigma").hash()
-        b = SuiteConfig(suite="c-sigma").hash()
-        assert a == b
-        assert a != SuiteConfig(suite="c-sigma", seed=1).hash()
+    def test_hash_deterministic(self, tmp_path):
+        a = run_suite("c-sigma").config_hash
+        assert a == run_suite("c-sigma").config_hash == _config_hash("c-sigma", 42)
+        assert run_suite("c-sigma", 1).config_hash == _config_hash("c-sigma", 1) != a
         # the report's location is not part of the computation
-        assert (SuiteConfig(suite="c-sigma", out_dir="a").hash()
-                == SuiteConfig(suite="c-sigma", out_dir="b").hash() == a)
+        assert (run_suite("c-sigma", out_dir=str(tmp_path / "a")).config_hash
+                == run_suite("c-sigma", out_dir=str(tmp_path / "b")).config_hash == a)
 
 
 class TestReports:
     def test_run_writes_reports(self, tmp_path):
-        cfg = SuiteConfig(suite="c-sigma", out_dir=str(tmp_path))
-        report = run_suite(cfg)
+        report = run_suite("c-sigma", out_dir=str(tmp_path))
         assert report.passed
         rec = json.loads((tmp_path / "c-sigma.json").read_text())
         assert set(rec) == {"suite", "config_hash", "cases", "refinement",
@@ -236,7 +228,7 @@ class TestReports:
         assert float(ref_rows[-1][2]) == 0.5
 
     def test_runtime_warnings_counted_not_printed(self, tmp_path, monkeypatch):
-        def warning_suite(cfg, report):
+        def warning_suite(seed, report):
             for _ in range(3):
                 warnings.warn("demo periodization", RuntimeWarning)
             with np.errstate(divide="warn"):
@@ -245,10 +237,9 @@ class TestReports:
             report.add_case({"what": "ran"}, 0.0, 0.0, 0.0)
 
         monkeypatch.setitem(SUITES, "warning-demo", warning_suite)
-        cfg = SuiteConfig(suite="warning-demo", out_dir=str(tmp_path))
         with warnings.catch_warnings(record=True) as outer:
             warnings.simplefilter("always")
-            report = run_suite(cfg)
+            report = run_suite("warning-demo", out_dir=str(tmp_path))
         expected = {"demo periodization": 3, "divide by zero encountered in log": 1}
         assert report.warnings == expected
         assert json.loads((tmp_path / "warning-demo.json").read_text())["warnings"] == expected
@@ -309,21 +300,20 @@ class TestCli:
         assert "[PASS] c-sigma" in capsys.readouterr().out
 
     def test_flags_set_every_run_input(self, tmp_path, capsys):
-        rc = cli.main(["run", "pointwise-multiplier", "--n", "256,512,1024", "--seed", "7",
-                       "--out", str(tmp_path)])
+        rc = cli.main(["run", "pointwise-multiplier", "--seed", "7", "--out", str(tmp_path)])
         assert rc == 0
         rec = json.loads((tmp_path / "pointwise-multiplier.json").read_text())
-        assert rec["config_hash"] == SuiteConfig(
-            suite="pointwise-multiplier", n_list=(256, 512, 1024), seed=7).hash()
-        assert [row["N"] for row in rec["refinement"]] == [256, 512, 1024]
+        assert rec["config_hash"] == _config_hash("pointwise-multiplier", 7)
+        assert [row["N"] for row in rec["refinement"]] == list(_ALL_N)
 
     def test_run_flags_are_the_run_inputs(self):
-        # no flag sets a tolerance, a sweep or the domain: each suite pins them
+        # no flag sets a tolerance, a sweep, the domain or the grid sizes:
+        # each suite pins them
         parser = cli._build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         options = {opt for action in sub.choices["run"]._actions
                    for opt in action.option_strings}
-        assert options == {"-h", "--help", "--n", "--seed", "--out"}
+        assert options == {"-h", "--help", "--seed", "--out"}
 
     def test_apply_round_trip(self, tmp_path):
         g = Grid(20.0, 256, FULL_LINE)
@@ -402,7 +392,6 @@ def _full_line_csv(tmp_path):
 
 
 BAD_INPUTS = {
-    "n-not-integer": lambda tmp: ["run", "c-sigma", "--n", "1024,abc"],
     "in-missing": lambda tmp: ["apply", "bessel-potential", "--in", str(tmp / "none.csv"),
                                "--out", str(tmp / "o.csv"), "--params", '{"s": 1}'],
     "csv-one-row": lambda tmp: ["apply", "bessel-potential", "--in", _csv_rows(tmp, [0.0]),
@@ -468,19 +457,14 @@ BAD_INPUTS = {
                                            "--out", str(tmp / "o.csv"),
                                            "--params", '{"scale": 1.5}'],
     "seed-negative": lambda tmp: ["run", "traces", "--seed", "-1"],
-    "n-repeated": lambda tmp: ["run", "c-sigma", "--n", "1024,1024,1024"],
-    # the half-line companion of a 16-node grid would have 8 nodes
-    "n-below-companion": lambda tmp: ["run", "reflection-extension", "--n", "16,32,64"],
+    # no suite of "all" runs before the seed is checked (stdout stays empty)
+    "seed-negative-all": lambda tmp: ["run", "all", "--seed", "-1"],
     "seed-not-integer": lambda tmp: ["run", "c-sigma", "--seed", "abc"],
     "seed-fractional": lambda tmp: ["run", "c-sigma", "--seed", "1.5"],
-    # --n integers: no truncation of a fractional size, the finest grid last
-    "n-single": lambda tmp: ["run", "c-sigma", "--n", "7"],
-    "n-fractional": lambda tmp: ["run", "c-sigma", "--n", "1024.7,2048,4096"],
-    "n-not-power-of-two": lambda tmp: ["run", "c-sigma", "--n", "1000,2000,4000"],
-    "n-descending": lambda tmp: ["run", "frac-laplacian-xcheck", "--n", "1024,512,256"],
-    "n-descending-all": lambda tmp: ["run", "all", "--n", "1024,512,256"],
-    # every suite's domain is pinned, and flags are the one input path
+    # every suite's domain and grid sizes are pinned, and flags are the one
+    # input path
     "half-width-removed": lambda tmp: ["run", "c-sigma", "--half-width", "40"],
+    "n-removed": lambda tmp: ["run", "c-sigma", "--n", "1024,2048,4096"],
     "config-removed": lambda tmp: ["run", "c-sigma", "--config", "c.json"],
 }
 
@@ -574,9 +558,6 @@ class TestStabilityHelpers:
         assert case["params"] == {"what": "demo"}
 
 
-_SMALL_N = (256, 512, 1024)
-
-
 class TestRefinementLadders:
     def test_nan_family_member_fails_the_hardy_case(self, monkeypatch):
         # one member after the first gives NaN; a sup folded with max() from
@@ -589,25 +570,25 @@ class TestRefinementLadders:
             return math.nan if len(calls) % 50 == 2 else original(f, s, p, gamma)
 
         monkeypatch.setattr(halfline, "hardy_embedding_check", nan_for_second_member)
-        report = run_suite(SuiteConfig(suite="hardy-gn", n_list=_SMALL_N))
+        report = run_suite("hardy-gn")
         case = next(c for c in report.cases
                     if c["params"]["what"] == "Hardy ratio sup stable")
         assert case["measured"]["values"] == ["NaN"] * 3
         assert not case["pass"]
 
     def test_one_multiplier_case_per_pinned_triple(self):
-        report = run_suite(SuiteConfig(suite="pointwise-multiplier", n_list=_SMALL_N))
+        report = run_suite("pointwise-multiplier")
         cases = [c for c in report.cases
                  if c["params"]["what"] == "indicator norm-ratio sup stable"]
         assert [(c["params"]["s"], c["params"]["p"], c["params"]["gamma"])
                 for c in cases] == list(_MULTIPLIER_TRIPLES)
         assert all(len(c["measured"]["values"]) == 3 for c in cases)
         # the refinement rows are the first triple's sups
-        assert [row["N"] for row in report.refinement] == list(_SMALL_N)
+        assert [row["N"] for row in report.refinement] == list(_ALL_N)
         assert [row["value"] for row in report.refinement] == cases[0]["measured"]["values"]
 
     def test_theta_limit_gaps_shrink_toward_the_theta_one_band(self):
-        report = run_suite(SuiteConfig(suite="fractional-domains", n_list=_SMALL_N))
+        report = run_suite("fractional-domains")
         shrinks, within = [c for c in report.cases
                            if c["params"]["what"].startswith("theta -> 1")]
         gaps = shrinks["measured"]["values"]
@@ -621,18 +602,26 @@ class TestRefinementLadders:
         assert within["measured"]["theta1_band"] > 1.0 and within["pass"]
 
     def test_domain_refinement_rows_come_from_the_first_entry(self):
-        report = run_suite(SuiteConfig(suite="fractional-domains", n_list=_SMALL_N))
+        report = run_suite("fractional-domains")
         case = next(c for c in report.cases
                     if c["params"]["what"] == "domain-norm band constant stable")
-        assert [row["N"] for row in report.refinement] == list(_SMALL_N)
+        assert [row["N"] for row in report.refinement] == list(_ALL_N)
         assert [row["value"] for row in report.refinement] == case["measured"]["values"]
+
+    def test_c_sigma_refines_over_split_points_it_takes_as_given(self):
+        # symbol_integral clamps a split above 1/xi to 1/xi, so at xi = 1 a
+        # split of 2.0 repeated the row of 1.0; each row's level is its split
+        report = run_suite("c-sigma")
+        assert [row["N"] for row in report.refinement] == [0.25, 0.5, 1.0]
+        assert [row["value"] for row in report.refinement] == [
+            1.0 / singular.symbol_integral(1.0, 0.5, split=split) for split in (0.25, 0.5, 1.0)]
 
     @pytest.mark.parametrize("seed", [5, 10])
     def test_hardy_dilation_sups_invariant_against_the_homogeneous_norm(self, seed):
         # against the Bessel norm the sups at dilations 1, 2, 4 rose by 46%
         # (seed 5: 0.800, 0.995, 1.172) and the case failed; against
         # || |D|^0.4 f || they agree within the ladder's stability band
-        report = run_suite(SuiteConfig(suite="hardy-gn", seed=seed))
+        report = run_suite("hardy-gn", seed)
         case = next(c for c in report.cases
                     if c["params"]["what"] == "Hardy sup bounded under dilation")
         values = case["measured"]["values"]
@@ -642,12 +631,11 @@ class TestRefinementLadders:
 
 @pytest.fixture(scope="module")
 def small_runs(tmp_path_factory):
-    """Every suite at N in {256, 512, 1024}, seeds 1 and 2: seed -> (reports, report dir)."""
+    """Every suite at seeds 1 and 2: seed -> (reports, report dir)."""
     runs = {}
     for seed in (1, 2):
         out = tmp_path_factory.mktemp(f"reports-seed{seed}")
-        runs[seed] = ([run_suite(SuiteConfig(suite=name, n_list=_SMALL_N, seed=seed,
-                                             out_dir=str(out))) for name in SUITES], out)
+        runs[seed] = ([run_suite(name, seed, str(out)) for name in SUITES], out)
     return runs
 
 
@@ -677,7 +665,7 @@ def test_contraction_case_reads_the_real_axis_of_the_probe_ladder(small_runs):
     angle = 3.0 * math.pi / 4.0 - 0.1
     radii = [4.0 ** k for k in range(-5, 6)]
     ends = []
-    for n in _SMALL_N:
+    for n in _ALL_N:
         probe = opcalc.sectoriality_probe(op, Grid(40.0, n, HALF_LINE), [angle], radii)[0]
         real = [e for e in probe.entries if e["im_lambda"] == 0.0]
         assert len(real) == len(radii) and all(e["certified"] for e in real)
@@ -698,7 +686,7 @@ def test_a_scaled_resolvent_fails_the_ode_residuals_and_no_probe_case(monkeypatc
         return GridFunction(u.grid, (1 + 1e-3) * u.values)
 
     monkeypatch.setattr(opcalc, "resolvent", scaled)
-    report = run_suite(SuiteConfig(suite="resolvent-sectoriality", n_list=_SMALL_N))
+    report = run_suite("resolvent-sectoriality")
     verdicts = {c["params"]["what"]: c["pass"] for c in report.cases}
     assert [verdicts[what] for what in _RESIDUALS] == [False, False]
     probes = [passed for what, passed in verdicts.items() if "sector-probe" in what]
@@ -710,8 +698,8 @@ def test_ode_residuals_match_the_spectral_derivative_instrument():
     # for the Dirichlet variant, the order-2 reflection for the minus one,
     # whose A is -d/dt), differentiate spectrally on 2^17 nodes, restrict
     seed = 42
-    cfg = SuiteConfig(suite="resolvent-sectoriality", n_list=_SMALL_N, seed=seed)
-    values = {c["params"]["what"]: c["value"] for c in run_suite(cfg).cases}
+    values = {c["params"]["what"]: c["value"]
+              for c in run_suite("resolvent-sectoriality", seed).cases}
     fam = generate_test_family(Grid(_HALF_WIDTH, 2 ** 16, HALF_LINE), seed, 20,
                                support=(0.05, 0.45))
     rng = np.random.default_rng(seed + 1)

@@ -6,11 +6,10 @@ import inspect
 import subprocess
 import sys
 import tomllib
-from dataclasses import fields
 from pathlib import Path
 
 import fracspace
-from fracspace.harness import SUITES, SuiteConfig
+from fracspace.harness import SUITES, run_suite
 
 
 def test_package_does_not_import_scipy_signal():
@@ -54,9 +53,9 @@ def test_quadrature_suites_load_no_scipy_integrate():
     # Schur constants run at their defaults without loading either module
     src = str(Path(fracspace.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import fracspace\n"
-            "from fracspace.harness import SuiteConfig, run_suite\n"
+            "from fracspace.harness import run_suite\n"
             "failed = [name for name in ('c-sigma', 'bessel-kernel', 'schur-constants')\n"
-            "          if not run_suite(SuiteConfig(suite=name)).passed]\n"
+            "          if not run_suite(name).passed]\n"
             f"loaded = sorted(m for m in {HEAVY_SCIPY!r} if m in sys.modules)\n"
             "print(failed, loaded); sys.exit(bool(failed or loaded))")
     run = subprocess.run([sys.executable, "-c", code, src],
@@ -328,13 +327,11 @@ def test_grid_kind_checks_live_in_grid():
 
 def test_one_grid_size_ladder():
     # every refinement study walks the grid sizes through harness._ladder; a
-    # loop over a config's n_list elsewhere is a hand-written ladder
+    # loop over _ALL_N elsewhere is a hand-written ladder
     tree = dict(_package_modules())["harness"]
     loops = [f"harness.py:{node.iter.lineno} in {owners[-1].name if owners else '<module>'}"
              for node, owners in _enclosed(tree, (ast.For, ast.comprehension))
-             if any(isinstance(n, ast.Attribute) and n.attr == "n_list"
-                    and not (isinstance(n.value, ast.Name) and n.value.id == "self")
-                    for n in ast.walk(node.iter))
+             if any(isinstance(n, ast.Name) and n.id == "_ALL_N" for n in ast.walk(node.iter))
              and [fn.name for fn in owners] != ["_ladder"]]
     assert loops == []
 
@@ -371,10 +368,10 @@ def test_one_relative_l2_formula_in_harness():
 
 
 def test_suite_tolerances_are_pinned():
-    # a configuration holds run inputs only; each suite writes its gates as
-    # literals and reads its parameter table from a module constant, so no
-    # config, file or caller can loosen a gate or move a sweep entry
-    assert {f.name for f in fields(SuiteConfig)} == {"suite", "n_list", "seed", "out_dir"}
+    # a run takes its inputs only; each suite writes its gates as literals
+    # and reads its parameter table from a module constant, so no caller can
+    # loosen a gate or move a sweep entry
+    assert list(inspect.signature(run_suite).parameters) == ["suite", "seed", "out_dir"]
     assert all(inspect.isfunction(suite) for suite in SUITES.values())
     reads = [f"{name}.py:{node.lineno}" for name, tree in _package_modules()
              for node in ast.walk(tree)

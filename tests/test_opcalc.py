@@ -464,6 +464,15 @@ class TestSectorialityProbe:
                 sectoriality_probe(HalfLineOperator(DIRICHLET, p, 0.0), g,
                                    [3 * math.pi / 4], [1.0])
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+    def test_radius_not_finite_and_positive_rejected(self, radius):
+        # a NaN or infinite radius gave an entry of norm 0.0 by the
+        # singular-value method, a negative one probed arguments never asked
+        # for and reported them outside the resolvent set
+        g = Grid(40.0, 256, HALF_LINE)
+        with pytest.raises(ValueError, match="radii must be finite and positive"):
+            sectoriality_probe(OP_D, g, [3 * math.pi / 4], [1.0, radius])
+
     def test_weighted_probe_finite(self):
         g = Grid(40.0, 1024, HALF_LINE)
         op = HalfLineOperator(DIRICHLET, 2.0, 0.5)
