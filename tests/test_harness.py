@@ -177,6 +177,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed"):
             run_suite("c-sigma", seed=True)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "42", None])
+    def test_bad_seed_rejected_before_the_suite_runs(self, seed, monkeypatch):
+        # check_run is the one place a run's inputs are checked
+        def must_not_run(seed, report):
+            raise AssertionError("the suite ran on a bad seed")
+
+        monkeypatch.setitem(SUITES, "c-sigma", must_not_run)
+        with pytest.raises(ConfigError, match="seed"):
+            run_suite("c-sigma", seed)
+
     def test_multiplier_triples_run(self):
         # the ladder is pinned; the cases are keyed by the pinned triples
         report = run_suite("pointwise-multiplier")
@@ -645,6 +655,18 @@ def test_case_params_do_not_depend_on_the_seed(small_runs):
     (one, _), (two, _) = small_runs[1], small_runs[2]
     assert ([[c["params"] for c in report.cases] for report in one]
             == [[c["params"] for c in report.cases] for report in two])
+
+
+# the refinement studies that are not grid-size ladders, with their levels
+_OTHER_LEVELS = {"c-sigma": [0.25, 0.5, 1.0], "bessel-kernel": [100, 200, 400]}
+
+
+def test_every_grid_size_ladder_walks_the_pinned_sizes(small_runs):
+    # the gates are set for _ALL_N, and no run input rescales a ladder
+    reports, _ = small_runs[1]
+    for report in reports:
+        levels = [row["N"] for row in report.refinement]
+        assert levels == _OTHER_LEVELS.get(report.suite, list(_ALL_N)), report.suite
 
 
 def test_written_reports_are_strict_json_and_match_the_report(small_runs):
